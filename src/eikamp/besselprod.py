@@ -158,7 +158,10 @@ def f4_classify(a, b, c, d):
     boundary windows (relative half-width 1e-12)."""
     _check_positive("a b c d", a, b, c, d)
     d2 = delta4_sq(a, b, c, d)
-    pr = float(a) * float(b) * float(c) * float(d)
+    # product of the sorted arguments, so every permutation classifies
+    # (and evaluates) bitwise identically
+    w, x, y, z = sorted((float(a), float(b), float(c), float(d)))
+    pr = w * x * y * z
     if _near(d2, pr):
         return BranchReport(d2, pr, Branch.BOUNDARY, "modulus_one")
     if _near(d2, 0.0):
@@ -217,7 +220,9 @@ def g_kernel(x, xp, xpp):
         if not (v >= 0.0) or not math.isfinite(v):
             raise ValueError("kernel arguments must be nonnegative and finite")
     a_sq = delta4_sq(x, xp, xpp, 1.0)
-    b = float(x) * float(xp) * float(xpp)
+    # sorted product, as in f4_classify, so G equals F4(., ., ., 1) bitwise
+    lo, mid, hi = sorted((float(x), float(xp), float(xpp)))
+    b = lo * mid * hi
     if _near(a_sq, b):
         raise BoundaryCaseError(
             f"kernel not defined at A^2 = B (modulus 1): A^2 = {a_sq:.6e}")
@@ -286,34 +291,15 @@ def _f4_support_lo(c, d, e):
     return max(0.0, 2.0 * max(c, d, e) - (c + d + e))
 
 
-def _log_singularity_points(phi, lo, hi, n_scan=257, iters=60):
-    """Roots of a smooth scalar function phi (vectorized) in (lo, hi) by
-    scan plus bisection; the quadrature engine grades panels toward them.
-    Tangential touches without a sign change are invisible to the scan,
-    which is acceptable: they cost panels, not correctness."""
-    if not hi > lo:
-        return []
-    t = np.linspace(lo, hi, n_scan)
-    # keep strictly interior sample points: the endpoints are support
-    # edges where phi may be exactly 0 by construction
-    t[0] = lo + 1e-12 * (hi - lo)
-    t[-1] = hi - 1e-12 * (hi - lo)
-    v = phi(t)
-    s = np.sign(v)
-    flips = np.nonzero(s[:-1] * s[1:] < 0)[0]
-    roots = []
-    if flips.size:
-        lo_b, hi_b = t[flips].copy(), t[flips + 1].copy()
-        lo_v = v[flips].copy()
-        for _ in range(iters):
-            mid = 0.5 * (lo_b + hi_b)
-            mv = phi(mid)
-            left = lo_v * mv <= 0.0
-            hi_b = np.where(left, mid, hi_b)
-            lo_b = np.where(left, lo_b, mid)
-            lo_v = np.where(left, lo_v, mv)
-        roots = (0.5 * (lo_b + hi_b)).tolist()
-    return roots
+def _f4_modulus_one_points(c, d, e):
+    """The t where F4(c, d, e, t) is log-singular: Delta4^2 = c d e t, the
+    elliptic modulus reaching 1.  The difference factorises,
+
+        Delta4^2 - wxyz = -(w-x-y+z)(w-x+y-z)(w+x-y-z)(w+x+y+z) / 16,
+
+    so the points are t = d+e-c, c-d+e and c+d-e; callers clip them into
+    the support, where one outside it only adds a zero-length panel."""
+    return [d + e - c, c - d + e, c + d - e]
 
 
 def _empty_result():
@@ -337,15 +323,11 @@ def f5_eval(a, b, c, d, e, cfg=None):
     if not hi > lo + 1e-14 * max(1.0, hi):
         return _empty_result()
 
-    def phi(t):
-        return _delta4_sq_values(c, d, e, t) - (c * d * e) * t
-
-    brk = _log_singularity_points(phi, lo, hi)
-
     def integrand(t):
         return t * _f3_values(a, b, t) * _f4_values(c, d, e, t)
 
-    edges = np.unique(np.array([lo, *brk, hi]))
+    edges = np.sort(np.clip([lo, *_f4_modulus_one_points(c, d, e), hi],
+                            lo, hi))
     vals, errs, evals, ok = _solve_batched(
         lambda _t, x: integrand(x), [edges], cfg.rel_tol, cfg.abs_tol,
         cfg.max_subdivisions, sqrt_edges=True)
@@ -427,15 +409,11 @@ def f6_eval(a, b, c, d, e, f, cfg=None):
     if not hi > lo + 1e-14 * max(1.0, hi):
         return _empty_result()
 
-    brk = _log_singularity_points(
-        lambda t: _delta4_sq_values(a, b, c, t) - (a * b * c) * t, lo, hi)
-    brk += _log_singularity_points(
-        lambda t: _delta4_sq_values(d, e, f, t) - (d * e * f) * t, lo, hi)
-
     def integrand(t):
         return t * _f4_values(a, b, c, t) * _f4_values(d, e, f, t)
 
-    edges = np.unique(np.array([lo, *brk, hi]))
+    edges = np.sort(np.clip([lo, *_f4_modulus_one_points(a, b, c),
+                             *_f4_modulus_one_points(d, e, f), hi], lo, hi))
     vals, errs, evals, ok = _solve_batched(
         lambda _t, x: integrand(x), [edges], cfg.rel_tol, cfg.abs_tol,
         cfg.max_subdivisions, sqrt_edges=True)

@@ -298,10 +298,14 @@ def _cmd_compare(args):
     devs, rows = [], []
     for t in spec.t_grid():
         kin = Kinematics(spec.s, float(t))
-        terms = compute_terms(model, kin, cfg,
-                              override_chi_gate=spec.override_chi_gate)
-        approx = assemble_amplitude(terms)
-        direct = direct_eikonal_amplitude(model, kin, quad_cfg=cfg)
+        try:
+            terms = compute_terms(model, kin, cfg,
+                                  override_chi_gate=spec.override_chi_gate)
+            approx = assemble_amplitude(terms)
+            direct = direct_eikonal_amplitude(model, kin, quad_cfg=cfg)
+        except EikampError as exc:
+            print(f"eikamp compare: t={float(t):g}: {exc}", file=sys.stderr)
+            return EXIT_FAIL
         dev = abs(approx - direct) / max(abs(direct), 1e-300)
         devs.append(dev)
         rows.append([float(t), approx.real, approx.imag, direct.real,

@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .besselprod import _delta4_sq_values, _g_values
+from .besselprod import _g_values
 from .exceptions import ChiGateError, NonConvergenceError, RealityClassError
 from .models import BornKind, BornModel, Kinematics
 from .quadrature import (IntegralResult, QuadratureConfig, _solve_batched,
@@ -301,43 +301,21 @@ def decompose_a3_domain():
     ]
 
 
-def _x3_breakpoints(xp, xm, lo3, hi3, n_scan=33, iters=45):
-    """Per-task roots of A^2(xp, xm, x3) - B on (lo3, hi3).
+def _x3_breakpoints(xp, xm, lo3, hi3):
+    """Per-task x3 in [lo3, hi3] where the kernel G is log-singular.
 
-    These are the log-singular x3 values of the kernel G (elliptic modulus
-    reaching 1).  Vectorized over all tasks at once: a sign-change scan on
-    a shared grid followed by batched bisection.  Returns a list of root
-    arrays, one per task.
+    There the elliptic modulus reaches 1, A^2(xp, xm, x3) = B = xp xm x3,
+    and with the sides (xp, xm, x3, 1) the difference factorises:
+
+        A^2 - B = -(xp-xm-x3+1)(xp-xm+x3-1)(xp+xm-x3-1)(xp+xm+x3+1) / 16.
+
+    Returns an array of shape (tasks, 3), one row per task, holding the
+    roots 1+xp-xm, 1-xp+xm and xp+xm-1 clipped into [lo3, hi3]: a root
+    outside the range lands on one of its ends, where it only adds a
+    zero-length panel.
     """
-    T = xp.size
-    span = hi3 - lo3
-    frac = np.linspace(1e-9, 1.0 - 1e-9, n_scan)
-    grid = lo3[:, None] + span[:, None] * frac[None, :]
-    phi = (_delta4_sq_values(xp[:, None], xm[:, None], grid, 1.0)
-           - (xp * xm)[:, None] * grid)
-    s = np.sign(phi)
-    flip = s[:, :-1] * s[:, 1:] < 0
-    rows, cols = np.nonzero(flip)
-    out = [np.empty(0) for _ in range(T)]
-    if rows.size == 0:
-        return out
-    lo_b = grid[rows, cols]
-    hi_b = grid[rows, cols + 1]
-    lo_v = phi[rows, cols]
-    bxp, bxm = xp[rows], xm[rows]
-    for _ in range(iters):
-        mid = 0.5 * (lo_b + hi_b)
-        mv = _delta4_sq_values(bxp, bxm, mid, 1.0) - bxp * bxm * mid
-        left = lo_v * mv <= 0.0
-        hi_b = np.where(left, mid, hi_b)
-        lo_b = np.where(left, lo_b, mid)
-        lo_v = np.where(left, lo_v, mv)
-    roots = 0.5 * (lo_b + hi_b)
-    for r in range(T):
-        sel = rows == r
-        if sel.any():
-            out[r] = np.sort(roots[sel])
-    return out
+    roots = np.stack([1.0 + xp - xm, 1.0 - xp + xm, xp + xm - 1.0], axis=1)
+    return np.clip(roots, lo3[:, None], hi3[:, None])
 
 
 def _a3_block(model, qt, block, cfg, x1_cap, x3_cap, counters):
@@ -361,6 +339,10 @@ def _a3_block(model, qt, block, cfg, x1_cap, x3_cap, counters):
     child = cfg.child(x1_hi - x1_lo)
     gchild = child.child(2.0)
     red = model.reduced
+    # a tabulated a(qt x3) is only C1 at its grid knots: panel edges there
+    # restore full quadrature order on the inner axis
+    grid = getattr(model, "q_grid", None)
+    knots = np.empty((1, 0)) if grid is None else grid[None, 1:] / qt
 
     def fouter(_tid, x1s):
         lo2 = block.x2_lower(x1s)
@@ -372,15 +354,10 @@ def _a3_block(model, qt, block, cfg, x1_cap, x3_cap, counters):
             xp = 0.5 * (x1v + x2s)
             xm = 0.5 * (x1v - x2s)
             lo3 = np.maximum(block.x3_lower(x1v, x2s), 0.0)
-            hi3 = np.minimum(block.x3_upper(x1v, x2s), x3_cap)
-            brks = _x3_breakpoints(xp, xm, lo3, np.maximum(hi3, lo3))
-            ptasks = []
-            for i in range(xp.size):
-                if hi3[i] <= lo3[i]:
-                    ptasks.append(np.array([0.0, 0.0]))
-                else:
-                    ptasks.append(np.unique(np.concatenate(
-                        [[lo3[i]], brks[i], [hi3[i]]]).clip(lo3[i], hi3[i])))
+            hi3 = np.maximum(np.minimum(block.x3_upper(x1v, x2s), x3_cap), lo3)
+            ptasks = np.sort(np.column_stack([
+                lo3, _x3_breakpoints(xp, xm, lo3, hi3),
+                np.clip(knots, lo3[:, None], hi3[:, None]), hi3]), axis=1)
 
             def finner(p_ids, x3):
                 xpv, xmv = xp[p_ids], xm[p_ids]
@@ -442,9 +419,10 @@ def a3_term(model, kin, cfg=None):
     xp = (x1+x2)/2, xm = (x1-x2)/2, qt = sqrt(-t): the scaled momentum
     integrals with their radial measures, restricted to the five-block
     region where the kernel has support.  The kernel's log-singular
-    surfaces are located by a classifier scan along the innermost axis
-    and inserted as panel breakpoints; semi-infinite ranges truncate on
-    the model envelope with a tail bound added to the error estimate.
+    surfaces (elliptic modulus 1) are planes in closed form, inserted as
+    panel breakpoints along the innermost axis; semi-infinite ranges
+    truncate on the model envelope with a tail bound added to the error
+    estimate.
     """
     cfg = cfg or QuadratureConfig()
     value, _err, _n = _a3_with_error(model, kin, cfg)

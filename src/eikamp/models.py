@@ -288,7 +288,7 @@ def load_model(path):
 
     Raises ModelFileError with a location hint on any structural problem.
     """
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cp.read_file(fh)

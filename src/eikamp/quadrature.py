@@ -9,11 +9,13 @@ batching is what keeps the triply nested amplitude integrals inside their
 runtime budget.
 
 Geometry per initial segment is carried by a map: identity, a square-root
-substitution x = x0 +/- u^2 anchored at the outer endpoints (removes
-inverse-square-root endpoint singularities and softens logarithmic ones), or
-the algebraic map x = a + u/(1-u) for semi-infinite ranges without decay
-information.  Kronrod nodes are strictly interior, so integrands are never
-evaluated exactly at endpoints or listed breakpoints.
+substitution x = x0 +/- u^2 anchored at every panel edge (each panel
+between two consecutive edges is split into two halves, one graded toward
+each edge; this removes inverse-square-root singularities and softens
+logarithmic ones at endpoints and breakpoints alike), or the algebraic map
+x = a + u/(1-u) for semi-infinite ranges without decay information.
+Kronrod nodes are strictly interior, so integrands are never evaluated
+exactly at endpoints or listed breakpoints.
 
 Error estimates follow QUADPACK: the scaled |K15 - G7| difference plus a
 machine-rounding floor proportional to the L1 norm of the integrand.  The
@@ -149,85 +151,46 @@ class IntegralResult:
 # batched engine
 # ---------------------------------------------------------------------------
 
-def _build_pair_tasks(pairs):
-    """Vectorized segment construction for tasks that are plain [lo, hi]
-    pairs with sqrt maps at both ends.  The nested integrators generate
-    hundreds of thousands of such tasks, so the generic per-task loop is
-    the hot spot without this path."""
-    lo_e, hi_e = pairs[:, 0], pairs[:, 1]
-    idx = np.nonzero(hi_e > lo_e)[0]
-    if idx.size == 0:
-        z = np.zeros(0)
-        return z.astype(int), z.astype(np.int8), z, z, z
-    lo_k, hi_k = lo_e[idx], hi_e[idx]
-    m = 0.5 * (lo_k + hi_k)
-    tid = np.repeat(idx, 2)
-    kind = np.tile(np.array([_SQRT_LEFT, _SQRT_RIGHT], dtype=np.int8),
-                   idx.size)
-    anc = np.empty(2 * idx.size)
-    anc[0::2] = lo_k
-    anc[1::2] = hi_k
-    his = np.empty(2 * idx.size)
-    his[0::2] = np.sqrt(m - lo_k)
-    his[1::2] = np.sqrt(hi_k - m)
-    return tid, kind, anc, np.zeros(2 * idx.size), his
-
-
 def _build_tasks(edges_list, sqrt_edges):
-    """Turn per-task edge arrays into flat segment arrays with maps.
+    """Turn per-task edges into flat segment arrays with maps.
 
-    ``edges_list`` is either a sequence of sorted edge arrays (one per
-    task, arbitrary panel counts) or a 2D array of shape (tasks, 2) for
-    the common all-pairs case.
+    ``edges_list`` is a 2D array with one row of edges per task, or a
+    sequence of edge arrays of any lengths.  A task whose last edge does
+    not exceed its first is empty: it contributes 0 and is converged at
+    once.  Otherwise its edges must be sorted ascending; repeated edges
+    give zero-length panels, which are dropped.  With ``sqrt_edges`` every
+    panel becomes two square-root-mapped halves, one anchored at each of
+    its edges.
     """
-    if sqrt_edges and isinstance(edges_list, np.ndarray) \
-            and edges_list.ndim == 2 and edges_list.shape[1] == 2:
-        return _build_pair_tasks(edges_list)
-
-    tids, kinds, ancs, los, his = [], [], [], [], []
-
-    for t, edges in enumerate(edges_list):
-        e = np.asarray(edges, dtype=float)
-        if e.size < 2 or not (e[-1] > e[0]):
-            continue  # empty range: contributes 0, converged immediately
-        if np.any(np.diff(e) < 0.0):
-            raise ValueError("task edges must be sorted ascending")
-        e = np.unique(e)
-        n = e.size - 1
-        if not sqrt_edges:
-            tids.append(np.full(n, t))
-            kinds.append(np.zeros(n, dtype=np.int8))
-            ancs.append(np.zeros(n))
-            los.append(e[:-1].copy())
-            his.append(e[1:].copy())
-            continue
-        if n == 1:
-            m = 0.5 * (e[0] + e[1])
-            tids.append(np.full(2, t))
-            kinds.append(np.array([_SQRT_LEFT, _SQRT_RIGHT], dtype=np.int8))
-            ancs.append(np.array([e[0], e[1]]))
-            los.append(np.zeros(2))
-            his.append(np.sqrt([m - e[0], e[1] - m]))
-        else:
-            k = np.zeros(n, dtype=np.int8)
-            a = np.zeros(n)
-            lo = e[:-1].copy()
-            hi = e[1:].copy()
-            k[0], a[0] = _SQRT_LEFT, e[0]
-            lo[0], hi[0] = 0.0, math.sqrt(e[1] - e[0])
-            k[-1], a[-1] = _SQRT_RIGHT, e[-1]
-            lo[-1], hi[-1] = 0.0, math.sqrt(e[-1] - e[-2])
-            tids.append(np.full(n, t))
-            kinds.append(k)
-            ancs.append(a)
-            los.append(lo)
-            his.append(hi)
-
-    if not tids:
-        z = np.zeros(0)
-        return z.astype(int), z.astype(np.int8), z, z, z
-    return (np.concatenate(tids).astype(int), np.concatenate(kinds),
-            np.concatenate(ancs), np.concatenate(los), np.concatenate(his))
+    if isinstance(edges_list, np.ndarray) and edges_list.ndim == 2:
+        n_tasks, width = edges_list.shape
+        lens = np.full(n_tasks, width)
+        flat = edges_list.ravel().astype(float)
+    else:
+        n_tasks = len(edges_list)
+        lens = np.fromiter(map(len, edges_list), dtype=int, count=n_tasks)
+        flat = (np.concatenate(edges_list).astype(float) if lens.sum()
+                else np.zeros(0))
+    first = np.cumsum(lens) - lens
+    live = np.zeros(n_tasks, dtype=bool)
+    filled = lens > 0
+    live[filled] = flat[first[filled] + lens[filled] - 1] > flat[first[filled]]
+    owner = np.repeat(np.arange(n_tasks), lens)
+    same = (owner[:-1] == owner[1:]) & live[owner[:-1]]
+    tid, lo, hi = owner[:-1][same], flat[:-1][same], flat[1:][same]
+    if np.any(hi < lo):
+        raise ValueError("task edges must be sorted ascending")
+    keep = hi > lo
+    tid, lo, hi = tid[keep], lo[keep], hi[keep]
+    if not sqrt_edges:
+        return tid, np.zeros(tid.size, dtype=np.int8), np.zeros(tid.size), lo, hi
+    mid = 0.5 * (lo + hi)
+    kind = np.tile(np.array([_SQRT_LEFT, _SQRT_RIGHT], dtype=np.int8), tid.size)
+    anc = np.empty(2 * tid.size)
+    anc[0::2], anc[1::2] = lo, hi
+    u_hi = np.empty(2 * tid.size)
+    u_hi[0::2], u_hi[1::2] = np.sqrt(mid - lo), np.sqrt(hi - mid)
+    return np.repeat(tid, 2), kind, anc, np.zeros(2 * tid.size), u_hi
 
 
 def _map_nodes(kind, anc, u):
@@ -404,10 +367,12 @@ def integrate_1d(f, a, b, cfg=None, breakpoints=None, *,
         verification panel beyond the cutoff is added to value and error.
     breakpoints : sequence of float, optional
         Interior points of known bad behavior (integrable log singularities,
-        jumps); panels are graded toward them but never touch them.
+        jumps); they become panel edges, and with ``sqrt_edges`` the panels
+        on both sides are graded toward them, but nodes never touch them.
     sqrt_edges : bool
-        Apply the x = x0 +/- u^2 endpoint substitution (removes endpoint
-        x^{-1/2} singularities).  On by default; harmless for smooth ends.
+        Apply the x = x0 +/- u^2 substitution at the endpoints and at every
+        breakpoint (removes x^{-1/2} singularities there).  On by default;
+        harmless for smooth edges.
 
     Raises
     ------

@@ -11,7 +11,8 @@ from eikamp import (BoundaryCaseError, Branch, QuadratureConfig,
                     bessel_i0e, delta3_sq, delta4_sq, f3_eval, f4_classify,
                     f4_eval, g_kernel, integrate_1d, smeared_delta_kernel,
                     weber_integral)
-from eikamp.besselprod import delta4_sq_four_factor
+from eikamp.besselprod import (_delta4_sq_values, _f4_modulus_one_points,
+                               _f4_support_lo, delta4_sq_four_factor)
 
 TIGHT = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-14)
 
@@ -144,7 +145,9 @@ class TestF4Values:
         assert order12 >= 1.0
 
     def test_permutation_invariance(self):
-        for params in ((3.0, 4.0, 5.0, 0.1), (0.5, 0.6, 2.0, 2.2)):
+        for params in ((3.0, 4.0, 5.0, 0.1), (0.5, 0.6, 2.0, 2.2),
+                       (1.3044872137612549, 1.067516963558979,
+                        1.579627444597215, 0.5543205160881426)):
             vals = {f4_eval(*p) for p in itertools.permutations(params)}
             assert len(vals) == 1
 
@@ -181,6 +184,28 @@ class TestGKernel:
 
     def test_outside_support(self):
         assert g_kernel(5.0, 1.0, 1.0) == 0.0
+
+
+class TestModulusOnePoints:
+    def test_closed_form_points_are_every_sign_change(self):
+        # F5/F6 panel edges: phi(t) = Delta4^2(c, d, e, t) - c d e t must
+        # vanish at each point, and a dense scan over the F4 support finds
+        # no sign change of phi away from them
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            c, d, e = rng.uniform(0.5, 2.0, size=3)
+            lo, hi = _f4_support_lo(c, d, e), c + d + e
+
+            def phi(t):
+                return _delta4_sq_values(c, d, e, t) - c * d * e * t
+
+            pts = np.array(_f4_modulus_one_points(c, d, e))
+            assert np.all(np.abs(phi(pts)) <= 1e-13 * hi ** 4)
+            inside = pts[(pts > lo) & (pts < hi)]
+            t = np.linspace(lo, hi, 4001)[1:-1]
+            flips = np.nonzero(np.sign(phi(t[:-1])) * np.sign(phi(t[1:])) < 0)[0]
+            for j in flips:
+                assert np.any((inside >= t[j]) & (inside <= t[j + 1]))
 
 
 class TestSupportRule:

@@ -15,6 +15,7 @@ from eikamp.besselprod import f5_eval
 from eikamp.cli import main
 from eikamp.eikonal import (assemble_amplitude, compute_terms,
                             diff_cross_section, infer_reality)
+from eikamp.exceptions import NonConvergenceError
 from eikamp.models import Kinematics, load_model
 from eikamp.quadrature import QuadratureConfig
 
@@ -208,6 +209,20 @@ class TestCompareCommand:
         assert "allowance" in out
         max_dev = float(out.split("max deviation ")[1].split(",")[0])
         assert max_dev < 1e-3
+
+
+    def test_failed_point_exits_cleanly(self, gauss_model, capsys,
+                                        monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise NonConvergenceError("b-integral did not converge")
+
+        monkeypatch.setattr("eikamp.cli.direct_eikonal_amplitude", refuse)
+        code, out, err = run_cli(
+            ["compare", "--model", gauss_model, "--s", "50",
+             "--t-min", "-1", "--t-max", "-1", "--points", "1",
+             "--rel-tol", "1e-3", "--abs-tol", "1e-6"], capsys)
+        assert code == 1
+        assert "eikamp compare: t=-1: b-integral did not converge" in err
 
 
 class TestChiGateWiring:

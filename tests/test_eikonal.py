@@ -31,6 +31,8 @@ from eikamp.eikonal import (
     eikonal_chi,
     infer_reality,
 )
+from eikamp.besselprod import _delta4_sq_values
+from eikamp.eikonal import _x3_breakpoints
 from eikamp.exceptions import ChiGateError, RealityClassError
 from eikamp.models import (
     ExponentialPoleBorn,
@@ -204,6 +206,42 @@ class TestA3:
         m = gaussian_with_chi0(0.2)
         kin = Kinematics(s=50.0, t=-1.0)
         assert a3_term(m, kin) == pytest.approx(closed_a3(m, kin), rel=1e-6)
+
+
+class TestKernelSingularities:
+    def test_x3_breakpoints_are_every_sign_change(self):
+        # phi = A^2 - B of the kernel G vanishes at each closed-form x3 in
+        # range, and a dense scan finds no sign change away from them;
+        # a third of the draws sit at xp ~ xm ~ 1, where two roots nearly
+        # coincide
+        rng = np.random.default_rng(23)
+        n = 300
+        xp = rng.uniform(0.0, 3.0, n)
+        xm = rng.uniform(0.0, 3.0, n)
+        xp[:100] = 1.0 + rng.uniform(-1e-3, 1e-3, 100)
+        xm[:100] = 1.0 + rng.uniform(-1e-3, 1e-3, 100)
+        lo3 = rng.uniform(0.0, 1.0, n)
+        hi3 = lo3 + rng.uniform(0.5, 4.0, n)
+
+        def phi(x3, rows):
+            a, b = xp[rows], xm[rows]
+            return _delta4_sq_values(a, b, x3, 1.0) - a * b * x3
+
+        roots = _x3_breakpoints(xp, xm, lo3, hi3)
+        assert roots.shape == (n, 3)
+        assert np.all((roots >= lo3[:, None]) & (roots <= hi3[:, None]))
+        inside = (roots > lo3[:, None]) & (roots < hi3[:, None])
+        rows = np.nonzero(inside)[0]
+        scale = (xp + xm + hi3 + 1.0)[rows] ** 4
+        assert np.all(np.abs(phi(roots[inside], rows)) <= 1e-14 * scale)
+
+        grid = lo3[:, None] + (hi3 - lo3)[:, None] * np.linspace(0.0, 1.0, 4001)
+        vals = phi(grid, np.arange(n)[:, None])
+        fr, fc = np.nonzero(np.sign(vals[:, :-1]) * np.sign(vals[:, 1:]) < 0)
+        assert fr.size > n
+        hit = (inside[fr] & (roots[fr] >= grid[fr, fc][:, None])
+               & (roots[fr] <= grid[fr, fc + 1][:, None]))
+        assert hit.any(axis=1).all()
 
 
 class TestDomainDecomposition:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ TAB_Q = [0.0, 0.5, 1.0, 1.5, 2.0]
 TAB_RE = [1.0, 0.87, 0.55, 0.28, 0.12]
 TAB_IM = [0.0, 0.13, 0.25, 0.16, 0.07]
 TAB_M, TAB_KAPPA = 2.1, 1.2
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def make_tabulated():
@@ -310,3 +313,34 @@ class TestLoadModel:
         p.write_text("[model]\nkind = gaussian\ng = -1.0\nlambda = 1.0\n")
         with pytest.raises(ModelFileError, match="invalid model parameters"):
             load_model(p)
+
+
+def readme_model_files():
+    """Every model file printed in the README, verbatim: the indented
+    block after 'Model files are INI:', split at each [model] header."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    code = []
+    for ln in lines[lines.index("Model files are INI:") + 1:]:
+        if ln and not ln.startswith("    "):
+            break
+        code.append(ln[4:])
+    return ["[model]" + part for part in "\n".join(code).split("[model]")[1:]]
+
+
+class TestReadmeModelFiles:
+    def test_every_readme_model_file_loads(self, tmp_path):
+        files = readme_model_files()
+        kinds = []
+        for i, text in enumerate(files):
+            path = tmp_path / f"readme{i}.ini"
+            path.write_text(text, encoding="utf-8")
+            kinds.append(load_model(path).kind)
+        assert kinds == [BornKind.GAUSSIAN, BornKind.EXPONENTIAL_POLE,
+                         BornKind.TABULATED]
+
+    def test_inline_comments_are_not_values(self, tmp_path):
+        path = tmp_path / "g.ini"
+        path.write_text("[model]\nkind = gaussian  # A_B = i g s ...\n"
+                        "g = 2.0  ; coupling\nlambda = 1.0\n")
+        m = load_model(path)
+        assert (m.g, m.lam) == (2.0, 1.0)

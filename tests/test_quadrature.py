@@ -11,7 +11,7 @@ from eikamp import (DEFAULT_P_SEQUENCE, ExtrapolationDivergenceError,
                     IntegralResult, NonConvergenceError, QuadratureConfig,
                     integrate_1d, integrate_2d,
                     integrate_damped_bessel_product)
-from eikamp.quadrature import integrate_3d
+from eikamp.quadrature import _build_tasks, integrate_3d
 
 TIGHT = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-14)
 
@@ -118,6 +118,31 @@ class TestEngineBehavior:
         assert not np.any(xs == 0.5)
         assert not np.any(xs == 0.0)
         assert not np.any(xs == 1.0)
+
+    def test_interior_log_breakpoint_is_graded(self):
+        # both panels next to the breakpoint get a square-root map anchored
+        # on it, which turns log|x - 0.7| into a mild u log u; plain
+        # bisection toward the breakpoint needs about 1,300 evaluations
+        res = integrate_1d(lambda x: np.log(np.abs(x - 0.7)), 0.0, 2.0,
+                           QuadratureConfig(rel_tol=1e-6), breakpoints=[0.7])
+        truth = 0.7 * math.log(0.7) + 1.3 * math.log(1.3) - 2.0
+        assert abs(res.value - truth) <= 1e-6 * abs(truth)
+        assert res.evaluations <= 600
+
+    def test_task_rows_and_ragged_edges_build_the_same_panels(self):
+        # repeated edges in a row of the 2D form are zero-length panels
+        # and vanish, so padded rows and ragged lists agree
+        # and a task whose last edge does not exceed its first is empty
+        rows = _build_tasks(np.array([[0.0, 0.5, 0.5, 2.0], [1.0, 1.0, 1.0, 1.0],
+                                      [0.0, 0.0, 1.0, 3.0], [2.0, 2.0, 2.0, 1.0]]),
+                            True)
+        ragged = _build_tasks([[0.0, 0.5, 2.0], [1.0], [0.0, 1.0, 3.0],
+                               [2.0, 1.0]], True)
+        for got, want in zip(rows, ragged):
+            np.testing.assert_array_equal(got, want)
+        assert rows[0].tolist() == [0, 0, 0, 0, 2, 2, 2, 2]
+        with pytest.raises(ValueError, match="sorted"):
+            _build_tasks([[0.0, 2.0, 1.0]], True)
 
     def test_invalid_range(self):
         with pytest.raises(ValueError):
