@@ -280,7 +280,7 @@ def _f4_values(a, b, c, d):
 
 def _g_values(x, xp, xpp):
     """Vectorized kernel G = F4(x, x', x'', 1)."""
-    return _f4_values(x, xp, xpp, np.ones_like(np.asarray(x, dtype=float)))
+    return _f4_values(x, xp, xpp, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ import numpy as np
 from . import __version__
 from .besselprod import (Branch, f3_eval, f4_classify, f4_eval, f5_eval,
                          f6_eval, delta3_sq, weber_integral)
-from .eikonal import (assemble_amplitude, build_profile, compute_terms,
-                      diff_cross_section, infer_reality)
+from .eikonal import (_gated_terms, assemble_amplitude, build_profile,
+                      compute_terms, diff_cross_section, infer_reality)
 from .exceptions import (BoundaryCaseError, ChiGateError, EikampError,
                          ExtrapolationDivergenceError, ModelFileError,
                          NonConvergenceError)
@@ -275,8 +275,7 @@ def _cmd_table(args):
     for t in spec.t_grid():
         kin = Kinematics(spec.s, float(t))
         try:
-            terms = compute_terms(model, kin, cfg,
-                                  override_chi_gate=spec.override_chi_gate)
+            terms = _gated_terms(model, kin, cfg)
             amp = assemble_amplitude(terms)
             dsig = diff_cross_section(terms, kin, reality)
             rows.append([float(t), terms.a1.real, terms.a1.imag,
@@ -299,8 +298,7 @@ def _cmd_compare(args):
     for t in spec.t_grid():
         kin = Kinematics(spec.s, float(t))
         try:
-            terms = compute_terms(model, kin, cfg,
-                                  override_chi_gate=spec.override_chi_gate)
+            terms = _gated_terms(model, kin, cfg)
             approx = assemble_amplitude(terms)
             direct = direct_eikonal_amplitude(model, kin, quad_cfg=cfg)
         except EikampError as exc:

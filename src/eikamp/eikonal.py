@@ -101,7 +101,9 @@ def eikonal_chi(model, s, b, cfg=None, *, force_quadrature=False):
         # tabulated interpolants are C1 at the nodes; panel edges there
         # restore full quadrature order
         brk += [float(qn) for qn in grid if 0.0 < qn < q_cut]
-    res = integrate_1d(f, 0.0, q_cut, cfg, breakpoints=sorted(brk) or None)
+    # no edge is singular (q = 0, J0 half-periods, C1 knots): plain panels
+    res = integrate_1d(f, 0.0, q_cut, cfg, breakpoints=sorted(brk) or None,
+                       sqrt_edges=False)
     return complex(res.value)
 
 
@@ -331,6 +333,11 @@ def _a3_block(model, qt, block, cfg, x1_cap, x3_cap, counters):
     absorbs the x2 -> -x2 doubling, because the full integrand is even in
     x2 (the sign flip swaps xp and xm, a symmetry of both the kernel and
     the Born product).
+
+    Each middle node (x1, x2) is one inner task along x3.  Its factor
+    xp xm a(qt xp) a(qt xm) is the same at every x3 node, so it is formed
+    once per middle node; the inner integrand gathers it by task id and
+    evaluates only x3 a(qt x3) G(xp, xm, x3) per x3 node.
     """
     x1_lo, x1_hi = block.x1_range
     x1_hi = min(x1_hi, x1_cap)
@@ -358,12 +365,11 @@ def _a3_block(model, qt, block, cfg, x1_cap, x3_cap, counters):
             ptasks = np.sort(np.column_stack([
                 lo3, _x3_breakpoints(xp, xm, lo3, hi3),
                 np.clip(knots, lo3[:, None], hi3[:, None]), hi3]), axis=1)
+            pair = xp * xm * red(qt * xp) * red(qt * xm)
 
             def finner(p_ids, x3):
-                xpv, xmv = xp[p_ids], xm[p_ids]
-                g = _g_values(xpv, xmv, x3)
-                return (xpv * xmv * x3 * red(qt * xpv) * red(qt * xmv)
-                        * red(qt * x3) * g)
+                g = _g_values(xp[p_ids], xm[p_ids], x3)
+                return pair[p_ids] * x3 * red(qt * x3) * g
 
             v, er, ev, _ok = _solve_batched(
                 finner, ptasks, gchild.rel_tol, gchild.abs_tol,
@@ -534,6 +540,12 @@ def compute_terms(model, kin, cfg=None, *, override_chi_gate=False):
     A1 (exact), A2, and A3 with error estimates."""
     cfg = cfg or QuadratureConfig()
     build_profile(model, kin.s, cfg, override_chi_gate=override_chi_gate)
+    return _gated_terms(model, kin, cfg)
+
+
+def _gated_terms(model, kin, cfg):
+    """A1, A2 and A3 at one (s, t) for a model already gated at s; the
+    gate depends on s alone, so one :func:`build_profile` serves every t."""
     a1 = a1_term(model, kin)
     a2, a2_err = _a2_with_error(model, kin, cfg)
     a3, a3_err, _ = _a3_with_error(model, kin, cfg)

@@ -8,15 +8,23 @@ zero-factored rational approximation on [0, 5] and the Hankel asymptotic
 form with rational P, Q beyond 5.  Peak error is ~4e-16 absolute, far
 inside the 1e-13 relative contract away from the zeros of J0.
 
+J0 stays in-house because ``scipy.special.j0`` is not accurate enough for
+that contract at large argument: on 25 points drawn from [0, 1e4] its
+error against mpmath, scaled by max(|J0|, sqrt(2/(pi x))), reaches 5.4e-13
+(at x ~ 9955), where this port stays below 4e-16.
+
 ``elliptic_k`` takes the MODULUS k, not the parameter m = k^2.  This is the
 convention every closed form in :mod:`eikamp.besselprod` is written in;
 mixing it up with scipy's ``ellipk(m)`` is the classic mistake the docstring
-warns about.
+warns about.  K itself comes from ``scipy.special.ellipkm1`` evaluated on
+the complementary parameter 1 - k^2, formed as (1 - k)(1 + k) so that it
+keeps its digits as k -> 1.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import ellipkm1
 
 from .exceptions import EikampError
 
@@ -91,11 +99,6 @@ _DR2 = 3.04712623436620863991e1
 _I0_SERIES_CUT = 20.0
 # exp(x) overflows float64 a little above 709.
 _I0_OVERFLOW = 700.0
-
-# Switch K(k) to its logarithmic asymptotic when 1 - k^2 < this; the AGM
-# still converges there but the asymptotic is cheaper and avoids losing
-# digits in 1 - k^2 underflow territory.
-K_NEAR_ONE_CROSSOVER = 1e-12
 
 
 def _polevl(x, coef):
@@ -237,10 +240,8 @@ def elliptic_k(k):
     NOT the parameter m = k^2 used by scipy.special.ellipk.  K(0) = pi/2
     exactly; K is strictly increasing; K(k) -> log(4/sqrt(1-k^2)) as k -> 1.
 
-    Evaluated by the arithmetic-geometric mean, K = pi/(2 AGM(1, k')),
-    k' = sqrt(1-k^2); for 1-k^2 < 1e-12 the logarithmic asymptotic is used
-    (relative error there < 3e-13, dominated by the dropped (1-k^2)/4 log
-    correction).
+    Evaluated as ``scipy.special.ellipkm1((1 - k)(1 + k))``, which keeps
+    full relative precision up to the largest k below 1.
 
     Raises
     ------
@@ -256,20 +257,6 @@ def elliptic_k(k):
 
 
 def _elliptic_k_core(k):
-    """AGM evaluation without domain checks; k array in [0, 1)."""
+    """K(k) of a modulus array in [0, 1), without domain checks."""
     # (1-k)(1+k) keeps precision for k near 1 better than 1 - k*k.
-    m1 = (1.0 - k) * (1.0 + k)
-    out = np.empty_like(k)
-    near1 = m1 < K_NEAR_ONE_CROSSOVER
-    if np.any(near1):
-        out[near1] = np.log(4.0 / np.sqrt(m1[near1]))
-    rest = ~near1
-    if np.any(rest):
-        a = np.ones_like(k[rest])
-        b = np.sqrt(m1[rest])
-        # Quadratic convergence; 12 iterations cover the worst case
-        # b0 ~ 1e-6 from the crossover above with margin.
-        for _ in range(12):
-            a, b = 0.5 * (a + b), np.sqrt(a * b)
-        out[rest] = np.pi / (2.0 * a)
-    return out
+    return ellipkm1((1.0 - k) * (1.0 + k))

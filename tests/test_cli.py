@@ -11,9 +11,11 @@ import math
 import numpy as np
 import pytest
 
+import eikamp.cli
+import eikamp.eikonal
 from eikamp.besselprod import f5_eval
 from eikamp.cli import main
-from eikamp.eikonal import (assemble_amplitude, compute_terms,
+from eikamp.eikonal import (assemble_amplitude, build_profile, compute_terms,
                             diff_cross_section, infer_reality)
 from eikamp.exceptions import NonConvergenceError
 from eikamp.models import Kinematics, load_model
@@ -185,6 +187,24 @@ class TestTableCommand:
         assert run_cli(args + ["--out", str(a)], capsys)[0] == 0
         assert run_cli(args + ["--out", str(b)], capsys)[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_gates_once_per_command(self, gauss_model, capsys, monkeypatch):
+        # the gate depends on s alone: one build_profile stands for all rows
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build_profile(*args, **kwargs)
+
+        monkeypatch.setattr(eikamp.cli, "build_profile", counted)
+        monkeypatch.setattr(eikamp.eikonal, "build_profile", counted)
+        code, out, err = run_cli(
+            ["table", "--model", gauss_model, "--s", "50",
+             "--t-min", "-2", "--t-max", "-0.25", "--points", "3",
+             "--rel-tol", "1e-3", "--abs-tol", "1e-8"], capsys)
+        assert code == 0
+        assert len(out.strip().splitlines()) == 2 + 3
+        assert len(calls) == 1
 
     def test_log_spacing_grid(self, gauss_model, capsys):
         code, out, err = run_cli(

@@ -32,7 +32,8 @@ from eikamp.eikonal import (
     infer_reality,
 )
 from eikamp.besselprod import _delta4_sq_values
-from eikamp.eikonal import _x3_breakpoints
+from eikamp import eikonal as eikonal_module
+from eikamp.eikonal import _a3_with_error, _x3_breakpoints
 from eikamp.exceptions import ChiGateError, RealityClassError
 from eikamp.models import (
     ExponentialPoleBorn,
@@ -40,7 +41,8 @@ from eikamp.models import (
     Kinematics,
     TabulatedBorn,
 )
-from eikamp.quadrature import QuadratureConfig, integrate_2d, integrate_3d
+from eikamp.quadrature import (QuadratureConfig, integrate_1d, integrate_2d,
+                               integrate_3d)
 
 CHI_TIGHT = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-16)
 
@@ -104,6 +106,33 @@ class TestEikonalChi:
         m = GaussianBorn(g=1.0, lam=1.0)
         with pytest.raises(ValueError):
             eikonal_chi(m, 100.0, -0.5, force_quadrature=True)
+
+    def test_tabulated_chi_needs_no_graded_edges(self, monkeypatch):
+        # the chi integrand is smooth at q = 0, the J0 half-periods and the
+        # knots: plain panels give the graded value in fewer evaluations
+        m = real_tabulated()
+        points = [0]
+
+        def counted(q):
+            points[0] += np.size(q)
+            return TabulatedBorn.reduced(m, q)
+
+        monkeypatch.setattr(m, "reduced", counted)
+
+        def chi_and_points(b):
+            points[0] = 0
+            return eikonal_chi(m, 50.0, b, force_quadrature=True), points[0]
+
+        def graded_1d(*args, **kwargs):
+            return integrate_1d(*args, **{**kwargs, "sqrt_edges": True})
+
+        bs = (0.0, 0.7, 3.0, 12.0)
+        plain = [chi_and_points(b) for b in bs]
+        monkeypatch.setattr(eikonal_module, "integrate_1d", graded_1d)
+        graded = [chi_and_points(b) for b in bs]
+        for (v, n), (vg, ng) in zip(plain, graded):
+            assert abs(v - vg) <= 1e-12
+            assert n < ng
 
 
 class TestChiGate:
@@ -206,6 +235,23 @@ class TestA3:
         m = gaussian_with_chi0(0.2)
         kin = Kinematics(s=50.0, t=-1.0)
         assert a3_term(m, kin) == pytest.approx(closed_a3(m, kin), rel=1e-6)
+
+    def test_born_pair_formed_once_per_inner_task(self, monkeypatch):
+        # a(qt xp) a(qt xm) is fixed along x3: the model sees one point per
+        # inner node plus two per middle node, not three per inner node
+        m = gaussian_with_chi0(0.2)
+        points = [0]
+
+        def counted(q):
+            points[0] += np.size(q)
+            return GaussianBorn.reduced(m, q)
+
+        monkeypatch.setattr(m, "reduced", counted)
+        cfg = QuadratureConfig(rel_tol=1e-4, abs_tol=1e-10)
+        _value, _err, inner = _a3_with_error(m, Kinematics(s=50.0, t=-1.0),
+                                             cfg)
+        assert inner > 0
+        assert points[0] <= 1.1 * inner
 
 
 class TestKernelSingularities:

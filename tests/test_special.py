@@ -8,6 +8,8 @@ import scipy.special as sps
 
 from eikamp import (EikampError, bessel_i0, bessel_i0e, bessel_j0,
                     elliptic_k)
+from eikamp.besselprod import _MODULUS_CLAMP
+from eikamp.special import _elliptic_k_core
 from helpers import i0_series, j0_series, k_by_definition
 
 J0_FIRST_ROOT = 2.404825557695773
@@ -142,15 +144,19 @@ class TestEllipticK:
         assert abs(elliptic_k(k) - asym) / elliptic_k(k) < 5e-3
 
     def test_log_crossover_region(self):
-        # 1 - k^2 below the AGM handoff; reference at the exact float
-        # argument (sqrt then squaring does not round-trip here, so the
-        # reference must be computed for the k actually passed in)
+        # 1 - k^2 down to 1e-16 and the modulus clamp of the vectorized
+        # kernels, scalar and through the vectorized core; reference at the
+        # exact float argument (sqrt then squaring does not round-trip
+        # here, so it must be computed for the k actually passed in)
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
-        for m1 in (1e-13, 1e-14, 1e-16):
-            k = math.sqrt(1.0 - m1)
+        ks = [math.sqrt(1.0 - m1) for m1 in (1e-13, 1e-14, 1e-16)]
+        ks.append(math.sqrt(_MODULUS_CLAMP))
+        core = _elliptic_k_core(np.array(ks))
+        for k, vec in zip(ks, core):
             ref = float(mp.ellipk(mp.mpf(k) ** 2))
-            assert elliptic_k(k) == pytest.approx(ref, rel=1e-10)
+            assert elliptic_k(k) == pytest.approx(ref, rel=1e-14)
+            assert vec == pytest.approx(ref, rel=1e-14)
 
     def test_domain_errors(self):
         for bad in (-0.1, 1.0, 1.5):
