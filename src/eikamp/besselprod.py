@@ -13,9 +13,13 @@ with an explicit tolerance so callers never silently evaluate on a
 boundary.
 
 Scalar entry points validate and raise on boundaries; the vectorized
-``*_values`` helpers are branch-safe (boundary windows evaluate the nearest
-branch with a clamped modulus) and exist for quadrature integrands, where
-nodes never coincide with a boundary but may come arbitrarily close.
+``*_values`` helpers are branch-safe and exist for quadrature integrands,
+where nodes never coincide with a boundary but may come arbitrarily close.
+Both take K at the complementary parameter m1 = 1 - k^2 formed from the
+closed factorisation of Delta4^2 - abcd, so m1 keeps its relative
+precision however close a node comes to a modulus-one point; the
+vectorized helpers floor m1 at 1e-300, where K is about 347, so an exact
+root stays finite.
 """
 
 from __future__ import annotations
@@ -54,9 +58,10 @@ __all__ = [
 BOUNDARY_REL_TOL = 1e-12
 
 _PI2 = math.pi * math.pi
-# Hard clamp for elliptic moduli inside vectorized integrands; K(1-1e-16)
-# is ~19, large but finite and integrable.
-_MODULUS_CLAMP = 1.0 - 1e-16
+# Floor of the complementary parameter m1 = 1 - k^2 inside vectorized
+# integrands: m1 = 0 at an exact modulus-one root, and K there is infinite
+# but integrable; K at the floor is about 347.
+_M1_FLOOR = 1e-300
 
 
 class Branch(Enum):
@@ -173,24 +178,22 @@ def f4_classify(a, b, c, d):
     return BranchReport(d2, pr, Branch.SUB)
 
 
-def _f4_from_report(rep):
-    if rep.branch is Branch.VANISH:
-        return 0.0
-    if rep.branch is Branch.BOUNDARY:
-        if rep.boundary_kind == "zero":
-            # finite jump value on the Delta4^2 = 0 line (the limit from
-            # inside the support)
-            return 1.0 / (2.0 * math.pi * math.sqrt(rep.product_abcd))
-        raise BoundaryCaseError(
-            "F4 not defined at Delta4^2 = abcd (elliptic modulus 1): "
-            f"Delta4^2 = {rep.delta_sq:.6e}")
-    if rep.branch is Branch.SUPER:
-        delta = math.sqrt(rep.delta_sq)
-        k = math.sqrt(rep.product_abcd) / delta
-        return float(_elliptic_k_core(np.float64(k))) / (_PI2 * delta)
-    root = math.sqrt(rep.product_abcd)
-    k = math.sqrt(rep.delta_sq) / root
-    return float(_elliptic_k_core(np.float64(k))) / (_PI2 * root)
+def _modulus_one_gap(a, b, c, d):
+    """Delta4^2 - abcd in closed factored form,
+
+        -(a-b-c+d)(a-b+c-d)(a+b-c-d)(a+b+c+d) / 16,
+
+    positive on the SUPER branch and negative on the SUB branch.  Near a
+    modulus-one point one factor is small and formed without cancellation,
+    so the gap keeps its relative precision there.  Scalars or arrays."""
+    return -(a - b - c + d) * (a - b + c - d) * (a + b - c - d) * (a + b + c + d) / 16.0
+
+
+def _k_branch(den, gap):
+    """K / (pi^2 sqrt(den)) for a scalar off every boundary: den is
+    Delta4^2 on the SUPER branch (k^2 = abcd / Delta4^2) and abcd on the
+    SUB branch (k^2 = Delta4^2 / abcd); either way 1 - k^2 = |gap| / den."""
+    return float(_elliptic_k_core(abs(gap) / den)) / (_PI2 * math.sqrt(den))
 
 
 def f4_eval(a, b, c, d):
@@ -204,7 +207,20 @@ def f4_eval(a, b, c, d):
     Raises BoundaryCaseError at Delta4^2 = abcd, where the modulus reaches
     1 and the closed form diverges.
     """
-    return _f4_from_report(f4_classify(a, b, c, d))
+    rep = f4_classify(a, b, c, d)
+    if rep.branch is Branch.VANISH:
+        return 0.0
+    if rep.branch is Branch.BOUNDARY:
+        if rep.boundary_kind == "zero":
+            # finite jump value on the Delta4^2 = 0 line (the limit from
+            # inside the support)
+            return 1.0 / (2.0 * math.pi * math.sqrt(rep.product_abcd))
+        raise BoundaryCaseError(
+            "F4 not defined at Delta4^2 = abcd (elliptic modulus 1): "
+            f"Delta4^2 = {rep.delta_sq:.6e}")
+    gap = _modulus_one_gap(*sorted((float(a), float(b), float(c), float(d))))
+    den = rep.delta_sq if rep.branch is Branch.SUPER else rep.product_abcd
+    return _k_branch(den, gap)
 
 
 def g_kernel(x, xp, xpp):
@@ -228,11 +244,8 @@ def g_kernel(x, xp, xpp):
             f"kernel not defined at A^2 = B (modulus 1): A^2 = {a_sq:.6e}")
     if a_sq < 0.0:
         return 0.0
-    if a_sq > b:
-        amp = math.sqrt(a_sq)
-        return float(_elliptic_k_core(np.float64(math.sqrt(b) / amp))) / (_PI2 * amp)
-    root = math.sqrt(b)
-    return float(_elliptic_k_core(np.float64(math.sqrt(a_sq) / root))) / (_PI2 * root)
+    gap = _modulus_one_gap(*sorted((float(x), float(xp), float(xpp), 1.0)))
+    return _k_branch(a_sq if a_sq > b else b, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -256,25 +269,23 @@ def _f3_values(a, b, c):
 
 
 def _f4_values(a, b, c, d):
-    """Vectorized F4; inputs broadcast.  Boundary windows evaluate the
-    nearest branch with the elliptic modulus clamped below 1."""
+    """Vectorized F4; inputs broadcast, no boundary errors.
+
+    The branch is the sign of the factored gap Delta4^2 - abcd (SUPER
+    where it is positive), and K takes the complementary parameter
+    m1 = |gap| / den straight from it, floored at ``_M1_FLOOR`` so that an
+    exact modulus-one root stays finite."""
     a, b, c, d = np.broadcast_arrays(*(np.asarray(v, float) for v in (a, b, c, d)))
     d2 = _delta4_sq_values(a, b, c, d)
-    pr = a * b * c * d
+    gap = _modulus_one_gap(a, b, c, d)
+    den = np.where(gap > 0.0, d2, a * b * c * d)
     out = np.zeros(d2.shape, dtype=float)
-
-    sup = d2 > pr
-    if sup.any():
-        delta = np.sqrt(d2[sup])
-        k = np.sqrt(np.minimum(pr[sup] / d2[sup], _MODULUS_CLAMP))
-        out[sup] = _elliptic_k_core(k) / (_PI2 * delta)
-    sub = (d2 >= 0.0) & ~sup
-    if sub.any():
-        root = np.sqrt(pr[sub])
+    live = d2 >= 0.0
+    if live.any():
+        den = den[live]
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(pr[sub] > 0.0, d2[sub] / pr[sub], 0.0)
-        k = np.sqrt(np.minimum(ratio, _MODULUS_CLAMP))
-        out[sub] = _elliptic_k_core(k) / (_PI2 * root)
+            m1 = np.maximum(np.abs(gap[live]) / den, _M1_FLOOR)
+        out[live] = _elliptic_k_core(m1) / (_PI2 * np.sqrt(den))
     return out
 
 
@@ -330,7 +341,7 @@ def f5_eval(a, b, c, d, e, cfg=None):
                             lo, hi))
     vals, errs, evals, ok = _solve_batched(
         lambda _t, x: integrand(x), [edges], cfg.rel_tol, cfg.abs_tol,
-        cfg.max_subdivisions, sqrt_edges=True)
+        cfg.max_subdivisions, grading="log")
     if not ok[0]:
         from .exceptions import NonConvergenceError
         raise NonConvergenceError(
@@ -390,7 +401,7 @@ def f5_eval_symmetric(a, b, c, d, e, cfg=None):
     edges = np.unique(np.array([t_lo, *brk, t_hi]))
     vals, errs, _, ok = _solve_batched(
         fouter, [edges], cfg.rel_tol, cfg.abs_tol, cfg.max_subdivisions,
-        sqrt_edges=True)
+        grading="sqrt")
     if not ok[0]:
         from .exceptions import NonConvergenceError
         raise NonConvergenceError(
@@ -416,7 +427,7 @@ def f6_eval(a, b, c, d, e, f, cfg=None):
                              *_f4_modulus_one_points(d, e, f), hi], lo, hi))
     vals, errs, evals, ok = _solve_batched(
         lambda _t, x: integrand(x), [edges], cfg.rel_tol, cfg.abs_tol,
-        cfg.max_subdivisions, sqrt_edges=True)
+        cfg.max_subdivisions, grading="log")
     if not ok[0]:
         from .exceptions import NonConvergenceError
         raise NonConvergenceError(
@@ -485,7 +496,7 @@ def f6_eval_chain(a, b, c, d, e, f, cfg=None):
     edges = np.unique(np.array([t_lo, *sorted(outer_brk), t_hi]))
     vals, errs, _, ok = _solve_batched(
         fouter, [edges], cfg.rel_tol, cfg.abs_tol, cfg.max_subdivisions,
-        sqrt_edges=True)
+        grading="sqrt")
     if not ok[0]:
         from .exceptions import NonConvergenceError
         raise NonConvergenceError(

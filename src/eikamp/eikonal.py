@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .besselprod import _g_values
+from .besselprod import _f4_modulus_one_points, _g_values
 from .exceptions import ChiGateError, NonConvergenceError, RealityClassError
 from .models import BornKind, BornModel, Kinematics
 from .quadrature import (IntegralResult, QuadratureConfig, _solve_batched,
@@ -306,17 +306,16 @@ def decompose_a3_domain():
 def _x3_breakpoints(xp, xm, lo3, hi3):
     """Per-task x3 in [lo3, hi3] where the kernel G is log-singular.
 
-    There the elliptic modulus reaches 1, A^2(xp, xm, x3) = B = xp xm x3,
-    and with the sides (xp, xm, x3, 1) the difference factorises:
-
-        A^2 - B = -(xp-xm-x3+1)(xp-xm+x3-1)(xp+xm-x3-1)(xp+xm+x3+1) / 16.
+    There the elliptic modulus reaches 1, A^2(xp, xm, x3) = B = xp xm x3:
+    G = F4(xp, xm, x3, 1), so these are the modulus-one points of F4 with
+    the fixed sides (1, xp, xm), xp+xm-1, 1-xp+xm and 1+xp-xm
+    (:func:`eikamp.besselprod._f4_modulus_one_points`).
 
     Returns an array of shape (tasks, 3), one row per task, holding the
-    roots 1+xp-xm, 1-xp+xm and xp+xm-1 clipped into [lo3, hi3]: a root
-    outside the range lands on one of its ends, where it only adds a
-    zero-length panel.
+    roots clipped into [lo3, hi3]: a root outside the range lands on one
+    of its ends, where it only adds a zero-length panel.
     """
-    roots = np.stack([1.0 + xp - xm, 1.0 - xp + xm, xp + xm - 1.0], axis=1)
+    roots = np.stack(_f4_modulus_one_points(1.0, xp, xm), axis=1)
     return np.clip(roots, lo3[:, None], hi3[:, None])
 
 
@@ -338,6 +337,16 @@ def _a3_block(model, qt, block, cfg, x1_cap, x3_cap, counters):
     xp xm a(qt xp) a(qt xm) is the same at every x3 node, so it is formed
     once per middle node; the inner integrand gathers it by task id and
     evaluates only x3 a(qt x3) G(xp, xm, x3) per x3 node.
+
+    Only the inner axis is graded: its interior edges are the kernel's
+    modulus-one points, where G has a log spike, and for tabulated models
+    the PCHIP knots, so it takes the ``"log"`` grading (quartic maps at
+    interior edges, square-root maps at the ends).  The x2 and x1
+    integrands are the inner and middle integrals, which are smooth at
+    their panel edges, so the middle and outer axes take plain panels:
+    graded halves there would only double the middle nodes, and every
+    middle node costs a whole inner task.  An inner or middle task that
+    does not converge raises NonConvergenceError.
     """
     x1_lo, x1_hi = block.x1_range
     x1_hi = min(x1_hi, x1_cap)
@@ -371,20 +380,28 @@ def _a3_block(model, qt, block, cfg, x1_cap, x3_cap, counters):
                 g = _g_values(xp[p_ids], xm[p_ids], x3)
                 return pair[p_ids] * x3 * red(qt * x3) * g
 
-            v, er, ev, _ok = _solve_batched(
+            v, er, ev, ok = _solve_batched(
                 finner, ptasks, gchild.rel_tol, gchild.abs_tol,
-                min(gchild.max_subdivisions, 200))
+                min(gchild.max_subdivisions, 200), grading="log")
+            if not ok.all():
+                raise NonConvergenceError(
+                    f"A3 inner (x3) integrals did not converge: "
+                    f"{np.count_nonzero(~ok)} of {ok.size} tasks")
             counters[0] += int(ev.sum())
             return v, er
 
-        v, er, _, _ok = _solve_batched(
+        v, er, _, ok = _solve_batched(
             fmiddle, tasks, child.rel_tol, child.abs_tol,
-            min(child.max_subdivisions, 400))
+            min(child.max_subdivisions, 400), grading="plain")
+        if not ok.all():
+            raise NonConvergenceError(
+                f"A3 middle (x2) integrals did not converge: "
+                f"{np.count_nonzero(~ok)} of {ok.size} tasks")
         return v, er
 
     vals, errs, _, ok = _solve_batched(
         fouter, [np.array([x1_lo, x1_hi])], cfg.rel_tol, cfg.abs_tol,
-        cfg.max_subdivisions)
+        cfg.max_subdivisions, grading="plain")
     if not ok[0]:
         raise NonConvergenceError(
             f"A3 block over x1 in [{x1_lo:g}, {x1_hi:g}] did not converge: "
@@ -426,9 +443,11 @@ def a3_term(model, kin, cfg=None):
     integrals with their radial measures, restricted to the five-block
     region where the kernel has support.  The kernel's log-singular
     surfaces (elliptic modulus 1) are planes in closed form, inserted as
-    panel breakpoints along the innermost axis; semi-infinite ranges
-    truncate on the model envelope with a tail bound added to the error
-    estimate.
+    panel breakpoints along the innermost axis, whose panels are graded
+    quartically toward them; the x2 and x1 axes integrate smooth inner
+    integrals and take plain panels.  Semi-infinite ranges truncate on the
+    model envelope with a tail bound added to the error estimate.  An
+    inner integral that does not converge raises NonConvergenceError.
     """
     cfg = cfg or QuadratureConfig()
     value, _err, _n = _a3_with_error(model, kin, cfg)

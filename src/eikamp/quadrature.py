@@ -8,14 +8,24 @@ priority-queue implementation performs, executed in batches; in Python the
 batching is what keeps the triply nested amplitude integrals inside their
 runtime budget.
 
-Geometry per initial segment is carried by a map: identity, a square-root
-substitution x = x0 +/- u^2 anchored at every panel edge (each panel
-between two consecutive edges is split into two halves, one graded toward
-each edge; this removes inverse-square-root singularities and softens
-logarithmic ones at endpoints and breakpoints alike), or the algebraic map
-x = a + u/(1-u) for semi-infinite ranges without decay information.
-Kronrod nodes are strictly interior, so integrands are never evaluated
-exactly at endpoints or listed breakpoints.
+Geometry per initial segment is carried by a map.  Finite tasks take one
+of three gradings:
+
+* ``"plain"``: the identity map, for integrands smooth at every edge;
+* ``"sqrt"``: each panel between two consecutive edges is split into two
+  halves, one graded toward each edge by x = x0 +/- u^2; this removes
+  inverse-square-root singularities and turns log|x - x0| into u log u,
+  at endpoints and breakpoints alike;
+* ``"log"``: as ``"sqrt"`` at a task's first and last edges, which may
+  carry inverse-square-root singularities, but x = x0 +/- u^4 at every
+  interior edge, which turns log|x - x0| into u^3 log u, so a known
+  logarithmic point costs a few bisections instead of a dozen per side.
+
+Semi-infinite ranges without decay information use the algebraic map
+x = a + u/(1-u).  Kronrod nodes are strictly interior, and a graded node
+keeps at least one float spacing from its anchor even where u^2 or u^4
+underflows against it, so integrands are never evaluated exactly at
+endpoints or listed breakpoints.
 
 Error estimates follow QUADPACK: the scaled |K15 - G7| difference plus a
 machine-rounding floor proportional to the L1 norm of the integrand.  The
@@ -84,9 +94,14 @@ _EPS = float(np.finfo(float).eps)
 
 # Segment map kinds
 _IDENTITY = 0
-_SQRT_LEFT = 1   # x = anchor + u^2
-_SQRT_RIGHT = 2  # x = anchor - u^2
-_ALG_INF = 3     # x = anchor + u/(1-u), u in [0, 1)
+_SQRT_LEFT = 1      # x = anchor + u^2
+_SQRT_RIGHT = 2     # x = anchor - u^2
+_ALG_INF = 3        # x = anchor + u/(1-u), u in [0, 1)
+_QUARTIC_LEFT = 4   # x = anchor + u^4
+_QUARTIC_RIGHT = 5  # x = anchor - u^4
+
+# Panel gradings of finite tasks (see the module docstring)
+_GRADINGS = ("plain", "sqrt", "log")
 
 DEFAULT_P_SEQUENCE = (0.2, 0.1, 0.05, 0.025)
 
@@ -151,17 +166,22 @@ class IntegralResult:
 # batched engine
 # ---------------------------------------------------------------------------
 
-def _build_tasks(edges_list, sqrt_edges):
+def _build_tasks(edges_list, grading):
     """Turn per-task edges into flat segment arrays with maps.
 
     ``edges_list`` is a 2D array with one row of edges per task, or a
     sequence of edge arrays of any lengths.  A task whose last edge does
     not exceed its first is empty: it contributes 0 and is converged at
     once.  Otherwise its edges must be sorted ascending; repeated edges
-    give zero-length panels, which are dropped.  With ``sqrt_edges`` every
-    panel becomes two square-root-mapped halves, one anchored at each of
-    its edges.
+    give zero-length panels, which are dropped.  ``grading`` is one of
+    :data:`_GRADINGS`: ``"plain"`` keeps each panel whole; ``"sqrt"`` and
+    ``"log"`` split it into two halves, one anchored at each of its
+    edges, with the square-root map at every edge (``"sqrt"``) or at the
+    task's first and last edges and the quartic map at its interior ones
+    (``"log"``).
     """
+    if grading not in _GRADINGS:
+        raise ValueError(f"grading must be one of {_GRADINGS}, got {grading!r}")
     if isinstance(edges_list, np.ndarray) and edges_list.ndim == 2:
         n_tasks, width = edges_list.shape
         lens = np.full(n_tasks, width)
@@ -182,29 +202,42 @@ def _build_tasks(edges_list, sqrt_edges):
         raise ValueError("task edges must be sorted ascending")
     keep = hi > lo
     tid, lo, hi = tid[keep], lo[keep], hi[keep]
-    if not sqrt_edges:
+    if grading == "plain":
         return tid, np.zeros(tid.size, dtype=np.int8), np.zeros(tid.size), lo, hi
-    mid = 0.5 * (lo + hi)
-    kind = np.tile(np.array([_SQRT_LEFT, _SQRT_RIGHT], dtype=np.int8), tid.size)
+    left = np.full(tid.size, _SQRT_LEFT, dtype=np.int8)
+    right = np.full(tid.size, _SQRT_RIGHT, dtype=np.int8)
+    if grading == "log":
+        left[lo > flat[first[tid]]] = _QUARTIC_LEFT
+        right[hi < flat[first[tid] + lens[tid] - 1]] = _QUARTIC_RIGHT
+    half = 0.5 * (hi - lo)
+    kind = np.empty(2 * tid.size, dtype=np.int8)
+    kind[0::2], kind[1::2] = left, right
     anc = np.empty(2 * tid.size)
     anc[0::2], anc[1::2] = lo, hi
-    u_hi = np.empty(2 * tid.size)
-    u_hi[0::2], u_hi[1::2] = np.sqrt(mid - lo), np.sqrt(hi - mid)
+    u_hi = np.sqrt(np.repeat(half, 2))
+    quartic = kind >= _QUARTIC_LEFT
+    u_hi[quartic] = np.sqrt(u_hi[quartic])
     return np.repeat(tid, 2), kind, anc, np.zeros(2 * tid.size), u_hi
 
 
 def _map_nodes(kind, anc, u):
-    """Apply per-segment maps to node matrix u; returns (x, jacobian)."""
+    """Apply per-segment maps to node matrix u; returns (x, jacobian).
+
+    A graded node keeps at least one float spacing from its anchor, so
+    the anchor itself is never evaluated."""
     x = u.copy()
     jac = np.ones_like(u)
-    m = kind == _SQRT_LEFT
-    if m.any():
-        x[m] = anc[m, None] + u[m] ** 2
-        jac[m] = 2.0 * u[m]
-    m = kind == _SQRT_RIGHT
-    if m.any():
-        x[m] = anc[m, None] - u[m] ** 2
-        jac[m] = 2.0 * u[m]
+    for k, sign, quartic in ((_SQRT_LEFT, 1.0, False), (_SQRT_RIGHT, -1.0, False),
+                             (_QUARTIC_LEFT, 1.0, True), (_QUARTIC_RIGHT, -1.0, True)):
+        m = kind == k
+        if not m.any():
+            continue
+        um = u[m]
+        sq = um * um
+        a = anc[m, None]
+        step = sq * sq if quartic else sq
+        x[m] = a + sign * np.maximum(step, np.spacing(np.abs(a)))
+        jac[m] = 4.0 * sq * um if quartic else 2.0 * um
     m = kind == _ALG_INF
     if m.any():
         om = 1.0 - u[m]
@@ -249,11 +282,12 @@ def _eval_segments(f, tid, kind, anc, lo, hi):
 
 
 def _solve_batched(f, edges_list, rel_tol, abs_tol, max_subdiv,
-                   sqrt_edges=True, max_waves=240, prebuilt=None, n_tasks=None):
+                   grading="sqrt", max_waves=240, prebuilt=None, n_tasks=None):
     """Run the batched adaptive loop over independent 1D tasks.
 
     f(task_indices, x) -> y or (y, yerr); both flat arrays.  Returns
     (values, error_estimates, evaluation_counts, converged_mask).
+    ``grading`` maps each task's panels, see :func:`_build_tasks`.
     ``prebuilt`` bypasses edge processing with ready segment arrays
     (tid, kind, anchor, lo, hi).
     """
@@ -262,7 +296,7 @@ def _solve_batched(f, edges_list, rel_tol, abs_tol, max_subdiv,
         T = n_tasks if n_tasks is not None else (int(tid.max()) + 1 if tid.size else 0)
     else:
         T = len(edges_list)
-        tid, kind, anc, lo, hi = _build_tasks(edges_list, sqrt_edges)
+        tid, kind, anc, lo, hi = _build_tasks(edges_list, grading)
     abs_tol_arr = np.broadcast_to(np.asarray(abs_tol, dtype=float), (T,))
     evals = np.zeros(T, dtype=int)
     splits = np.zeros(T, dtype=int)
@@ -371,8 +405,9 @@ def integrate_1d(f, a, b, cfg=None, breakpoints=None, *,
         on both sides are graded toward them, but nodes never touch them.
     sqrt_edges : bool
         Apply the x = x0 +/- u^2 substitution at the endpoints and at every
-        breakpoint (removes x^{-1/2} singularities there).  On by default;
-        harmless for smooth edges.
+        breakpoint (removes x^{-1/2} singularities there): the ``"sqrt"``
+        grading of the engine.  On by default; ``False`` gives plain
+        panels, for integrands smooth at every edge.
 
     Raises
     ------
@@ -435,7 +470,7 @@ def integrate_1d(f, a, b, cfg=None, breakpoints=None, *,
 
     vals, errs, evals, ok = _solve_batched(
         fw, [edges], cfg.rel_tol, cfg.abs_tol, cfg.max_subdivisions,
-        sqrt_edges=sqrt_edges)
+        grading="sqrt" if sqrt_edges else "plain")
     if not ok[0]:
         raise NonConvergenceError(
             f"integrate_1d did not converge: error estimate {errs[0]:.3e}")
@@ -596,7 +631,7 @@ def integrate_damped_bessel_product(params, cfg=None,
         edges = np.linspace(0.0, cut, n0 + 1)
         g = integrand_factory(p)
         v, e, ev, ok = _solve_batched(lambda _t, x: g(x), [edges], per_rel,
-                                      per_abs, max_sub, sqrt_edges=False)
+                                      per_abs, max_sub, grading="plain")
         if not ok[0]:
             raise NonConvergenceError(
                 f"damped Bessel-product integral at p={p:g} did not converge")

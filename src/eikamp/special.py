@@ -17,8 +17,11 @@ error against mpmath, scaled by max(|J0|, sqrt(2/(pi x))), reaches 5.4e-13
 convention every closed form in :mod:`eikamp.besselprod` is written in;
 mixing it up with scipy's ``ellipk(m)`` is the classic mistake the docstring
 warns about.  K itself comes from ``scipy.special.ellipkm1`` evaluated on
-the complementary parameter 1 - k^2, formed as (1 - k)(1 + k) so that it
-keeps its digits as k -> 1.
+the complementary parameter m1 = 1 - k^2, formed as (1 - k)(1 + k) so that
+it keeps its digits as k -> 1.  The core ``_elliptic_k_core`` takes m1
+itself: the elliptic kernels of :mod:`eikamp.besselprod` form m1 from a
+closed factorisation that keeps its relative precision right up to a
+modulus-one point, where no k rounded to a float could.
 """
 
 from __future__ import annotations
@@ -252,11 +255,12 @@ def elliptic_k(k):
     if np.any(arr < 0.0) or np.any(arr >= 1.0):
         raise EikampError("elliptic_k: modulus must satisfy 0 <= k < 1 "
                           "(argument is the modulus k, not the parameter m = k^2)")
-    out = _elliptic_k_core(arr)
+    # (1-k)(1+k) keeps precision for k near 1 better than 1 - k*k.
+    out = _elliptic_k_core((1.0 - arr) * (1.0 + arr))
     return float(out) if scalar else out
 
 
-def _elliptic_k_core(k):
-    """K(k) of a modulus array in [0, 1), without domain checks."""
-    # (1-k)(1+k) keeps precision for k near 1 better than 1 - k*k.
-    return ellipkm1((1.0 - k) * (1.0 + k))
+def _elliptic_k_core(m1):
+    """K at the complementary parameter m1 = 1 - k^2 > 0 (scalar or array),
+    without domain checks."""
+    return ellipkm1(m1)

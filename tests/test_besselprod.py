@@ -11,7 +11,7 @@ from eikamp import (BoundaryCaseError, Branch, QuadratureConfig,
                     bessel_i0e, delta3_sq, delta4_sq, f3_eval, f4_classify,
                     f4_eval, g_kernel, integrate_1d, smeared_delta_kernel,
                     weber_integral)
-from eikamp.besselprod import (_MODULUS_CLAMP, _delta4_sq_values,
+from eikamp.besselprod import (_M1_FLOOR, _delta4_sq_values,
                                _f4_modulus_one_points, _f4_support_lo,
                                _f4_values, _g_values, delta4_sq_four_factor)
 from eikamp.special import _elliptic_k_core
@@ -191,15 +191,17 @@ class TestGKernel:
 class TestModulusOneClamp:
     def test_vectorized_kernels_finite_at_modulus_one(self):
         # x3 = 1 + xp - xm is a log-singular point of G; with these binary
-        # fractions Delta4^2 = abcd holds exactly, so the modulus reaches 1
-        # and only the clamp keeps K (and G) finite there
+        # fractions Delta4^2 = abcd holds exactly, so the complementary
+        # parameter is exactly 0 and only its floor keeps K (and G) finite
+        # there: both kernels give K at the floor on the SUB branch
         xp, xm, x3 = np.array([0.75]), np.array([0.25]), np.array([1.5])
         assert _delta4_sq_values(xp, xm, x3, 1.0) == xp * xm * x3
-        expected = (_elliptic_k_core(np.sqrt(_MODULUS_CLAMP))
+        expected = (_elliptic_k_core(_M1_FLOOR)
                     / (math.pi ** 2 * np.sqrt(xp * xm * x3)))
-        for val in (_g_values(xp, xm, x3), _f4_values(xp, xm, x3, 1.0)):
-            assert np.all(np.isfinite(val))
-            assert val == pytest.approx(expected, rel=1e-15)
+        g, f4 = _g_values(xp, xm, x3), _f4_values(xp, xm, x3, 1.0)
+        assert np.all(np.isfinite(g)) and np.all(np.isfinite(f4))
+        assert g == f4
+        assert g == pytest.approx(expected, rel=1e-15)
 
 
 class TestModulusOnePoints:

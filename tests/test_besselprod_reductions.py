@@ -71,12 +71,45 @@ class TestF5DualRoute:
 
     def test_nonzero_sanity(self):
         # a = b and c = d = e puts support-edge collisions at both ends
-        # of every nested range; the error estimates are near their floor
-        # there, so allow 3x combined instead of the usual 2x
+        # of every nested range, and all three modulus-one points of the
+        # F4 factor at t = 0.5
         r1 = f5_eval(1.0, 1.0, 0.5, 0.5, 0.5)
         r2 = f5_eval_symmetric(1.0, 1.0, 0.5, 0.5, 0.5)
         assert r1.value > 0.5
-        _within_combined(r1, r2, factor=3.0)
+        _within_combined(r1, r2)
+
+    def test_degenerate_point_against_mpmath(self):
+        # F5(1, 1, .5, .5, .5): at t = 0.5 the complementary parameter of
+        # the F4 factor vanishes like (0.5 - t)^3, the deepest log spike a
+        # reduction meets; each route must land within its own reported
+        # error of an independent 30-digit value
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            half = mp.mpf(1) / 2
+
+            def k_of_m1(m1):
+                # K at the complementary parameter m1; below 1e-20 the
+                # two-term log asymptote is exact to working precision
+                if m1 < mp.mpf(10) ** -20:
+                    big = mp.log(4 / mp.sqrt(m1))
+                    return big + m1 / 4 * (big - 1)
+                return mp.ellipk(1 - m1)
+
+            def integrand(t):
+                # t F3(1, 1, t) = 2 / (pi sqrt(4 - t^2)) times
+                # F4(1/2, 1/2, 1/2, t) from Delta4^2, abcd and their gap
+                d2 = (half + t) ** 3 * (3 * half - t) / 16
+                pr = t / 8
+                gap = (half - t) ** 3 * (3 * half + t) / 16
+                den = d2 if gap > 0 else pr
+                f4 = k_of_m1(abs(gap) / den) / (mp.pi ** 2 * mp.sqrt(den))
+                return 2 * f4 / (mp.pi * mp.sqrt(4 - t * t))
+
+            truth = float(mp.quad(integrand, [0, half, 3 * half]))
+        assert truth == pytest.approx(0.6109148913082683, rel=1e-14)
+        for route in (f5_eval, f5_eval_symmetric):
+            r = route(1.0, 1.0, 0.5, 0.5, 0.5)
+            assert abs(r.value - truth) <= r.error_estimate, route.__name__
 
 
 class TestF6DualRoute:

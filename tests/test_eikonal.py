@@ -34,7 +34,8 @@ from eikamp.eikonal import (
 from eikamp.besselprod import _delta4_sq_values
 from eikamp import eikonal as eikonal_module
 from eikamp.eikonal import _a3_with_error, _x3_breakpoints
-from eikamp.exceptions import ChiGateError, RealityClassError
+from eikamp.exceptions import (ChiGateError, NonConvergenceError,
+                               RealityClassError)
 from eikamp.models import (
     ExponentialPoleBorn,
     GaussianBorn,
@@ -252,6 +253,33 @@ class TestA3:
                                              cfg)
         assert inner > 0
         assert points[0] <= 1.1 * inner
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_unconverged_nested_task_raises(self, monkeypatch, level):
+        # one middle (level 1) or inner (level 2) task reports failure:
+        # A3 must raise rather than sum its partial value
+        real = eikonal_module._solve_batched
+        depth = [0]
+        forced = []
+
+        def solve(*args, **kwargs):
+            depth[0] += 1
+            try:
+                vals, errs, evals, ok = real(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+            if depth[0] == level and not forced:
+                forced.append(ok.size)
+                ok = ok.copy()
+                ok[0] = False
+            return vals, errs, evals, ok
+
+        monkeypatch.setattr(eikonal_module, "_solve_batched", solve)
+        cfg = QuadratureConfig(rel_tol=1e-3, abs_tol=1e-8)
+        with pytest.raises(NonConvergenceError, match="did not converge"):
+            _a3_with_error(gaussian_with_chi0(0.2), Kinematics(s=50.0, t=-1.0),
+                           cfg)
+        assert forced
 
 
 class TestKernelSingularities:

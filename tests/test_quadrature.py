@@ -11,7 +11,9 @@ from eikamp import (DEFAULT_P_SEQUENCE, ExtrapolationDivergenceError,
                     IntegralResult, NonConvergenceError, QuadratureConfig,
                     integrate_1d, integrate_2d,
                     integrate_damped_bessel_product)
-from eikamp.quadrature import _build_tasks, integrate_3d
+from eikamp.quadrature import (_QUARTIC_LEFT, _QUARTIC_RIGHT, _SQRT_LEFT,
+                               _SQRT_RIGHT, _build_tasks, _solve_batched,
+                               integrate_3d)
 
 TIGHT = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-14)
 
@@ -135,14 +137,76 @@ class TestEngineBehavior:
         # and a task whose last edge does not exceed its first is empty
         rows = _build_tasks(np.array([[0.0, 0.5, 0.5, 2.0], [1.0, 1.0, 1.0, 1.0],
                                       [0.0, 0.0, 1.0, 3.0], [2.0, 2.0, 2.0, 1.0]]),
-                            True)
+                            "sqrt")
         ragged = _build_tasks([[0.0, 0.5, 2.0], [1.0], [0.0, 1.0, 3.0],
-                               [2.0, 1.0]], True)
+                               [2.0, 1.0]], "sqrt")
         for got, want in zip(rows, ragged):
             np.testing.assert_array_equal(got, want)
         assert rows[0].tolist() == [0, 0, 0, 0, 2, 2, 2, 2]
         with pytest.raises(ValueError, match="sorted"):
-            _build_tasks([[0.0, 2.0, 1.0]], True)
+            _build_tasks([[0.0, 2.0, 1.0]], "sqrt")
+
+    def test_log_grading_maps_ends_by_sqrt_and_interior_edges_by_quartic(self):
+        # a task's first and last edges may carry 1/sqrt singularities and
+        # keep the square-root map; only interior edges get the quartic one
+        _, kind, anc, _, hi = _build_tasks([[0.0, 0.25, 0.5, 1.0]], "log")
+        assert kind.tolist() == [_SQRT_LEFT, _QUARTIC_RIGHT, _QUARTIC_LEFT,
+                                 _QUARTIC_RIGHT, _QUARTIC_LEFT, _SQRT_RIGHT]
+        assert anc.tolist() == [0.0, 0.25, 0.25, 0.5, 0.5, 1.0]
+        # each half panel ends where its map reaches the panel midpoint
+        reach = np.where(kind >= _QUARTIC_LEFT, hi ** 4, hi ** 2)
+        np.testing.assert_allclose(reach, [0.125, 0.125, 0.125, 0.125,
+                                           0.25, 0.25], rtol=1e-15)
+        plain = _build_tasks([[0.0, 0.25, 1.0]], "plain")
+        assert plain[1].tolist() == [0, 0]
+        with pytest.raises(ValueError, match="grading"):
+            _build_tasks([[0.0, 1.0]], True)
+
+    @pytest.mark.parametrize("grading", ["sqrt", "log"])
+    @pytest.mark.parametrize("x0", [0.3, 1.7, 123.4])
+    def test_graded_nodes_never_land_on_their_anchor(self, x0, grading):
+        # deep bisection toward x0 shrinks u^2 (and u^4 much sooner) below
+        # the float spacing at x0, where x0 + u^k would round to x0 itself
+        # and log|x - x0| would be -inf.  Every solve must finish with an
+        # honest estimate; the square-root map at rel 1e-13 and x0 = 123.4
+        # stalls at the rounding floor of x - x0 (the spacing of x0) and
+        # says so by reporting the task unconverged
+        seen = []
+
+        def f(_tid, x):
+            seen.append(x.copy())
+            return np.log(np.abs(x - x0))
+
+        truth = 2.0 * math.log(2.0) - 3.0
+        for rel in (1e-8, 1e-11, 1e-13):
+            v, e, _, ok = _solve_batched(f, [np.array([x0 - 1.0, x0, x0 + 2.0])],
+                                         rel, 1e-300, 2000, grading=grading)
+            assert ok[0] or (grading == "sqrt" and x0 > 100.0 and rel < 1e-12)
+            assert abs(v[0] - truth) <= e[0]
+        assert not np.any(np.concatenate(seen) == x0)
+
+    @pytest.mark.parametrize("rel", [1e-6, 1e-10, 1e-12])
+    def test_log_grading_is_honest(self, rel):
+        # an interior log point next to an inverse-square-root end: the
+        # quartic map at x = 0.3 must not make the estimate optimistic,
+        # and it needs fewer points than the square-root map
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            truth = float(mp.quad(lambda x: mp.log(abs(x - mp.mpf(0.3)))
+                                  / mp.sqrt(1 - x), [0, mp.mpf(0.3), 1]))
+
+        def f(_tid, x):
+            return np.log(np.abs(x - 0.3)) / np.sqrt(1.0 - x)
+
+        edges = [np.array([0.0, 0.3, 1.0])]
+        counts = {}
+        for grading in ("log", "sqrt"):
+            v, e, n, ok = _solve_batched(f, edges, rel, 1e-300, 2000,
+                                         grading=grading)
+            assert ok[0]
+            assert abs(v[0] - truth) <= e[0]
+            counts[grading] = n[0]
+        assert counts["log"] < counts["sqrt"]
 
     def test_invalid_range(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import scipy.special as sps
 
 from eikamp import (EikampError, bessel_i0, bessel_i0e, bessel_j0,
                     elliptic_k)
-from eikamp.besselprod import _MODULUS_CLAMP
+from eikamp.besselprod import _M1_FLOOR
 from eikamp.special import _elliptic_k_core
 from helpers import i0_series, j0_series, k_by_definition
 
@@ -144,19 +144,24 @@ class TestEllipticK:
         assert abs(elliptic_k(k) - asym) / elliptic_k(k) < 5e-3
 
     def test_log_crossover_region(self):
-        # 1 - k^2 down to 1e-16 and the modulus clamp of the vectorized
-        # kernels, scalar and through the vectorized core; reference at the
-        # exact float argument (sqrt then squaring does not round-trip
-        # here, so it must be computed for the k actually passed in)
+        # the core takes the complementary parameter m1 = 1 - k^2 itself:
+        # m1 down to 1e-16 and the floor of the vectorized kernels, through
+        # the vectorized core, each against K(1 - m1) at enough digits to
+        # resolve 1 - m1
         mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 40
-        ks = [math.sqrt(1.0 - m1) for m1 in (1e-13, 1e-14, 1e-16)]
-        ks.append(math.sqrt(_MODULUS_CLAMP))
-        core = _elliptic_k_core(np.array(ks))
-        for k, vec in zip(ks, core):
-            ref = float(mp.ellipk(mp.mpf(k) ** 2))
-            assert elliptic_k(k) == pytest.approx(ref, rel=1e-14)
+        m1s = [1e-13, 1e-14, 1e-16, _M1_FLOOR]
+        core = _elliptic_k_core(np.array(m1s))
+        for m1, vec in zip(m1s, core):
+            with mp.workdps(40 - int(math.log10(m1))):
+                ref = float(mp.ellipk(1 - mp.mpf(m1)))
             assert vec == pytest.approx(ref, rel=1e-14)
+        # the modulus entry point near k = 1, at the exact float modulus
+        # (sqrt then squaring does not round-trip here)
+        for m1 in m1s[:3]:
+            k = math.sqrt(1.0 - m1)
+            with mp.workdps(40):
+                ref = float(mp.ellipk(mp.mpf(k) ** 2))
+            assert elliptic_k(k) == pytest.approx(ref, rel=1e-14)
 
     def test_domain_errors(self):
         for bad in (-0.1, 1.0, 1.5):
