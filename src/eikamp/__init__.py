@@ -16,7 +16,7 @@ from .exceptions import (
     NonConvergenceError,
     RealityClassError,
 )
-from .special import bessel_i0, bessel_i0e, bessel_j0, elliptic_k
+from .special import bessel_i0e, bessel_j0, elliptic_k
 
 __version__ = "0.1.0"
 
@@ -85,7 +85,6 @@ __all__ = [
     "ChiGateError",
     "ModelFileError",
     "bessel_j0",
-    "bessel_i0",
     "bessel_i0e",
     "elliptic_k",
     "QuadratureConfig",

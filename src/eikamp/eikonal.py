@@ -29,8 +29,8 @@ import numpy as np
 from .besselprod import _f4_modulus_one_points, _g_values
 from .exceptions import ChiGateError, NonConvergenceError, RealityClassError
 from .models import BornKind, BornModel, Kinematics
-from .quadrature import (IntegralResult, QuadratureConfig, _solve_batched,
-                         integrate_1d, integrate_2d)
+from .quadrature import (IntegralResult, QuadratureConfig, _iterated,
+                         _retry_nested, _solve_batched, integrate_1d)
 from .special import bessel_j0
 
 __all__ = [
@@ -222,7 +222,9 @@ def _a2_with_error(model, kin, cfg):
         qm = 0.5 * qt * (ch - sv)
         return (ch * ch - sv * sv) * model.reduced(qp) * model.reduced(qm)
 
-    res = integrate_2d(integrand, (0.0, u_max), (0.0, 0.5 * math.pi), cfg)
+    # the substituted integrand is smooth at every edge: plain panels
+    res = _iterated(integrand, ((0.0, u_max), (0.0, 0.5 * math.pi)), cfg,
+                    "plain")
     pref = s * (-kin.t) / (16.0 * math.pi ** 2)
     return pref * res.value, abs(pref) * res.error_estimate
 
@@ -345,68 +347,78 @@ def _a3_block(model, qt, block, cfg, x1_cap, x3_cap, counters):
     integrands are the inner and middle integrals, which are smooth at
     their panel edges, so the middle and outer axes take plain panels:
     graded halves there would only double the middle nodes, and every
-    middle node costs a whole inner task.  An inner or middle task that
-    does not converge raises NonConvergenceError.
+    middle node costs a whole inner task.
+
+    Every level runs at ``cfg.rel_tol``, the absolute tolerance divided by
+    the x1 span (middle) and by 2 more (inner).  A block whose middle or
+    outer value cancels is rerun tighter by :func:`_retry_nested` inside
+    this call; any other inner or middle task that does not converge
+    raises NonConvergenceError.
     """
     x1_lo, x1_hi = block.x1_range
     x1_hi = min(x1_hi, x1_cap)
     if not x1_hi > x1_lo:
         return 0.0 + 0.0j, 0.0
-    child = cfg.child(x1_hi - x1_lo)
-    gchild = child.child(2.0)
     red = model.reduced
     # a tabulated a(qt x3) is only C1 at its grid knots: panel edges there
     # restore full quadrature order on the inner axis
     grid = getattr(model, "q_grid", None)
     knots = np.empty((1, 0)) if grid is None else grid[None, 1:] / qt
 
-    def fouter(_tid, x1s):
-        lo2 = block.x2_lower(x1s)
-        hi2 = block.x2_upper(x1s)
-        tasks = np.stack([lo2, hi2], axis=1)
+    def run(child):
+        mcfg = child(cfg, x1_hi - x1_lo)
+        icfg = child(mcfg, 2.0)
 
-        def fmiddle(t_ids, x2s):
-            x1v = x1s[t_ids]
-            xp = 0.5 * (x1v + x2s)
-            xm = 0.5 * (x1v - x2s)
-            lo3 = np.maximum(block.x3_lower(x1v, x2s), 0.0)
-            hi3 = np.maximum(np.minimum(block.x3_upper(x1v, x2s), x3_cap), lo3)
-            ptasks = np.sort(np.column_stack([
-                lo3, _x3_breakpoints(xp, xm, lo3, hi3),
-                np.clip(knots, lo3[:, None], hi3[:, None]), hi3]), axis=1)
-            pair = xp * xm * red(qt * xp) * red(qt * xm)
+        def fouter(_tid, x1s):
+            lo2 = block.x2_lower(x1s)
+            hi2 = block.x2_upper(x1s)
+            tasks = np.stack([lo2, hi2], axis=1)
 
-            def finner(p_ids, x3):
-                g = _g_values(xp[p_ids], xm[p_ids], x3)
-                return pair[p_ids] * x3 * red(qt * x3) * g
+            def fmiddle(t_ids, x2s):
+                x1v = x1s[t_ids]
+                xp = 0.5 * (x1v + x2s)
+                xm = 0.5 * (x1v - x2s)
+                lo3 = np.maximum(block.x3_lower(x1v, x2s), 0.0)
+                hi3 = np.maximum(np.minimum(block.x3_upper(x1v, x2s), x3_cap),
+                                 lo3)
+                ptasks = np.sort(np.column_stack([
+                    lo3, _x3_breakpoints(xp, xm, lo3, hi3),
+                    np.clip(knots, lo3[:, None], hi3[:, None]), hi3]), axis=1)
+                pair = xp * xm * red(qt * xp) * red(qt * xm)
 
-            v, er, ev, ok = _solve_batched(
-                finner, ptasks, gchild.rel_tol, gchild.abs_tol,
-                min(gchild.max_subdivisions, 200), grading="log")
+                def finner(p_ids, x3):
+                    g = _g_values(xp[p_ids], xm[p_ids], x3)
+                    return pair[p_ids] * x3 * red(qt * x3) * g
+
+                v, er, ev, ok = _solve_batched(
+                    finner, ptasks, icfg.rel_tol, icfg.abs_tol,
+                    min(icfg.max_subdivisions, 200), grading="log")
+                if not ok.all():
+                    raise NonConvergenceError(
+                        f"A3 inner (x3) integrals did not converge: "
+                        f"{np.count_nonzero(~ok)} of {ok.size} tasks")
+                counters[0] += int(ev.sum())
+                return v, er
+
+            v, er, _, ok = _solve_batched(
+                fmiddle, tasks, mcfg.rel_tol, mcfg.abs_tol,
+                min(mcfg.max_subdivisions, 400), grading="plain")
             if not ok.all():
                 raise NonConvergenceError(
-                    f"A3 inner (x3) integrals did not converge: "
+                    f"A3 middle (x2) integrals did not converge: "
                     f"{np.count_nonzero(~ok)} of {ok.size} tasks")
-            counters[0] += int(ev.sum())
             return v, er
 
-        v, er, _, ok = _solve_batched(
-            fmiddle, tasks, child.rel_tol, child.abs_tol,
-            min(child.max_subdivisions, 400), grading="plain")
-        if not ok.all():
+        vals, errs, _, ok = _solve_batched(
+            fouter, [np.array([x1_lo, x1_hi])], cfg.rel_tol, cfg.abs_tol,
+            cfg.max_subdivisions, grading="plain")
+        if not ok[0]:
             raise NonConvergenceError(
-                f"A3 middle (x2) integrals did not converge: "
-                f"{np.count_nonzero(~ok)} of {ok.size} tasks")
-        return v, er
+                f"A3 block over x1 in [{x1_lo:g}, {x1_hi:g}] did not "
+                f"converge: error estimate {errs[0]:.3e}")
+        return complex(vals[0]), float(errs[0])
 
-    vals, errs, _, ok = _solve_batched(
-        fouter, [np.array([x1_lo, x1_hi])], cfg.rel_tol, cfg.abs_tol,
-        cfg.max_subdivisions, grading="plain")
-    if not ok[0]:
-        raise NonConvergenceError(
-            f"A3 block over x1 in [{x1_lo:g}, {x1_hi:g}] did not converge: "
-            f"error estimate {errs[0]:.3e}")
-    return complex(vals[0]), float(errs[0])
+    return _retry_nested(run)
 
 
 def _a3_with_error(model, kin, cfg):
@@ -445,9 +457,12 @@ def a3_term(model, kin, cfg=None):
     surfaces (elliptic modulus 1) are planes in closed form, inserted as
     panel breakpoints along the innermost axis, whose panels are graded
     quartically toward them; the x2 and x1 axes integrate smooth inner
-    integrals and take plain panels.  Semi-infinite ranges truncate on the
-    model envelope with a tail bound added to the error estimate.  An
-    inner integral that does not converge raises NonConvergenceError.
+    integrals and take plain panels.  Every level runs at the requested
+    relative tolerance, with inner errors propagated outward; only a block
+    whose value cancels reruns its inner levels tighter.  Semi-infinite
+    ranges truncate on the model envelope with a tail bound added to the
+    error estimate.  An inner integral that does not converge raises
+    NonConvergenceError.
     """
     cfg = cfg or QuadratureConfig()
     value, _err, _n = _a3_with_error(model, kin, cfg)

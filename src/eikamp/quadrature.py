@@ -31,12 +31,24 @@ Error estimates follow QUADPACK: the scaled |K15 - G7| difference plus a
 machine-rounding floor proportional to the L1 norm of the integrand.  The
 floor is reported but never blocks convergence (subdividing cannot reduce
 it); the refinable part alone is tested against tolerance.
+
+Nested integrals run every level at the caller's relative tolerance; only
+the absolute tolerance is divided by the outer span
+(:meth:`QuadratureConfig.child`).  An outer integrand that is itself an
+inner integral returns the inner errors with its values, and the engine
+keeps that propagated part apart from each panel's own Kronrod error: a
+panel is split only when its own error exceeds what the propagated part
+leaves of the budget, and a task whose propagated error alone reaches its
+target stops at once, since bisecting cannot reduce it.  The nest is then
+rerun with its inner levels 10x tighter, and if need be 100x
+(:func:`_retry_nested`), so only a parent whose value cancels pays for
+tighter children.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -107,6 +119,10 @@ DEFAULT_P_SEQUENCE = (0.2, 0.1, 0.05, 0.025)
 
 _MAX_TOTAL_SEGMENTS = 4_000_000
 
+# how much tighter than its parent each inner level runs, per attempt of a
+# nest (see _retry_nested)
+_RETRY_TIGHTENING = (1.0, 10.0, 100.0)
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -133,18 +149,11 @@ class QuadratureConfig:
             raise ValueError("truncation_decay_threshold must be in (0, 1)")
 
     def child(self, span: float) -> "QuadratureConfig":
-        """Tolerance budget for one nesting level down.
-
-        Inner integrals are held to a 10x tighter relative tolerance, and
-        the absolute tolerance is additionally divided by the outer span so
-        that the accumulated inner error stays inside the outer budget.
-        """
-        return QuadratureConfig(
-            rel_tol=max(self.rel_tol / 10.0, 5e-15),
-            abs_tol=max(self.abs_tol / (10.0 * max(span, 1.0)), 1e-290),
-            max_subdivisions=self.max_subdivisions,
-            truncation_decay_threshold=self.truncation_decay_threshold,
-        )
+        """Tolerance budget for one nesting level down: the same relative
+        tolerance, and the absolute one divided by the outer span, so that
+        inner errors integrated over the span fit the outer budget."""
+        return replace(self,
+                       abs_tol=max(self.abs_tol / max(span, 1.0), 1e-290))
 
 
 @dataclass(frozen=True)
@@ -247,7 +256,11 @@ def _map_nodes(kind, anc, u):
 
 
 def _eval_segments(f, tid, kind, anc, lo, hi):
-    """GK15 on each segment.  Returns (value, refinable_err, floor_err)."""
+    """GK15 on each segment.
+
+    Returns (value, refinable_err, floor_err, propagated_err): the last is
+    the integral of the inner errors an integrand returns as ``yerr``, or
+    None when it returns none."""
     mid = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     u = mid[:, None] + h[:, None] * _X15[None, :]
@@ -277,8 +290,12 @@ def _eval_segments(f, tid, kind, anc, lo, hi):
         )
     floor = 50.0 * _EPS * resabs
     if yerr is not None:
-        scaled = scaled + h * (np.asarray(yerr).reshape(x.shape) * jac @ _W15)
-    return resk, scaled, floor
+        yerr = h * (np.asarray(yerr).reshape(x.shape) * jac @ _W15)
+    return resk, scaled, floor, yerr
+
+
+class _InheritedError(NonConvergenceError):
+    """A task's propagated inner error alone reaches its target."""
 
 
 def _solve_batched(f, edges_list, rel_tol, abs_tol, max_subdiv,
@@ -290,6 +307,11 @@ def _solve_batched(f, edges_list, rel_tol, abs_tol, max_subdiv,
     ``grading`` maps each task's panels, see :func:`_build_tasks`.
     ``prebuilt`` bypasses edge processing with ready segment arrays
     (tid, kind, anchor, lo, hi).
+
+    A ``yerr`` is integrated into each panel's propagated error, kept
+    apart from its own error (see the module docstring); a task whose
+    propagated error alone reaches its target raises
+    :class:`_InheritedError` at once.
     """
     if prebuilt is not None:
         tid, kind, anc, lo, hi = (x.copy() for x in prebuilt)
@@ -306,7 +328,8 @@ def _solve_batched(f, edges_list, rel_tol, abs_tol, max_subdiv,
         z = np.zeros(T)
         return z, z.copy(), evals, np.ones(T, dtype=bool)
 
-    val_seg, err_seg, floor_seg = _eval_segments(f, tid, kind, anc, lo, hi)
+    val_seg, err_seg, floor_seg, prop_seg = _eval_segments(f, tid, kind, anc,
+                                                           lo, hi)
     np.add.at(evals, tid, 15)
     cdtype = val_seg.dtype
 
@@ -317,17 +340,31 @@ def _solve_batched(f, edges_list, rel_tol, abs_tol, max_subdiv,
         np.add.at(v, tid, val_seg)
         np.add.at(e, tid, err_seg)
         np.add.at(fl, tid, floor_seg)
-        return v, e, fl
+        if prop_seg is None:
+            return v, e, fl, 0.0
+        p = np.zeros(T)
+        np.add.at(p, tid, prop_seg)
+        return v, e, fl, p
 
     for _ in range(max_waves):
-        val_t, err_t, floor_t = totals()
+        val_t, err_t, floor_t, prop_t = totals()
         target = np.maximum(abs_tol_arr, rel_tol * np.abs(val_t))
-        need = (err_t > target) & ~failed
+        # what the propagated error leaves of the target for the own one
+        budget = target if prop_seg is None else target - prop_t
+        need = (err_t > budget) & ~failed
         if not need.any():
             break
+        if prop_seg is not None:
+            inherited = need & (budget <= 0.0)
+            if inherited.any():
+                k = int(np.argmax(inherited))
+                raise _InheritedError(
+                    f"{np.count_nonzero(inherited)} of {T} tasks stopped on "
+                    f"inherited error: {prop_t[k]:.3e} against target "
+                    f"{target[k]:.3e}")
         nseg_t = np.bincount(tid, minlength=T)
         thr = np.full(T, np.inf)
-        thr[need] = target[need] / (2.0 * np.maximum(nseg_t[need], 1))
+        thr[need] = budget[need] / (2.0 * np.maximum(nseg_t[need], 1))
         split = err_seg > thr[tid]
         if not split.any():
             failed |= need
@@ -352,7 +389,8 @@ def _solve_batched(f, edges_list, rel_tol, abs_tol, max_subdiv,
         c_anc = np.concatenate([s_anc, s_anc])
         c_lo = np.concatenate([s_lo, s_mid])
         c_hi = np.concatenate([s_mid, s_hi])
-        c_val, c_err, c_floor = _eval_segments(f, c_tid, c_kind, c_anc, c_lo, c_hi)
+        c_val, c_err, c_floor, c_prop = _eval_segments(f, c_tid, c_kind, c_anc,
+                                                       c_lo, c_hi)
         np.add.at(evals, c_tid, 15)
 
         keep = ~split
@@ -364,11 +402,42 @@ def _solve_batched(f, edges_list, rel_tol, abs_tol, max_subdiv,
         val_seg = np.concatenate([val_seg[keep], c_val])
         err_seg = np.concatenate([err_seg[keep], c_err])
         floor_seg = np.concatenate([floor_seg[keep], c_floor])
+        if prop_seg is not None:
+            prop_seg = np.concatenate([prop_seg[keep], c_prop])
 
-    val_t, err_t, floor_t = totals()
+    val_t, err_t, floor_t, prop_t = totals()
+    err_t = err_t + prop_t
     target = np.maximum(abs_tol_arr, rel_tol * np.abs(val_t))
     ok = err_t <= target
     return val_t, err_t + floor_t, evals, ok
+
+
+def _retry_nested(run):
+    """Solve a nest, rerunning it with tighter inner levels if it stops on
+    inherited error.
+
+    ``run(child)`` solves the whole nest and derives each inner level's
+    config from its parent's as ``child(parent_cfg, span)``.  The first
+    attempt's ``child`` is :meth:`QuadratureConfig.child`, which keeps the
+    relative tolerance.  When a level stops because the errors propagated
+    from below alone reach its target (its value cancels), the nest is
+    rerun with every inner level 10x tighter than its parent, then 100x.
+    Any other failure propagates at once.
+    """
+    for factor in _RETRY_TIGHTENING:
+        def child(parent, span, factor=factor):
+            c = parent.child(span)
+            if factor == 1.0:
+                return c
+            return replace(c, rel_tol=max(c.rel_tol / factor, 5e-15),
+                           abs_tol=max(c.abs_tol / factor, 1e-290))
+        try:
+            return run(child)
+        except _InheritedError as exc:
+            last = exc
+    raise NonConvergenceError(
+        f"nested integral did not converge with inner levels "
+        f"{_RETRY_TIGHTENING[-1]:g}x tighter: {last}")
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +502,7 @@ def integrate_1d(f, a, b, cfg=None, breakpoints=None, *,
                 raise ValueError("decay_cutoff must exceed the lower limit")
             edges = _collect_edges(a, cut, breakpoints)
             seg_len = 0.5 * (cut - a)
-            v, e, fl = _eval_segments(
+            v, e, fl, _ = _eval_segments(
                 fw, np.array([0]), np.array([_IDENTITY], dtype=np.int8),
                 np.array([0.0]), np.array([cut]), np.array([cut + seg_len]))
             extra_val = v[0]
@@ -484,12 +553,67 @@ def _pyval(v):
     return v if v.imag != 0.0 else v.real
 
 
-def _edges_at(spec, xs, ys=None):
-    """Evaluate a range limit that may be a constant or a callable."""
+def _edges_at(spec, *outer):
+    """Evaluate a range limit that may be a constant or a callable of the
+    outer variables."""
+    shape = np.shape(outer[0])
     if callable(spec):
-        out = spec(xs) if ys is None else spec(xs, ys)
-        return np.broadcast_to(np.asarray(out, dtype=float), np.shape(xs)).astype(float)
-    return np.full(np.shape(xs), float(spec))
+        return np.broadcast_to(np.asarray(spec(*outer), dtype=float),
+                               shape).astype(float)
+    return np.full(shape, float(spec))
+
+
+def _iterated(f, limits, cfg, grading):
+    """Iterated adaptive integral of ``f(x, y, ...)`` over nested limits.
+
+    ``limits[0]`` is a pair of constants, ``limits[k]`` a pair of
+    constants or vectorized callables of the k outer variables.  Every
+    level takes ``grading``.  Each level's errors propagate into its
+    parent's panel errors, and the nest runs under :func:`_retry_nested`.
+    Returns an IntegralResult counting the innermost evaluations of every
+    attempt.
+    """
+    depth_max = len(limits) - 1
+    xa, xb = float(limits[0][0]), float(limits[0][1])
+    inner_evals = [0]
+
+    def run(child):
+        def integrand(depth, outer, lcfg, span):
+            # the integrand of level `depth` for tasks at the `outer`
+            # points; `lcfg` is its config, `span` its widest task
+            def g(tids, x):
+                pts = tuple(o[tids] for o in outer) + (x,)
+                if depth == depth_max:
+                    return f(*pts)
+                lo = _edges_at(limits[depth + 1][0], *pts)
+                hi = _edges_at(limits[depth + 1][1], *pts)
+                ccfg = child(lcfg, span)
+                v, e, ev, ok = _solve_batched(
+                    integrand(depth + 1, pts, ccfg,
+                              float(np.max(hi - lo, initial=1.0))),
+                    np.stack([lo, hi], axis=1), ccfg.rel_tol, ccfg.abs_tol,
+                    ccfg.max_subdivisions, grading=grading)
+                if not ok.all():
+                    raise NonConvergenceError(
+                        f"level-{depth + 1} integrals did not converge: "
+                        f"{np.count_nonzero(~ok)} of {ok.size} tasks")
+                if depth + 1 == depth_max:
+                    inner_evals[0] += int(ev.sum())
+                return v, e
+            return g
+
+        vals, errs, _, ok = _solve_batched(
+            integrand(0, (), cfg, xb - xa), [np.array([xa, xb])],
+            cfg.rel_tol, cfg.abs_tol, cfg.max_subdivisions, grading=grading)
+        if not ok[0]:
+            raise NonConvergenceError(
+                f"{len(limits)}D integral did not converge: error estimate "
+                f"{errs[0]:.3e}")
+        return vals[0], errs[0]
+
+    value, err = _retry_nested(run)
+    return IntegralResult(value=_pyval(value), error_estimate=float(err),
+                          evaluations=max(inner_evals[0], 1))
 
 
 def integrate_2d(f, x_range, y_range, cfg=None):
@@ -497,38 +621,12 @@ def integrate_2d(f, x_range, y_range, cfg=None):
 
     ``f(x, y)`` must be vectorized over same-shape arrays.  ``y_range`` is a
     pair of constants or callables of x (simplex-like domains).  Inner
-    integrals run at a 10x tighter tolerance; their error estimates are
-    propagated into the outer panel errors, so the reported estimate covers
-    both levels.
+    integrals run at the same relative tolerance; their error estimates
+    are propagated into the outer panel errors, so the reported estimate
+    covers both levels, and an outer integral that cancels reruns its
+    inner ones tighter.
     """
-    cfg = cfg or QuadratureConfig()
-    xa, xb = float(x_range[0]), float(x_range[1])
-    child = cfg.child(xb - xa)
-    inner_evals = [0]
-
-    def fouter(_tid, xs):
-        lo = _edges_at(y_range[0], xs)
-        hi = _edges_at(y_range[1], xs)
-        tasks = np.stack([lo, hi], axis=1)
-
-        def finner(t_ids, ys):
-            return f(xs[t_ids], ys)
-
-        v, e, ev, ok = _solve_batched(finner, tasks, child.rel_tol,
-                                      child.abs_tol, child.max_subdivisions)
-        if not ok.all():
-            raise NonConvergenceError("inner (y) integrals did not converge")
-        inner_evals[0] += int(ev.sum())
-        return v, e
-
-    vals, errs, _, ok = _solve_batched(
-        fouter, [np.array([xa, xb])], cfg.rel_tol, cfg.abs_tol,
-        cfg.max_subdivisions)
-    if not ok[0]:
-        raise NonConvergenceError(
-            f"integrate_2d did not converge: error estimate {errs[0]:.3e}")
-    return IntegralResult(value=_pyval(vals[0]), error_estimate=float(errs[0]),
-                          evaluations=max(inner_evals[0], 1))
+    return _iterated(f, (x_range, y_range), cfg or QuadratureConfig(), "sqrt")
 
 
 def integrate_3d(f, x_range, y_range, z_range, cfg=None):
@@ -536,51 +634,12 @@ def integrate_3d(f, x_range, y_range, z_range, cfg=None):
     variables: x in x_range, y in y_range(x), z in z_range(x, y).
 
     ``f(x, y, z)`` vectorized over same-shape arrays; limits may be
-    constants or callables (vectorized).  Tolerances are budgeted 10x per
-    level and inner error estimates propagate outward.
+    constants or callables (vectorized).  Every level runs at the same
+    relative tolerance, inner error estimates propagate outward, and a
+    level that cancels reruns the levels below it tighter.
     """
-    cfg = cfg or QuadratureConfig()
-    xa, xb = float(x_range[0]), float(x_range[1])
-    child = cfg.child(xb - xa)
-    inner_evals = [0]
-
-    def fouter(_tid, xs):
-        ylo = _edges_at(y_range[0], xs)
-        yhi = _edges_at(y_range[1], xs)
-        tasks = np.stack([ylo, yhi], axis=1)
-        gchild = child.child(float(np.max(yhi - ylo, initial=1.0)))
-
-        def fmiddle(t_ids, ys):
-            mxs = xs[t_ids]
-            zlo = _edges_at(z_range[0], mxs, ys)
-            zhi = _edges_at(z_range[1], mxs, ys)
-            ztasks = np.stack([zlo, zhi], axis=1)
-
-            def finner(z_ids, zs):
-                return f(mxs[z_ids], ys[z_ids], zs)
-
-            v, e, ev, ok = _solve_batched(finner, ztasks, gchild.rel_tol,
-                                          gchild.abs_tol,
-                                          gchild.max_subdivisions)
-            if not ok.all():
-                raise NonConvergenceError("inner (z) integrals did not converge")
-            inner_evals[0] += int(ev.sum())
-            return v, e
-
-        v, e, _, ok = _solve_batched(fmiddle, tasks, child.rel_tol,
-                                     child.abs_tol, child.max_subdivisions)
-        if not ok.all():
-            raise NonConvergenceError("middle (y) integrals did not converge")
-        return v, e
-
-    vals, errs, _, ok = _solve_batched(
-        fouter, [np.array([xa, xb])], cfg.rel_tol, cfg.abs_tol,
-        cfg.max_subdivisions)
-    if not ok[0]:
-        raise NonConvergenceError(
-            f"integrate_3d did not converge: error estimate {errs[0]:.3e}")
-    return IntegralResult(value=_pyval(vals[0]), error_estimate=float(errs[0]),
-                          evaluations=max(inner_evals[0], 1))
+    return _iterated(f, (x_range, y_range, z_range),
+                     cfg or QuadratureConfig(), "sqrt")
 
 
 # ---------------------------------------------------------------------------

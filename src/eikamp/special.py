@@ -31,7 +31,7 @@ from scipy.special import ellipkm1
 
 from .exceptions import EikampError
 
-__all__ = ["bessel_j0", "bessel_i0", "bessel_i0e", "elliptic_k"]
+__all__ = ["bessel_j0", "bessel_i0e", "elliptic_k"]
 
 SQ2OPI = 7.9788456080286535587989e-1  # sqrt(2/pi)
 PIO4 = 7.85398163397448309616e-1      # pi/4
@@ -100,8 +100,6 @@ _DR2 = 3.04712623436620863991e1
 # all-positive Maclaurin series has condition number 1; above it the
 # asymptotic series bottoms out below 1e-15 relative.
 _I0_SERIES_CUT = 20.0
-# exp(x) overflows float64 a little above 709.
-_I0_OVERFLOW = 700.0
 
 
 def _polevl(x, coef):
@@ -169,28 +167,6 @@ def bessel_j0(x):
         sin_xn = (s - c) / np.sqrt(2.0)
         out[large] = SQ2OPI * (p * cos_xn - w * qf * sin_xn) / np.sqrt(xl)
 
-    return float(out) if scalar else out
-
-
-def bessel_i0(x):
-    """Modified Bessel function of the first kind, order zero.
-
-    Power series for |x| <= 20 (all terms positive, no cancellation),
-    asymptotic expansion e^x/sqrt(2 pi x) * sum a_k/x^k beyond.
-
-    Raises
-    ------
-    EikampError
-        If |x| > 700, where e^x overflows float64.  Callers needing the
-        large-argument regime should use :func:`bessel_i0e` and carry the
-        exponent themselves.
-    """
-    arr, scalar = _as_array(x)
-    ax = np.abs(arr)
-    if np.any(ax > _I0_OVERFLOW):
-        raise EikampError(
-            f"bessel_i0: |x| > {_I0_OVERFLOW:g} overflows; use bessel_i0e")
-    out = _i0e_core(ax) * np.exp(ax)
     return float(out) if scalar else out
 
 

@@ -12,6 +12,7 @@ and the exponential-pole family maps onto the same shapes under
 lam^2 -> 1 / (2 B).
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -33,7 +34,7 @@ from eikamp.eikonal import (
 )
 from eikamp.besselprod import _delta4_sq_values
 from eikamp import eikonal as eikonal_module
-from eikamp.eikonal import _a3_with_error, _x3_breakpoints
+from eikamp.eikonal import _a2_with_error, _a3_with_error, _x3_breakpoints
 from eikamp.exceptions import (ChiGateError, NonConvergenceError,
                                RealityClassError)
 from eikamp.models import (
@@ -42,8 +43,8 @@ from eikamp.models import (
     Kinematics,
     TabulatedBorn,
 )
-from eikamp.quadrature import (QuadratureConfig, integrate_1d, integrate_2d,
-                               integrate_3d)
+from eikamp.quadrature import (QuadratureConfig, _InheritedError,
+                               integrate_1d, integrate_2d, integrate_3d)
 
 CHI_TIGHT = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-16)
 
@@ -280,6 +281,76 @@ class TestA3:
             _a3_with_error(gaussian_with_chi0(0.2), Kinematics(s=50.0, t=-1.0),
                            cfg)
         assert forced
+
+    def test_inherited_stop_reruns_inside_the_block(self, monkeypatch):
+        # the first middle solve stops on inherited error: its block must
+        # rerun tighter within the same _a3_block call, so the blocks are
+        # still called once each, and reach the unforced value
+        m = gaussian_with_chi0(0.2)
+        kin = Kinematics(s=50.0, t=-1.0)
+        cfg = QuadratureConfig(rel_tol=1e-3, abs_tol=1e-8)
+        v0, e0, _ = _a3_with_error(m, kin, cfg)
+        real_solve = eikonal_module._solve_batched
+        real_block = eikonal_module._a3_block
+        depth = [0]
+        forced = []
+        blocks = [0]
+
+        def solve(*args, **kwargs):
+            if depth[0] == 1 and not forced:
+                forced.append(True)
+                raise _InheritedError("forced")
+            depth[0] += 1
+            try:
+                return real_solve(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        def block(*args, **kwargs):
+            blocks[0] += 1
+            return real_block(*args, **kwargs)
+
+        monkeypatch.setattr(eikonal_module, "_solve_batched", solve)
+        monkeypatch.setattr(eikonal_module, "_a3_block", block)
+        v, e, _ = _a3_with_error(m, kin, cfg)
+        assert forced
+        assert blocks[0] == len(decompose_a3_domain())
+        assert abs(v - v0) <= e + e0
+
+    def test_sign_changing_table_finishes(self):
+        # a table whose Born amplitude dips below zero makes middle
+        # x2-integrals cancel; the ladder-era engine ended this point in
+        # NonConvergenceError (a middle task bisected to its cap).  It must
+        # finish within its tolerance and agree with a tighter run
+        m = TabulatedBorn(np.arange(7) * 0.5,
+                          [1.0, 0.7, 0.25, -0.1, -0.15, -0.08, -0.03],
+                          np.zeros(7), 1.1, 0.9)
+        kin = Kinematics(s=50.0, t=-0.5)
+        v, e, _ = _a3_with_error(m, kin, QuadratureConfig(rel_tol=1e-3,
+                                                          abs_tol=1e-6))
+        assert e <= 1e-3 * abs(v)
+        vt, et, _ = _a3_with_error(m, kin, QuadratureConfig(rel_tol=3e-4,
+                                                            abs_tol=1e-6))
+        assert abs(v - vt) <= e + et
+
+
+class TestErrorCalibration:
+    # Gaussian A2 and A3 against their closed forms on nine of criterion
+    # 5's fifteen points: the reported error must never be below the true
+    # one, and never above the requested tolerance
+    @pytest.mark.parametrize("rel", [1e-4, 1e-6, 1e-8])
+    def test_reported_error_not_below_true_error(self, rel):
+        cfg = QuadratureConfig(rel_tol=rel, abs_tol=1e-12)
+        for chi0, t in itertools.product((0.05, 0.2, 0.5),
+                                          (-0.25, -1.0, -4.0)):
+            m = gaussian_with_chi0(chi0)
+            kin = Kinematics(s=50.0, t=t)
+            a2, a2_err = _a2_with_error(m, kin, cfg)
+            a3, a3_err, _ = _a3_with_error(m, kin, cfg)
+            assert abs(a2 - closed_a2(m, kin)) <= a2_err
+            assert abs(a3 - closed_a3(m, kin)) <= a3_err
+            assert a2_err <= rel * abs(a2)
+            assert a3_err <= rel * abs(a3)
 
 
 class TestKernelSingularities:

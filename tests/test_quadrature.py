@@ -11,9 +11,10 @@ from eikamp import (DEFAULT_P_SEQUENCE, ExtrapolationDivergenceError,
                     IntegralResult, NonConvergenceError, QuadratureConfig,
                     integrate_1d, integrate_2d,
                     integrate_damped_bessel_product)
+from eikamp import quadrature as quadrature_module
 from eikamp.quadrature import (_QUARTIC_LEFT, _QUARTIC_RIGHT, _SQRT_LEFT,
-                               _SQRT_RIGHT, _build_tasks, _solve_batched,
-                               integrate_3d)
+                               _SQRT_RIGHT, _build_tasks, _InheritedError,
+                               _solve_batched, integrate_3d)
 
 TIGHT = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-14)
 
@@ -267,13 +268,105 @@ class TestIterated:
             QuadratureConfig(rel_tol=1e-9, abs_tol=1e-12))
         assert res.value == pytest.approx(1.0 / 6.0, rel=1e-8)
 
-    def test_tolerance_budget_documented_factor(self):
-        # inner tolerance is outer/10 (per unit span): observable via the
-        # config child helper the nesting uses
-        cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-10)
-        child = cfg.child(1.0)
-        assert child.rel_tol == pytest.approx(1e-7)
-        assert child.abs_tol == pytest.approx(1e-11)
+    def test_zero_inherited_error_changes_nothing(self):
+        # an integrand that returns yerr = 0 takes the path of one that
+        # returns no yerr, value, error and evaluations alike
+        def plain(_tid, x):
+            return np.log(np.abs(x - 0.3))
+
+        def nested(tid, x):
+            return plain(tid, x), np.zeros_like(x)
+
+        edges = [np.array([0.0, 0.3, 1.0]), np.array([0.0, 2.0])]
+        for grading in ("plain", "log"):
+            a = _solve_batched(plain, edges, 1e-9, 1e-300, 2000,
+                               grading=grading)
+            b = _solve_batched(nested, edges, 1e-9, 1e-300, 2000,
+                               grading=grading)
+            for got, want in zip(b, a):
+                np.testing.assert_array_equal(got, want)
+
+    def test_inherited_error_stops_a_task_at_once(self):
+        # the inner errors integrate to 1e-6 while the value is about 0:
+        # no bisection can help, so the first wave must stop the solve
+        # instead of splitting up to max_subdivisions
+        calls = [0]
+
+        def f(_tid, x):
+            calls[0] += 1
+            return np.sin(2.0 * math.pi * x), np.full_like(x, 1e-6)
+
+        with pytest.raises(_InheritedError, match="inherited error"):
+            _solve_batched(f, [np.array([0.0, 1.0])], 1e-6, 1e-12, 2000,
+                           grading="plain")
+        assert calls[0] == 1
+
+    def test_inherited_error_leaves_a_smaller_split_budget(self):
+        # with half the target taken by inherited error the task still
+        # converges, on its own error below the other half
+        def f(_tid, x):
+            return np.exp(x), np.full_like(x, 0.5e-8 * math.e)
+
+        v, e, _, ok = _solve_batched(f, [np.array([0.0, 1.0])], 1e-8,
+                                     1e-300, 2000, grading="plain")
+        assert ok[0]
+        assert abs(v[0] - (math.e - 1.0)) <= 1e-8 * (math.e - 1.0)
+        assert e[0] <= 1e-8 * v[0]
+
+    def test_cancelling_outer_integral_reruns_tighter(self, monkeypatch):
+        # the inner y-integrals are of order 1e-2 but the outer x-integral
+        # cancels to 3.6e-4: at the same relative tolerance their errors
+        # alone exceed its target.  The guard stops the first attempt in
+        # its first wave and the rerun with 10x tighter inner levels
+        # converges
+        real = quadrature_module._solve_batched
+        outer_runs = []
+
+        def spy(f, edges, *args, **kwargs):
+            if not isinstance(edges, list):
+                return real(f, edges, *args, **kwargs)
+            waves = [0]
+
+            def counted(tid, x):
+                waves[0] += 1
+                return f(tid, x)
+
+            try:
+                out = real(counted, edges, *args, **kwargs)
+            except _InheritedError:
+                outer_runs.append(("inherited", waves[0]))
+                raise
+            outer_runs.append(("converged", waves[0]))
+            return out
+
+        monkeypatch.setattr(quadrature_module, "_solve_batched", spy)
+        eps = 0.03
+
+        def f(x, y):
+            return ((np.sin(2.0 * math.pi * x) + eps)
+                    * np.exp(-30.0 * y) * np.cos(40.0 * y))
+
+        truth = eps * (30.0 - math.exp(-30.0) * (30.0 * math.cos(40.0)
+                                                 - 40.0 * math.sin(40.0))
+                       ) / 2500.0
+        res = integrate_2d(f, (0.0, 1.0), (0.0, 1.0),
+                           QuadratureConfig(rel_tol=1e-8, abs_tol=1e-300))
+        assert [kind for kind, _ in outer_runs] == ["inherited", "converged"]
+        assert outer_runs[0][1] == 1
+        assert abs(res.value - truth) <= res.error_estimate
+        assert res.error_estimate <= 1e-8 * abs(truth)
+
+    def test_tolerance_budget_keeps_rel_and_divides_abs_by_span(self):
+        # one level down keeps the relative tolerance; only the absolute
+        # one is divided by the outer span (never multiplied, for spans
+        # below 1), so that inner errors integrated over it fit the budget
+        cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-10,
+                               max_subdivisions=77)
+        for span, abs_tol in ((1.0, 1e-10), (4.0, 2.5e-11), (0.25, 1e-10)):
+            child = cfg.child(span)
+            assert child.rel_tol == 1e-6
+            assert child.abs_tol == pytest.approx(abs_tol, rel=1e-15)
+            assert child.max_subdivisions == 77
 
 
 class TestDampedOracle:

@@ -6,13 +6,21 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
-from eikamp import (EikampError, bessel_i0, bessel_i0e, bessel_j0,
-                    elliptic_k)
+from eikamp import EikampError, bessel_i0e, bessel_j0, elliptic_k
 from eikamp.besselprod import _M1_FLOOR
 from eikamp.special import _elliptic_k_core
 from helpers import i0_series, j0_series, k_by_definition
 
 J0_FIRST_ROOT = 2.404825557695773
+
+
+def bessel_i0(x):
+    """I0 from the package's scaled form, I0(x) = e^|x| i0e(x); refuses
+    |x| > 700, where e^x overflows float64.  The package itself needs only
+    the scaled form."""
+    if np.any(np.abs(x) > 700.0):
+        raise EikampError("bessel_i0: |x| > 700 overflows; use bessel_i0e")
+    return bessel_i0e(x) * np.exp(np.abs(x))
 
 
 class TestBesselJ0:
