@@ -30,8 +30,9 @@ from enum import Enum
 
 import numpy as np
 
-from .exceptions import BoundaryCaseError
-from .quadrature import IntegralResult, QuadratureConfig, _solve_batched
+from .exceptions import BoundaryCaseError, NonConvergenceError
+from .quadrature import (IntegralResult, QuadratureConfig, _iterated, _limits,
+                         _solve_batched)
 from .special import _elliptic_k_core, bessel_i0e
 
 __all__ = [
@@ -343,18 +344,10 @@ def f5_eval(a, b, c, d, e, cfg=None):
         lambda _t, x: integrand(x), [edges], cfg.rel_tol, cfg.abs_tol,
         cfg.max_subdivisions, grading="log")
     if not ok[0]:
-        from .exceptions import NonConvergenceError
         raise NonConvergenceError(
             f"F5 quadrature did not converge: error {errs[0]:.3e}")
     return IntegralResult(value=float(vals[0]), error_estimate=float(errs[0]),
                           evaluations=int(evals[0]))
-
-
-def _support_edges_1d(*pairs):
-    """Intersection [lo, hi] of (lo_i, hi_i) support intervals."""
-    lo = max(p[0] for p in pairs)
-    hi = min(p[1] for p in pairs)
-    return lo, hi
 
 
 def f5_eval_symmetric(a, b, c, d, e, cfg=None):
@@ -371,43 +364,20 @@ def f5_eval_symmetric(a, b, c, d, e, cfg=None):
     t_lo, t_hi = abs(a - b), a + b
     if not t_hi > t_lo:
         return _empty_result()
-    child = cfg.child(t_hi - t_lo)
-
     # inner q-support: (|c-d|, c+d) intersect (|e-t|, e+t); collisions at:
     coll = [e - abs(c - d), e + abs(c - d), c + d - e, e - (c + d), e + (c + d)]
-    brk = sorted({t for t in coll if t_lo < t < t_hi})
-    inner_evals = [0]
+    t_edges = np.unique([t_lo, *(t for t in coll if t_lo < t < t_hi), t_hi])
     # Outer nodes arbitrarily close to a collision t ask for inner
     # integrals with a log(1/distance) spike whose tolerance is limited by
     # the rounding noise of Delta3^2 near a support edge.  Inner
     # non-convergence is therefore not raised; the leftover inner error is
     # propagated into the outer estimate, which is what actually matters.
-    inner_max_subdiv = min(child.max_subdivisions, 400)
-
-    def fouter(_tid, ts):
-        lo_q = np.maximum(abs(c - d), np.abs(e - ts))
-        hi_q = np.minimum(c + d, e + ts)
-        tasks = np.stack([lo_q, hi_q], axis=1)
-
-        def finner(t_ids, qs):
-            return qs * _f3_values(c, d, qs) * _f3_values(e, ts[t_ids], qs)
-
-        v, er, ev, _ok = _solve_batched(finner, tasks, child.rel_tol,
-                                        child.abs_tol, inner_max_subdiv)
-        inner_evals[0] += int(ev.sum())
-        w = ts * _f3_values(a, b, ts)
-        return w * v, np.abs(w) * er
-
-    edges = np.unique(np.array([t_lo, *brk, t_hi]))
-    vals, errs, _, ok = _solve_batched(
-        fouter, [edges], cfg.rel_tol, cfg.abs_tol, cfg.max_subdivisions,
-        grading="sqrt")
-    if not ok[0]:
-        from .exceptions import NonConvergenceError
-        raise NonConvergenceError(
-            f"symmetric F5 quadrature did not converge: error {errs[0]:.3e}")
-    return IntegralResult(value=float(vals[0]), error_estimate=float(errs[0]),
-                          evaluations=max(inner_evals[0], 1))
+    return _iterated(
+        lambda t, q: q * _f3_values(c, d, q) * _f3_values(e, t, q),
+        [(lambda: t_edges[None], "sqrt", lambda t: t * _f3_values(a, b, t)),
+         (_limits(lambda t: np.maximum(abs(c - d), np.abs(e - t)),
+                  lambda t: np.minimum(c + d, e + t)), "sqrt", None)],
+        cfg, strict=False)
 
 
 def f6_eval(a, b, c, d, e, f, cfg=None):
@@ -429,80 +399,57 @@ def f6_eval(a, b, c, d, e, f, cfg=None):
         lambda _t, x: integrand(x), [edges], cfg.rel_tol, cfg.abs_tol,
         cfg.max_subdivisions, grading="log")
     if not ok[0]:
-        from .exceptions import NonConvergenceError
         raise NonConvergenceError(
             f"F6 quadrature did not converge: error {errs[0]:.3e}")
     return IntegralResult(value=float(vals[0]), error_estimate=float(errs[0]),
                           evaluations=int(evals[0]))
 
 
+def _chain_q_rows(c, d, e, f, t):
+    """Edges of the q-tasks of :func:`f6_eval_chain`, one row per outer
+    node t: the q-range [|c-d|, c+d] and, clipped into it, the q where the
+    inner p-support edges |t-q| and t+q meet |e-f| and e+f (kinks of the
+    inner integral).  A kink outside the range lands on one of its ends,
+    where it only adds a zero-length panel."""
+    lo, hi = abs(c - d), c + d
+    g, h = abs(e - f), e + f
+    kinks = np.clip(np.stack([t - g, t + g, g - t, h - t, t - h, h + t],
+                             axis=1), lo, hi)
+    ends = np.broadcast_to([[lo, hi]], (t.size, 2))
+    return np.sort(np.column_stack([ends, kinks]), axis=1)
+
+
 def f6_eval_chain(a, b, c, d, e, f, cfg=None):
     """Cross-check form of F6 as a triple reduction through F3 only:
 
         F6 = int dt t F3(a,b,t) int dq q F3(c,d,q) int dp p F3(e,f,p) F3(t,q,p).
+
+    As in :func:`f5_eval_symmetric`, inner shortfalls are not raised but
+    propagate into the outer error estimate.
     """
     _check_positive("a b c d e f", a, b, c, d, e, f)
     cfg = cfg or QuadratureConfig()
     t_lo, t_hi = abs(a - b), a + b
     if not t_hi > t_lo:
         return _empty_result()
-    child = cfg.child(t_hi - t_lo)
-    inner_evals = [0]
 
-    # q-kinks at fixed t: inner p-support edges |t-q|, t+q colliding with
-    # |e-f|, e+f; expressed as functions of t they cross the q-range edges
-    # |c-d|, c+d at finitely many t, which become outer breakpoints.
-    def q_kinks(t):
-        return [t - abs(e - f), t + abs(e - f), abs(e - f) - t,
-                e + f - t, t - (e + f), (e + f) + t]
-
+    # the q-kinks of _chain_q_rows cross the q-range edges |c-d|, c+d at
+    # finitely many t, which become outer breakpoints
     outer_brk = set()
     for qedge in (abs(c - d), c + d):
         for shift in (abs(e - f), -abs(e - f), e + f, -(e + f)):
             for tval in (qedge - shift, shift - qedge, qedge + shift):
                 if t_lo < tval < t_hi:
                     outer_brk.add(tval)
-
-    def fouter(_tid, ts):
-        tasks = []
-        for tv in ts:
-            kinks = [q for q in q_kinks(tv) if abs(c - d) < q < c + d]
-            tasks.append(np.unique(np.array([abs(c - d), *kinks, c + d])))
-        gchild = child.child(2.0 * min(c, d))
-
-        def fmiddle(t_ids, qs):
-            tv = ts[t_ids]
-            lo_p = np.maximum(abs(e - f), np.abs(tv - qs))
-            hi_p = np.minimum(e + f, tv + qs)
-            ptasks = np.stack([lo_p, hi_p], axis=1)
-
-            def finner(p_ids, p):
-                return p * _f3_values(e, f, p) * _f3_values(tv[p_ids], qs[p_ids], p)
-
-            # see f5_eval_symmetric: inner shortfalls propagate as yerr
-            v, er, ev, _ok = _solve_batched(finner, ptasks, gchild.rel_tol,
-                                            gchild.abs_tol,
-                                            min(gchild.max_subdivisions, 200))
-            inner_evals[0] += int(ev.sum())
-            w = qs * _f3_values(c, d, qs)
-            return w * v, np.abs(w) * er
-
-        v, er, _, _ok = _solve_batched(fmiddle, tasks, child.rel_tol,
-                                       child.abs_tol,
-                                       min(child.max_subdivisions, 400))
-        w = ts * _f3_values(a, b, ts)
-        return w * v, np.abs(w) * er
-
-    edges = np.unique(np.array([t_lo, *sorted(outer_brk), t_hi]))
-    vals, errs, _, ok = _solve_batched(
-        fouter, [edges], cfg.rel_tol, cfg.abs_tol, cfg.max_subdivisions,
-        grading="sqrt")
-    if not ok[0]:
-        from .exceptions import NonConvergenceError
-        raise NonConvergenceError(
-            f"chain F6 quadrature did not converge: error {errs[0]:.3e}")
-    return IntegralResult(value=float(vals[0]), error_estimate=float(errs[0]),
-                          evaluations=max(inner_evals[0], 1))
+    t_edges = np.unique([t_lo, *outer_brk, t_hi])
+    return _iterated(
+        lambda t, q, p: p * _f3_values(e, f, p) * _f3_values(t, q, p),
+        [(lambda: t_edges[None], "sqrt", lambda t: t * _f3_values(a, b, t)),
+         (lambda t: _chain_q_rows(c, d, e, f, t), "sqrt",
+          lambda t, q: q * _f3_values(c, d, q)),
+         (_limits(lambda t, q: np.maximum(abs(e - f), np.abs(t - q)),
+                  lambda t, q: np.minimum(e + f, t + q)), "sqrt", None)],
+        cfg, strict=False)
 
 
 # ---------------------------------------------------------------------------

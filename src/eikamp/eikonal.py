@@ -27,10 +27,9 @@ from enum import Enum
 import numpy as np
 
 from .besselprod import _f4_modulus_one_points, _g_values
-from .exceptions import ChiGateError, NonConvergenceError, RealityClassError
+from .exceptions import ChiGateError, RealityClassError
 from .models import BornKind, BornModel, Kinematics
-from .quadrature import (IntegralResult, QuadratureConfig, _iterated,
-                         _retry_nested, _solve_batched, integrate_1d)
+from .quadrature import QuadratureConfig, _iterated, _limits, integrate_1d
 from .special import bessel_j0
 
 __all__ = [
@@ -223,8 +222,9 @@ def _a2_with_error(model, kin, cfg):
         return (ch * ch - sv * sv) * model.reduced(qp) * model.reduced(qm)
 
     # the substituted integrand is smooth at every edge: plain panels
-    res = _iterated(integrand, ((0.0, u_max), (0.0, 0.5 * math.pi)), cfg,
-                    "plain")
+    res = _iterated(integrand, [(_limits(0.0, u_max), "plain", None),
+                                (_limits(0.0, 0.5 * math.pi), "plain", None)],
+                    cfg)
     pref = s * (-kin.t) / (16.0 * math.pi ** 2)
     return pref * res.value, abs(pref) * res.error_estimate
 
@@ -336,8 +336,8 @@ def _a3_block(model, qt, block, cfg, x1_cap, x3_cap, counters):
     the Born product).
 
     Each middle node (x1, x2) is one inner task along x3.  Its factor
-    xp xm a(qt xp) a(qt xm) is the same at every x3 node, so it is formed
-    once per middle node; the inner integrand gathers it by task id and
+    xp xm a(qt xp) a(qt xm) is the same at every x3 node, so it is the x2
+    level's weight, formed once per middle node; the inner integrand
     evaluates only x3 a(qt x3) G(xp, xm, x3) per x3 node.
 
     Only the inner axis is graded: its interior edges are the kernel's
@@ -349,11 +349,10 @@ def _a3_block(model, qt, block, cfg, x1_cap, x3_cap, counters):
     graded halves there would only double the middle nodes, and every
     middle node costs a whole inner task.
 
-    Every level runs at ``cfg.rel_tol``, the absolute tolerance divided by
-    the x1 span (middle) and by 2 more (inner).  A block whose middle or
-    outer value cancels is rerun tighter by :func:`_retry_nested` inside
-    this call; any other inner or middle task that does not converge
-    raises NonConvergenceError.
+    The nest runs on :func:`eikamp.quadrature._iterated`: every level at
+    ``cfg.rel_tol``, and a block whose middle or outer value cancels is
+    rerun tighter inside this call; an inner or middle task that does not
+    converge raises NonConvergenceError.
     """
     x1_lo, x1_hi = block.x1_range
     x1_hi = min(x1_hi, x1_cap)
@@ -365,60 +364,33 @@ def _a3_block(model, qt, block, cfg, x1_cap, x3_cap, counters):
     grid = getattr(model, "q_grid", None)
     knots = np.empty((1, 0)) if grid is None else grid[None, 1:] / qt
 
-    def run(child):
-        mcfg = child(cfg, x1_hi - x1_lo)
-        icfg = child(mcfg, 2.0)
+    def x3_rows(x1, x2):
+        lo3 = np.maximum(block.x3_lower(x1, x2), 0.0)
+        hi3 = np.maximum(np.minimum(block.x3_upper(x1, x2), x3_cap), lo3)
+        return np.sort(np.column_stack([
+            lo3, _x3_breakpoints(0.5 * (x1 + x2), 0.5 * (x1 - x2), lo3, hi3),
+            np.clip(knots, lo3[:, None], hi3[:, None]), hi3]), axis=1)
 
-        def fouter(_tid, x1s):
-            lo2 = block.x2_lower(x1s)
-            hi2 = block.x2_upper(x1s)
-            tasks = np.stack([lo2, hi2], axis=1)
+    def pair(x1, x2):
+        xp, xm = 0.5 * (x1 + x2), 0.5 * (x1 - x2)
+        return xp * xm * red(qt * xp) * red(qt * xm)
 
-            def fmiddle(t_ids, x2s):
-                x1v = x1s[t_ids]
-                xp = 0.5 * (x1v + x2s)
-                xm = 0.5 * (x1v - x2s)
-                lo3 = np.maximum(block.x3_lower(x1v, x2s), 0.0)
-                hi3 = np.maximum(np.minimum(block.x3_upper(x1v, x2s), x3_cap),
-                                 lo3)
-                ptasks = np.sort(np.column_stack([
-                    lo3, _x3_breakpoints(xp, xm, lo3, hi3),
-                    np.clip(knots, lo3[:, None], hi3[:, None]), hi3]), axis=1)
-                pair = xp * xm * red(qt * xp) * red(qt * xm)
+    def inner(x1, x2, x3):
+        # x1 and x2 are this wave's own copies (see _iterated): xp and xm
+        # take their place, so G's temporaries, the peak memory of a wave,
+        # sit on no more than its three arguments
+        xp = np.add(x1, x2, out=x1)
+        xp *= 0.5
+        g = _g_values(xp, np.subtract(xp, x2, out=x2), x3)
+        g *= x3
+        return red(qt * x3) * g
 
-                def finner(p_ids, x3):
-                    g = _g_values(xp[p_ids], xm[p_ids], x3)
-                    return pair[p_ids] * x3 * red(qt * x3) * g
-
-                v, er, ev, ok = _solve_batched(
-                    finner, ptasks, icfg.rel_tol, icfg.abs_tol,
-                    min(icfg.max_subdivisions, 200), grading="log")
-                if not ok.all():
-                    raise NonConvergenceError(
-                        f"A3 inner (x3) integrals did not converge: "
-                        f"{np.count_nonzero(~ok)} of {ok.size} tasks")
-                counters[0] += int(ev.sum())
-                return v, er
-
-            v, er, _, ok = _solve_batched(
-                fmiddle, tasks, mcfg.rel_tol, mcfg.abs_tol,
-                min(mcfg.max_subdivisions, 400), grading="plain")
-            if not ok.all():
-                raise NonConvergenceError(
-                    f"A3 middle (x2) integrals did not converge: "
-                    f"{np.count_nonzero(~ok)} of {ok.size} tasks")
-            return v, er
-
-        vals, errs, _, ok = _solve_batched(
-            fouter, [np.array([x1_lo, x1_hi])], cfg.rel_tol, cfg.abs_tol,
-            cfg.max_subdivisions, grading="plain")
-        if not ok[0]:
-            raise NonConvergenceError(
-                f"A3 block over x1 in [{x1_lo:g}, {x1_hi:g}] did not "
-                f"converge: error estimate {errs[0]:.3e}")
-        return complex(vals[0]), float(errs[0])
-
-    return _retry_nested(run)
+    res = _iterated(inner, [
+        (_limits(x1_lo, x1_hi), "plain", None),
+        (_limits(block.x2_lower, block.x2_upper), "plain", pair),
+        (x3_rows, "log", None)], cfg)
+    counters[0] += res.evaluations
+    return complex(res.value), res.error_estimate
 
 
 def _a3_with_error(model, kin, cfg):

@@ -32,17 +32,17 @@ machine-rounding floor proportional to the L1 norm of the integrand.  The
 floor is reported but never blocks convergence (subdividing cannot reduce
 it); the refinable part alone is tested against tolerance.
 
-Nested integrals run every level at the caller's relative tolerance; only
-the absolute tolerance is divided by the outer span
-(:meth:`QuadratureConfig.child`).  An outer integrand that is itself an
-inner integral returns the inner errors with its values, and the engine
-keeps that propagated part apart from each panel's own Kronrod error: a
-panel is split only when its own error exceeds what the propagated part
-leaves of the budget, and a task whose propagated error alone reaches its
-target stops at once, since bisecting cannot reduce it.  The nest is then
-rerun with its inner levels 10x tighter, and if need be 100x
-(:func:`_retry_nested`), so only a parent whose value cancels pays for
-tighter children.
+Every nested integral runs on one routine, :func:`_iterated`, which takes
+per-level edges, grading and weight.  Every level runs at the caller's
+relative tolerance; only the absolute tolerance is divided by the widest
+parent task (:meth:`QuadratureConfig.child`).  An outer integrand that is
+itself an inner integral returns the inner errors with its values, and the
+engine keeps that propagated part apart from each panel's own Kronrod
+error: a panel is split only when its own error exceeds what the
+propagated part leaves of the budget, and a task whose propagated error
+alone reaches its target stops at once, since bisecting cannot reduce it.
+The nest is then rerun with its inner levels 10x tighter, and if need be
+100x, so only a parent whose value cancels pays for tighter children.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ DEFAULT_P_SEQUENCE = (0.2, 0.1, 0.05, 0.025)
 _MAX_TOTAL_SEGMENTS = 4_000_000
 
 # how much tighter than its parent each inner level runs, per attempt of a
-# nest (see _retry_nested)
+# nest (see _iterated)
 _RETRY_TIGHTENING = (1.0, 10.0, 100.0)
 
 
@@ -412,34 +412,6 @@ def _solve_batched(f, edges_list, rel_tol, abs_tol, max_subdiv,
     return val_t, err_t + floor_t, evals, ok
 
 
-def _retry_nested(run):
-    """Solve a nest, rerunning it with tighter inner levels if it stops on
-    inherited error.
-
-    ``run(child)`` solves the whole nest and derives each inner level's
-    config from its parent's as ``child(parent_cfg, span)``.  The first
-    attempt's ``child`` is :meth:`QuadratureConfig.child`, which keeps the
-    relative tolerance.  When a level stops because the errors propagated
-    from below alone reach its target (its value cancels), the nest is
-    rerun with every inner level 10x tighter than its parent, then 100x.
-    Any other failure propagates at once.
-    """
-    for factor in _RETRY_TIGHTENING:
-        def child(parent, span, factor=factor):
-            c = parent.child(span)
-            if factor == 1.0:
-                return c
-            return replace(c, rel_tol=max(c.rel_tol / factor, 5e-15),
-                           abs_tol=max(c.abs_tol / factor, 1e-290))
-        try:
-            return run(child)
-        except _InheritedError as exc:
-            last = exc
-    raise NonConvergenceError(
-        f"nested integral did not converge with inner levels "
-        f"{_RETRY_TIGHTENING[-1]:g}x tighter: {last}")
-
-
 # ---------------------------------------------------------------------------
 # public 1D / 2D / 3D wrappers
 # ---------------------------------------------------------------------------
@@ -553,67 +525,99 @@ def _pyval(v):
     return v if v.imag != 0.0 else v.real
 
 
-def _edges_at(spec, *outer):
-    """Evaluate a range limit that may be a constant or a callable of the
-    outer variables."""
-    shape = np.shape(outer[0])
-    if callable(spec):
-        return np.broadcast_to(np.asarray(spec(*outer), dtype=float),
-                               shape).astype(float)
-    return np.full(shape, float(spec))
+def _limits(lo, hi):
+    """Edges of a level whose tasks are single intervals: one row
+    [lo, hi] per outer node, each limit a constant or a vectorized
+    callable of the outer variables."""
+    def edges(*outer):
+        n = np.size(outer[0]) if outer else 1
+        return np.column_stack([
+            np.broadcast_to(np.asarray(s(*outer) if callable(s) else s,
+                                       dtype=float), (n,))
+            for s in (lo, hi)])
+    return edges
 
 
-def _iterated(f, limits, cfg, grading):
-    """Iterated adaptive integral of ``f(x, y, ...)`` over nested limits.
+def _iterated(f, levels, cfg, strict=True):
+    """Iterated adaptive integral over nested levels, the one routine of
+    every nested integral in eikamp.
 
-    ``limits[0]`` is a pair of constants, ``limits[k]`` a pair of
-    constants or vectorized callables of the k outer variables.  Every
-    level takes ``grading``.  Each level's errors propagate into its
-    parent's panel errors, and the nest runs under :func:`_retry_nested`.
-    Returns an IntegralResult counting the innermost evaluations of every
-    attempt.
+    ``levels[k]`` is the spec ``(edges, grading, weight)`` of the k-th
+    variable x_k:
+
+    * ``edges(x_0, ..., x_{k-1})`` returns sorted task rows, one per node
+      of level k-1 (level 0 is called with no argument, for one row);
+    * ``grading`` maps the panels of the level, see :func:`_build_tasks`;
+    * ``weight(x_0, ..., x_k)`` is None or a factor formed once per node
+      of the level and multiplied into every innermost value below it.
+
+    The integrand is ``f(x_0, ..., x_n)`` times every weight on its path.
+    ``f`` receives each outer variable as a gathered copy of its own,
+    which it may overwrite, but must leave ``x_n`` intact.
+    Each level's errors propagate into its parent's panel errors.  Inner
+    levels keep their parent's relative tolerance and divide its absolute
+    one by the widest parent task (:meth:`QuadratureConfig.child`).  A
+    level whose propagated error alone reaches its target stops the nest,
+    which reruns with every inner level 10x, then 100x tighter than its
+    parent.  With ``strict`` an inner task that does not converge raises
+    NonConvergenceError; without, its error propagates like any other.
+    The outermost level always raises.  Returns an IntegralResult counting
+    the innermost evaluations of every attempt.
     """
-    depth_max = len(limits) - 1
-    xa, xb = float(limits[0][0]), float(limits[0][1])
-    inner_evals = [0]
+    innermost = len(levels) - 1
+    inner_evals = 0
 
-    def run(child):
-        def integrand(depth, outer, lcfg, span):
-            # the integrand of level `depth` for tasks at the `outer`
-            # points; `lcfg` is its config, `span` its widest task
-            def g(tids, x):
-                pts = tuple(o[tids] for o in outer) + (x,)
-                if depth == depth_max:
-                    return f(*pts)
-                lo = _edges_at(limits[depth + 1][0], *pts)
-                hi = _edges_at(limits[depth + 1][1], *pts)
-                ccfg = child(lcfg, span)
-                v, e, ev, ok = _solve_batched(
-                    integrand(depth + 1, pts, ccfg,
-                              float(np.max(hi - lo, initial=1.0))),
-                    np.stack([lo, hi], axis=1), ccfg.rel_tol, ccfg.abs_tol,
-                    ccfg.max_subdivisions, grading=grading)
-                if not ok.all():
-                    raise NonConvergenceError(
-                        f"level-{depth + 1} integrals did not converge: "
-                        f"{np.count_nonzero(~ok)} of {ok.size} tasks")
-                if depth + 1 == depth_max:
-                    inner_evals[0] += int(ev.sum())
-                return v, e
-            return g
+    def solve(depth, outer, scale, lcfg, factor):
+        nonlocal inner_evals
+        edges, grading, weight = levels[depth]
+        rows = edges(*outer)
+        if depth < innermost:
+            ccfg = lcfg.child(float(np.max(rows[:, -1] - rows[:, 0],
+                                           initial=1.0)))
+            if factor != 1.0:
+                ccfg = replace(ccfg, rel_tol=max(ccfg.rel_tol / factor, 5e-15),
+                               abs_tol=max(ccfg.abs_tol / factor, 1e-290))
 
-        vals, errs, _, ok = _solve_batched(
-            integrand(0, (), cfg, xb - xa), [np.array([xa, xb])],
-            cfg.rel_tol, cfg.abs_tol, cfg.max_subdivisions, grading=grading)
-        if not ok[0]:
+        def g(tids, x):
+            pts = tuple(o[tids] for o in outer) + (x,)
+            s = None if weight is None else weight(*pts)
+            if depth < innermost:
+                if scale is not None:
+                    s = scale[tids] if s is None else scale[tids] * s
+                return solve(depth + 1, pts, s, ccfg, factor)
+            # f's temporaries set the peak memory of a wave: the factors
+            # from above are gathered only after f, with the outer
+            # variables released
+            y = f(*pts)
+            del pts
+            if s is not None:
+                y = y * s
+            return y if scale is None else y * scale[tids]
+
+        # level 0 is a single task, passed in the ragged form
+        v, e, ev, ok = _solve_batched(
+            g, rows if depth else [rows[0]], lcfg.rel_tol, lcfg.abs_tol,
+            lcfg.max_subdivisions, grading=grading)
+        if depth == innermost:
+            inner_evals += int(ev.sum())
+        if not ok.all() and (strict or depth == 0):
             raise NonConvergenceError(
-                f"{len(limits)}D integral did not converge: error estimate "
-                f"{errs[0]:.3e}")
-        return vals[0], errs[0]
+                f"level-{depth} integrals of a {len(levels)}D nest did not "
+                f"converge: {np.count_nonzero(~ok)} of {ok.size} tasks, "
+                f"error estimate up to {np.max(e[~ok]):.3e}")
+        return v, e
 
-    value, err = _retry_nested(run)
-    return IntegralResult(value=_pyval(value), error_estimate=float(err),
-                          evaluations=max(inner_evals[0], 1))
+    for factor in _RETRY_TIGHTENING:
+        try:
+            v, e = solve(0, (), None, cfg, factor)
+        except _InheritedError as exc:
+            last = exc
+            continue
+        return IntegralResult(value=_pyval(v[0]), error_estimate=float(e[0]),
+                              evaluations=max(inner_evals, 1))
+    raise NonConvergenceError(
+        f"nested integral did not converge with inner levels "
+        f"{_RETRY_TIGHTENING[-1]:g}x tighter: {last}")
 
 
 def integrate_2d(f, x_range, y_range, cfg=None):
@@ -626,7 +630,8 @@ def integrate_2d(f, x_range, y_range, cfg=None):
     covers both levels, and an outer integral that cancels reruns its
     inner ones tighter.
     """
-    return _iterated(f, (x_range, y_range), cfg or QuadratureConfig(), "sqrt")
+    return _iterated(f, [(_limits(*r), "sqrt", None) for r in (x_range, y_range)],
+                     cfg or QuadratureConfig())
 
 
 def integrate_3d(f, x_range, y_range, z_range, cfg=None):
@@ -638,8 +643,9 @@ def integrate_3d(f, x_range, y_range, z_range, cfg=None):
     relative tolerance, inner error estimates propagate outward, and a
     level that cancels reruns the levels below it tighter.
     """
-    return _iterated(f, (x_range, y_range, z_range),
-                     cfg or QuadratureConfig(), "sqrt")
+    return _iterated(f, [(_limits(*r), "sqrt", None)
+                         for r in (x_range, y_range, z_range)],
+                     cfg or QuadratureConfig())
 
 
 # ---------------------------------------------------------------------------

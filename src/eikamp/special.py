@@ -13,6 +13,8 @@ that contract at large argument: on 25 points drawn from [0, 1e4] its
 error against mpmath, scaled by max(|J0|, sqrt(2/(pi x))), reaches 5.4e-13
 (at x ~ 9955), where this port stays below 4e-16.
 
+``bessel_i0e`` is ``scipy.special.i0e``, the exponentially scaled I0.
+
 ``elliptic_k`` takes the MODULUS k, not the parameter m = k^2.  This is the
 convention every closed form in :mod:`eikamp.besselprod` is written in;
 mixing it up with scipy's ``ellipk(m)`` is the classic mistake the docstring
@@ -27,7 +29,7 @@ modulus-one point, where no k rounded to a float could.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ellipkm1
+from scipy.special import ellipkm1, i0e
 
 from .exceptions import EikampError
 
@@ -95,12 +97,6 @@ _QQ = np.array([  # leading coefficient 1.0 implicit
 ])
 _DR1 = 5.78318596294678452118e0
 _DR2 = 3.04712623436620863991e1
-
-# Seam between the power-series and asymptotic branches of I0.  Below it the
-# all-positive Maclaurin series has condition number 1; above it the
-# asymptotic series bottoms out below 1e-15 relative.
-_I0_SERIES_CUT = 20.0
-
 
 def _polevl(x, coef):
     ans = np.full_like(x, coef[0])
@@ -174,39 +170,11 @@ def bessel_i0e(x):
     """Exponentially scaled modified Bessel function, e^{-|x|} I0(x).
 
     Safe for arbitrarily large |x|; used by the Weber integral in log space.
+    Evaluated by ``scipy.special.i0e``.
     """
     arr, scalar = _as_array(x)
-    out = _i0e_core(np.abs(arr))
+    out = i0e(arr)
     return float(out) if scalar else out
-
-
-def _i0e_core(ax):
-    out = np.empty_like(ax)
-    small = ax <= _I0_SERIES_CUT
-    if np.any(small):
-        z = ax[small]
-        q = 0.25 * z * z
-        term = np.ones_like(z)
-        acc = np.ones_like(z)
-        # q <= 100 -> converged well before m = 60
-        for m in range(1, 61):
-            term = term * q / (m * m)
-            acc += term
-        out[small] = acc * np.exp(-z)
-    large = ~small
-    if np.any(large):
-        z = ax[large]
-        # I0(z) ~ e^z/sqrt(2 pi z) sum_k prod_j (2j-1)^2 / (k! 8^k z^k);
-        # at z = 20 the smallest term is ~4e-18, well converged by k = 12.
-        acc = np.ones_like(z)
-        coeff = 1.0
-        zk = np.ones_like(z)
-        for k in range(1, 13):
-            coeff *= (2 * k - 1) ** 2 / (8.0 * k)
-            zk = zk * z
-            acc = acc + coeff / zk
-        out[large] = acc / np.sqrt(2.0 * np.pi * z)
-    return out
 
 
 def elliptic_k(k):

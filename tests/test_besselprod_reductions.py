@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from eikamp.besselprod import (
+    _chain_q_rows,
     Branch,
     f4_classify,
     f4_eval,
@@ -23,7 +24,7 @@ from eikamp.besselprod import (
     f6_eval_chain,
 )
 from eikamp.exceptions import BoundaryCaseError
-from eikamp.quadrature import QuadratureConfig
+from eikamp.quadrature import QuadratureConfig, _build_tasks
 
 # the triple-nested chain route is expensive at tight tolerance; the
 # dual-route bound scales with the reported errors, so a looser config
@@ -121,6 +122,30 @@ class TestF6DualRoute:
             r2 = f6_eval_chain(*p, cfg=CHAIN_CFG)
             _within_combined(r1, r2)
             assert r1.value > 0.0
+
+    def test_q_edge_rows_build_the_per_node_panels(self):
+        # the chain route's q-tasks come as clipped, sorted rows; on the
+        # five draws above they must build the same panels as one
+        # np.unique list of in-range kinks per outer node
+        rng = np.random.default_rng(13)
+        for _ in range(5):
+            a, b, c, d, e, f = rng.uniform(0.6, 2.0, size=6)
+            lo, hi, g, h = abs(c - d), c + d, abs(e - f), e + f
+            # outer nodes across the t-range, and every t where a kink
+            # meets a q-range edge
+            ts = np.linspace(abs(a - b), a + b, 203)[1:-1]
+            hits = [s * (q - w) for q in (lo, hi) for w in (g, -g, h, -h)
+                    for s in (1.0, -1.0)] + [q + w for q in (lo, hi)
+                                             for w in (g, -g, h, -h)]
+            ts = np.concatenate([ts, [t for t in hits
+                                      if abs(a - b) < t < a + b]])
+            lists = [np.unique(np.array(
+                [lo, *[q for q in (t - g, t + g, g - t, h - t, t - h, h + t)
+                       if lo < q < hi], hi])) for t in ts]
+            for got, want in zip(_build_tasks(_chain_q_rows(c, d, e, f, ts),
+                                              "sqrt"),
+                                 _build_tasks(lists, "sqrt")):
+                np.testing.assert_array_equal(got, want)
 
     def test_scaling_relation(self):
         p = np.array([1.0, 1.2, 0.8, 1.4, 1.1, 0.9])

@@ -34,6 +34,7 @@ from eikamp.eikonal import (
 )
 from eikamp.besselprod import _delta4_sq_values
 from eikamp import eikonal as eikonal_module
+from eikamp import quadrature as quadrature_module
 from eikamp.eikonal import _a2_with_error, _a3_with_error, _x3_breakpoints
 from eikamp.exceptions import (ChiGateError, NonConvergenceError,
                                RealityClassError)
@@ -259,7 +260,7 @@ class TestA3:
     def test_unconverged_nested_task_raises(self, monkeypatch, level):
         # one middle (level 1) or inner (level 2) task reports failure:
         # A3 must raise rather than sum its partial value
-        real = eikonal_module._solve_batched
+        real = quadrature_module._solve_batched
         depth = [0]
         forced = []
 
@@ -275,7 +276,7 @@ class TestA3:
                 ok[0] = False
             return vals, errs, evals, ok
 
-        monkeypatch.setattr(eikonal_module, "_solve_batched", solve)
+        monkeypatch.setattr(quadrature_module, "_solve_batched", solve)
         cfg = QuadratureConfig(rel_tol=1e-3, abs_tol=1e-8)
         with pytest.raises(NonConvergenceError, match="did not converge"):
             _a3_with_error(gaussian_with_chi0(0.2), Kinematics(s=50.0, t=-1.0),
@@ -290,7 +291,7 @@ class TestA3:
         kin = Kinematics(s=50.0, t=-1.0)
         cfg = QuadratureConfig(rel_tol=1e-3, abs_tol=1e-8)
         v0, e0, _ = _a3_with_error(m, kin, cfg)
-        real_solve = eikonal_module._solve_batched
+        real_solve = quadrature_module._solve_batched
         real_block = eikonal_module._a3_block
         depth = [0]
         forced = []
@@ -310,7 +311,7 @@ class TestA3:
             blocks[0] += 1
             return real_block(*args, **kwargs)
 
-        monkeypatch.setattr(eikonal_module, "_solve_batched", solve)
+        monkeypatch.setattr(quadrature_module, "_solve_batched", solve)
         monkeypatch.setattr(eikonal_module, "_a3_block", block)
         v, e, _ = _a3_with_error(m, kin, cfg)
         assert forced

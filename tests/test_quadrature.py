@@ -14,7 +14,8 @@ from eikamp import (DEFAULT_P_SEQUENCE, ExtrapolationDivergenceError,
 from eikamp import quadrature as quadrature_module
 from eikamp.quadrature import (_QUARTIC_LEFT, _QUARTIC_RIGHT, _SQRT_LEFT,
                                _SQRT_RIGHT, _build_tasks, _InheritedError,
-                               _solve_batched, integrate_3d)
+                               _iterated, _limits, _solve_batched,
+                               integrate_3d)
 
 TIGHT = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-14)
 
@@ -367,6 +368,93 @@ class TestIterated:
             assert child.rel_tol == 1e-6
             assert child.abs_tol == pytest.approx(abs_tol, rel=1e-15)
             assert child.max_subdivisions == 77
+
+
+class TestNestedQuadrature:
+    # _iterated's per-level specs (edges, grading, weight) and its
+    # strict flag
+
+    @staticmethod
+    def _levels(w0=None, w1=None):
+        return [(_limits(0.0, 1.0), "plain", w0),
+                (_limits(0.0, lambda x: x), "sqrt", w1),
+                (_limits(lambda x, y: y, lambda x, y: 1.0 + x), "log", None)]
+
+    def test_weights_equal_the_folded_integrand_once_per_node(
+            self, monkeypatch):
+        def f(x, y, z):
+            return np.cos(x * z) * np.exp(-y * z)
+
+        def w0(x):
+            return 1.0 + x * x
+
+        def w1(x, y):
+            return np.exp(-x * y) * (1.0 + y)
+
+        cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-14)
+        folded = _iterated(lambda x, y, z: f(x, y, z) * w0(x) * w1(x, y),
+                           self._levels(), cfg)
+
+        # integrand points per solve depth, and weight points per level
+        real = quadrature_module._solve_batched
+        depth = [0]
+        nodes = [0, 0, 0]
+        formed = [0, 0]
+
+        def spy(g, edges, *args, **kwargs):
+            d = depth[0]
+
+            def counted(tids, x):
+                nodes[d] += x.size
+                return g(tids, x)
+
+            depth[0] += 1
+            try:
+                return real(counted, edges, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        def counted_w0(x):
+            formed[0] += x.size
+            return w0(x)
+
+        def counted_w1(x, y):
+            formed[1] += x.size
+            return w1(x, y)
+
+        monkeypatch.setattr(quadrature_module, "_solve_batched", spy)
+        weighted = _iterated(f, self._levels(counted_w0, counted_w1), cfg)
+        assert abs(weighted.value - folded.value) <= (
+            weighted.error_estimate + folded.error_estimate)
+        assert weighted.error_estimate <= 1e-9 * abs(weighted.value)
+        assert formed == nodes[:2]
+        assert nodes[2] == weighted.evaluations
+
+    def test_strict_raises_and_lenient_propagates_an_inner_failure(
+            self, monkeypatch):
+        # one inner task reports failure with its usual error: strict=False
+        # returns what the unforced nest returns, error included; the
+        # default raises
+        def f(x, y, z):
+            return np.exp(x * y - z)
+
+        cfg = QuadratureConfig(rel_tol=1e-8)
+        want = _iterated(f, self._levels(), cfg)
+        real = quadrature_module._solve_batched
+
+        def solve(g, edges, *args, **kwargs):
+            vals, errs, evals, ok = real(g, edges, *args, **kwargs)
+            if not isinstance(edges, list):
+                ok = ok.copy()
+                ok[0] = False
+            return vals, errs, evals, ok
+
+        monkeypatch.setattr(quadrature_module, "_solve_batched", solve)
+        got = _iterated(f, self._levels(), cfg, strict=False)
+        assert (got.value, got.error_estimate, got.evaluations) == (
+            want.value, want.error_estimate, want.evaluations)
+        with pytest.raises(NonConvergenceError, match="did not converge"):
+            _iterated(f, self._levels(), cfg)
 
 
 class TestDampedOracle:
