@@ -21,12 +21,10 @@ from .special import bessel_i0e, bessel_j0, elliptic_k
 __version__ = "0.1.0"
 
 from .quadrature import (  # noqa: E402
-    DEFAULT_P_SEQUENCE,
     IntegralResult,
     QuadratureConfig,
     integrate_1d,
     integrate_2d,
-    integrate_damped_bessel_product,
 )
 from .besselprod import (  # noqa: E402
     Branch,
@@ -69,9 +67,11 @@ from .eikonal import (  # noqa: E402
     infer_reality,
 )
 from .oracle import (  # noqa: E402
+    DEFAULT_P_SEQUENCE,
     OracleConfig,
     direct_eikonal_amplitude,
     gaussian_series_amplitude,
+    integrate_damped_bessel_product,
     reference_besselproduct,
 )
 

@@ -30,9 +30,8 @@ from enum import Enum
 
 import numpy as np
 
-from .exceptions import BoundaryCaseError, NonConvergenceError
-from .quadrature import (IntegralResult, QuadratureConfig, _iterated, _limits,
-                         _solve_batched)
+from .exceptions import BoundaryCaseError
+from .quadrature import IntegralResult, QuadratureConfig, _iterated, _limits
 from .special import _elliptic_k_core, bessel_i0e
 
 __all__ = [
@@ -340,14 +339,7 @@ def f5_eval(a, b, c, d, e, cfg=None):
 
     edges = np.sort(np.clip([lo, *_f4_modulus_one_points(c, d, e), hi],
                             lo, hi))
-    vals, errs, evals, ok = _solve_batched(
-        lambda _t, x: integrand(x), [edges], cfg.rel_tol, cfg.abs_tol,
-        cfg.max_subdivisions, grading="log")
-    if not ok[0]:
-        raise NonConvergenceError(
-            f"F5 quadrature did not converge: error {errs[0]:.3e}")
-    return IntegralResult(value=float(vals[0]), error_estimate=float(errs[0]),
-                          evaluations=int(evals[0]))
+    return _iterated(integrand, [(lambda: edges[None], "log", None)], cfg)
 
 
 def f5_eval_symmetric(a, b, c, d, e, cfg=None):
@@ -395,14 +387,7 @@ def f6_eval(a, b, c, d, e, f, cfg=None):
 
     edges = np.sort(np.clip([lo, *_f4_modulus_one_points(a, b, c),
                              *_f4_modulus_one_points(d, e, f), hi], lo, hi))
-    vals, errs, evals, ok = _solve_batched(
-        lambda _t, x: integrand(x), [edges], cfg.rel_tol, cfg.abs_tol,
-        cfg.max_subdivisions, grading="log")
-    if not ok[0]:
-        raise NonConvergenceError(
-            f"F6 quadrature did not converge: error {errs[0]:.3e}")
-    return IntegralResult(value=float(vals[0]), error_estimate=float(errs[0]),
-                          evaluations=int(evals[0]))
+    return _iterated(integrand, [(lambda: edges[None], "log", None)], cfg)
 
 
 def _chain_q_rows(c, d, e, f, t):

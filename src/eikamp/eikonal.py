@@ -29,7 +29,7 @@ import numpy as np
 from .besselprod import _f4_modulus_one_points, _g_values
 from .exceptions import ChiGateError, RealityClassError
 from .models import BornKind, BornModel, Kinematics
-from .quadrature import QuadratureConfig, _iterated, _limits, integrate_1d
+from .quadrature import QuadratureConfig, _iterated, _limits
 from .special import bessel_j0
 
 __all__ = [
@@ -100,9 +100,9 @@ def eikonal_chi(model, s, b, cfg=None, *, force_quadrature=False):
         # tabulated interpolants are C1 at the nodes; panel edges there
         # restore full quadrature order
         brk += [float(qn) for qn in grid if 0.0 < qn < q_cut]
+    edges = np.unique(np.clip([0.0, *brk, q_cut], 0.0, q_cut))
     # no edge is singular (q = 0, J0 half-periods, C1 knots): plain panels
-    res = integrate_1d(f, 0.0, q_cut, cfg, breakpoints=sorted(brk) or None,
-                       sqrt_edges=False)
+    res = _iterated(f, [(lambda: edges[None], "plain", None)], cfg)
     return complex(res.value)
 
 

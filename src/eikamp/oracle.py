@@ -3,22 +3,27 @@
 Two oracles validate the oscillation-free pipeline from the outside:
 
 * ``direct_eikonal_amplitude`` evaluates the impact-parameter integral
-  A = 4 pi i s int db b J0(b sqrt(-t)) (1 - e^{i chi}) head-on with a
-  deliberately simple integrator (fixed-order panels aligned to the J0
-  oscillation, global doubling refinement).  It shares no quadrature code
-  with the production engine.  It is feasible only at desk-scale
-  kinematics; in the extreme regime s >> -t >> (hadron scale)^2 the
-  oscillation count explodes and this oracle refuses, which is precisely
-  why the oscillation-free formulas exist.  Validation there is indirect,
-  through the closed forms this oracle certifies at moderate kinematics.
+  A = 4 pi i s int db b J0(b sqrt(-t)) (1 - e^{i chi}) head-on.  It is
+  feasible only at desk-scale kinematics; in the extreme regime
+  s >> -t >> (hadron scale)^2 the oscillation count explodes and this
+  oracle refuses, which is precisely why the oscillation-free formulas
+  exist.  Validation there is indirect, through the closed forms this
+  oracle certifies at moderate kinematics.
 
 * ``gaussian_series_amplitude`` sums the exact all-orders eikonal series
   of the Gaussian model, whose n-th term is an explicit Gaussian in t.
 
 ``reference_besselproduct`` is the uniform entry point for Bessel-product
-moments F_n (n = 3..6), wrapping the damped-extrapolation method with an
-automatically scaled damping sequence and a one-sided treatment of the
-four-parameter support boundary.
+moments F_n (n = 3..6), wrapping the damped-extrapolation method
+(``integrate_damped_bessel_product``) with an automatically scaled damping
+sequence and a one-sided treatment of the four-parameter support boundary.
+
+Both oscillatory integrals run on one deliberately simple integrator,
+fixed 16-point Gauss-Legendre panels aligned to the oscillation and
+refined by global doubling until two sweeps agree; they share no
+quadrature code with the production engine.  Only the phase chi of a
+tabulated model, which ``direct_eikonal_amplitude`` needs pointwise,
+comes from the engine (``eikonal_chi``).
 """
 
 from __future__ import annotations
@@ -29,19 +34,22 @@ from itertools import product
 
 import numpy as np
 
-from .exceptions import NonConvergenceError
+from .exceptions import ExtrapolationDivergenceError, NonConvergenceError
 from .models import BornKind
-from .quadrature import (DEFAULT_P_SEQUENCE, IntegralResult, QuadratureConfig,
-                         _neville_to_zero, integrate_damped_bessel_product)
+from .quadrature import IntegralResult, QuadratureConfig
 from .special import bessel_j0
 from .eikonal import _envelope_b_cutoff, eikonal_chi
 
 __all__ = [
     "OracleConfig",
+    "DEFAULT_P_SEQUENCE",
     "direct_eikonal_amplitude",
     "gaussian_series_amplitude",
+    "integrate_damped_bessel_product",
     "reference_besselproduct",
 ]
+
+DEFAULT_P_SEQUENCE = (0.2, 0.1, 0.05, 0.025)
 
 # |chi| level defining the automatic b_max
 _B_MAX_LEVEL = 1e-12
@@ -49,6 +57,47 @@ _B_MAX_LEVEL = 1e-12
 _SERIES_STOP = 1e-15
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# panel doublings, and panels per sweep, of the fixed-panel integrator
+_MAX_DOUBLINGS = 10
+_MAX_PANELS = 2 ** 18
+# damping-factor level where a damped Bessel-product integral is cut
+_TRUNCATION_DECAY = 1e-16
+
+
+def _gauss_panels(f, hi, n, rel_tol, abs_tol=0.0):
+    """int_0^hi f(x) dx on n equal 16-point Gauss-Legendre panels, the
+    panel count doubled until two sweeps agree to max(rel_tol |value|,
+    abs_tol).
+
+    Returns (value, |difference of the last two sweeps|, evaluations).
+    Raises NonConvergenceError after 10 doublings, or when a sweep would
+    exceed 2^18 panels.
+    """
+    def sweep(n_panels):
+        if n_panels > _MAX_PANELS:
+            raise NonConvergenceError(
+                f"{n_panels} fixed Gauss panels exceed the budget of "
+                f"{_MAX_PANELS}")
+        edges = np.linspace(0.0, hi, n_panels + 1)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        x = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+        y = f(x).reshape(n_panels, _GL_NODES.size)
+        return (half * (y @ _GL_WEIGHTS)).sum()
+
+    prev = sweep(n)
+    evals = n * _GL_NODES.size
+    for _ in range(_MAX_DOUBLINGS):
+        n *= 2
+        cur = sweep(n)
+        evals += n * _GL_NODES.size
+        diff = abs(cur - prev)
+        if diff <= max(rel_tol * abs(cur), abs_tol):
+            return cur, float(diff), evals
+        prev = cur
+    raise NonConvergenceError(
+        f"fixed Gauss panels failed to stabilize under {_MAX_DOUBLINGS} "
+        "panel doublings")
 
 
 @dataclass(frozen=True)
@@ -130,23 +179,8 @@ def direct_eikonal_amplitude(model, kin, cfg=None, *, quad_cfg=None):
             f"oscillation count {n} exceeds the oracle panel budget; "
             "this regime is out of the oscillatory oracle's reach")
 
-    def sweep(n_panels):
-        edges = np.linspace(0.0, b_max, n_panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        b = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-        y = f(b).reshape(n_panels, _GL_NODES.size)
-        return complex((half * (y @ _GL_WEIGHTS)).sum())
-
-    prev = sweep(n)
-    for _ in range(10):
-        n *= 2
-        cur = sweep(n)
-        if abs(cur - prev) <= 1e-9 * max(abs(cur), 1e-300):
-            return 4.0j * math.pi * s * cur
-        prev = cur
-    raise NonConvergenceError(
-        "oscillatory oracle failed to stabilize under panel doubling")
+    value, _, _ = _gauss_panels(f, b_max, n, 1e-9)
+    return 4.0j * math.pi * s * complex(value)
 
 
 def gaussian_series_amplitude(g, lam, kin, cfg=None):
@@ -177,6 +211,88 @@ def gaussian_series_amplitude(g, lam, kin, cfg=None):
 # ---------------------------------------------------------------------------
 # Bessel-product reference
 # ---------------------------------------------------------------------------
+
+def integrate_damped_bessel_product(params, cfg=None,
+                                    p_sequence=DEFAULT_P_SEQUENCE):
+    """Oracle for F_n = int_0^inf x prod_k J0(a_k x) dx by damping.
+
+    Computes I(p) = int_0^inf x e^{-p^2 x^2} prod_k J0(a_k x) dx for each p
+    in ``p_sequence`` (truncated where the damping factor drops below
+    1e-16) on fixed Gauss panels, at first two periods of the fastest
+    oscillation wide, then extrapolates p^2 -> 0 by Neville's scheme.
+    I(p) is even in p at regular points, so the extrapolation converges
+    rapidly; at a degenerate (divergent) triangle configuration the
+    extrapolant differences grow instead and ExtrapolationDivergenceError
+    is raised.
+
+    The error estimate combines the extrapolation residual with the per-p
+    quadrature errors propagated through the extrapolation weights.
+    """
+    cfg = cfg or QuadratureConfig()
+    a = np.asarray(params, dtype=float)
+    if not 2 <= a.size <= 6 or np.any(a <= 0.0):
+        raise ValueError("params must be 2 to 6 positive Bessel scale factors")
+    ps = np.asarray(p_sequence, dtype=float)
+    if ps.size < 3 or np.any(ps <= 0.0) or np.any(np.diff(ps) >= 0.0):
+        raise ValueError("p_sequence must be >= 3 decreasing positive values")
+
+    per_rel = min(1e-9, cfg.rel_tol)
+    per_abs = min(1e-13, cfg.abs_tol)
+    h0 = 4.0 * np.pi / max(float(a.sum()), 1e-3)
+
+    values, qerrs, evals = [], [], 0
+    for p in ps:
+        def g(x):
+            y = x * np.exp(-(p * x) ** 2)
+            for ak in a:
+                y = y * bessel_j0(ak * x)
+            return y
+
+        cut = math.sqrt(-math.log(_TRUNCATION_DECAY)) / p
+        v, e, ev = _gauss_panels(g, cut, max(8, math.ceil(cut / h0)),
+                                 per_rel, per_abs)
+        values.append(float(v))
+        qerrs.append(e)
+        evals += ev
+
+    value, extrap_err = _neville_to_zero(ps ** 2, np.array(values),
+                                         np.array(qerrs))
+    return IntegralResult(value=value, error_estimate=extrap_err,
+                          evaluations=evals)
+
+
+def _neville_to_zero(z, vals, qerrs):
+    """Polynomial extrapolation of samples (z_i, v_i) to z = 0.
+
+    Returns (value, error estimate).  The estimate combines the last
+    diagonal difference with the quadrature errors propagated through the
+    Lagrange weights of the extrapolation.  Raises
+    ExtrapolationDivergenceError when successive diagonal differences grow
+    beyond what the propagated quadrature noise allows, the signature of a
+    non-polynomial (divergent) limit.
+    """
+    n = z.size
+    tab = vals.astype(float).copy()
+    diag = [tab[0]]
+    for k in range(1, n):
+        for i in range(n - k):
+            tab[i] = (z[i] * tab[i + 1] - z[i + k] * tab[i]) / (z[i] - z[i + k])
+        diag.append(tab[0])
+    diffs = np.abs(np.diff(diag))
+
+    w = np.empty(n)
+    for i in range(n):
+        others = np.delete(z, i)
+        w[i] = np.prod(others / (others - z[i]))
+    quad_prop = float(np.abs(w) @ qerrs)
+
+    noise = quad_prop + 1e-12 * max(1.0, abs(diag[-1]))
+    if n >= 3 and diffs[-1] > diffs[-2] and diffs[-1] > 10.0 * noise:
+        raise ExtrapolationDivergenceError(
+            "extrapolant differences grow: the p -> 0 limit does not exist "
+            "(degenerate or divergent configuration)")
+    return float(diag[-1]), float(diffs[-1]) + quad_prop
+
 
 def _auto_p_sequence(params):
     """Damping sequence scaled to the parameters.

@@ -8,8 +8,8 @@ priority-queue implementation performs, executed in batches; in Python the
 batching is what keeps the triply nested amplitude integrals inside their
 runtime budget.
 
-Geometry per initial segment is carried by a map.  Finite tasks take one
-of three gradings:
+Geometry per initial segment is carried by a map; every task is finite
+and takes one of three gradings:
 
 * ``"plain"``: the identity map, for integrands smooth at every edge;
 * ``"sqrt"``: each panel between two consecutive edges is split into two
@@ -21,24 +21,24 @@ of three gradings:
   interior edge, which turns log|x - x0| into u^3 log u, so a known
   logarithmic point costs a few bisections instead of a dozen per side.
 
-Semi-infinite ranges without decay information use the algebraic map
-x = a + u/(1-u).  Kronrod nodes are strictly interior, and a graded node
-keeps at least one float spacing from its anchor even where u^2 or u^4
-underflows against it, so integrands are never evaluated exactly at
-endpoints or listed breakpoints.
+Kronrod nodes are strictly interior, and a graded node keeps at least one
+float spacing from its anchor even where u^2 or u^4 underflows against
+it, so integrands are never evaluated exactly at endpoints or listed
+breakpoints.
 
 Error estimates follow QUADPACK: the scaled |K15 - G7| difference plus a
 machine-rounding floor proportional to the L1 norm of the integrand.  The
 floor is reported but never blocks convergence (subdividing cannot reduce
 it); the refinable part alone is tested against tolerance.
 
-Every nested integral runs on one routine, :func:`_iterated`, which takes
-per-level edges, grading and weight.  Every level runs at the caller's
-relative tolerance; only the absolute tolerance is divided by the widest
-parent task (:meth:`QuadratureConfig.child`).  An outer integrand that is
-itself an inner integral returns the inner errors with its values, and the
-engine keeps that propagated part apart from each panel's own Kronrod
-error: a panel is split only when its own error exceeds what the
+Every integral runs on one routine, :func:`_iterated`, which takes
+per-level edges, grading and weight; the 1D ones (:func:`integrate_1d`,
+F5, F6, the eikonal phase) are one-level nests.  Every level runs at the
+caller's relative tolerance; only the absolute tolerance is divided by the
+widest parent task (:meth:`QuadratureConfig.child`).  An outer integrand
+that is itself an inner integral returns the inner errors with its values,
+and the engine keeps that propagated part apart from each panel's own
+Kronrod error: a panel is split only when its own error exceeds what the
 propagated part leaves of the budget, and a task whose propagated error
 alone reaches its target stops at once, since bisecting cannot reduce it.
 The nest is then rerun with its inner levels 10x tighter, and if need be
@@ -52,8 +52,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import ExtrapolationDivergenceError, NonConvergenceError
-from .special import bessel_j0
+from .exceptions import NonConvergenceError
 
 __all__ = [
     "QuadratureConfig",
@@ -61,8 +60,6 @@ __all__ = [
     "integrate_1d",
     "integrate_2d",
     "integrate_3d",
-    "integrate_damped_bessel_product",
-    "DEFAULT_P_SEQUENCE",
 ]
 
 # ---------------------------------------------------------------------------
@@ -104,20 +101,18 @@ _W7 = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 
 _EPS = float(np.finfo(float).eps)
 
-# Segment map kinds
-_IDENTITY = 0
+# Segment map kinds; 0 is the identity
 _SQRT_LEFT = 1      # x = anchor + u^2
 _SQRT_RIGHT = 2     # x = anchor - u^2
-_ALG_INF = 3        # x = anchor + u/(1-u), u in [0, 1)
 _QUARTIC_LEFT = 4   # x = anchor + u^4
 _QUARTIC_RIGHT = 5  # x = anchor - u^4
 
 # Panel gradings of finite tasks (see the module docstring)
 _GRADINGS = ("plain", "sqrt", "log")
 
-DEFAULT_P_SEQUENCE = (0.2, 0.1, 0.05, 0.025)
-
 _MAX_TOTAL_SEGMENTS = 4_000_000
+# refinement waves per 1D solve
+_MAX_WAVES = 240
 
 # how much tighter than its parent each inner level runs, per attempt of a
 # nest (see _iterated)
@@ -130,23 +125,18 @@ class QuadratureConfig:
 
     Convergence requires the refinable error estimate to drop below
     max(abs_tol, rel_tol * |value|).  ``max_subdivisions`` caps the number
-    of panel bisections per 1D integral; ``truncation_decay_threshold`` is
-    where a supplied decay envelope is considered negligible when
-    truncating semi-infinite ranges.
+    of panel bisections per 1D task, at every level of a nest.
     """
 
     rel_tol: float = 1e-6
     abs_tol: float = 1e-12
     max_subdivisions: int = 2000
-    truncation_decay_threshold: float = 1e-16
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if not 0.0 < self.truncation_decay_threshold < 1.0:
-            raise ValueError("truncation_decay_threshold must be in (0, 1)")
 
     def child(self, span: float) -> "QuadratureConfig":
         """Tolerance budget for one nesting level down: the same relative
@@ -247,11 +237,6 @@ def _map_nodes(kind, anc, u):
         step = sq * sq if quartic else sq
         x[m] = a + sign * np.maximum(step, np.spacing(np.abs(a)))
         jac[m] = 4.0 * sq * um if quartic else 2.0 * um
-    m = kind == _ALG_INF
-    if m.any():
-        om = 1.0 - u[m]
-        x[m] = anc[m, None] + u[m] / om
-        jac[m] = om ** -2
     return x, jac
 
 
@@ -299,26 +284,20 @@ class _InheritedError(NonConvergenceError):
 
 
 def _solve_batched(f, edges_list, rel_tol, abs_tol, max_subdiv,
-                   grading="sqrt", max_waves=240, prebuilt=None, n_tasks=None):
+                   grading="sqrt"):
     """Run the batched adaptive loop over independent 1D tasks.
 
     f(task_indices, x) -> y or (y, yerr); both flat arrays.  Returns
     (values, error_estimates, evaluation_counts, converged_mask).
     ``grading`` maps each task's panels, see :func:`_build_tasks`.
-    ``prebuilt`` bypasses edge processing with ready segment arrays
-    (tid, kind, anchor, lo, hi).
 
     A ``yerr`` is integrated into each panel's propagated error, kept
     apart from its own error (see the module docstring); a task whose
     propagated error alone reaches its target raises
     :class:`_InheritedError` at once.
     """
-    if prebuilt is not None:
-        tid, kind, anc, lo, hi = (x.copy() for x in prebuilt)
-        T = n_tasks if n_tasks is not None else (int(tid.max()) + 1 if tid.size else 0)
-    else:
-        T = len(edges_list)
-        tid, kind, anc, lo, hi = _build_tasks(edges_list, grading)
+    T = len(edges_list)
+    tid, kind, anc, lo, hi = _build_tasks(edges_list, grading)
     abs_tol_arr = np.broadcast_to(np.asarray(abs_tol, dtype=float), (T,))
     evals = np.zeros(T, dtype=int)
     splits = np.zeros(T, dtype=int)
@@ -346,7 +325,7 @@ def _solve_batched(f, edges_list, rel_tol, abs_tol, max_subdiv,
         np.add.at(p, tid, prop_seg)
         return v, e, fl, p
 
-    for _ in range(max_waves):
+    for _ in range(_MAX_WAVES):
         val_t, err_t, floor_t, prop_t = totals()
         target = np.maximum(abs_tol_arr, rel_tol * np.abs(val_t))
         # what the propagated error leaves of the target for the own one
@@ -416,19 +395,9 @@ def _solve_batched(f, edges_list, rel_tol, abs_tol, max_subdiv,
 # public 1D / 2D / 3D wrappers
 # ---------------------------------------------------------------------------
 
-def _collect_edges(a, b, breakpoints):
-    pts = [a, b]
-    if breakpoints is not None:
-        for p in breakpoints:
-            p = float(p)
-            if a < p < b:
-                pts.append(p)
-    return np.unique(np.asarray(pts, dtype=float))
-
-
-def integrate_1d(f, a, b, cfg=None, breakpoints=None, *,
-                 decay_cutoff=None, sqrt_edges=True):
-    """Adaptive integral of f over (a, b).
+def integrate_1d(f, a, b, cfg=None, breakpoints=None):
+    """Adaptive integral of f over the finite range (a, b): a one-level
+    nest of :func:`_iterated` with the ``"sqrt"`` grading.
 
     Parameters
     ----------
@@ -436,93 +405,28 @@ def integrate_1d(f, a, b, cfg=None, breakpoints=None, *,
         Vectorized integrand: maps an ndarray of abscissae to an ndarray of
         values (real or complex).  Never called at a, b, or any breakpoint.
     a, b : float
-        Range; ``b`` may be ``np.inf``.  With no decay information the
-        semi-infinite range is mapped through u = (x-a)/(1+x-a); when
-        ``decay_cutoff`` is given the range is truncated there and a single
-        verification panel beyond the cutoff is added to value and error.
+        Finite limits, a < b.
     breakpoints : sequence of float, optional
         Interior points of known bad behavior (integrable log singularities,
-        jumps); they become panel edges, and with ``sqrt_edges`` the panels
-        on both sides are graded toward them, but nodes never touch them.
-    sqrt_edges : bool
-        Apply the x = x0 +/- u^2 substitution at the endpoints and at every
-        breakpoint (removes x^{-1/2} singularities there): the ``"sqrt"``
-        grading of the engine.  On by default; ``False`` gives plain
-        panels, for integrands smooth at every edge.
+        jumps); they become panel edges, the panels on both sides are
+        graded toward them by x = x0 +/- u^2, and nodes never touch them.
+        The endpoints are graded the same way, which removes x^{-1/2}
+        singularities there.  Points outside (a, b) are ignored.
 
     Raises
     ------
     NonConvergenceError
         If the subdivision budget is exhausted before reaching tolerance.
     """
-    cfg = cfg or QuadratureConfig()
-    a = float(a)
-    if not math.isfinite(a):
-        raise ValueError("lower limit must be finite")
-
-    def fw(_tid, x):
-        return f(x)
-
-    extra_val = 0.0
-    extra_err = 0.0
-    extra_evals = 0
-
-    if math.isinf(b):
-        if decay_cutoff is not None:
-            cut = float(decay_cutoff)
-            if cut <= a:
-                raise ValueError("decay_cutoff must exceed the lower limit")
-            edges = _collect_edges(a, cut, breakpoints)
-            seg_len = 0.5 * (cut - a)
-            v, e, fl, _ = _eval_segments(
-                fw, np.array([0]), np.array([_IDENTITY], dtype=np.int8),
-                np.array([0.0]), np.array([cut]), np.array([cut + seg_len]))
-            extra_val = v[0]
-            # the verification panel's own magnitude bounds the dropped tail
-            extra_err = float(abs(v[0]) + e[0] + fl[0])
-            extra_evals = 15
-        else:
-            # algebraic map; breakpoints transplanted into u-space
-            u_pts = [0.0, 1.0]
-            if breakpoints is not None:
-                for p in breakpoints:
-                    p = float(p)
-                    if p > a:
-                        u_pts.append((p - a) / (1.0 + p - a))
-            edges = np.unique(np.asarray(u_pts))
-            n = edges.size - 1
-            prebuilt = (np.zeros(n, dtype=int), np.full(n, _ALG_INF, dtype=np.int8),
-                        np.full(n, a), edges[:-1], edges[1:])
-            vals, errs, evals, ok = _solve_batched(
-                fw, None, cfg.rel_tol, cfg.abs_tol, cfg.max_subdivisions,
-                prebuilt=prebuilt, n_tasks=1)
-            if not ok[0]:
-                raise NonConvergenceError(
-                    f"semi-infinite integral did not converge: error {errs[0]:.3e}")
-            return IntegralResult(value=_pyval(vals[0]),
-                                  error_estimate=float(errs[0]),
-                                  evaluations=int(evals[0]))
-        b = cut
-    else:
-        b = float(b)
-        if not b > a:
-            raise ValueError("require a < b")
-        edges = _collect_edges(a, b, breakpoints)
-
-    vals, errs, evals, ok = _solve_batched(
-        fw, [edges], cfg.rel_tol, cfg.abs_tol, cfg.max_subdivisions,
-        grading="sqrt" if sqrt_edges else "plain")
-    if not ok[0]:
-        raise NonConvergenceError(
-            f"integrate_1d did not converge: error estimate {errs[0]:.3e}")
-    return IntegralResult(value=_pyval(vals[0] + extra_val),
-                          error_estimate=float(errs[0] + extra_err),
-                          evaluations=int(evals[0] + extra_evals))
-
-
-def _pyval(v):
-    v = complex(v)
-    return v if v.imag != 0.0 else v.real
+    a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("integrate_1d takes finite limits only")
+    if not b > a:
+        raise ValueError("require a < b")
+    brk = () if breakpoints is None else breakpoints
+    edges = np.unique(np.clip([a, *brk, b], a, b))
+    return _iterated(f, [(lambda: edges[None], "sqrt", None)],
+                     cfg or QuadratureConfig())
 
 
 def _limits(lo, hi):
@@ -540,7 +444,7 @@ def _limits(lo, hi):
 
 def _iterated(f, levels, cfg, strict=True):
     """Iterated adaptive integral over nested levels, the one routine of
-    every nested integral in eikamp.
+    every integral in eikamp; a 1D integral is a one-level nest.
 
     ``levels[k]`` is the spec ``(edges, grading, weight)`` of the k-th
     variable x_k:
@@ -613,7 +517,9 @@ def _iterated(f, levels, cfg, strict=True):
         except _InheritedError as exc:
             last = exc
             continue
-        return IntegralResult(value=_pyval(v[0]), error_estimate=float(e[0]),
+        value = complex(v[0])
+        return IntegralResult(value=value if value.imag else value.real,
+                              error_estimate=float(e[0]),
                               evaluations=max(inner_evals, 1))
     raise NonConvergenceError(
         f"nested integral did not converge with inner levels "
@@ -646,98 +552,3 @@ def integrate_3d(f, x_range, y_range, z_range, cfg=None):
     return _iterated(f, [(_limits(*r), "sqrt", None)
                          for r in (x_range, y_range, z_range)],
                      cfg or QuadratureConfig())
-
-
-# ---------------------------------------------------------------------------
-# damped-oscillatory oracle for Bessel-product moments
-# ---------------------------------------------------------------------------
-
-def integrate_damped_bessel_product(params, cfg=None,
-                                    p_sequence=DEFAULT_P_SEQUENCE):
-    """Oracle for F_n = int_0^inf x prod_k J0(a_k x) dx by damping.
-
-    Computes I(p) = int_0^inf x e^{-p^2 x^2} prod_k J0(a_k x) dx for each p
-    in ``p_sequence`` (truncated where the damping factor drops below
-    ``cfg.truncation_decay_threshold``), then extrapolates p^2 -> 0 by
-    Neville's scheme.  I(p) is even in p at regular points, so the
-    extrapolation converges rapidly; at a degenerate (divergent) triangle
-    configuration the extrapolant differences grow instead and
-    ExtrapolationDivergenceError is raised.
-
-    The error estimate combines the extrapolation residual with the per-p
-    quadrature errors propagated through the extrapolation weights.
-    """
-    cfg = cfg or QuadratureConfig()
-    a = np.asarray(params, dtype=float)
-    if not 2 <= a.size <= 6 or np.any(a <= 0.0):
-        raise ValueError("params must be 2 to 6 positive Bessel scale factors")
-    ps = np.asarray(p_sequence, dtype=float)
-    if ps.size < 3 or np.any(ps <= 0.0) or np.any(np.diff(ps) >= 0.0):
-        raise ValueError("p_sequence must be >= 3 decreasing positive values")
-
-    per_rel = min(1e-9, cfg.rel_tol)
-    per_abs = min(1e-13, cfg.abs_tol)
-    max_sub = max(cfg.max_subdivisions, 4000)
-    total_freq = float(a.sum())
-
-    def integrand_factory(p):
-        def g(x):
-            y = x * np.exp(-(p * x) ** 2)
-            for ak in a:
-                y = y * bessel_j0(ak * x)
-            return y
-        return g
-
-    values, qerrs, evals = [], [], 0
-    for p in ps:
-        cut = math.sqrt(-math.log(cfg.truncation_decay_threshold)) / p
-        h0 = 2.0 * np.pi / max(total_freq, 1e-3)
-        n0 = int(np.clip(math.ceil(cut / h0), 8, 60000))
-        edges = np.linspace(0.0, cut, n0 + 1)
-        g = integrand_factory(p)
-        v, e, ev, ok = _solve_batched(lambda _t, x: g(x), [edges], per_rel,
-                                      per_abs, max_sub, grading="plain")
-        if not ok[0]:
-            raise NonConvergenceError(
-                f"damped Bessel-product integral at p={p:g} did not converge")
-        values.append(float(v[0]))
-        qerrs.append(float(e[0]))
-        evals += int(ev[0])
-
-    value, extrap_err = _neville_to_zero(ps ** 2, np.array(values),
-                                         np.array(qerrs))
-    return IntegralResult(value=value, error_estimate=extrap_err,
-                          evaluations=evals)
-
-
-def _neville_to_zero(z, vals, qerrs):
-    """Polynomial extrapolation of samples (z_i, v_i) to z = 0.
-
-    Returns (value, error estimate).  The estimate combines the last
-    diagonal difference with the quadrature errors propagated through the
-    Lagrange weights of the extrapolation.  Raises
-    ExtrapolationDivergenceError when successive diagonal differences grow
-    beyond what the propagated quadrature noise allows, the signature of a
-    non-polynomial (divergent) limit.
-    """
-    n = z.size
-    tab = vals.astype(float).copy()
-    diag = [tab[0]]
-    for k in range(1, n):
-        for i in range(n - k):
-            tab[i] = (z[i] * tab[i + 1] - z[i + k] * tab[i]) / (z[i] - z[i + k])
-        diag.append(tab[0])
-    diffs = np.abs(np.diff(diag))
-
-    w = np.empty(n)
-    for i in range(n):
-        others = np.delete(z, i)
-        w[i] = np.prod(others / (others - z[i]))
-    quad_prop = float(np.abs(w) @ qerrs)
-
-    noise = quad_prop + 1e-12 * max(1.0, abs(diag[-1]))
-    if n >= 3 and diffs[-1] > diffs[-2] and diffs[-1] > 10.0 * noise:
-        raise ExtrapolationDivergenceError(
-            "extrapolant differences grow: the p -> 0 limit does not exist "
-            "(degenerate or divergent configuration)")
-    return float(diag[-1]), float(diffs[-1]) + quad_prop

@@ -44,8 +44,8 @@ from eikamp.models import (
     Kinematics,
     TabulatedBorn,
 )
-from eikamp.quadrature import (QuadratureConfig, _InheritedError,
-                               integrate_1d, integrate_2d, integrate_3d)
+from eikamp.quadrature import (QuadratureConfig, _InheritedError, _iterated,
+                               integrate_2d, integrate_3d)
 
 CHI_TIGHT = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-16)
 
@@ -126,12 +126,14 @@ class TestEikonalChi:
             points[0] = 0
             return eikonal_chi(m, 50.0, b, force_quadrature=True), points[0]
 
-        def graded_1d(*args, **kwargs):
-            return integrate_1d(*args, **{**kwargs, "sqrt_edges": True})
+        def graded(f, levels, *args, **kwargs):
+            return _iterated(f, [(edges, "sqrt", weight)
+                                 for edges, _, weight in levels],
+                             *args, **kwargs)
 
         bs = (0.0, 0.7, 3.0, 12.0)
         plain = [chi_and_points(b) for b in bs]
-        monkeypatch.setattr(eikonal_module, "integrate_1d", graded_1d)
+        monkeypatch.setattr(eikonal_module, "_iterated", graded)
         graded = [chi_and_points(b) for b in bs]
         for (v, n), (vg, ng) in zip(plain, graded):
             assert abs(v - vg) <= 1e-12

@@ -11,12 +11,14 @@ import math
 import numpy as np
 import pytest
 
+from eikamp import quadrature as quadrature_module
 from eikamp.besselprod import f3_eval, f6_eval
 from eikamp.exceptions import ExtrapolationDivergenceError, NonConvergenceError
 from eikamp.models import GaussianBorn, Kinematics
 from eikamp.oracle import (OracleConfig, _auto_b_max,
                            direct_eikonal_amplitude,
                            gaussian_series_amplitude,
+                           integrate_damped_bessel_product,
                            reference_besselproduct)
 from eikamp.quadrature import QuadratureConfig, integrate_1d
 
@@ -206,3 +208,23 @@ class TestOracleConfig:
         assert cfg.b_max is None
         assert cfg.p_damping is None
         assert cfg.series_terms is None
+
+
+class TestIndependence:
+    def test_oracles_run_without_the_engine(self, monkeypatch):
+        # the README promises oracles that share no quadrature code with
+        # the production engine: with its entry points disabled they must
+        # still return exactly what they return with them
+        m = gaussian_with_chi0(0.3)
+        kin = Kinematics(s=50.0, t=-1.0)
+        calls = [lambda: reference_besselproduct((3.0, 4.0, 5.0)),
+                 lambda: integrate_damped_bessel_product((3.0, 4.0, 5.0)),
+                 lambda: direct_eikonal_amplitude(m, kin)]
+        want = [c() for c in calls]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an oracle entered the quadrature engine")
+
+        monkeypatch.setattr(quadrature_module, "_solve_batched", refuse)
+        monkeypatch.setattr(quadrature_module, "_iterated", refuse)
+        assert [c() for c in calls] == want
