@@ -349,6 +349,12 @@ def _a3_block(model, qt, block, cfg, x1_cap, x3_cap, counters):
     graded halves there would only double the middle nodes, and every
     middle node costs a whole inner task.
 
+    The x1 axis starts from the dyadic edges x1_lo 2^k (k >= 1) inside
+    (x1_lo, x1_hi): blocks 1-3 get none, blocks 4 and 5 start from [2, 4],
+    [4, 8], ..., [2^K, x1_cap], near the panels bisection would reach
+    anyway.  Each x1 node costs a whole 2D middle integral, so the nodes
+    of a bisected parent panel are the costliest waste of the nest.
+
     The nest runs on :func:`eikamp.quadrature._iterated`: every level at
     ``cfg.rel_tol``, and a block whose middle or outer value cancels is
     rerun tighter inside this call; an inner or middle task that does not
@@ -385,8 +391,12 @@ def _a3_block(model, qt, block, cfg, x1_cap, x3_cap, counters):
         g *= x3
         return red(qt * x3) * g
 
+    # dyadic x1 panels: x1_lo 2^k (k >= 1) inside (x1_lo, x1_hi)
+    dyadic = x1_lo * 2.0 ** np.arange(1, 64)
+    x1_edges = np.concatenate([
+        [x1_lo], dyadic[(dyadic > x1_lo) & (dyadic < x1_hi)], [x1_hi]])
     res = _iterated(inner, [
-        (_limits(x1_lo, x1_hi), "plain", None),
+        (lambda: x1_edges[None], "plain", None),
         (_limits(block.x2_lower, block.x2_upper), "plain", pair),
         (x3_rows, "log", None)], cfg)
     counters[0] += res.evaluations
@@ -429,9 +439,12 @@ def a3_term(model, kin, cfg=None):
     surfaces (elliptic modulus 1) are planes in closed form, inserted as
     panel breakpoints along the innermost axis, whose panels are graded
     quartically toward them; the x2 and x1 axes integrate smooth inner
-    integrals and take plain panels.  Every level runs at the requested
-    relative tolerance, with inner errors propagated outward; only a block
-    whose value cancels reruns its inner levels tighter.  Semi-infinite
+    integrals and take plain panels.  The unbounded x1 axis starts from
+    dyadic panels [2, 4], [4, 8], ..., since bisecting one long panel
+    would spend a whole 2D inner integral on every node of each parent.
+    Every level runs at the requested relative tolerance, with inner
+    errors propagated outward; only a block whose value cancels reruns
+    its inner levels tighter.  Semi-infinite
     ranges truncate on the model envelope with a tail bound added to the
     error estimate.  An inner integral that does not converge raises
     NonConvergenceError.

@@ -43,6 +43,15 @@ propagated part leaves of the budget, and a task whose propagated error
 alone reaches its target stops at once, since bisecting cannot reduce it.
 The nest is then rerun with its inner levels 10x tighter, and if need be
 100x, so only a parent whose value cancels pays for tighter children.
+
+A node of an outer level costs a whole inner integral, so a panel that is
+bisected spends its 15 nodes' inner integrals on a parent that is thrown
+away; callers that know where an outer axis will need panels (A3's
+unbounded x1 axis, which starts from dyadic panels) supply them as edges.
+A wave is evaluated in slices of at most :data:`_WAVE_SLICE` segments, so
+its memory, and that of the inner solves a slice starts, stays bounded
+however wide the wave; slicing changes no value, error or count.  The
+Gauss-Kronrod sums are per-row reductions, so no BLAS thread pool starts.
 """
 
 from __future__ import annotations
@@ -93,11 +102,12 @@ _WG_HALF = np.array([
     0.417959183673469387755102040816327,
 ])
 
-# Ascending 15-node arrays on [-1, 1]; Gauss nodes sit at the odd positions.
+# Ascending 15-node arrays on [-1, 1]; Gauss nodes sit at the odd
+# positions, so the G7 weights on the 15 nodes are zero at the even ones.
 _X15 = np.concatenate([-_XGK_HALF[:-1], _XGK_HALF[::-1]])
 _W15 = np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])
-_G_IDX = np.arange(1, 14, 2)
-_W7 = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
+_W7 = np.zeros(15)
+_W7[1::2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 
 _EPS = float(np.finfo(float).eps)
 
@@ -113,6 +123,8 @@ _GRADINGS = ("plain", "sqrt", "log")
 _MAX_TOTAL_SEGMENTS = 4_000_000
 # refinement waves per 1D solve
 _MAX_WAVES = 240
+# segments per integrand call within a wave (see _eval_segments)
+_WAVE_SLICE = 2048
 
 # how much tighter than its parent each inner level runs, per attempt of a
 # nest (see _iterated)
@@ -240,43 +252,60 @@ def _map_nodes(kind, anc, u):
     return x, jac
 
 
-def _eval_segments(f, tid, kind, anc, lo, hi):
+def _eval_segments(f, tid, kind, anc, lo, hi, sliced=True):
     """GK15 on each segment.
 
     Returns (value, refinable_err, floor_err, propagated_err): the last is
     the integral of the inner errors an integrand returns as ``yerr``, or
-    None when it returns none."""
-    mid = 0.5 * (lo + hi)
-    h = 0.5 * (hi - lo)
-    u = mid[:, None] + h[:, None] * _X15[None, :]
-    x, jac = _map_nodes(kind, anc, u)
+    None when it returns none.
 
-    raw = f(np.repeat(tid, 15), x.ravel())
-    yerr = None
-    if isinstance(raw, tuple):
-        raw, yerr = raw
-    y = np.asarray(raw).reshape(x.shape) * jac
-    if not np.all(np.isfinite(y)):
-        raise NonConvergenceError("integrand returned non-finite values")
+    With ``sliced`` the wave is evaluated in slices of at most
+    :data:`_WAVE_SLICE` segments, one call of ``f`` each, so its nodes,
+    the integrand's temporaries and, for a nested integrand, the inner
+    solve they start stay bounded however wide the wave.  Each segment's
+    sums are per-row reductions rather than matrix-vector products, so no
+    BLAS thread pool is started."""
+    step = _WAVE_SLICE if sliced else tid.size
+    parts = []
+    for start in range(0, tid.size, step):
+        sl = slice(start, start + step)
+        mid = 0.5 * (lo[sl] + hi[sl])
+        h = 0.5 * (hi[sl] - lo[sl])
+        u = mid[:, None] + h[:, None] * _X15[None, :]
+        x, jac = _map_nodes(kind[sl], anc[sl], u)
 
-    resk = h * (y @ _W15)
-    resg = h * (y[:, _G_IDX] @ _W7)
-    yabs = np.abs(y)
-    resabs = h * (yabs @ _W15)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mean = np.where(h > 0.0, resk / np.where(h > 0.0, 2.0 * h, 1.0), 0.0)
-    resasc = h * (np.abs(y - mean[:, None]) @ _W15)
-    err_raw = np.abs(resk - resg)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = np.where(
-            resasc > 0.0,
-            resasc * np.minimum(1.0, (200.0 * err_raw / np.where(resasc > 0.0, resasc, 1.0)) ** 1.5),
-            err_raw,
-        )
-    floor = 50.0 * _EPS * resabs
-    if yerr is not None:
-        yerr = h * (np.asarray(yerr).reshape(x.shape) * jac @ _W15)
-    return resk, scaled, floor, yerr
+        raw = f(np.repeat(tid[sl], 15), x.ravel())
+        yerr = None
+        if isinstance(raw, tuple):
+            raw, yerr = raw
+        y = np.asarray(raw).reshape(x.shape) * jac
+        if not np.all(np.isfinite(y)):
+            raise NonConvergenceError("integrand returned non-finite values")
+
+        resk = h * np.einsum("ij,j->i", y, _W15)
+        resg = h * np.einsum("ij,j->i", y, _W7)
+        resabs = h * np.einsum("ij,j->i", np.abs(y), _W15)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mean = np.where(h > 0.0, resk / np.where(h > 0.0, 2.0 * h, 1.0),
+                            0.0)
+        resasc = h * np.einsum("ij,j->i", np.abs(y - mean[:, None]), _W15)
+        err_raw = np.abs(resk - resg)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scaled = np.where(
+                resasc > 0.0,
+                resasc * np.minimum(1.0, (200.0 * err_raw / np.where(
+                    resasc > 0.0, resasc, 1.0)) ** 1.5),
+                err_raw,
+            )
+        floor = 50.0 * _EPS * resabs
+        if yerr is not None:
+            yerr = h * np.einsum("ij,j->i",
+                                 np.asarray(yerr).reshape(x.shape) * jac, _W15)
+        parts.append((resk, scaled, floor, yerr))
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(None if col[0] is None else np.concatenate(col)
+                 for col in zip(*parts))
 
 
 class _InheritedError(NonConvergenceError):
@@ -284,12 +313,14 @@ class _InheritedError(NonConvergenceError):
 
 
 def _solve_batched(f, edges_list, rel_tol, abs_tol, max_subdiv,
-                   grading="sqrt"):
+                   grading="sqrt", sliced=True):
     """Run the batched adaptive loop over independent 1D tasks.
 
     f(task_indices, x) -> y or (y, yerr); both flat arrays.  Returns
     (values, error_estimates, evaluation_counts, converged_mask).
-    ``grading`` maps each task's panels, see :func:`_build_tasks`.
+    ``grading`` maps each task's panels, see :func:`_build_tasks`;
+    ``sliced`` bounds the segments per call of f, see
+    :func:`_eval_segments`.
 
     A ``yerr`` is integrated into each panel's propagated error, kept
     apart from its own error (see the module docstring); a task whose
@@ -308,7 +339,7 @@ def _solve_batched(f, edges_list, rel_tol, abs_tol, max_subdiv,
         return z, z.copy(), evals, np.ones(T, dtype=bool)
 
     val_seg, err_seg, floor_seg, prop_seg = _eval_segments(f, tid, kind, anc,
-                                                           lo, hi)
+                                                           lo, hi, sliced)
     np.add.at(evals, tid, 15)
     cdtype = val_seg.dtype
 
@@ -369,7 +400,7 @@ def _solve_batched(f, edges_list, rel_tol, abs_tol, max_subdiv,
         c_lo = np.concatenate([s_lo, s_mid])
         c_hi = np.concatenate([s_mid, s_hi])
         c_val, c_err, c_floor, c_prop = _eval_segments(f, c_tid, c_kind, c_anc,
-                                                       c_lo, c_hi)
+                                                       c_lo, c_hi, sliced)
         np.add.at(evals, c_tid, 15)
 
         keep = ~split
@@ -498,10 +529,14 @@ def _iterated(f, levels, cfg, strict=True):
                 y = y * s
             return y if scale is None else y * scale[tids]
 
-        # level 0 is a single task, passed in the ragged form
+        # level 0 is a single task, passed in the ragged form.  A wave two
+        # or more levels above the innermost is evaluated whole: the
+        # widest task it spawns one level down sets the absolute tolerance
+        # two levels down (ccfg above), which a slice would narrow
         v, e, ev, ok = _solve_batched(
             g, rows if depth else [rows[0]], lcfg.rel_tol, lcfg.abs_tol,
-            lcfg.max_subdivisions, grading=grading)
+            lcfg.max_subdivisions, grading=grading,
+            sliced=depth >= innermost - 1)
         if depth == innermost:
             inner_evals += int(ev.sum())
         if not ok.all() and (strict or depth == 0):

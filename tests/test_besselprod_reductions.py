@@ -23,6 +23,7 @@ from eikamp.besselprod import (
     f6_eval,
     f6_eval_chain,
 )
+from eikamp import quadrature as quadrature_module
 from eikamp.exceptions import BoundaryCaseError
 from eikamp.quadrature import QuadratureConfig, _build_tasks
 
@@ -153,6 +154,26 @@ class TestF6DualRoute:
         base = f6_eval(*p)
         scaled = f6_eval(*(lam * p))
         assert scaled.value * lam ** 2 == pytest.approx(base.value, rel=1e-7)
+
+
+class TestWaveSlices:
+    def test_seeded_draws_are_unchanged_by_the_wave_slice(self, monkeypatch):
+        # waves evaluated 16 segments at a time give every value, error
+        # and count of whole waves, on both routes of F5 and F6
+        rng = np.random.default_rng(11)
+        f5s = [rng.uniform(0.5, 2.0, 5) for _ in range(5)]
+        f6s = [rng.uniform(0.5, 2.0, 6) for _ in range(5)]
+        loose = QuadratureConfig(rel_tol=1e-3, abs_tol=1e-6)
+
+        def runs():
+            out = [f5_eval(*p) for p in f5s] + [f6_eval(*p) for p in f6s]
+            out += [f5_eval_symmetric(*p, cfg=CHAIN_CFG) for p in f5s]
+            out.append(f6_eval_chain(*f6s[0], cfg=loose))
+            return [(r.value, r.error_estimate, r.evaluations) for r in out]
+
+        whole = runs()
+        monkeypatch.setattr(quadrature_module, "_WAVE_SLICE", 16)
+        assert runs() == whole
 
 
 class TestVanishingRule:

@@ -14,6 +14,7 @@ lam^2 -> 1 / (2 B).
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,6 +258,54 @@ class TestA3:
                                              cfg)
         assert inner > 0
         assert points[0] <= 1.1 * inner
+
+    def test_dyadic_x1_panels_spend_no_outer_bisection(self):
+        # blocks 4 and 5 start x1 from [2, 4], [4, 8], ..., so no middle
+        # integral is spent on a bisection parent: the README Gaussian's
+        # three bench points take at most 1.6M inner points (2.36M when x1
+        # started from one panel) and stay at the closed form
+        m = GaussianBorn(g=2.51, lam=1.0)
+        total = 0
+        for t in (-2.0, -1.125, -0.25):
+            kin = Kinematics(s=50.0, t=t)
+            value, err, n = _a3_with_error(m, kin, QuadratureConfig())
+            want = closed_a3(m, kin)
+            assert abs(value - want) <= min(1e-9 * abs(want), err)
+            total += n
+        assert total <= 1_600_000
+
+    def test_wave_slices_change_no_a3(self, monkeypatch):
+        # waves evaluated 16 segments at a time give every value, error
+        # and count of whole waves
+        cases = [(GaussianBorn(g=2.51, lam=1.0),
+                  QuadratureConfig(rel_tol=1e-4)),
+                 (real_tabulated(),
+                  QuadratureConfig(rel_tol=1e-3, abs_tol=1e-6))]
+        kin = Kinematics(s=50.0, t=-1.0)
+
+        def runs():
+            return [_a3_with_error(m, kin, cfg) for m, cfg in cases]
+
+        whole = runs()
+        monkeypatch.setattr(quadrature_module, "_WAVE_SLICE", 16)
+        assert runs() == whole
+
+    def test_tabulated_a3_peak_memory_is_bounded(self):
+        # the dyadic x1 start makes the first outer wave about 2.5x wider;
+        # evaluated in bounded slices, one A3 of the bench table still
+        # peaks below 8 MB (11 MB from one x1 panel and whole waves, 27 MB
+        # from dyadic panels and whole waves)
+        m = real_tabulated()
+        kin = Kinematics(s=50.0, t=-1.0)
+        cfg = QuadratureConfig(rel_tol=1e-3, abs_tol=1e-6)
+        _a3_with_error(m, kin, cfg)
+        tracemalloc.start()
+        try:
+            _a3_with_error(m, kin, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
 
     @pytest.mark.parametrize("level", [1, 2])
     def test_unconverged_nested_task_raises(self, monkeypatch, level):

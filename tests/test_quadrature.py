@@ -15,9 +15,9 @@ from eikamp import (DEFAULT_P_SEQUENCE, ExtrapolationDivergenceError,
                     integrate_damped_bessel_product)
 from eikamp import quadrature as quadrature_module
 from eikamp.quadrature import (_QUARTIC_LEFT, _QUARTIC_RIGHT, _SQRT_LEFT,
-                               _SQRT_RIGHT, _build_tasks, _InheritedError,
-                               _iterated, _limits, _solve_batched,
-                               integrate_3d)
+                               _SQRT_RIGHT, _build_tasks, _eval_segments,
+                               _InheritedError, _iterated, _limits,
+                               _solve_batched, integrate_3d)
 
 TIGHT = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-14)
 
@@ -234,6 +234,21 @@ class TestEngineBehavior:
         assert isinstance(res, IntegralResult)
         assert res.error_estimate >= 0.0
         assert res.evaluations >= 1
+
+    def test_segment_sums_do_not_depend_on_the_slice(self, monkeypatch):
+        # a segment's value and errors are the same whether its wave is
+        # evaluated whole or one segment per integrand call
+        def f(tids, x):
+            return (np.exp(-x) * np.cos(3.0 * x) * np.sqrt(x + 0.1),
+                    1e-9 * np.abs(np.sin(x)))
+
+        lo = np.linspace(0.0, 3.0, 40)
+        wave = (np.arange(40), np.zeros(40, dtype=np.int8), np.zeros(40),
+                lo, lo + 0.37)
+        whole = _eval_segments(f, *wave)
+        monkeypatch.setattr(quadrature_module, "_WAVE_SLICE", 1)
+        for a, b in zip(whole, _eval_segments(f, *wave)):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestIterated:
@@ -465,6 +480,26 @@ class TestNestedQuadrature:
             _iterated(f, self._levels(), cfg)
 
 
+    def test_wave_slices_change_no_result(self, monkeypatch):
+        # one segment per integrand call gives every value, error and count
+        # of whole waves.  The middle tasks here reach width 8, and the
+        # widest one an outer wave spawns sets the inner absolute
+        # tolerance, which binds for this decaying integrand: the outer
+        # wave must stay whole for the count to hold
+        def f(x, y, z):
+            return np.exp(-2.0 * (x + y + z)) * np.cos(y * z)
+
+        levels = [(_limits(0.0, 8.0), "plain", None),
+                  (_limits(0.0, lambda x: x), "plain", None),
+                  (_limits(0.0, lambda x, y: x + y), "plain", None)]
+        cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-6)
+        whole = _iterated(f, levels, cfg)
+        monkeypatch.setattr(quadrature_module, "_WAVE_SLICE", 1)
+        sliced = _iterated(f, levels, cfg)
+        assert (sliced.value, sliced.error_estimate, sliced.evaluations) == (
+            whole.value, whole.error_estimate, whole.evaluations)
+
+
 class TestDampedOracle:
     def test_triangle_case(self):
         res = integrate_damped_bessel_product((3.0, 4.0, 5.0))
@@ -550,3 +585,19 @@ class TestSingleEntry:
         assert len(calls) == 1
         name, owners = calls[0]
         assert name == "quadrature.py" and owners[0] == "_iterated"
+
+    def test_wave_sums_start_no_blas_threads(self):
+        # a matrix-vector product would hand the Gauss-Kronrod sums to the
+        # BLAS thread pool, which burns a second core for no wall time:
+        # _eval_segments reduces each row itself
+        tree = ast.parse(Path(quadrature_module.__file__).read_text())
+        fn = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "_eval_segments")
+        products = [
+            node for node in ast.walk(fn)
+            if isinstance(getattr(node, "op", None), ast.MatMult)
+            or (isinstance(node, ast.Attribute)
+                and node.attr in ("dot", "matmul", "vdot", "inner",
+                                  "tensordot"))]
+        assert products == []
