@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -60,6 +60,9 @@ CHI_HARD_THRESHOLD = 2.0
 _TAIL_DECAY = 1e-16
 # |chi| level defining the impact-parameter cutoff of a profile
 _CHI_CUTOFF_LEVEL = 1e-12
+# each A3 block after the first runs at the absolute tolerance
+# _SHARE * rel_tol * |sum of the blocks before it| (see _a3_with_error)
+_SHARE = 0.1
 
 
 def eikonal_chi(model, s, b, cfg=None, *, force_quadrature=False):
@@ -403,26 +406,67 @@ def _a3_block(model, qt, block, cfg, x1_cap, x3_cap, counters):
     return complex(res.value), res.error_estimate
 
 
-def _a3_with_error(model, kin, cfg):
-    s, qt = kin.s, kin.q
-    env0 = float(model.envelope(0.0))
-    # truncate the semi-infinite ranges where the product of the three
-    # envelope factors falls below abs_tol * 1e-2: env(q) env0^2 <= thr
-    thr = max(cfg.abs_tol * 1e-2, 1e-300)
+def _a3_caps(model, qt, env0, floor):
+    """x1_cap, x3_cap and the tail bound of a block run at the absolute
+    tolerance ``floor``.  The semi-infinite ranges are cut where the
+    product of the three envelope factors falls below thr = floor * 1e-2,
+    env(q) env0^2 <= thr.  Beyond a cap one Born factor is below
+    thr / env0^2 and the other two below env0, so the integrand is below
+    thr times the kernel weight; the crude tail bound is
+    thr (x1_cap + x3_cap)."""
+    thr = max(floor * 1e-2, 1e-300)
     q_far = model.q_cutoff(min(thr / env0 ** 2, 0.5 * env0))
     x1_cap = max(2.0 * q_far / qt, 4.0)
     x3_cap = max(q_far / qt, 4.0)
+    return x1_cap, x3_cap, thr * (x1_cap + x3_cap)
+
+
+def _a3_with_error(model, kin, cfg):
+    """A3, its error estimate and its inner evaluations.
+
+    ``cfg.rel_tol`` is A3's, not each block's: the blocks are summed in
+    order, and each runs at the absolute tolerance
+    max(abs_tol, _SHARE rel_tol |sum of the blocks before it|), from which
+    its truncation caps and tail bound follow too (:func:`_a3_caps`).  A
+    block that holds little of A3 thus stops at what A3 needs of it rather
+    than at full accuracy of its own value.  When a later block cancels the
+    earlier ones, the running sum overstates |A3|; if the summed error then
+    exceeds max(abs_tol, rel_tol |A3|), every block whose floor was above
+    the one |A3| gives is rerun once at that floor.
+    """
+    s, qt = kin.s, kin.q
+    env0 = float(model.envelope(0.0))
+    blocks = decompose_a3_domain()
     counters = [0]
-    total = 0.0 + 0.0j
-    err = 0.0
-    for block in decompose_a3_domain():
-        v, e = _a3_block(model, qt, block, cfg, x1_cap, x3_cap, counters)
-        total += v
-        err += e
-    # crude tail bound for the truncated x1/x3 ranges
-    tail = thr * env0 ** 2 * (x1_cap + x3_cap)
+
+    def floor_of(total):
+        return max(cfg.abs_tol, _SHARE * cfg.rel_tol * abs(total))
+
+    def run(block, floor):
+        x1_cap, x3_cap, _ = _a3_caps(model, qt, env0, floor)
+        return _a3_block(model, qt, block, replace(cfg, abs_tol=floor),
+                         x1_cap, x3_cap, counters)
+
+    def summed(parts, floors):
+        # the ranges every block cut lie beyond the caps of the largest
+        # floor, so its one tail bound covers them all
+        tail = _a3_caps(model, qt, env0, max(floors))[2]
+        return sum(v for v, _ in parts), sum(e for _, e in parts) + tail
+
+    floors, parts = [], []
+    for block in blocks:
+        floors.append(floor_of(sum(v for v, _ in parts)))
+        parts.append(run(block, floors[-1]))
+    total, err = summed(parts, floors)
+    if err > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+        floor = floor_of(total)
+        for k, block in enumerate(blocks):
+            if floors[k] > floor:
+                floors[k] = floor
+                parts[k] = run(block, floor)
+        total, err = summed(parts, floors)
     pref = s * kin.t ** 2 / (96.0 * math.pi ** 2)
-    return pref * total, abs(pref) * (err + tail), counters[0]
+    return pref * complex(total), abs(pref) * err, counters[0]
 
 
 def a3_term(model, kin, cfg=None):
@@ -442,12 +486,16 @@ def a3_term(model, kin, cfg=None):
     integrals and take plain panels.  The unbounded x1 axis starts from
     dyadic panels [2, 4], [4, 8], ..., since bisecting one long panel
     would spend a whole 2D inner integral on every node of each parent.
-    Every level runs at the requested relative tolerance, with inner
-    errors propagated outward; only a block whose value cancels reruns
-    its inner levels tighter.  Semi-infinite
-    ranges truncate on the model envelope with a tail bound added to the
-    error estimate.  An inner integral that does not converge raises
-    NonConvergenceError.
+    The relative tolerance is A3's, not each block's: every block after
+    the first runs at the absolute tolerance max(abs_tol, 0.1 rel_tol
+    |sum of the blocks before it|), and blocks that cancel the earlier
+    ones are caught by a check after the sum (see :func:`_a3_with_error`).
+    Within a block every level runs at its relative tolerance, with inner
+    errors propagated outward; only a block whose value cancels reruns its
+    inner levels tighter.  Semi-infinite ranges truncate on the model
+    envelope where the Born product falls below 1e-2 of the block's
+    absolute tolerance, with a tail bound added to the error estimate.
+    An inner integral that does not converge raises NonConvergenceError.
     """
     cfg = cfg or QuadratureConfig()
     value, _err, _n = _a3_with_error(model, kin, cfg)

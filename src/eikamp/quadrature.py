@@ -48,10 +48,18 @@ A node of an outer level costs a whole inner integral, so a panel that is
 bisected spends its 15 nodes' inner integrals on a parent that is thrown
 away; callers that know where an outer axis will need panels (A3's
 unbounded x1 axis, which starts from dyadic panels) supply them as edges.
-A wave is evaluated in slices of at most :data:`_WAVE_SLICE` segments, so
-its memory, and that of the inner solves a slice starts, stays bounded
-however wide the wave; slicing changes no value, error or count.  The
+A wave is evaluated in slices of at most :data:`_WAVE_SLICE` (512)
+segments, so its memory, and that of the inner solves a slice starts,
+stays bounded however wide the wave, and each slice's temporaries (60 KB
+for a real node array) stay small enough for the allocator to reuse
+their pages rather than map and fault in fresh ones each wave; slicing
+changes no value, error or count.  The
 Gauss-Kronrod sums are per-row reductions, so no BLAS thread pool starts.
+
+The engine meets the tolerance it is given.  How a sum of separate nests
+shares one tolerance is the caller's decision: A3 gives each of its
+blocks after the first an absolute tolerance from the blocks summed
+before it (:func:`eikamp.eikonal._a3_with_error`).
 """
 
 from __future__ import annotations
@@ -116,6 +124,8 @@ _SQRT_LEFT = 1      # x = anchor + u^2
 _SQRT_RIGHT = 2     # x = anchor - u^2
 _QUARTIC_LEFT = 4   # x = anchor + u^4
 _QUARTIC_RIGHT = 5  # x = anchor - u^4
+# direction of each kind's map away from its anchor, indexed by kind
+_MAP_SIGN = np.array([0.0, 1.0, -1.0, 0.0, 1.0, -1.0])
 
 # Panel gradings of finite tasks (see the module docstring)
 _GRADINGS = ("plain", "sqrt", "log")
@@ -124,7 +134,7 @@ _MAX_TOTAL_SEGMENTS = 4_000_000
 # refinement waves per 1D solve
 _MAX_WAVES = 240
 # segments per integrand call within a wave (see _eval_segments)
-_WAVE_SLICE = 2048
+_WAVE_SLICE = 512
 
 # how much tighter than its parent each inner level runs, per attempt of a
 # nest (see _iterated)
@@ -234,21 +244,20 @@ def _build_tasks(edges_list, grading):
 def _map_nodes(kind, anc, u):
     """Apply per-segment maps to node matrix u; returns (x, jacobian).
 
-    A graded node keeps at least one float spacing from its anchor, so
-    the anchor itself is never evaluated."""
-    x = u.copy()
-    jac = np.ones_like(u)
-    for k, sign, quartic in ((_SQRT_LEFT, 1.0, False), (_SQRT_RIGHT, -1.0, False),
-                             (_QUARTIC_LEFT, 1.0, True), (_QUARTIC_RIGHT, -1.0, True)):
-        m = kind == k
-        if not m.any():
-            continue
-        um = u[m]
-        sq = um * um
-        a = anc[m, None]
-        step = sq * sq if quartic else sq
-        x[m] = a + sign * np.maximum(step, np.spacing(np.abs(a)))
-        jac[m] = 4.0 * sq * um if quartic else 2.0 * um
+    One pass over every row, each segment's power and sign taken from its
+    kind; plain rows keep u and a unit jacobian, and a wave of plain rows
+    alone skips the pass.  A graded node keeps at least one float spacing
+    from its anchor, so the anchor itself is never evaluated."""
+    if not kind.any():
+        return u, np.ones_like(u)
+    quartic = (kind >= _QUARTIC_LEFT)[:, None]
+    a = anc[:, None]
+    sq = u * u
+    x = a + _MAP_SIGN[kind, None] * np.maximum(np.where(quartic, sq * sq, sq),
+                                               np.spacing(np.abs(a)))
+    jac = np.where(quartic, 4.0 * sq, 2.0) * u
+    plain = kind == 0
+    x[plain], jac[plain] = u[plain], 1.0
     return x, jac
 
 

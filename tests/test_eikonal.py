@@ -261,9 +261,12 @@ class TestA3:
 
     def test_dyadic_x1_panels_spend_no_outer_bisection(self):
         # blocks 4 and 5 start x1 from [2, 4], [4, 8], ..., so no middle
-        # integral is spent on a bisection parent: the README Gaussian's
-        # three bench points take at most 1.6M inner points (2.36M when x1
-        # started from one panel) and stay at the closed form
+        # integral is spent on a bisection parent, and the later blocks run
+        # at A3's tolerance rather than their own: the README Gaussian's
+        # three bench points take at most 1.1M inner points (2.36M when x1
+        # started from one panel, 1.43M when each block held its own
+        # relative tolerance), stay at the closed form and report errors
+        # within the requested tolerance
         m = GaussianBorn(g=2.51, lam=1.0)
         total = 0
         for t in (-2.0, -1.125, -0.25):
@@ -271,8 +274,87 @@ class TestA3:
             value, err, n = _a3_with_error(m, kin, QuadratureConfig())
             want = closed_a3(m, kin)
             assert abs(value - want) <= min(1e-9 * abs(want), err)
+            assert err <= 1e-6 * abs(value)
             total += n
-        assert total <= 1_600_000
+        assert total <= 1_100_000
+
+    def test_later_blocks_take_a_floor_from_the_running_sum(
+            self, monkeypatch):
+        # block 1 runs at abs_tol; block k at max(abs_tol, _SHARE rel_tol
+        # |sum of the blocks before it|), and blocks 4 and 5 cut their
+        # ranges where the Born envelope product falls below 1e-2 of that
+        # floor
+        calls = []
+        real = eikonal_module._a3_block
+
+        def block(model, qt, blk, cfg, x1_cap, x3_cap, counters):
+            v, e = real(model, qt, blk, cfg, x1_cap, x3_cap, counters)
+            calls.append((cfg, x1_cap, x3_cap, v))
+            return v, e
+
+        monkeypatch.setattr(eikonal_module, "_a3_block", block)
+        for m, t, cfg in ((GaussianBorn(g=2.51, lam=1.0), -0.25,
+                           QuadratureConfig()),
+                          (real_tabulated(), -1.0,
+                           QuadratureConfig(rel_tol=1e-3, abs_tol=1e-6))):
+            calls.clear()
+            kin = Kinematics(s=50.0, t=t)
+            value, err, _ = _a3_with_error(m, kin, cfg)
+            assert len(calls) == len(decompose_a3_domain())
+            assert err <= cfg.rel_tol * abs(value)
+            env0 = float(m.envelope(0.0))
+            running = 0.0
+            for k, (bcfg, x1_cap, x3_cap, v) in enumerate(calls):
+                floor = max(cfg.abs_tol,
+                            eikonal_module._SHARE * cfg.rel_tol * abs(running))
+                assert bcfg.abs_tol == floor
+                assert bcfg.rel_tol == cfg.rel_tol
+                if k == 0:
+                    assert floor == cfg.abs_tol
+                else:
+                    assert floor > cfg.abs_tol
+                if k >= 3:
+                    q_far = m.q_cutoff(min(floor * 1e-2 / env0 ** 2,
+                                           0.5 * env0))
+                    assert x1_cap == max(2.0 * q_far / kin.q, 4.0)
+                    assert x3_cap == max(q_far / kin.q, 4.0)
+                running += v
+
+    def test_cancelling_later_block_reruns_at_the_floor_of_a3(
+            self, monkeypatch):
+        # block 1 is offset by +C and block 5 by -C: the running sum then
+        # overstates |A3| 1e4-fold, blocks 2-5 run at floors far too loose
+        # for A3, and the check after the sum must rerun them once at the
+        # floor that A3 itself gives
+        m = GaussianBorn(g=2.51, lam=1.0)
+        kin = Kinematics(s=50.0, t=-1.125)
+        real = eikonal_module._a3_block
+        offset = 1e4 * abs(closed_a3(m, kin)) / (
+            kin.s * kin.t ** 2 / (96.0 * math.pi ** 2))
+        calls = []
+
+        def block(model, qt, blk, cfg, x1_cap, x3_cap, counters):
+            v, e = real(model, qt, blk, cfg, x1_cap, x3_cap, counters)
+            calls.append(cfg.abs_tol)
+            if blk.x1_range == (0.0, 1.0):
+                return v + offset, e
+            if blk.x1_range[0] == 2.0 and blk.x2_lower(3.0) == 1.0:
+                return v - offset, e
+            return v, e
+
+        monkeypatch.setattr(eikonal_module, "_a3_block", block)
+        cfg = QuadratureConfig()
+        v, e, _ = _a3_with_error(m, kin, cfg)
+        assert len(calls) == 9
+        raw = abs(v) / (kin.s * kin.t ** 2 / (96.0 * math.pi ** 2))
+        floor = max(cfg.abs_tol, eikonal_module._SHARE * cfg.rel_tol * raw)
+        assert min(calls[1:5]) > 1e3 * floor
+        assert calls[5:] == pytest.approx([floor] * 4, rel=1e-6)
+        assert e <= max(cfg.abs_tol, cfg.rel_tol * abs(v))
+        calls.clear()
+        vt, et, _ = _a3_with_error(m, kin, QuadratureConfig(rel_tol=3e-7))
+        assert len(calls) == 9
+        assert abs(v - vt) <= e + et
 
     def test_wave_slices_change_no_a3(self, monkeypatch):
         # waves evaluated 16 segments at a time give every value, error

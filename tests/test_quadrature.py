@@ -17,7 +17,7 @@ from eikamp import quadrature as quadrature_module
 from eikamp.quadrature import (_QUARTIC_LEFT, _QUARTIC_RIGHT, _SQRT_LEFT,
                                _SQRT_RIGHT, _build_tasks, _eval_segments,
                                _InheritedError, _iterated, _limits,
-                               _solve_batched, integrate_3d)
+                               _map_nodes, _solve_batched, integrate_3d)
 
 TIGHT = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-14)
 
@@ -186,6 +186,39 @@ class TestEngineBehavior:
             assert ok[0] or (grading == "sqrt" and x0 > 100.0 and rel < 1e-12)
             assert abs(v[0] - truth) <= e[0]
         assert not np.any(np.concatenate(seen) == x0)
+
+    def test_map_nodes_matches_the_per_kind_passes(self):
+        # the one-pass map gives every node and jacobian bit for bit as
+        # one masked pass per map kind, on waves mixing all five kinds
+        def per_kind(kind, anc, u):
+            x = u.copy()
+            jac = np.ones_like(u)
+            for k, sign, quartic in ((_SQRT_LEFT, 1.0, False),
+                                     (_SQRT_RIGHT, -1.0, False),
+                                     (_QUARTIC_LEFT, 1.0, True),
+                                     (_QUARTIC_RIGHT, -1.0, True)):
+                m = kind == k
+                um = u[m]
+                sq = um * um
+                a = anc[m, None]
+                step = sq * sq if quartic else sq
+                x[m] = a + sign * np.maximum(step, np.spacing(np.abs(a)))
+                jac[m] = 4.0 * sq * um if quartic else 2.0 * um
+            return x, jac
+
+        rng = np.random.default_rng(20)
+        kinds = np.array([0, _SQRT_LEFT, _SQRT_RIGHT, _QUARTIC_LEFT,
+                          _QUARTIC_RIGHT], dtype=np.int8)
+        for trial in range(200):
+            n = int(rng.integers(1, 300))
+            # every fourth wave is all plain or all of one graded kind
+            kind = (rng.choice(kinds, n) if trial % 4
+                    else np.full(n, kinds[trial // 4 % 5], dtype=np.int8))
+            anc = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 3.7, n)
+            u = 10.0 ** rng.uniform(-6.0, 0.5, (n, 15))
+            for got, want in zip(_map_nodes(kind, anc, u),
+                                 per_kind(kind, anc, u)):
+                np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("rel", [1e-6, 1e-10, 1e-12])
     def test_log_grading_is_honest(self, rel):
