@@ -6,8 +6,9 @@ three terms of the moderately-small-eikonal expansion,
     A(s, t) ~= [A1(s, t) - A3(s, t)] + i A2(s, t),
 
 where A1 is the Born amplitude itself, A2 is a 2D integral of two Born
-factors against an algebraic weight, and A3 is a sum of five 3D integrals
-of three Born factors against the elliptic kernel G.  None of the
+factors against an algebraic weight, and A3 is a 3D integral of three
+Born factors against the elliptic kernel G over the one region where G
+has support, summed over dyadic x1 slabs.  None of the
 integrals oscillate: the Bessel products of the naive impact-parameter
 representation have been integrated out in closed form, which is the
 entire point of the construction.
@@ -60,8 +61,8 @@ CHI_HARD_THRESHOLD = 2.0
 _TAIL_DECAY = 1e-16
 # |chi| level defining the impact-parameter cutoff of a profile
 _CHI_CUTOFF_LEVEL = 1e-12
-# each A3 block after the first runs at the absolute tolerance
-# _SHARE * rel_tol * |sum of the blocks before it| (see _a3_with_error)
+# each A3 x1 slab after the first runs at the absolute tolerance
+# _SHARE * rel_tol * |sum of the slabs before it| (see _a3_with_error)
 _SHARE = 0.1
 
 
@@ -324,9 +325,9 @@ def _x3_breakpoints(xp, xm, lo3, hi3):
     return np.clip(roots, lo3[:, None], hi3[:, None])
 
 
-def _a3_block(model, qt, block, cfg, x1_cap, x3_cap, counters):
-    """One block's contribution to the A3 triple integral (without the
-    global prefactor), using reduced amplitudes:
+def _a3_block(model, qt, x1_lo, x1_hi, cfg, x3_cap, counters):
+    """The slab x1 in [x1_lo, x1_hi] of the A3 triple integral (without
+    the global prefactor), using reduced amplitudes:
 
         int dx1 int dx2 int dx3 (xp xm x3) a(qt xp) a(qt xm) a(qt x3)
                                 G(xp, xm, x3)
@@ -338,33 +339,29 @@ def _a3_block(model, qt, block, cfg, x1_cap, x3_cap, counters):
     x2 (the sign flip swaps xp and xm, a symmetry of both the kernel and
     the Born product).
 
+    The region is described once: x2 in [0, x1] with a panel edge at
+    min(1, x1), x3 in [max(0, 1 - x1, x2 - 1), min(x1 + 1, x3_cap)].  Its
+    kinks lie on panel edges (x2 = 1 here, x1 = 1 on a slab edge), and
+    over x1 >= 0 it is the union of the five blocks of
+    :func:`decompose_a3_domain`.
+
     Each middle node (x1, x2) is one inner task along x3.  Its factor
     xp xm a(qt xp) a(qt xm) is the same at every x3 node, so it is the x2
     level's weight, formed once per middle node; the inner integrand
     evaluates only x3 a(qt x3) G(xp, xm, x3) per x3 node.
 
-    Only the inner axis is graded: its interior edges are the kernel's
-    modulus-one points, where G has a log spike, and for tabulated models
-    the PCHIP knots, so it takes the ``"log"`` grading (quartic maps at
-    interior edges, square-root maps at the ends).  The x2 and x1
-    integrands are the inner and middle integrals, which are smooth at
-    their panel edges, so the middle and outer axes take plain panels:
-    graded halves there would only double the middle nodes, and every
-    middle node costs a whole inner task.
+    Only the inner axis is graded (``"log"``): its interior edges are the
+    kernel's modulus-one points, where G has a log spike, and for
+    tabulated models the PCHIP knots.  The x2 and x1 integrands are inner
+    integrals, smooth at their panel edges, so those axes take plain
+    panels: graded halves would only double the middle nodes, each of
+    which costs a whole inner task.
 
-    The x1 axis starts from the dyadic edges x1_lo 2^k (k >= 1) inside
-    (x1_lo, x1_hi): blocks 1-3 get none, blocks 4 and 5 start from [2, 4],
-    [4, 8], ..., [2^K, x1_cap], near the panels bisection would reach
-    anyway.  Each x1 node costs a whole 2D middle integral, so the nodes
-    of a bisected parent panel are the costliest waste of the nest.
-
-    The nest runs on :func:`eikamp.quadrature._iterated`: every level at
-    ``cfg.rel_tol``, and a block whose middle or outer value cancels is
-    rerun tighter inside this call; an inner or middle task that does not
+    The nest runs on :func:`eikamp.quadrature._iterated` at
+    ``cfg.rel_tol``; a slab whose middle or outer value cancels is rerun
+    tighter inside this call, and an inner or middle task that does not
     converge raises NonConvergenceError.
     """
-    x1_lo, x1_hi = block.x1_range
-    x1_hi = min(x1_hi, x1_cap)
     if not x1_hi > x1_lo:
         return 0.0 + 0.0j, 0.0
     red = model.reduced
@@ -373,9 +370,12 @@ def _a3_block(model, qt, block, cfg, x1_cap, x3_cap, counters):
     grid = getattr(model, "q_grid", None)
     knots = np.empty((1, 0)) if grid is None else grid[None, 1:] / qt
 
+    def x2_rows(x1):
+        return np.column_stack([np.zeros_like(x1), np.minimum(x1, 1.0), x1])
+
     def x3_rows(x1, x2):
-        lo3 = np.maximum(block.x3_lower(x1, x2), 0.0)
-        hi3 = np.maximum(np.minimum(block.x3_upper(x1, x2), x3_cap), lo3)
+        lo3 = np.maximum(np.maximum(1.0 - x1, x2 - 1.0), 0.0)
+        hi3 = np.maximum(np.minimum(x1 + 1.0, x3_cap), lo3)
         return np.sort(np.column_stack([
             lo3, _x3_breakpoints(0.5 * (x1 + x2), 0.5 * (x1 - x2), lo3, hi3),
             np.clip(knots, lo3[:, None], hi3[:, None]), hi3]), axis=1)
@@ -394,20 +394,15 @@ def _a3_block(model, qt, block, cfg, x1_cap, x3_cap, counters):
         g *= x3
         return red(qt * x3) * g
 
-    # dyadic x1 panels: x1_lo 2^k (k >= 1) inside (x1_lo, x1_hi)
-    dyadic = x1_lo * 2.0 ** np.arange(1, 64)
-    x1_edges = np.concatenate([
-        [x1_lo], dyadic[(dyadic > x1_lo) & (dyadic < x1_hi)], [x1_hi]])
-    res = _iterated(inner, [
-        (lambda: x1_edges[None], "plain", None),
-        (_limits(block.x2_lower, block.x2_upper), "plain", pair),
-        (x3_rows, "log", None)], cfg)
+    res = _iterated(inner, [(_limits(x1_lo, x1_hi), "plain", None),
+                            (x2_rows, "plain", pair),
+                            (x3_rows, "log", None)], cfg)
     counters[0] += res.evaluations
     return complex(res.value), res.error_estimate
 
 
 def _a3_caps(model, qt, env0, floor):
-    """x1_cap, x3_cap and the tail bound of a block run at the absolute
+    """x1_cap, x3_cap and the tail bound of a slab run at the absolute
     tolerance ``floor``.  The semi-infinite ranges are cut where the
     product of the three envelope factors falls below thr = floor * 1e-2,
     env(q) env0^2 <= thr.  Beyond a cap one Born factor is below
@@ -424,78 +419,76 @@ def _a3_caps(model, qt, env0, floor):
 def _a3_with_error(model, kin, cfg):
     """A3, its error estimate and its inner evaluations.
 
-    ``cfg.rel_tol`` is A3's, not each block's: the blocks are summed in
-    order, and each runs at the absolute tolerance
-    max(abs_tol, _SHARE rel_tol |sum of the blocks before it|), from which
-    its truncation caps and tail bound follow too (:func:`_a3_caps`).  A
-    block that holds little of A3 thus stops at what A3 needs of it rather
-    than at full accuracy of its own value.  When a later block cancels the
-    earlier ones, the running sum overstates |A3|; if the summed error then
-    exceeds max(abs_tol, rel_tol |A3|), every block whose floor was above
-    the one |A3| gives is rerun once at that floor.
+    The region is summed over the dyadic x1 slabs [0, 1], [1, 2], [2, 4],
+    ... up to the x1 cap of ``cfg.abs_tol``, one :func:`_a3_block` each,
+    so no x1 node (a whole 2D middle integral) is spent on a bisected
+    parent panel.  ``cfg.rel_tol`` is A3's: each slab runs at the absolute
+    tolerance max(abs_tol, _SHARE rel_tol |sum of the slabs before it|),
+    with caps and tail bound from it (:func:`_a3_caps`).  If slabs cancel
+    so that the summed error misses max(abs_tol, rel_tol |A3|), every slab
+    is rerun once at the floor of |A3| and at rel_tol |A3| / sum |slab|,
+    unless that changes neither of its tolerances.
     """
     s, qt = kin.s, kin.q
     env0 = float(model.envelope(0.0))
-    blocks = decompose_a3_domain()
     counters = [0]
 
     def floor_of(total):
         return max(cfg.abs_tol, _SHARE * cfg.rel_tol * abs(total))
 
-    def run(block, floor):
+    def run(slab, floor, rel):
         x1_cap, x3_cap, _ = _a3_caps(model, qt, env0, floor)
-        return _a3_block(model, qt, block, replace(cfg, abs_tol=floor),
-                         x1_cap, x3_cap, counters)
+        return _a3_block(model, qt, slab[0], min(slab[1], x1_cap),
+                         replace(cfg, rel_tol=rel, abs_tol=floor), x3_cap,
+                         counters)
 
-    def summed(parts, floors):
-        # the ranges every block cut lie beyond the caps of the largest
+    def summed(parts, tols):
+        # the ranges every slab cut lie beyond the caps of the largest
         # floor, so its one tail bound covers them all
-        tail = _a3_caps(model, qt, env0, max(floors))[2]
+        tail = _a3_caps(model, qt, env0, max(f for f, _ in tols))[2]
         return sum(v for v, _ in parts), sum(e for _, e in parts) + tail
 
-    floors, parts = [], []
-    for block in blocks:
-        floors.append(floor_of(sum(v for v, _ in parts)))
-        parts.append(run(block, floors[-1]))
-    total, err = summed(parts, floors)
+    x1_cap = _a3_caps(model, qt, env0, cfg.abs_tol)[0]
+    edges = [0.0, 1.0, 2.0]
+    while 2.0 * edges[-1] < x1_cap:
+        edges.append(2.0 * edges[-1])
+    slabs = list(zip(edges, edges[1:] + [x1_cap]))
+
+    tols, parts = [], []
+    for slab in slabs:
+        tols.append((floor_of(sum(v for v, _ in parts)), cfg.rel_tol))
+        parts.append(run(slab, *tols[-1]))
+    total, err = summed(parts, tols)
     if err > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-        floor = floor_of(total)
-        for k, block in enumerate(blocks):
-            if floors[k] > floor:
-                floors[k] = floor
-                parts[k] = run(block, floor)
-        total, err = summed(parts, floors)
+        spread = max(sum(abs(v) for v, _ in parts), 1e-300)
+        tol = (floor_of(total),
+               min(cfg.rel_tol, max(cfg.rel_tol * abs(total) / spread, 5e-15)))
+        for k, slab in enumerate(slabs):
+            if tols[k] != tol:
+                tols[k] = tol
+                parts[k] = run(slab, *tol)
+        total, err = summed(parts, tols)
     pref = s * kin.t ** 2 / (96.0 * math.pi ** 2)
     return pref * complex(total), abs(pref) * err, counters[0]
 
 
 def a3_term(model, kin, cfg=None):
-    """Third term: sum of five 3D integrals of three Born factors against
-    the elliptic kernel G,
+    """Third term: a 3D integral of three Born factors against the
+    elliptic kernel G,
 
-        A3 = (1/96 pi^2)(-t/s)^2 sum_blocks
+        A3 = (1/96 pi^2)(-t/s)^2
              int dx1 dx2 dx3 (xp xm x3) A_B(qt xp) A_B(qt xm) A_B(qt x3)
                              G(xp, xm, x3),
 
-    xp = (x1+x2)/2, xm = (x1-x2)/2, qt = sqrt(-t): the scaled momentum
-    integrals with their radial measures, restricted to the five-block
-    region where the kernel has support.  The kernel's log-singular
-    surfaces (elliptic modulus 1) are planes in closed form, inserted as
-    panel breakpoints along the innermost axis, whose panels are graded
-    quartically toward them; the x2 and x1 axes integrate smooth inner
-    integrals and take plain panels.  The unbounded x1 axis starts from
-    dyadic panels [2, 4], [4, 8], ..., since bisecting one long panel
-    would spend a whole 2D inner integral on every node of each parent.
-    The relative tolerance is A3's, not each block's: every block after
-    the first runs at the absolute tolerance max(abs_tol, 0.1 rel_tol
-    |sum of the blocks before it|), and blocks that cancel the earlier
-    ones are caught by a check after the sum (see :func:`_a3_with_error`).
-    Within a block every level runs at its relative tolerance, with inner
-    errors propagated outward; only a block whose value cancels reruns its
-    inner levels tighter.  Semi-infinite ranges truncate on the model
-    envelope where the Born product falls below 1e-2 of the block's
-    absolute tolerance, with a tail bound added to the error estimate.
-    An inner integral that does not converge raises NonConvergenceError.
+    xp = (x1+x2)/2, xm = (x1-x2)/2, qt = sqrt(-t), over the region where
+    the kernel has support: the paper's five blocks
+    (:func:`decompose_a3_domain`), integrated here as one region in dyadic
+    x1 slabs (:func:`_a3_block`).  The relative tolerance is A3's, not
+    each slab's (:func:`_a3_with_error`).  Semi-infinite ranges truncate
+    on the model envelope with a tail bound added to the error estimate;
+    the kernel's log-singular surfaces (elliptic modulus 1) are planes in
+    closed form, inserted as graded breakpoints on the innermost axis.  An
+    inner integral that does not converge raises NonConvergenceError.
     """
     cfg = cfg or QuadratureConfig()
     value, _err, _n = _a3_with_error(model, kin, cfg)

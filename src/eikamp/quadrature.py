@@ -47,7 +47,7 @@ The nest is then rerun with its inner levels 10x tighter, and if need be
 A node of an outer level costs a whole inner integral, so a panel that is
 bisected spends its 15 nodes' inner integrals on a parent that is thrown
 away; callers that know where an outer axis will need panels (A3's
-unbounded x1 axis, which starts from dyadic panels) supply them as edges.
+unbounded x1 axis, summed over dyadic slabs) supply them as edges.
 A wave is evaluated in slices of at most :data:`_WAVE_SLICE` (512)
 segments, so its memory, and that of the inner solves a slice starts,
 stays bounded however wide the wave, and each slice's temporaries (60 KB
@@ -57,9 +57,9 @@ changes no value, error or count.  The
 Gauss-Kronrod sums are per-row reductions, so no BLAS thread pool starts.
 
 The engine meets the tolerance it is given.  How a sum of separate nests
-shares one tolerance is the caller's decision: A3 gives each of its
-blocks after the first an absolute tolerance from the blocks summed
-before it (:func:`eikamp.eikonal._a3_with_error`).
+shares one tolerance is the caller's decision: A3 gives each of its x1
+slabs after the first an absolute tolerance from the slabs summed before
+it (:func:`eikamp.eikonal._a3_with_error`).
 """
 
 from __future__ import annotations

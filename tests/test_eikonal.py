@@ -45,8 +45,9 @@ from eikamp.models import (
     Kinematics,
     TabulatedBorn,
 )
-from eikamp.quadrature import (QuadratureConfig, _InheritedError, _iterated,
-                               integrate_2d, integrate_3d)
+from eikamp.quadrature import (IntegralResult, QuadratureConfig,
+                               _InheritedError, _iterated, integrate_2d,
+                               integrate_3d)
 
 CHI_TIGHT = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-16)
 
@@ -260,12 +261,13 @@ class TestA3:
         assert points[0] <= 1.1 * inner
 
     def test_dyadic_x1_panels_spend_no_outer_bisection(self):
-        # blocks 4 and 5 start x1 from [2, 4], [4, 8], ..., so no middle
-        # integral is spent on a bisection parent, and the later blocks run
-        # at A3's tolerance rather than their own: the README Gaussian's
-        # three bench points take at most 1.1M inner points (2.36M when x1
-        # started from one panel, 1.43M when each block held its own
-        # relative tolerance), stay at the closed form and report errors
+        # A3's x1 axis starts from the slabs [0, 1], [1, 2], [2, 4], ...,
+        # so no middle integral is spent on a bisection parent, and the
+        # later slabs run at A3's tolerance rather than their own: the
+        # README Gaussian's three bench points take at most 1.0M inner
+        # points (2.36M when x1 started from one panel, 1.43M when each of
+        # the five blocks held its own relative tolerance, 1.00M with the
+        # five blocks at A3's), stay at the closed form and report errors
         # within the requested tolerance
         m = GaussianBorn(g=2.51, lam=1.0)
         total = 0
@@ -276,20 +278,21 @@ class TestA3:
             assert abs(value - want) <= min(1e-9 * abs(want), err)
             assert err <= 1e-6 * abs(value)
             total += n
-        assert total <= 1_100_000
+        assert total <= 1_000_000
 
     def test_later_blocks_take_a_floor_from_the_running_sum(
             self, monkeypatch):
-        # block 1 runs at abs_tol; block k at max(abs_tol, _SHARE rel_tol
-        # |sum of the blocks before it|), and blocks 4 and 5 cut their
-        # ranges where the Born envelope product falls below 1e-2 of that
-        # floor
+        # A3 runs in the x1 slabs [0, 1], [1, 2], [2, 4], [4, 8], ... up
+        # to the x1 cap of abs_tol; slab 1 runs at abs_tol, slab k at
+        # max(abs_tol, _SHARE rel_tol |sum of the slabs before it|), and
+        # every slab cuts x1 and x3 where the Born envelope product falls
+        # below 1e-2 of its own floor
         calls = []
         real = eikonal_module._a3_block
 
-        def block(model, qt, blk, cfg, x1_cap, x3_cap, counters):
-            v, e = real(model, qt, blk, cfg, x1_cap, x3_cap, counters)
-            calls.append((cfg, x1_cap, x3_cap, v))
+        def block(model, qt, x1_lo, x1_hi, cfg, x3_cap, counters):
+            v, e = real(model, qt, x1_lo, x1_hi, cfg, x3_cap, counters)
+            calls.append((x1_lo, x1_hi, cfg, x3_cap, v))
             return v, e
 
         monkeypatch.setattr(eikonal_module, "_a3_block", block)
@@ -300,60 +303,73 @@ class TestA3:
             calls.clear()
             kin = Kinematics(s=50.0, t=t)
             value, err, _ = _a3_with_error(m, kin, cfg)
-            assert len(calls) == len(decompose_a3_domain())
             assert err <= cfg.rel_tol * abs(value)
             env0 = float(m.envelope(0.0))
+
+            def caps(floor):
+                q_far = m.q_cutoff(min(floor * 1e-2 / env0 ** 2,
+                                       0.5 * env0))
+                return max(2.0 * q_far / kin.q, 4.0), max(q_far / kin.q, 4.0)
+
+            x1_cap = caps(cfg.abs_tol)[0]
+            edges = [0.0, 1.0] + [2.0 ** k for k in range(1, 64)
+                                  if 2.0 ** k < x1_cap] + [x1_cap]
+            assert len(edges) >= 6
+            assert len(calls) == len(edges) - 1
             running = 0.0
-            for k, (bcfg, x1_cap, x3_cap, v) in enumerate(calls):
+            for k, (x1_lo, x1_hi, bcfg, x3_cap, v) in enumerate(calls):
                 floor = max(cfg.abs_tol,
                             eikonal_module._SHARE * cfg.rel_tol * abs(running))
                 assert bcfg.abs_tol == floor
                 assert bcfg.rel_tol == cfg.rel_tol
-                if k == 0:
-                    assert floor == cfg.abs_tol
-                else:
-                    assert floor > cfg.abs_tol
-                if k >= 3:
-                    q_far = m.q_cutoff(min(floor * 1e-2 / env0 ** 2,
-                                           0.5 * env0))
-                    assert x1_cap == max(2.0 * q_far / kin.q, 4.0)
-                    assert x3_cap == max(q_far / kin.q, 4.0)
+                assert (floor == cfg.abs_tol) == (k == 0)
+                assert x1_lo == edges[k]
+                assert x1_hi == min(edges[k + 1], caps(floor)[0])
+                assert x3_cap == caps(floor)[1]
                 running += v
+            # the last slab stops short of the cap abs_tol gives
+            assert calls[-1][1] < x1_cap
 
     def test_cancelling_later_block_reruns_at_the_floor_of_a3(
             self, monkeypatch):
-        # block 1 is offset by +C and block 5 by -C: the running sum then
-        # overstates |A3| 1e4-fold, blocks 2-5 run at floors far too loose
-        # for A3, and the check after the sum must rerun them once at the
-        # floor that A3 itself gives
+        # slab [0, 1] is offset by +C and slab [8, .) by -C: the running
+        # sum then overstates |A3| 1e4-fold, the later slabs run at floors
+        # far too loose for A3 and the last one stops at a cap too short
+        # for it, and the check after the sum must rerun every slab once
+        # at the floor that A3 itself gives and at the relative tolerance
+        # rel_tol |A3| / sum |slab|
         m = GaussianBorn(g=2.51, lam=1.0)
         kin = Kinematics(s=50.0, t=-1.125)
         real = eikonal_module._a3_block
-        offset = 1e4 * abs(closed_a3(m, kin)) / (
-            kin.s * kin.t ** 2 / (96.0 * math.pi ** 2))
+        pref = kin.s * kin.t ** 2 / (96.0 * math.pi ** 2)
+        offset = 1e4 * abs(closed_a3(m, kin)) / pref
         calls = []
 
-        def block(model, qt, blk, cfg, x1_cap, x3_cap, counters):
-            v, e = real(model, qt, blk, cfg, x1_cap, x3_cap, counters)
-            calls.append(cfg.abs_tol)
-            if blk.x1_range == (0.0, 1.0):
-                return v + offset, e
-            if blk.x1_range[0] == 2.0 and blk.x2_lower(3.0) == 1.0:
-                return v - offset, e
+        def block(model, qt, x1_lo, x1_hi, cfg, x3_cap, counters):
+            v, e = real(model, qt, x1_lo, x1_hi, cfg, x3_cap, counters)
+            v += {0.0: offset, 8.0: -offset}.get(x1_lo, 0.0)
+            calls.append((x1_lo, x1_hi, cfg.abs_tol, cfg.rel_tol, v))
             return v, e
 
         monkeypatch.setattr(eikonal_module, "_a3_block", block)
         cfg = QuadratureConfig()
         v, e, _ = _a3_with_error(m, kin, cfg)
-        assert len(calls) == 9
-        raw = abs(v) / (kin.s * kin.t ** 2 / (96.0 * math.pi ** 2))
+        n = [c[0] for c in calls[1:]].index(0.0) + 1
+        first, rerun = calls[:n], calls[n:]
+        assert [c[0] for c in rerun] == [c[0] for c in first]
+        assert min(c[2] for c in first[1:]) > 1e3 * cfg.abs_tol
+        assert first[-1][1] < rerun[-1][1]
+        raw = abs(v) / pref
         floor = max(cfg.abs_tol, eikonal_module._SHARE * cfg.rel_tol * raw)
-        assert min(calls[1:5]) > 1e3 * floor
-        assert calls[5:] == pytest.approx([floor] * 4, rel=1e-6)
+        rel = cfg.rel_tol * raw / sum(abs(c[4]) for c in first)
+        for _lo, _hi, abs_tol, rel_tol, _v in rerun:
+            assert abs_tol == pytest.approx(floor, rel=1e-6)
+            assert rel_tol == pytest.approx(rel, rel=1e-6)
         assert e <= max(cfg.abs_tol, cfg.rel_tol * abs(v))
+        assert abs(v - closed_a3(m, kin)) <= e
         calls.clear()
         vt, et, _ = _a3_with_error(m, kin, QuadratureConfig(rel_tol=3e-7))
-        assert len(calls) == 9
+        assert len(calls) == 2 * n
         assert abs(v - vt) <= e + et
 
     def test_wave_slices_change_no_a3(self, monkeypatch):
@@ -417,8 +433,8 @@ class TestA3:
         assert forced
 
     def test_inherited_stop_reruns_inside_the_block(self, monkeypatch):
-        # the first middle solve stops on inherited error: its block must
-        # rerun tighter within the same _a3_block call, so the blocks are
+        # the first middle solve stops on inherited error: its slab must
+        # rerun tighter within the same _a3_block call, so the slabs are
         # still called once each, and reach the unforced value
         m = gaussian_with_chi0(0.2)
         kin = Kinematics(s=50.0, t=-1.0)
@@ -428,7 +444,7 @@ class TestA3:
         real_block = eikonal_module._a3_block
         depth = [0]
         forced = []
-        blocks = [0]
+        lows = []
 
         def solve(*args, **kwargs):
             if depth[0] == 1 and not forced:
@@ -440,15 +456,15 @@ class TestA3:
             finally:
                 depth[0] -= 1
 
-        def block(*args, **kwargs):
-            blocks[0] += 1
-            return real_block(*args, **kwargs)
+        def block(model, qt, x1_lo, *args):
+            lows.append(x1_lo)
+            return real_block(model, qt, x1_lo, *args)
 
         monkeypatch.setattr(quadrature_module, "_solve_batched", solve)
         monkeypatch.setattr(eikonal_module, "_a3_block", block)
         v, e, _ = _a3_with_error(m, kin, cfg)
         assert forced
-        assert blocks[0] == len(decompose_a3_domain())
+        assert lows == [0.0, 1.0] + [2.0 ** k for k in range(1, len(lows) - 1)]
         assert abs(v - v0) <= e + e0
 
     def test_sign_changing_table_finishes(self):
@@ -466,6 +482,19 @@ class TestA3:
         vt, et, _ = _a3_with_error(m, kin, QuadratureConfig(rel_tol=3e-4,
                                                             abs_tol=1e-6))
         assert abs(v - vt) <= e + et
+
+    def test_cancelling_slabs_meet_a3_tolerance(self):
+        # on the sign-changing table at t = -2 the parts of A3 cancel (the
+        # five blocks held +5.2e-4, -1.7e-4, -2.4e-4, -1.9e-5 and +5.0e-4
+        # of a raw sum of 5.8e-4): each part meeting rel_tol of its own
+        # value left A3 at 1.4e-3 relative, so the check after the sum
+        # reruns the slabs at rel_tol |A3| / sum |slab|
+        m = TabulatedBorn(np.arange(7) * 0.5,
+                          [1.0, 0.7, 0.25, -0.1, -0.15, -0.08, -0.03],
+                          np.zeros(7), 1.1, 0.9)
+        cfg = QuadratureConfig(rel_tol=1e-3, abs_tol=1e-9)
+        v, e, _ = _a3_with_error(m, Kinematics(s=50.0, t=-2.0), cfg)
+        assert e <= cfg.rel_tol * abs(v)
 
 
 class TestErrorCalibration:
@@ -535,6 +564,49 @@ class TestDomainDecomposition:
         assert blocks[2].x2_lower(1.5) == 1.0
         assert blocks[2].x3_lower(1.5, 1.2) == pytest.approx(0.2)
         assert blocks[3].x1_range[1] == math.inf
+
+    def test_one_region_matches_the_five_blocks(self, monkeypatch):
+        # A3 integrates one region in x1 slabs; at any (x1, x2) the slab's
+        # x2 panel and x3 limits must be those of every block of the
+        # paper's split that holds the point, including on the block
+        # boundaries x1 = 1, x1 = 2 and x2 = 1
+        levels = []
+
+        def capture(f, lv, cfg):
+            levels[:] = lv
+            return IntegralResult(0.0, 0.0, 1)
+
+        monkeypatch.setattr(eikonal_module, "_iterated", capture)
+        rng = np.random.default_rng(12)
+        x1 = rng.uniform(0.0, 12.0, 400)
+        pts = [(a, rng.uniform(0.0, a)) for a in x1]
+        pts += [(a, b) for a in (1.0, 2.0)
+                for b in (0.0, 1.0, a, *rng.uniform(0.0, a, 20))]
+        pts += [(a, 1.0) for a in rng.uniform(1.0, 12.0, 20)]
+        slabs = [(0.0, 1.0), (1.0, 2.0), (2.0, 4.0), (4.0, 8.0), (8.0, 16.0)]
+        blocks = decompose_a3_domain()
+        checked = 0
+        for lo, hi in slabs:
+            eikonal_module._a3_block(GaussianBorn(g=1.0, lam=1.0), 1.0, lo,
+                                     hi, QuadratureConfig(), math.inf, [0])
+            (x1_rows, *_), (x2_rows, *_), (x3_rows, *_) = levels
+            assert x1_rows().tolist() == [[lo, hi]]
+            for a, b in pts:
+                if not lo <= a <= hi:
+                    continue
+                row2 = x2_rows(np.array([a]))[0]
+                panels = list(zip(row2[:-1], row2[1:]))
+                row3 = x3_rows(np.array([a]), np.array([b]))[0]
+                owners = [blk for blk in blocks
+                          if blk.x1_range[0] <= a <= blk.x1_range[1]
+                          and blk.x2_lower(a) <= b <= blk.x2_upper(a)]
+                assert owners
+                for blk in owners:
+                    assert (blk.x2_lower(a), blk.x2_upper(a)) in panels
+                    assert row3[0] == blk.x3_lower(a, b)
+                    assert row3[-1] == blk.x3_upper(a, b)
+                    checked += 1
+        assert checked > 450
 
     def test_unit_weight_block_volumes(self):
         # with H = 1 and x1 capped at 3 each block has a polynomial
