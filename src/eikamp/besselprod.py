@@ -19,7 +19,9 @@ Both take K at the complementary parameter m1 = 1 - k^2 formed from the
 closed factorisation of Delta4^2 - abcd, so m1 keeps its relative
 precision however close a node comes to a modulus-one point; the
 vectorized helpers floor m1 at 1e-300, where K is about 347, so an exact
-root stays finite.
+root stays finite.  A3's kernel G = F4(xp, xm, x3, 1) has a helper of its
+own, :func:`_g_values`, which takes A3's variables (x1, x2, x3) with
+xp, xm = (x1 +/- x2) / 2 and forms every invariant from their sums.
 """
 
 from __future__ import annotations
@@ -289,9 +291,42 @@ def _f4_values(a, b, c, d):
     return out
 
 
-def _g_values(x, xp, xpp):
-    """Vectorized kernel G = F4(x, x', x'', 1)."""
-    return _f4_values(x, xp, xpp, 1.0)
+def _g_values(x1, x2, x3):
+    """Vectorized kernel G(xp, xm, x3) = F4(xp, xm, x3, 1) at
+    xp = (x1 + x2) / 2, xm = (x1 - x2) / 2, from A3's own variables.
+
+    With the fourth side 1 every invariant of :func:`_f4_values` factors
+    into sums of x1, x2 and x3, so neither xp nor xm is formed:
+
+        16 Delta4^2           = (x3+1-x2)(x3+1+x2)(x1-x3+1)(x1+x3-1)
+        -16 (Delta4^2 - abcd) = (x2-x3+1)(x2+x3-1)(x1-x3-1)(x1+x3+1)
+        16 abcd               = 4 (x1-x2)(x1+x2) x3
+
+    Branches, m1 and its floor are those of :func:`_f4_values`; with
+    every quantity scaled by 16, G = K(m1) / ((pi^2 / 4) sqrt(16 den)).
+    The arguments are arrays of one shape and are left intact."""
+    u, w, p, m = x3 + 1.0, x3 - 1.0, x1 + x3, x1 - x3
+    sq = u - x2                        # 16 Delta4^2
+    sq *= np.add(u, x2, out=u)
+    sq *= np.add(m, 1.0, out=u)
+    sq *= np.subtract(p, 1.0, out=u)
+    gap = x2 - w                       # -16 (Delta4^2 - abcd)
+    gap *= np.add(x2, w, out=w)
+    gap *= np.subtract(m, 1.0, out=m)
+    gap *= np.add(p, 1.0, out=p)
+    den = x1 - x2                      # 16 abcd, then 16 den
+    den *= np.add(x1, x2, out=p)
+    den *= x3
+    den *= 4.0
+    # SUPER where Delta4^2 > abcd, i.e. where -16 gap < 0
+    np.copyto(den, sq, where=gap < 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m1 = np.abs(gap, out=gap)
+        m1 /= den
+        g = _elliptic_k_core(np.maximum(m1, _M1_FLOOR, out=m1))
+        g /= np.sqrt(den, out=den) * (0.25 * _PI2)
+    g[sq < 0.0] = 0.0
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,12 @@ integrals oscillate: the Bessel products of the naive impact-parameter
 representation have been integrated out in closed form, which is the
 entire point of the construction.
 
+A model of one constant phase, a(q) = phase * r(q) with r real (both
+closed families and real or pure-imaginary tables, see
+:attr:`eikamp.models.BornModel.phase`), has A2, A3 and the tabulated
+phase chi integrated over r in real arithmetic, times phase^2, phase^3
+and phase once at the end; a general table keeps complex integrands.
+
 The expansion is valid while the eikonal phase chi(s, b) stays moderately
 small; a gate warns at max|chi| >= 0.5, refuses at >= 1 unless overridden,
 and refuses unconditionally above 2.
@@ -66,6 +72,19 @@ _CHI_CUTOFF_LEVEL = 1e-12
 _SHARE = 0.1
 
 
+def _phase_split(model):
+    """(phase, red) with a(q) = phase * red(q).  For a model of one
+    constant phase red(q) is the real array a(q) / phase, read off
+    ``model.reduced`` (every Born evaluation goes through it); a general
+    model gets phase 1 and red = ``model.reduced``, complex."""
+    reduced = model.reduced
+    if model.phase is None:
+        return 1, reduced
+    if model.phase == 1:
+        return 1, lambda q: reduced(q).real
+    return model.phase, lambda q: reduced(q).imag
+
+
 def eikonal_chi(model, s, b, cfg=None, *, force_quadrature=False):
     """Eikonal phase chi(s, b) = (1/4 pi s) int_0^inf dq q J0(q b) A_B(s, -q^2).
 
@@ -90,9 +109,10 @@ def eikonal_chi(model, s, b, cfg=None, *, force_quadrature=False):
         raise ValueError("impact parameter b must be >= 0")
     env0 = float(model.envelope(0.0))
     q_cut = model.q_cutoff(_TAIL_DECAY * env0)
+    phase, red = _phase_split(model)
     # the s in the prefactor cancels against A_B = s * a(q)
     def f(q):
-        return (q / (4.0 * math.pi)) * bessel_j0(q * b) * model.reduced(q)
+        return (q / (4.0 * math.pi)) * bessel_j0(q * b) * red(q)
 
     brk = []
     if b * q_cut > 2.0 * math.pi:
@@ -107,7 +127,7 @@ def eikonal_chi(model, s, b, cfg=None, *, force_quadrature=False):
     edges = np.unique(np.clip([0.0, *brk, q_cut], 0.0, q_cut))
     # no edge is singular (q = 0, J0 half-periods, C1 knots): plain panels
     res = _iterated(f, [(lambda: edges[None], "plain", None)], cfg)
-    return complex(res.value)
+    return complex(phase * res.value)
 
 
 @dataclass(frozen=True)
@@ -215,6 +235,7 @@ def _a2_with_error(model, kin, cfg):
     # A_B(q-) may stay large, but A_B(q+) decays once cosh u is big:
     # q+ >= qt (cosh u - 1) / 2 pins the u-range
     u_max = math.acosh(1.0 + 2.0 * q_cut / qt + 2.0)
+    phase, red = _phase_split(model)
 
     # substitutions x1 = cosh u, x2 = sin v absorb both 1/sqrt edge
     # factors; the transformed weight is just (cosh^2 u - sin^2 v)
@@ -223,14 +244,14 @@ def _a2_with_error(model, kin, cfg):
         sv = np.sin(v)
         qp = 0.5 * qt * (ch + sv)
         qm = 0.5 * qt * (ch - sv)
-        return (ch * ch - sv * sv) * model.reduced(qp) * model.reduced(qm)
+        return (ch * ch - sv * sv) * red(qp) * red(qm)
 
     # the substituted integrand is smooth at every edge: plain panels
     res = _iterated(integrand, [(_limits(0.0, u_max), "plain", None),
                                 (_limits(0.0, 0.5 * math.pi), "plain", None)],
                     cfg)
     pref = s * (-kin.t) / (16.0 * math.pi ** 2)
-    return pref * res.value, abs(pref) * res.error_estimate
+    return pref * phase ** 2 * res.value, abs(pref) * res.error_estimate
 
 
 def a2_term(model, kin, cfg=None):
@@ -348,7 +369,10 @@ def _a3_block(model, qt, x1_lo, x1_hi, cfg, x3_cap, counters):
     Each middle node (x1, x2) is one inner task along x3.  Its factor
     xp xm a(qt xp) a(qt xm) is the same at every x3 node, so it is the x2
     level's weight, formed once per middle node; the inner integrand
-    evaluates only x3 a(qt x3) G(xp, xm, x3) per x3 node.
+    evaluates only x3 a(qt x3) G(xp, xm, x3) per x3 node, with G taken
+    straight from (x1, x2, x3) (:func:`eikamp.besselprod._g_values`).
+    For a model of one constant phase the nest integrates the real
+    a / phase and the slab's value is multiplied by phase^3 once.
 
     Only the inner axis is graded (``"log"``): its interior edges are the
     kernel's modulus-one points, where G has a log spike, and for
@@ -364,7 +388,7 @@ def _a3_block(model, qt, x1_lo, x1_hi, cfg, x3_cap, counters):
     """
     if not x1_hi > x1_lo:
         return 0.0 + 0.0j, 0.0
-    red = model.reduced
+    phase, red = _phase_split(model)
     # a tabulated a(qt x3) is only C1 at its grid knots: panel edges there
     # restore full quadrature order on the inner axis
     grid = getattr(model, "q_grid", None)
@@ -385,12 +409,7 @@ def _a3_block(model, qt, x1_lo, x1_hi, cfg, x3_cap, counters):
         return xp * xm * red(qt * xp) * red(qt * xm)
 
     def inner(x1, x2, x3):
-        # x1 and x2 are this wave's own copies (see _iterated): xp and xm
-        # take their place, so G's temporaries, the peak memory of a wave,
-        # sit on no more than its three arguments
-        xp = np.add(x1, x2, out=x1)
-        xp *= 0.5
-        g = _g_values(xp, np.subtract(xp, x2, out=x2), x3)
+        g = _g_values(x1, x2, x3)
         g *= x3
         return red(qt * x3) * g
 
@@ -398,7 +417,7 @@ def _a3_block(model, qt, x1_lo, x1_hi, cfg, x3_cap, counters):
                             (x2_rows, "plain", pair),
                             (x3_rows, "log", None)], cfg)
     counters[0] += res.evaluations
-    return complex(res.value), res.error_estimate
+    return phase ** 3 * complex(res.value), res.error_estimate
 
 
 def _a3_caps(model, qt, env0, floor):
@@ -581,18 +600,13 @@ def diff_cross_section(terms, kin, born_reality=BornReality.GENERAL):
 
 
 def infer_reality(model):
-    """Reality class implied by the model family: the i*g*s families are
-    pure imaginary; tabulated grids are inspected column-wise."""
-    if model.kind in (BornKind.GAUSSIAN, BornKind.EXPONENTIAL_POLE):
-        return BornReality.PURE_IMAGINARY
-    vals = model.reduced(model.q_grid)
-    re_zero = bool(np.all(vals.real == 0.0))
-    im_zero = bool(np.all(vals.imag == 0.0))
-    if im_zero and not re_zero:
-        return BornReality.REAL
-    if re_zero and not im_zero:
-        return BornReality.PURE_IMAGINARY
-    return BornReality.GENERAL
+    """Reality class of the model's constant phase
+    (:attr:`eikamp.models.BornModel.phase`): 1 is real, 1j (the i*g*s
+    families, tables with an all-zero Re column) pure imaginary, and a
+    model without one phase general."""
+    if model.phase is None:
+        return BornReality.GENERAL
+    return BornReality.REAL if model.phase == 1 else BornReality.PURE_IMAGINARY
 
 
 def compute_terms(model, kin, cfg=None, *, override_chi_gate=False):

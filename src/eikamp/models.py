@@ -14,6 +14,12 @@ All models store the reduced amplitude a(q) = A_B(s, q) / s, so tables are
 s-independent; the i*g*s normalization convention is adopted and
 documented here because the underlying physics leaves it open.
 
+A model whose a(q) has one constant phase, a(q) = phase * r(q) with r
+real, says so in ``phase``: 1j for both closed families, 1 or 1j for a
+table with an all-zero Im or Re column, None for a general table.  The
+amplitude integrals then run on r in real arithmetic and multiply the
+phase back in once (see :mod:`eikamp.eikonal`).
+
 Every model carries an envelope |a(q)| <= envelope(q) that decays at least
 exponentially; the impact-parameter transform converges absolutely only
 under such a bound, and the integrators use envelope crossings to truncate
@@ -75,9 +81,12 @@ class BornModel:
     ``q_cutoff(threshold)`` (the envelope's crossing point).  ``value``
     restores the s factor.  ``chi_closed`` returns a closed-form eikonal
     phase function of b when the family admits one, else None.
+    ``phase`` is the constant phase of a(q) (1 or 1j) when it has one, so
+    that a(q) / phase is real, else None.
     """
 
     kind: BornKind
+    phase = None
 
     def value(self, s, q):
         return s * self.reduced(q)
@@ -103,6 +112,7 @@ class GaussianBorn(BornModel):
     """
 
     kind = BornKind.GAUSSIAN
+    phase = 1j
 
     def __init__(self, g, lam):
         if not (g > 0.0 and math.isfinite(g)):
@@ -145,6 +155,7 @@ class ExponentialPoleBorn(BornModel):
     """a(q) = i C exp(-B q^2): exponential-in-t with slope B."""
 
     kind = BornKind.EXPONENTIAL_POLE
+    phase = 1j
 
     def __init__(self, c, slope_b):
         if not (c > 0.0 and math.isfinite(c)):
@@ -191,7 +202,8 @@ class TabulatedBorn(BornModel):
     a(q_N) exp(-kappa_tail (q - q_N)) with kappa_tail fitted from the
     magnitudes of the last two grid points.  The stated envelope
     M exp(-kappa q) is validated against the grid at construction and
-    must also dominate the fitted tail.
+    must also dominate the fitted tail.  A table whose Re or Im column is
+    all zero has one phase and interpolates only its other column.
     """
 
     kind = BornKind.TABULATED
@@ -226,8 +238,15 @@ class TabulatedBorn(BornModel):
                 f"{kappa_tail:.6g} < kappa = {envelope_kappa:.6g}, so the "
                 f"envelope would not bound the extrapolated amplitude")
         self.q_grid = q
-        self._re = PchipInterpolator(q, re, extrapolate=False)
-        self._im = PchipInterpolator(q, im, extrapolate=False)
+        # an all-zero column would interpolate to 0.0 everywhere; it is
+        # left out, which changes no bit of a(q)
+        self._re, self._im = (
+            PchipInterpolator(q, col, extrapolate=False) if col.any() else None
+            for col in (re, im))
+        if self._re is None:
+            self.phase = 1j
+        elif self._im is None:
+            self.phase = 1
         self._a_end = complex(re[-1], im[-1])
         self._kappa_tail = kappa_tail
         self.envelope_m = float(envelope_m)
@@ -239,7 +258,9 @@ class TabulatedBorn(BornModel):
         q = np.atleast_1d(q)
         out = np.empty(q.shape, dtype=complex)
         inside = q <= self.q_grid[-1]
-        out[inside] = self._re(q[inside]) + 1j * self._im(q[inside])
+        q_in = q[inside]
+        out[inside] = ((0.0 if self._re is None else self._re(q_in))
+                       + 1j * (0.0 if self._im is None else self._im(q_in)))
         tail = ~inside
         out[tail] = self._a_end * np.exp(
             -self._kappa_tail * (q[tail] - self.q_grid[-1]))

@@ -235,7 +235,7 @@ def _gaussian_weight_indicator_oracle():
 
         def f(x3):
             return amp * x3 * w(x3) * _g_values(
-                np.full_like(x3, xp), np.full_like(x3, xm), x3)
+                np.full_like(x3, x1), np.full_like(x3, x2), x3)
 
         total = err = 0.0
         for lo, hi in H.x3_support_segments(x1, x2, min(x1 + 1.0, 13.0),

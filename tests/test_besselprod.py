@@ -190,18 +190,48 @@ class TestGKernel:
 
 class TestModulusOneClamp:
     def test_vectorized_kernels_finite_at_modulus_one(self):
-        # x3 = 1 + xp - xm is a log-singular point of G; with these binary
-        # fractions Delta4^2 = abcd holds exactly, so the complementary
-        # parameter is exactly 0 and only its floor keeps K (and G) finite
-        # there: both kernels give K at the floor on the SUB branch
-        xp, xm, x3 = np.array([0.75]), np.array([0.25]), np.array([1.5])
+        # x3 = 1 + xp - xm = 1 + x2 is a log-singular point of G; with
+        # these binary fractions Delta4^2 = abcd holds exactly, so the
+        # complementary parameter is exactly 0 and only its floor keeps K
+        # (and G) finite there: both kernels give K at the floor on the
+        # SUB branch
+        x1, x2, x3 = np.array([1.0]), np.array([0.5]), np.array([1.5])
+        xp, xm = 0.5 * (x1 + x2), 0.5 * (x1 - x2)
         assert _delta4_sq_values(xp, xm, x3, 1.0) == xp * xm * x3
         expected = (_elliptic_k_core(_M1_FLOOR)
                     / (math.pi ** 2 * np.sqrt(xp * xm * x3)))
-        g, f4 = _g_values(xp, xm, x3), _f4_values(xp, xm, x3, 1.0)
+        g, f4 = _g_values(x1, x2, x3), _f4_values(xp, xm, x3, 1.0)
         assert np.all(np.isfinite(g)) and np.all(np.isfinite(f4))
         assert g == f4
         assert g == pytest.approx(expected, rel=1e-15)
+
+
+class TestGFromRegionVariables:
+    def test_matches_f4_at_unit_fourth_side(self):
+        # G from (x1, x2, x3) against the generic F4 evaluator at
+        # (xp, xm, x3, 1) on seeded points of A3's region, x1 in [0, 12],
+        # x2 in [0, x1], x3 in [max(0, 1 - x1, x2 - 1), x1 + 1]
+        rng = np.random.default_rng(2015)
+        n = 100_000
+        x1 = rng.uniform(0.0, 12.0, n)
+        x2 = x1 * rng.uniform(0.0, 1.0, n)
+        lo = np.maximum(np.maximum(1.0 - x1, x2 - 1.0), 0.0)
+        x3 = lo + (x1 + 1.0 - lo) * rng.uniform(0.0, 1.0, n)
+        args = (x1.copy(), x2.copy(), x3.copy())
+        g = _g_values(x1, x2, x3)
+        f4 = _f4_values(0.5 * (x1 + x2), 0.5 * (x1 - x2), x3, 1.0)
+        assert np.all(f4 > 0.0)
+        assert np.max(np.abs(g - f4) / f4) <= 1e-10
+        for before, after in zip(args, (x1, x2, x3)):
+            assert np.array_equal(before, after)
+
+    def test_zero_outside_support(self):
+        # x3 beyond x1 + 1 or below 1 - x1: Delta4^2 < 0, G = 0 as for F4
+        x1, x2 = np.array([0.5, 3.0]), np.array([0.25, 0.5])
+        x3 = np.array([0.25, 4.5])
+        assert np.all(_f4_values(0.5 * (x1 + x2), 0.5 * (x1 - x2), x3, 1.0)
+                      == 0.0)
+        assert np.all(_g_values(x1, x2, x3) == 0.0)
 
 
 class TestModulusOnePoints:

@@ -33,7 +33,7 @@ from eikamp.eikonal import (
     eikonal_chi,
     infer_reality,
 )
-from eikamp.besselprod import _delta4_sq_values
+from eikamp.besselprod import _delta4_sq_values, _f4_values
 from eikamp import eikonal as eikonal_module
 from eikamp import quadrature as quadrature_module
 from eikamp.eikonal import _a2_with_error, _a3_with_error, _x3_breakpoints
@@ -46,8 +46,8 @@ from eikamp.models import (
     TabulatedBorn,
 )
 from eikamp.quadrature import (IntegralResult, QuadratureConfig,
-                               _InheritedError, _iterated, integrate_2d,
-                               integrate_3d)
+                               _InheritedError, _iterated, _limits,
+                               integrate_2d, integrate_3d)
 
 CHI_TIGHT = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-16)
 
@@ -72,6 +72,18 @@ def real_tabulated():
     return TabulatedBorn([0.0, 0.5, 1.0, 1.5, 2.0],
                          [1.0, 0.87, 0.55, 0.28, 0.12],
                          [0.0, 0.0, 0.0, 0.0, 0.0], 2.1, 1.2)
+
+
+def imaginary_tabulated():
+    return TabulatedBorn([0.0, 0.5, 1.0, 1.5, 2.0],
+                         [0.0, 0.0, 0.0, 0.0, 0.0],
+                         [1.0, 0.87, 0.55, 0.28, 0.12], 2.1, 1.2)
+
+
+def general_tabulated():
+    return TabulatedBorn([0.0, 0.5, 1.0, 1.5, 2.0],
+                         [1.0, 0.87, 0.55, 0.28, 0.12],
+                         [0.1, 0.087, 0.055, 0.028, 0.012], 2.2, 1.2)
 
 
 @pytest.fixture(scope="module")
@@ -245,7 +257,8 @@ class TestA3:
 
     def test_born_pair_formed_once_per_inner_task(self, monkeypatch):
         # a(qt xp) a(qt xm) is fixed along x3: the model sees one point per
-        # inner node plus two per middle node, not three per inner node
+        # inner node plus two per middle node, not three per inner node,
+        # and every inner node does pass through it
         m = gaussian_with_chi0(0.2)
         points = [0]
 
@@ -258,7 +271,7 @@ class TestA3:
         _value, _err, inner = _a3_with_error(m, Kinematics(s=50.0, t=-1.0),
                                              cfg)
         assert inner > 0
-        assert points[0] <= 1.1 * inner
+        assert inner <= points[0] <= 1.1 * inner
 
     def test_dyadic_x1_panels_spend_no_outer_bisection(self):
         # A3's x1 axis starts from the slabs [0, 1], [1, 2], [2, 4], ...,
@@ -497,6 +510,95 @@ class TestA3:
         assert e <= cfg.rel_tol * abs(v)
 
 
+# (model, A2/A3 tolerance) for the five kinds of Born input
+FIVE_KINDS = [
+    pytest.param(lambda: GaussianBorn(g=2.51, lam=1.0), QuadratureConfig(),
+                 id="gaussian"),
+    pytest.param(lambda: ExponentialPoleBorn(c=1.1, slope_b=0.7),
+                 QuadratureConfig(rel_tol=1e-4), id="exponential_pole"),
+    pytest.param(real_tabulated, QuadratureConfig(rel_tol=1e-3, abs_tol=1e-6),
+                 id="real_table"),
+    pytest.param(imaginary_tabulated,
+                 QuadratureConfig(rel_tol=1e-3, abs_tol=1e-6),
+                 id="pure_imaginary_table"),
+    pytest.param(general_tabulated,
+                 QuadratureConfig(rel_tol=1e-3, abs_tol=1e-6),
+                 id="general_table"),
+]
+
+
+def counting_reduced(monkeypatch, model):
+    """Route the model's evaluations through a counter of q-points."""
+    points = [0]
+    original = model.reduced
+
+    def counted(q):
+        points[0] += np.size(q)
+        return original(q)
+
+    monkeypatch.setattr(model, "reduced", counted)
+    return points
+
+
+class TestOnePhaseRealPath:
+    """A model of one constant phase integrates a(q) / phase in real
+    arithmetic; a phase of None forces the complex integrands, which every
+    kind must reproduce with the same evaluations."""
+
+    @pytest.mark.parametrize("make, cfg", FIVE_KINDS)
+    def test_complex_path_gives_the_same_terms(self, monkeypatch, make, cfg):
+        kin = Kinematics(s=50.0, t=-1.0)
+
+        def run(force_complex):
+            m = make()
+            if force_complex:
+                monkeypatch.setattr(m, "phase", None)
+            points = counting_reduced(monkeypatch, m)
+            a2, a2_err = _a2_with_error(m, kin, cfg)
+            n_a2 = points[0]
+            a3, a3_err, inner = _a3_with_error(m, kin, cfg)
+            n_a3 = points[0] - n_a2
+            chi = eikonal_chi(m, kin.s, 0.7, cfg, force_quadrature=True)
+            return ((complex(a2), a2_err, n_a2), (a3, a3_err, inner, n_a3),
+                    (chi, points[0] - n_a2 - n_a3))
+
+        # (value, [error,] [inner evaluations,] reduced points) per term
+        real, forced = run(False), run(True)
+        for (v, *rest), (vc, *rest_c) in zip(real, forced):
+            assert abs(v - vc) <= 1e-13 * abs(vc)
+            assert rest[1:] == rest_c[1:]
+            assert rest[0] == pytest.approx(rest_c[0], rel=1e-13)
+
+    @pytest.mark.parametrize("make, cfg", FIVE_KINDS)
+    def test_engine_dtype_follows_the_phase(self, monkeypatch, make, cfg):
+        # every integrand value and level weight of A2, A3 and the
+        # tabulated chi is real for the four one-phase kinds, and a
+        # general table keeps complex integrands
+        dtypes = set()
+
+        def recorded(fn):
+            def wrapped(*args):
+                out = fn(*args)
+                dtypes.add(np.asarray(out).dtype)
+                return out
+            return wrapped
+
+        def spy(f, levels, *args, **kwargs):
+            return _iterated(recorded(f),
+                             [(edges, grading, weight and recorded(weight))
+                              for edges, grading, weight in levels],
+                             *args, **kwargs)
+
+        monkeypatch.setattr(eikonal_module, "_iterated", spy)
+        m = make()
+        kin = Kinematics(s=50.0, t=-1.0)
+        _a2_with_error(m, kin, cfg)
+        _a3_with_error(m, kin, cfg)
+        eikonal_chi(m, kin.s, 0.7, cfg, force_quadrature=True)
+        want = np.complex128 if m.phase is None else np.float64
+        assert dtypes == {np.dtype(want)}
+
+
 class TestErrorCalibration:
     # Gaussian A2 and A3 against their closed forms on nine of criterion
     # 5's fifteen points: the reported error must never be below the true
@@ -550,6 +652,48 @@ class TestKernelSingularities:
         hit = (inside[fr] & (roots[fr] >= grid[fr, fc][:, None])
                & (roots[fr] <= grid[fr, fc + 1][:, None]))
         assert hit.any(axis=1).all()
+
+
+def five_block_a3(model, kin, cfg):
+    """A3 and its error as the sum over the five blocks of
+    :func:`decompose_a3_domain`, one complex nest per block with the
+    block's own limits and G from the generic F4 evaluator, cut at the
+    x1 and x3 caps of ``cfg.abs_tol``; the x1 ranges beyond 2 start from
+    dyadic panels, and the tail bound of those caps is added."""
+    qt = kin.q
+    x1_cap, x3_cap, tail = eikonal_module._a3_caps(
+        model, qt, float(model.envelope(0.0)), cfg.abs_tol)
+    grid = getattr(model, "q_grid", None)
+    knots = np.empty((1, 0)) if grid is None else grid[None, 1:] / qt
+    red = model.reduced
+
+    def integrand(x1, x2, x3):
+        xp, xm = 0.5 * (x1 + x2), 0.5 * (x1 - x2)
+        return (xp * xm * x3 * red(qt * xp) * red(qt * xm) * red(qt * x3)
+                * _f4_values(xp, xm, x3, 1.0))
+
+    total, total_err = 0.0, tail
+    for blk in decompose_a3_domain():
+        lo, hi = blk.x1_range[0], min(blk.x1_range[1], x1_cap)
+        x1_edges = np.array([[lo, *(2.0 ** k for k in range(2, 64)
+                                    if lo < 2.0 ** k < hi), hi]])
+
+        def x3_rows(x1, x2, blk=blk):
+            lo3 = np.maximum(blk.x3_lower(x1, x2), 0.0)
+            hi3 = np.maximum(np.minimum(blk.x3_upper(x1, x2), x3_cap), lo3)
+            return np.sort(np.column_stack([
+                lo3, _x3_breakpoints(0.5 * (x1 + x2), 0.5 * (x1 - x2),
+                                     lo3, hi3),
+                np.clip(knots, lo3[:, None], hi3[:, None]), hi3]), axis=1)
+
+        res = _iterated(integrand, [
+            (lambda edges=x1_edges: edges, "plain", None),
+            (_limits(blk.x2_lower, blk.x2_upper), "plain", None),
+            (x3_rows, "log", None)], cfg)
+        total += res.value
+        total_err += res.error_estimate
+    pref = kin.s * kin.t ** 2 / (96.0 * math.pi ** 2)
+    return pref * total, pref * total_err
 
 
 class TestDomainDecomposition:
@@ -607,6 +751,26 @@ class TestDomainDecomposition:
                     assert row3[-1] == blk.x3_upper(a, b)
                     checked += 1
         assert checked > 450
+
+    @pytest.mark.parametrize("make, t, cfg", [
+        (lambda: ExponentialPoleBorn(c=1.1, slope_b=0.7), -1.0,
+         QuadratureConfig()),
+        (lambda: ExponentialPoleBorn(c=1.1, slope_b=0.7), -4.0,
+         QuadratureConfig()),
+        (imaginary_tabulated, -1.0,
+         QuadratureConfig(rel_tol=1e-3, abs_tol=1e-6)),
+    ], ids=["exponential_pole-t1", "exponential_pole-t4", "table-t1"])
+    def test_slabs_match_the_five_block_sum(self, make, t, cfg):
+        # criterion 7 holds the slabs to an indicator oracle on the
+        # Gaussian; on the other families they must agree with the sum
+        # over the paper's five blocks, integrated block by block with
+        # the complex integrand and the generic F4 kernel
+        m = make()
+        kin = Kinematics(s=50.0, t=t)
+        value, err, _ = _a3_with_error(m, kin, cfg)
+        blocks, blocks_err = five_block_a3(m, kin, cfg)
+        assert abs(value - blocks) <= err + blocks_err
+        assert err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)) * 1.0001
 
     def test_unit_weight_block_volumes(self):
         # with H = 1 and x1 capped at 3 each block has a polynomial
@@ -691,20 +855,26 @@ class TestAssemblyAndCrossSection:
         assert terms.a3_error > 0.0
 
 
-class TestInferReality:
-    def test_closed_families_pure_imaginary(self):
-        assert infer_reality(gaussian_with_chi0(0.2)) \
-            is BornReality.PURE_IMAGINARY
-        assert infer_reality(ExponentialPoleBorn(1.0, 1.0)) \
-            is BornReality.PURE_IMAGINARY
+def reality_unevaluated(monkeypatch, model):
+    """infer_reality with every evaluation of the model refused: the
+    reality class lives in the model's phase alone."""
+    def refuse(q):
+        raise AssertionError("infer_reality evaluated the model")
 
-    def test_tabulated_columns(self):
-        assert infer_reality(real_tabulated()) is BornReality.REAL
-        imag = TabulatedBorn([0.0, 0.5, 1.0, 1.5, 2.0],
-                             [0.0, 0.0, 0.0, 0.0, 0.0],
-                             [1.0, 0.87, 0.55, 0.28, 0.12], 2.1, 1.2)
-        assert infer_reality(imag) is BornReality.PURE_IMAGINARY
-        mixed = TabulatedBorn([0.0, 0.5, 1.0, 1.5, 2.0],
-                              [1.0, 0.87, 0.55, 0.28, 0.12],
-                              [0.1, 0.087, 0.055, 0.028, 0.012], 2.2, 1.2)
-        assert infer_reality(mixed) is BornReality.GENERAL
+    monkeypatch.setattr(model, "reduced", refuse)
+    return infer_reality(model)
+
+
+class TestInferReality:
+    def test_closed_families_pure_imaginary(self, monkeypatch):
+        for m in (gaussian_with_chi0(0.2), ExponentialPoleBorn(1.0, 1.0)):
+            assert reality_unevaluated(monkeypatch, m) \
+                is BornReality.PURE_IMAGINARY
+
+    def test_tabulated_columns(self, monkeypatch):
+        assert reality_unevaluated(monkeypatch, real_tabulated()) \
+            is BornReality.REAL
+        assert reality_unevaluated(monkeypatch, imaginary_tabulated()) \
+            is BornReality.PURE_IMAGINARY
+        assert reality_unevaluated(monkeypatch, general_tabulated()) \
+            is BornReality.GENERAL

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from eikamp.exceptions import ModelFileError
 from eikamp.models import (
@@ -185,6 +186,44 @@ class TestTabulatedBorn:
 
     def test_chi_closed_absent(self):
         assert make_tabulated().chi_closed() is None
+
+
+class TestOnePhase:
+    def test_phase_of_each_kind(self):
+        assert GaussianBorn(1.0, 1.0).phase == 1j
+        assert ExponentialPoleBorn(1.0, 1.0).phase == 1j
+        assert TabulatedBorn(TAB_Q, TAB_RE, [0.0] * 5, TAB_M,
+                             TAB_KAPPA).phase == 1
+        assert TabulatedBorn(TAB_Q, [0.0] * 5, TAB_RE, TAB_M,
+                             TAB_KAPPA).phase == 1j
+        assert make_tabulated().phase is None
+
+    @pytest.mark.parametrize("columns", [
+        (TAB_RE, [0.0] * 5),
+        ([0.0] * 5, [-v for v in TAB_RE]),
+    ], ids=["real", "pure_imaginary"])
+    def test_one_column_bitwise_as_two(self, columns):
+        # a one-phase table interpolates only its nonzero column; a(q)
+        # must keep every bit of the two-column evaluation, inside the
+        # grid and in the exponential tail, down to the sign of each
+        # zero part (hence a negative column)
+        re, im = (np.asarray(c) for c in columns)
+        m = TabulatedBorn(TAB_Q, re, im, TAB_M, TAB_KAPPA)
+        rng = np.random.default_rng(31)
+        q = np.concatenate([rng.uniform(0.0, 2.0, 4000),
+                            rng.uniform(2.0, 9.0, 4000), TAB_Q])
+        re_p = PchipInterpolator(TAB_Q, re, extrapolate=False)
+        im_p = PchipInterpolator(TAB_Q, im, extrapolate=False)
+        mag = np.hypot(re, im)
+        kappa_tail = math.log(mag[-2] / mag[-1]) / (TAB_Q[-1] - TAB_Q[-2])
+        inside = q <= TAB_Q[-1]
+        expect = np.empty(q.shape, dtype=complex)
+        expect[inside] = re_p(q[inside]) + 1j * im_p(q[inside])
+        expect[~inside] = complex(re[-1], im[-1]) * np.exp(
+            -kappa_tail * (q[~inside] - TAB_Q[-1]))
+        got = m.reduced(q)
+        assert got.dtype == expect.dtype
+        assert got.tobytes() == expect.tobytes()
 
 
 class TestEnvelopeContract:
