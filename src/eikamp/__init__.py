@@ -14,7 +14,6 @@ from .exceptions import (
     ExtrapolationDivergenceError,
     ModelFileError,
     NonConvergenceError,
-    RealityClassError,
 )
 from .special import bessel_i0e, bessel_j0, elliptic_k
 
@@ -24,7 +23,6 @@ from .quadrature import (  # noqa: E402
     IntegralResult,
     QuadratureConfig,
     integrate_1d,
-    integrate_2d,
 )
 from .besselprod import (  # noqa: E402
     Branch,
@@ -35,11 +33,7 @@ from .besselprod import (  # noqa: E402
     f4_classify,
     f4_eval,
     f5_eval,
-    f5_eval_symmetric,
     f6_eval,
-    f6_eval_chain,
-    g_kernel,
-    smeared_delta_kernel,
     weber_integral,
 )
 from .models import (  # noqa: E402
@@ -53,7 +47,6 @@ from .models import (  # noqa: E402
 )
 from .eikonal import (  # noqa: E402
     AmplitudeTerms,
-    BornReality,
     EikonalProfile,
     a1_term,
     a2_term,
@@ -61,10 +54,8 @@ from .eikonal import (  # noqa: E402
     assemble_amplitude,
     build_profile,
     compute_terms,
-    decompose_a3_domain,
     diff_cross_section,
     eikonal_chi,
-    infer_reality,
 )
 from .oracle import (  # noqa: E402
     DEFAULT_P_SEQUENCE,
@@ -81,7 +72,6 @@ __all__ = [
     "BoundaryCaseError",
     "NonConvergenceError",
     "ExtrapolationDivergenceError",
-    "RealityClassError",
     "ChiGateError",
     "ModelFileError",
     "bessel_j0",
@@ -91,7 +81,6 @@ __all__ = [
     "IntegralResult",
     "DEFAULT_P_SEQUENCE",
     "integrate_1d",
-    "integrate_2d",
     "integrate_damped_bessel_product",
     "Branch",
     "BranchReport",
@@ -101,12 +90,8 @@ __all__ = [
     "f4_classify",
     "f4_eval",
     "f5_eval",
-    "f5_eval_symmetric",
     "f6_eval",
-    "f6_eval_chain",
-    "g_kernel",
     "weber_integral",
-    "smeared_delta_kernel",
     "BornKind",
     "BornModel",
     "GaussianBorn",
@@ -114,7 +99,6 @@ __all__ = [
     "TabulatedBorn",
     "Kinematics",
     "load_model",
-    "BornReality",
     "EikonalProfile",
     "AmplitudeTerms",
     "eikonal_chi",
@@ -124,9 +108,7 @@ __all__ = [
     "a3_term",
     "compute_terms",
     "assemble_amplitude",
-    "decompose_a3_domain",
     "diff_cross_section",
-    "infer_reality",
     "OracleConfig",
     "direct_eikonal_amplitude",
     "gaussian_series_amplitude",

@@ -5,12 +5,12 @@ The central objects are
     F_n(a_1..a_n) = int_0^inf x J0(a_1 x) ... J0(a_n x) dx
 
 for n = 3..6.  F3 and F4 have algebraic/elliptic closed forms governed by
-the quadrilateral invariant Delta^2; F5 and F6 reduce to low-dimensional
-quadratures over F3 and F4.  All F_n vanish when one parameter exceeds the
-sum of the others (the "polygon inequality" support rule), and F3/F4 have
-branch boundaries where the closed forms jump or diverge, classified here
-with an explicit tolerance so callers never silently evaluate on a
-boundary.
+the quadrilateral invariant Delta^2; F5 and F6 reduce to one quadrature
+over F3 and F4 each (the tests hold them to second routes that chain F3
+alone).  All F_n vanish when one parameter exceeds the sum of the others
+(the "polygon inequality" support rule), and F3/F4 have branch boundaries
+where the closed forms jump or diverge, classified here with an explicit
+tolerance so callers never silently evaluate on a boundary.
 
 Scalar entry points validate and raise on boundaries; the vectorized
 ``*_values`` helpers are branch-safe and exist for quadrature integrands,
@@ -33,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .exceptions import BoundaryCaseError
-from .quadrature import IntegralResult, QuadratureConfig, _iterated, _limits
+from .quadrature import IntegralResult, QuadratureConfig, _iterated
 from .special import _elliptic_k_core, bessel_i0e
 
 __all__ = [
@@ -41,17 +41,12 @@ __all__ = [
     "BranchReport",
     "delta3_sq",
     "delta4_sq",
-    "delta4_sq_four_factor",
     "f3_eval",
     "f4_classify",
     "f4_eval",
-    "g_kernel",
     "f5_eval",
-    "f5_eval_symmetric",
     "f6_eval",
-    "f6_eval_chain",
     "weber_integral",
-    "smeared_delta_kernel",
 ]
 
 # Relative half-width of the boundary window: |Delta^2 - threshold| within
@@ -127,21 +122,6 @@ def delta4_sq(a, b, c, d):
             raise ValueError("parameters must be nonnegative and finite")
     a, b, c, d = sorted((float(a), float(b), float(c), float(d)))
     return ((c + d) ** 2 - (a - b) ** 2) * ((a + b) ** 2 - (c - d) ** 2) / 16.0
-
-
-def delta4_sq_four_factor(a, b, c, d):
-    """Same invariant as the product of the four signed sums:
-
-        16 Delta4^2 = (a+b+c-d)(a+b+d-c)(a+c+d-b)(b+c+d-a).
-
-    Exposed so tests can confirm both algebraic forms agree.
-    """
-    for v in (a, b, c, d):
-        if not (v >= 0.0) or not math.isfinite(v):
-            raise ValueError("parameters must be nonnegative and finite")
-    a, b, c, d = sorted((float(a), float(b), float(c), float(d)))
-    s = a + b + c + d
-    return ((s - 2 * d) * (s - 2 * c) * (s - 2 * b) * (s - 2 * a)) / 16.0
 
 
 def f3_eval(a, b, c):
@@ -223,31 +203,6 @@ def f4_eval(a, b, c, d):
     gap = _modulus_one_gap(*sorted((float(a), float(b), float(c), float(d))))
     den = rep.delta_sq if rep.branch is Branch.SUPER else rep.product_abcd
     return _k_branch(den, gap)
-
-
-def g_kernel(x, xp, xpp):
-    """Angular kernel G(x, x', x''): the same branch table as F4 with the
-    fourth parameter equal to 1, i.e. G = F4(x, x', x'', 1) wherever both
-    are defined, but with zeros allowed in the first three slots.
-
-    With A^2 the quadrilateral invariant of (x, x', x'', 1) and
-    B = x x' x'': K(sqrt(B)/A)/(pi^2 A) for A^2 > B,
-    K(A/sqrt(B))/(pi^2 sqrt(B)) for 0 <= A^2 < B, 0 for A^2 < 0.
-    """
-    for v in (x, xp, xpp):
-        if not (v >= 0.0) or not math.isfinite(v):
-            raise ValueError("kernel arguments must be nonnegative and finite")
-    a_sq = delta4_sq(x, xp, xpp, 1.0)
-    # sorted product, as in f4_classify, so G equals F4(., ., ., 1) bitwise
-    lo, mid, hi = sorted((float(x), float(xp), float(xpp)))
-    b = lo * mid * hi
-    if _near(a_sq, b):
-        raise BoundaryCaseError(
-            f"kernel not defined at A^2 = B (modulus 1): A^2 = {a_sq:.6e}")
-    if a_sq < 0.0:
-        return 0.0
-    gap = _modulus_one_gap(*sorted((float(x), float(xp), float(xpp), 1.0)))
-    return _k_branch(a_sq if a_sq > b else b, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -377,36 +332,6 @@ def f5_eval(a, b, c, d, e, cfg=None):
     return _iterated(integrand, [(lambda: edges[None], "log", None)], cfg)
 
 
-def f5_eval_symmetric(a, b, c, d, e, cfg=None):
-    """Cross-check form of F5 as a double reduction through F3 only:
-
-        F5 = int dt t F3(a,b,t) int dq q F3(c,d,q) F3(e,t,q).
-
-    Slower than f5_eval and kept deliberately independent of the F4 branch
-    table.  The outer integrand has integrable kinks/log points where the
-    inner support edges collide; those t are supplied as breakpoints.
-    """
-    _check_positive("a b c d e", a, b, c, d, e)
-    cfg = cfg or QuadratureConfig()
-    t_lo, t_hi = abs(a - b), a + b
-    if not t_hi > t_lo:
-        return _empty_result()
-    # inner q-support: (|c-d|, c+d) intersect (|e-t|, e+t); collisions at:
-    coll = [e - abs(c - d), e + abs(c - d), c + d - e, e - (c + d), e + (c + d)]
-    t_edges = np.unique([t_lo, *(t for t in coll if t_lo < t < t_hi), t_hi])
-    # Outer nodes arbitrarily close to a collision t ask for inner
-    # integrals with a log(1/distance) spike whose tolerance is limited by
-    # the rounding noise of Delta3^2 near a support edge.  Inner
-    # non-convergence is therefore not raised; the leftover inner error is
-    # propagated into the outer estimate, which is what actually matters.
-    return _iterated(
-        lambda t, q: q * _f3_values(c, d, q) * _f3_values(e, t, q),
-        [(lambda: t_edges[None], "sqrt", lambda t: t * _f3_values(a, b, t)),
-         (_limits(lambda t: np.maximum(abs(c - d), np.abs(e - t)),
-                  lambda t: np.minimum(c + d, e + t)), "sqrt", None)],
-        cfg, strict=False)
-
-
 def f6_eval(a, b, c, d, e, f, cfg=None):
     """F6(a..f) = int dt t F4(a,b,c,t) F4(d,e,f,t) over the support
     overlap, with breakpoints at both factors' modulus-1 crossings."""
@@ -425,55 +350,8 @@ def f6_eval(a, b, c, d, e, f, cfg=None):
     return _iterated(integrand, [(lambda: edges[None], "log", None)], cfg)
 
 
-def _chain_q_rows(c, d, e, f, t):
-    """Edges of the q-tasks of :func:`f6_eval_chain`, one row per outer
-    node t: the q-range [|c-d|, c+d] and, clipped into it, the q where the
-    inner p-support edges |t-q| and t+q meet |e-f| and e+f (kinks of the
-    inner integral).  A kink outside the range lands on one of its ends,
-    where it only adds a zero-length panel."""
-    lo, hi = abs(c - d), c + d
-    g, h = abs(e - f), e + f
-    kinks = np.clip(np.stack([t - g, t + g, g - t, h - t, t - h, h + t],
-                             axis=1), lo, hi)
-    ends = np.broadcast_to([[lo, hi]], (t.size, 2))
-    return np.sort(np.column_stack([ends, kinks]), axis=1)
-
-
-def f6_eval_chain(a, b, c, d, e, f, cfg=None):
-    """Cross-check form of F6 as a triple reduction through F3 only:
-
-        F6 = int dt t F3(a,b,t) int dq q F3(c,d,q) int dp p F3(e,f,p) F3(t,q,p).
-
-    As in :func:`f5_eval_symmetric`, inner shortfalls are not raised but
-    propagate into the outer error estimate.
-    """
-    _check_positive("a b c d e f", a, b, c, d, e, f)
-    cfg = cfg or QuadratureConfig()
-    t_lo, t_hi = abs(a - b), a + b
-    if not t_hi > t_lo:
-        return _empty_result()
-
-    # the q-kinks of _chain_q_rows cross the q-range edges |c-d|, c+d at
-    # finitely many t, which become outer breakpoints
-    outer_brk = set()
-    for qedge in (abs(c - d), c + d):
-        for shift in (abs(e - f), -abs(e - f), e + f, -(e + f)):
-            for tval in (qedge - shift, shift - qedge, qedge + shift):
-                if t_lo < tval < t_hi:
-                    outer_brk.add(tval)
-    t_edges = np.unique([t_lo, *outer_brk, t_hi])
-    return _iterated(
-        lambda t, q, p: p * _f3_values(e, f, p) * _f3_values(t, q, p),
-        [(lambda: t_edges[None], "sqrt", lambda t: t * _f3_values(a, b, t)),
-         (lambda t: _chain_q_rows(c, d, e, f, t), "sqrt",
-          lambda t, q: q * _f3_values(c, d, q)),
-         (_limits(lambda t, q: np.maximum(abs(e - f), np.abs(t - q)),
-                  lambda t, q: np.minimum(e + f, t + q)), "sqrt", None)],
-        cfg, strict=False)
-
-
 # ---------------------------------------------------------------------------
-# smearing tools
+# damped two-factor product
 # ---------------------------------------------------------------------------
 
 def weber_integral(a, b, p):
@@ -501,16 +379,3 @@ def weber_integral(a, b, p):
         return float(out)
     return out
 
-
-def smeared_delta_kernel(x, eps):
-    """Unit-mass smearing kernel f_eps(x) = 1/(pi sqrt(eps^2 - x^2)) on
-    |x| < eps, 0 outside: the arcsine-distribution density the delta
-    function is replaced by when one Bessel scale degenerates."""
-    if not (eps > 0.0) or not math.isfinite(eps):
-        raise ValueError("eps must be positive and finite")
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    out = np.zeros_like(arr, dtype=float)
-    inside = np.abs(arr) < eps
-    out[inside] = 1.0 / (math.pi * np.sqrt(eps * eps - arr[inside] ** 2))
-    return float(out) if scalar else out

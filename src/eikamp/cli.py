@@ -28,10 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .besselprod import (Branch, f3_eval, f4_classify, f4_eval, f5_eval,
-                         f6_eval, delta3_sq, weber_integral)
+from .besselprod import (f3_eval, f4_classify, f4_eval, f5_eval, f6_eval,
+                         delta3_sq, weber_integral)
 from .eikonal import (_gated_terms, assemble_amplitude, build_profile,
-                      compute_terms, diff_cross_section, infer_reality)
+                      compute_terms, diff_cross_section)
 from .exceptions import (BoundaryCaseError, ChiGateError, EikampError,
                          ExtrapolationDivergenceError, ModelFileError,
                          NonConvergenceError)
@@ -270,14 +270,13 @@ def _cmd_table(args):
     model = _load_model_or_exit(spec)
     cfg = spec.quad_config()
     _gate_or_exit(model, spec, cfg)
-    reality = infer_reality(model)
     rows = []
     for t in spec.t_grid():
         kin = Kinematics(spec.s, float(t))
         try:
             terms = _gated_terms(model, kin, cfg)
             amp = assemble_amplitude(terms)
-            dsig = diff_cross_section(terms, kin, reality)
+            dsig = diff_cross_section(terms, kin)
             rows.append([float(t), terms.a1.real, terms.a1.imag,
                          terms.a2.real, terms.a2.imag, terms.a3.real,
                          terms.a3.imag, amp.real, amp.imag, dsig,

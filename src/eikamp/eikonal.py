@@ -29,13 +29,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
 from .besselprod import _f4_modulus_one_points, _g_values
-from .exceptions import ChiGateError, RealityClassError
-from .models import BornKind, BornModel, Kinematics
+from .exceptions import ChiGateError
+from .models import BornKind
 from .quadrature import QuadratureConfig, _iterated, _limits
 from .special import bessel_j0
 
@@ -45,18 +44,14 @@ __all__ = [
     "CHI_HARD_THRESHOLD",
     "EikonalProfile",
     "AmplitudeTerms",
-    "BornReality",
-    "DomainBlock",
     "eikonal_chi",
     "build_profile",
     "a1_term",
     "a2_term",
     "a3_term",
-    "decompose_a3_domain",
     "assemble_amplitude",
     "diff_cross_section",
     "compute_terms",
-    "infer_reality",
 ]
 
 CHI_WARN_THRESHOLD = 0.5
@@ -85,24 +80,22 @@ def _phase_split(model):
     return model.phase, lambda q: reduced(q).imag
 
 
-def eikonal_chi(model, s, b, cfg=None, *, force_quadrature=False):
+def eikonal_chi(model, s, b, cfg=None):
     """Eikonal phase chi(s, b) = (1/4 pi s) int_0^inf dq q J0(q b) A_B(s, -q^2).
 
     Gaussian-family models use their closed form (the transform of a
-    Gaussian is a Gaussian); ``force_quadrature`` bypasses it so the two
-    routes can be cross-validated.  The quadrature path truncates where
-    the model envelope has decayed by 1e-16 and supplies the Bessel zero
-    spacing as panel breakpoints.
+    Gaussian is a Gaussian).  Any other model takes the quadrature route,
+    which truncates where the model envelope has decayed by 1e-16 and
+    supplies the Bessel zero spacing as panel breakpoints.
     """
     closed = model.chi_closed()
-    if closed is not None and not force_quadrature:
+    if closed is not None:
         out = closed(b)
         return complex(out) if np.ndim(b) == 0 else out
 
     cfg = cfg or QuadratureConfig()
     if np.ndim(b) != 0:
-        return np.array([eikonal_chi(model, s, bi, cfg,
-                                     force_quadrature=force_quadrature)
+        return np.array([eikonal_chi(model, s, bi, cfg)
                          for bi in np.asarray(b, dtype=float)])
     b = float(b)
     if b < 0.0:
@@ -202,7 +195,7 @@ def build_profile(model, s, cfg=None, *, override_chi_gate=False):
         return EikonalProfile(chi=closed, max_abs_chi=peak, b_cutoff=b_cut)
 
     def chi(b):
-        return eikonal_chi(model, s, b, cfg, force_quadrature=True)
+        return eikonal_chi(model, s, b, cfg)
 
     # peak scan: |chi| decays on the scale of a few 1/kappa, so a short
     # geometric grid brackets the maximum; pushing the quadrature route to
@@ -269,67 +262,6 @@ def a2_term(model, kin, cfg=None):
     return complex(value)
 
 
-@dataclass(frozen=True)
-class DomainBlock:
-    """One iterated-limit block (x1-range, x2(x1), x3(x1, x2))."""
-
-    x1_range: tuple
-    x2_lower: object
-    x2_upper: object
-    x3_lower: object
-    x3_upper: object
-
-
-def decompose_a3_domain():
-    """The five-block decomposition of the constrained 3D region.
-
-    The region {(x1, x2, x3) : x3 >= 0, [(x3+1)^2 - x2^2] [x1^2 - (x3-1)^2] > 0,
-    0 <= x2 <= x1} splits into exactly five iterated-limit blocks:
-
-        [0,1] x [0,x1]  x [1-x1, x1+1]
-        [1,2] x [0,1]   x [0,    x1+1]
-        [1,2] x [1,x1]  x [x2-1, x1+1]
-        [2,inf) x [0,1] x [0,    x1+1]
-        [2,inf) x [1,x1] x [x2-1, x1+1]
-
-    applied to H(x1, x2, x3) + H(x1, -x2, x3).  All limit callables are
-    vectorized.
-    """
-    inf = math.inf
-
-    def lo_zero(x1):
-        return np.zeros_like(np.asarray(x1, dtype=float))
-
-    def hi_one(x1):
-        return np.ones_like(np.asarray(x1, dtype=float))
-
-    def hi_x1(x1):
-        return np.asarray(x1, dtype=float)
-
-    def lo_one(x1):
-        return np.ones_like(np.asarray(x1, dtype=float))
-
-    def x3_zero(x1, x2):
-        return np.zeros_like(np.asarray(x1, dtype=float))
-
-    def x3_one_minus(x1, x2):
-        return 1.0 - np.asarray(x1, dtype=float)
-
-    def x3_x2_minus(x1, x2):
-        return np.asarray(x2, dtype=float) - 1.0
-
-    def x3_hi(x1, x2):
-        return np.asarray(x1, dtype=float) + 1.0
-
-    return [
-        DomainBlock((0.0, 1.0), lo_zero, hi_x1, x3_one_minus, x3_hi),
-        DomainBlock((1.0, 2.0), lo_zero, hi_one, x3_zero, x3_hi),
-        DomainBlock((1.0, 2.0), lo_one, hi_x1, x3_x2_minus, x3_hi),
-        DomainBlock((2.0, inf), lo_zero, hi_one, x3_zero, x3_hi),
-        DomainBlock((2.0, inf), lo_one, hi_x1, x3_x2_minus, x3_hi),
-    ]
-
-
 def _x3_breakpoints(xp, xm, lo3, hi3):
     """Per-task x3 in [lo3, hi3] where the kernel G is log-singular.
 
@@ -363,8 +295,8 @@ def _a3_block(model, qt, x1_lo, x1_hi, cfg, x3_cap, counters):
     The region is described once: x2 in [0, x1] with a panel edge at
     min(1, x1), x3 in [max(0, 1 - x1, x2 - 1), min(x1 + 1, x3_cap)].  Its
     kinks lie on panel edges (x2 = 1 here, x1 = 1 on a slab edge), and
-    over x1 >= 0 it is the union of the five blocks of
-    :func:`decompose_a3_domain`.
+    over x1 >= 0 it is the union of the paper's five blocks: x1 in
+    [0, 1], then x1 in [1, 2] and in [2, inf), each split at x2 = 1.
 
     Each middle node (x1, x2) is one inner task along x3.  Its factor
     xp xm a(qt xp) a(qt xm) is the same at every x3 node, so it is the x2
@@ -500,10 +432,10 @@ def a3_term(model, kin, cfg=None):
                              G(xp, xm, x3),
 
     xp = (x1+x2)/2, xm = (x1-x2)/2, qt = sqrt(-t), over the region where
-    the kernel has support: the paper's five blocks
-    (:func:`decompose_a3_domain`), integrated here as one region in dyadic
-    x1 slabs (:func:`_a3_block`).  The relative tolerance is A3's, not
-    each slab's (:func:`_a3_with_error`).  Semi-infinite ranges truncate
+    the kernel has support, which the paper splits into five blocks;
+    here it is one region, integrated in dyadic x1 slabs
+    (:func:`_a3_block`).  The relative tolerance is A3's, not each
+    slab's (:func:`_a3_with_error`).  Semi-infinite ranges truncate
     on the model envelope with a tail bound added to the error estimate;
     the kernel's log-singular surfaces (elliptic modulus 1) are planes in
     closed form, inserted as graded breakpoints on the innermost axis.  An
@@ -529,84 +461,30 @@ class AmplitudeTerms:
     a2_error: float = 0.0
     a3_error: float = 0.0
 
-    @property
-    def assembled(self):
-        return (self.a1 - self.a3) + 1j * self.a2
-
 
 def assemble_amplitude(terms):
     """A(s,t) ~= (A1 - A3) + i A2."""
-    return terms.assembled
+    return (terms.a1 - terms.a3) + 1j * terms.a2
 
 
-class BornReality(Enum):
-    GENERAL = "general"
-    REAL = "real"
-    PURE_IMAGINARY = "pure_imaginary"
-
-
-# tolerance (relative to term magnitude) for declaring a reality class
-# violated; looser than the 1e-10 the closed families achieve, so real
-# quadrature noise does not trip it
-_REALITY_RTOL = 1e-8
-
-
-def _assert_reality(terms, reality):
-    def offensive(part, mag):
-        return abs(part) > _REALITY_RTOL * max(mag, 1e-300)
-
-    if reality is BornReality.REAL:
-        checks = [("Im a1", terms.a1.imag, abs(terms.a1)),
-                  ("Im a2", terms.a2.imag, abs(terms.a2)),
-                  ("Im a3", terms.a3.imag, abs(terms.a3))]
-    elif reality is BornReality.PURE_IMAGINARY:
-        checks = [("Re a1", terms.a1.real, abs(terms.a1)),
-                  ("Im a2", terms.a2.imag, abs(terms.a2)),
-                  ("Re a3", terms.a3.real, abs(terms.a3))]
-    else:
-        return
-    for name, part, mag in checks:
-        if offensive(part, mag):
-            raise RealityClassError(
-                f"{reality.value} declared but {name} = {part:.3e} is not "
-                f"negligible against |term| = {mag:.3e}")
-
-
-def diff_cross_section(terms, kin, born_reality=BornReality.GENERAL):
+def diff_cross_section(terms, kin):
     """Differential cross section to chi^3 accuracy,
 
         dsigma/dt = (1/16 pi s^2) { |A1|^2 + 2 Im(A1 A2*) + |A2|^2
                                     - 2 Re(A1 A3*) },
 
     dropping the chi^4-and-beyond pieces |A3|^2, A2 A3 cross terms, etc.
-    The REAL and PURE_IMAGINARY branches are this same expression
-    restricted to their reality class (for pure-imaginary Born input the
-    literal published symbols are ambiguous about which factors denote
-    moduli; restriction of the general form fixes the convention).  The
-    declared class is validated against the terms first.
+    For a model of one constant phase the off-phase parts of the terms
+    are exact zeros, and this expression gives the bits of its
+    restriction: r1^2 + r2^2 - 2 r1 r3 on the real parts for a real
+    model, h1^2 + 2 h1 h2 + h2^2 - 2 h1 h3 with h1 = Im A1, h2 = Re A2,
+    h3 = Im A3 for a pure-imaginary one.
     """
-    _assert_reality(terms, born_reality)
     a1, a2, a3 = terms.a1, terms.a2, terms.a3
     norm = 1.0 / (16.0 * math.pi * kin.s ** 2)
-    if born_reality is BornReality.REAL:
-        r1, r2, r3 = a1.real, a2.real, a3.real
-        return norm * (r1 * r1 + r2 * r2 - 2.0 * r1 * r3)
-    if born_reality is BornReality.PURE_IMAGINARY:
-        h1, h2, h3 = a1.imag, a2.real, a3.imag
-        return norm * (h1 * h1 + 2.0 * h1 * h2 + h2 * h2 - 2.0 * h1 * h3)
     val = (abs(a1) ** 2 + 2.0 * (a1 * np.conj(a2)).imag + abs(a2) ** 2
            - 2.0 * (a1 * np.conj(a3)).real)
     return norm * float(val)
-
-
-def infer_reality(model):
-    """Reality class of the model's constant phase
-    (:attr:`eikamp.models.BornModel.phase`): 1 is real, 1j (the i*g*s
-    families, tables with an all-zero Re column) pure imaginary, and a
-    model without one phase general."""
-    if model.phase is None:
-        return BornReality.GENERAL
-    return BornReality.REAL if model.phase == 1 else BornReality.PURE_IMAGINARY
 
 
 def compute_terms(model, kin, cfg=None, *, override_chi_gate=False):

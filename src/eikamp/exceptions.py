@@ -22,11 +22,6 @@ class ExtrapolationDivergenceError(EikampError):
     (degenerate triangle configurations)."""
 
 
-class RealityClassError(EikampError):
-    """Raised when a declared Born-amplitude reality class is violated by the
-    computed terms beyond tolerance."""
-
-
 class ChiGateError(EikampError):
     """Raised when the eikonal phase leaves the moderately-small regime the
     truncated expansion is valid in."""

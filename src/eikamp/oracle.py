@@ -167,7 +167,7 @@ def direct_eikonal_amplitude(model, kin, cfg=None, *, quad_cfg=None):
         chi_fn = closed
     else:
         def chi_fn(b):
-            return eikonal_chi(model, s, b, quad_cfg, force_quadrature=True)
+            return eikonal_chi(model, s, b, quad_cfg)
 
     def f(b):
         return b * bessel_j0(qt * b) * (1.0 - np.exp(1j * chi_fn(b)))

@@ -75,8 +75,6 @@ __all__ = [
     "QuadratureConfig",
     "IntegralResult",
     "integrate_1d",
-    "integrate_2d",
-    "integrate_3d",
 ]
 
 # ---------------------------------------------------------------------------
@@ -131,6 +129,8 @@ _MAP_SIGN = np.array([0.0, 1.0, -1.0, 0.0, 1.0, -1.0])
 _GRADINGS = ("plain", "sqrt", "log")
 
 _MAX_TOTAL_SEGMENTS = 4_000_000
+# panel bisections per 1D task, at every level of a nest
+_MAX_SUBDIVISIONS = 2000
 # refinement waves per 1D solve
 _MAX_WAVES = 240
 # segments per integrand call within a wave (see _eval_segments)
@@ -143,22 +143,18 @@ _RETRY_TIGHTENING = (1.0, 10.0, 100.0)
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerance and budget knobs for the adaptive integrators.
+    """Tolerances of the adaptive integrators.
 
     Convergence requires the refinable error estimate to drop below
-    max(abs_tol, rel_tol * |value|).  ``max_subdivisions`` caps the number
-    of panel bisections per 1D task, at every level of a nest.
+    max(abs_tol, rel_tol * |value|).
     """
 
     rel_tol: float = 1e-6
     abs_tol: float = 1e-12
-    max_subdivisions: int = 2000
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
 
     def child(self, span: float) -> "QuadratureConfig":
         """Tolerance budget for one nesting level down: the same relative
@@ -432,7 +428,7 @@ def _solve_batched(f, edges_list, rel_tol, abs_tol, max_subdiv,
 
 
 # ---------------------------------------------------------------------------
-# public 1D / 2D / 3D wrappers
+# public 1D wrapper and the nested driver
 # ---------------------------------------------------------------------------
 
 def integrate_1d(f, a, b, cfg=None, breakpoints=None):
@@ -544,7 +540,7 @@ def _iterated(f, levels, cfg, strict=True):
         # two levels down (ccfg above), which a slice would narrow
         v, e, ev, ok = _solve_batched(
             g, rows if depth else [rows[0]], lcfg.rel_tol, lcfg.abs_tol,
-            lcfg.max_subdivisions, grading=grading,
+            _MAX_SUBDIVISIONS, grading=grading,
             sliced=depth >= innermost - 1)
         if depth == innermost:
             inner_evals += int(ev.sum())
@@ -569,30 +565,3 @@ def _iterated(f, levels, cfg, strict=True):
         f"nested integral did not converge with inner levels "
         f"{_RETRY_TIGHTENING[-1]:g}x tighter: {last}")
 
-
-def integrate_2d(f, x_range, y_range, cfg=None):
-    """Iterated adaptive integral over x in x_range, y in y_range(x).
-
-    ``f(x, y)`` must be vectorized over same-shape arrays.  ``y_range`` is a
-    pair of constants or callables of x (simplex-like domains).  Inner
-    integrals run at the same relative tolerance; their error estimates
-    are propagated into the outer panel errors, so the reported estimate
-    covers both levels, and an outer integral that cancels reruns its
-    inner ones tighter.
-    """
-    return _iterated(f, [(_limits(*r), "sqrt", None) for r in (x_range, y_range)],
-                     cfg or QuadratureConfig())
-
-
-def integrate_3d(f, x_range, y_range, z_range, cfg=None):
-    """Iterated adaptive integral with inner limits depending on outer
-    variables: x in x_range, y in y_range(x), z in z_range(x, y).
-
-    ``f(x, y, z)`` vectorized over same-shape arrays; limits may be
-    constants or callables (vectorized).  Every level runs at the same
-    relative tolerance, inner error estimates propagate outward, and a
-    level that cancels reruns the levels below it tighter.
-    """
-    return _iterated(f, [(_limits(*r), "sqrt", None)
-                         for r in (x_range, y_range, z_range)],
-                     cfg or QuadratureConfig())

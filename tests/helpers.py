@@ -4,14 +4,20 @@ Everything here is intentionally independent of the package's production
 code paths: direct power series for the special functions, scipy
 quadrature of defining integrals, and a scan-plus-bisection resolver for
 the raw support indicator of the triple-kernel region.  Where a helper
-does lean on package internals it says so explicitly.
+does lean on package internals it says so explicitly: the second F5/F6
+routes, the paper's five-block split of the A3 region and the nested
+integral below run on the package's engine and F3 kernel.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import integrate as sp_integrate
+
+from eikamp.besselprod import _check_positive, _empty_result, _f3_values
+from eikamp.quadrature import QuadratureConfig, _iterated, _limits
 
 
 # ---------------------------------------------------------------------------
@@ -168,3 +174,161 @@ def gauss_panels(edges, order=24):
         xs.append(0.5 * (lo + hi) + half * nodes)
         ws.append(half * weights)
     return np.concatenate(xs), np.concatenate(ws)
+
+
+# ---------------------------------------------------------------------------
+# nested integral over iterated limits (runs on the package engine)
+# ---------------------------------------------------------------------------
+
+def integrate_nested(f, ranges, cfg=None):
+    """Iterated integral of ``f(x_0, ..., x_n)`` over x_k in ranges[k],
+    each limit a constant or a vectorized callable of the outer
+    variables; every level takes square-root graded panels."""
+    return _iterated(f, [(_limits(*r), "sqrt", None) for r in ranges],
+                     cfg or QuadratureConfig())
+
+
+# ---------------------------------------------------------------------------
+# second F5/F6 routes, through F3 alone (run on the package engine)
+# ---------------------------------------------------------------------------
+
+def f5_eval_symmetric(a, b, c, d, e, cfg=None):
+    """Cross-check form of F5 as a double reduction through F3 only:
+
+        F5 = int dt t F3(a,b,t) int dq q F3(c,d,q) F3(e,t,q).
+
+    Slower than f5_eval and kept deliberately independent of the F4 branch
+    table.  The outer integrand has integrable kinks/log points where the
+    inner support edges collide; those t are supplied as breakpoints.
+    """
+    _check_positive("a b c d e", a, b, c, d, e)
+    cfg = cfg or QuadratureConfig()
+    t_lo, t_hi = abs(a - b), a + b
+    if not t_hi > t_lo:
+        return _empty_result()
+    # inner q-support: (|c-d|, c+d) intersect (|e-t|, e+t); collisions at:
+    coll = [e - abs(c - d), e + abs(c - d), c + d - e, e - (c + d), e + (c + d)]
+    t_edges = np.unique([t_lo, *(t for t in coll if t_lo < t < t_hi), t_hi])
+    # Outer nodes arbitrarily close to a collision t ask for inner
+    # integrals with a log(1/distance) spike whose tolerance is limited by
+    # the rounding noise of Delta3^2 near a support edge.  Inner
+    # non-convergence is therefore not raised; the leftover inner error is
+    # propagated into the outer estimate, which is what actually matters.
+    return _iterated(
+        lambda t, q: q * _f3_values(c, d, q) * _f3_values(e, t, q),
+        [(lambda: t_edges[None], "sqrt", lambda t: t * _f3_values(a, b, t)),
+         (_limits(lambda t: np.maximum(abs(c - d), np.abs(e - t)),
+                  lambda t: np.minimum(c + d, e + t)), "sqrt", None)],
+        cfg, strict=False)
+
+
+def _chain_q_rows(c, d, e, f, t):
+    """Edges of the q-tasks of :func:`f6_eval_chain`, one row per outer
+    node t: the q-range [|c-d|, c+d] and, clipped into it, the q where the
+    inner p-support edges |t-q| and t+q meet |e-f| and e+f (kinks of the
+    inner integral).  A kink outside the range lands on one of its ends,
+    where it only adds a zero-length panel."""
+    lo, hi = abs(c - d), c + d
+    g, h = abs(e - f), e + f
+    kinks = np.clip(np.stack([t - g, t + g, g - t, h - t, t - h, h + t],
+                             axis=1), lo, hi)
+    ends = np.broadcast_to([[lo, hi]], (t.size, 2))
+    return np.sort(np.column_stack([ends, kinks]), axis=1)
+
+
+def f6_eval_chain(a, b, c, d, e, f, cfg=None):
+    """Cross-check form of F6 as a triple reduction through F3 only:
+
+        F6 = int dt t F3(a,b,t) int dq q F3(c,d,q) int dp p F3(e,f,p) F3(t,q,p).
+
+    As in :func:`f5_eval_symmetric`, inner shortfalls are not raised but
+    propagate into the outer error estimate.
+    """
+    _check_positive("a b c d e f", a, b, c, d, e, f)
+    cfg = cfg or QuadratureConfig()
+    t_lo, t_hi = abs(a - b), a + b
+    if not t_hi > t_lo:
+        return _empty_result()
+
+    # the q-kinks of _chain_q_rows cross the q-range edges |c-d|, c+d at
+    # finitely many t, which become outer breakpoints
+    outer_brk = set()
+    for qedge in (abs(c - d), c + d):
+        for shift in (abs(e - f), -abs(e - f), e + f, -(e + f)):
+            for tval in (qedge - shift, shift - qedge, qedge + shift):
+                if t_lo < tval < t_hi:
+                    outer_brk.add(tval)
+    t_edges = np.unique([t_lo, *outer_brk, t_hi])
+    return _iterated(
+        lambda t, q, p: p * _f3_values(e, f, p) * _f3_values(t, q, p),
+        [(lambda: t_edges[None], "sqrt", lambda t: t * _f3_values(a, b, t)),
+         (lambda t: _chain_q_rows(c, d, e, f, t), "sqrt",
+          lambda t, q: q * _f3_values(c, d, q)),
+         (_limits(lambda t, q: np.maximum(abs(e - f), np.abs(t - q)),
+                  lambda t, q: np.minimum(e + f, t + q)), "sqrt", None)],
+        cfg, strict=False)
+
+
+# ---------------------------------------------------------------------------
+# the paper's five-block split of the A3 region
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class DomainBlock:
+    """One iterated-limit block (x1-range, x2(x1), x3(x1, x2))."""
+
+    x1_range: tuple
+    x2_lower: object
+    x2_upper: object
+    x3_lower: object
+    x3_upper: object
+
+
+def decompose_a3_domain():
+    """The five-block decomposition of the constrained 3D region.
+
+    The region {(x1, x2, x3) : x3 >= 0, [(x3+1)^2 - x2^2] [x1^2 - (x3-1)^2] > 0,
+    0 <= x2 <= x1} splits into exactly five iterated-limit blocks:
+
+        [0,1] x [0,x1]  x [1-x1, x1+1]
+        [1,2] x [0,1]   x [0,    x1+1]
+        [1,2] x [1,x1]  x [x2-1, x1+1]
+        [2,inf) x [0,1] x [0,    x1+1]
+        [2,inf) x [1,x1] x [x2-1, x1+1]
+
+    applied to H(x1, x2, x3) + H(x1, -x2, x3).  All limit callables are
+    vectorized.
+    """
+    inf = math.inf
+
+    def lo_zero(x1):
+        return np.zeros_like(np.asarray(x1, dtype=float))
+
+    def hi_one(x1):
+        return np.ones_like(np.asarray(x1, dtype=float))
+
+    def hi_x1(x1):
+        return np.asarray(x1, dtype=float)
+
+    def lo_one(x1):
+        return np.ones_like(np.asarray(x1, dtype=float))
+
+    def x3_zero(x1, x2):
+        return np.zeros_like(np.asarray(x1, dtype=float))
+
+    def x3_one_minus(x1, x2):
+        return 1.0 - np.asarray(x1, dtype=float)
+
+    def x3_x2_minus(x1, x2):
+        return np.asarray(x2, dtype=float) - 1.0
+
+    def x3_hi(x1, x2):
+        return np.asarray(x1, dtype=float) + 1.0
+
+    return [
+        DomainBlock((0.0, 1.0), lo_zero, hi_x1, x3_one_minus, x3_hi),
+        DomainBlock((1.0, 2.0), lo_zero, hi_one, x3_zero, x3_hi),
+        DomainBlock((1.0, 2.0), lo_one, hi_x1, x3_x2_minus, x3_hi),
+        DomainBlock((2.0, inf), lo_zero, hi_one, x3_zero, x3_hi),
+        DomainBlock((2.0, inf), lo_one, hi_x1, x3_x2_minus, x3_hi),
+    ]

@@ -15,16 +15,15 @@ import numpy as np
 import helpers as H
 from conftest import record_acceptance
 from eikamp.besselprod import (Branch, _g_values, delta3_sq, f3_eval,
-                               f4_classify, f4_eval, f5_eval,
-                               f5_eval_symmetric, f6_eval, f6_eval_chain,
+                               f4_classify, f4_eval, f5_eval, f6_eval,
                                weber_integral)
 from eikamp.eikonal import (_a3_block, a2_term, a3_term, assemble_amplitude,
-                            compute_terms, decompose_a3_domain)
+                            compute_terms)
 from eikamp.models import GaussianBorn, Kinematics
 from eikamp.oracle import (direct_eikonal_amplitude,
                            gaussian_series_amplitude,
                            reference_besselproduct)
-from eikamp.quadrature import QuadratureConfig, integrate_1d, integrate_3d
+from eikamp.quadrature import QuadratureConfig, integrate_1d
 from eikamp.special import elliptic_k
 
 CHAIN_CFG = QuadratureConfig(rel_tol=1e-4, abs_tol=1e-7)
@@ -129,7 +128,7 @@ def test_04_dual_route_reductions():
     rng = np.random.default_rng(41)
     for _ in range(10):
         p = rng.uniform(0.5, 2.5, size=5)
-        checks.append(dev_bound(f5_eval(*p), f5_eval_symmetric(*p)))
+        checks.append(dev_bound(f5_eval(*p), H.f5_eval_symmetric(*p)))
 
     base = (1.3, 0.9, 1.6, 0.7, 1.1)
     r0 = f5_eval(*base)
@@ -140,15 +139,16 @@ def test_04_dual_route_reductions():
     rng6 = np.random.default_rng(13)
     for _ in range(5):
         p = rng6.uniform(0.6, 2.0, size=6)
-        checks.append(dev_bound(f6_eval(*p), f6_eval_chain(*p, cfg=CHAIN_CFG)))
+        checks.append(dev_bound(f6_eval(*p),
+                                H.f6_eval_chain(*p, cfg=CHAIN_CFG)))
 
     routes_ok = all(dev <= bound for dev, bound in checks)
     worst_ratio = max(dev / bound for dev, bound in checks)
 
     vanish_ok = (f5_eval(5.0, 1.0, 0.5, 0.5, 0.5).value == 0.0
-                 and f5_eval_symmetric(5.0, 1.0, 0.5, 0.5, 0.5).value == 0.0
+                 and H.f5_eval_symmetric(5.0, 1.0, 0.5, 0.5, 0.5).value == 0.0
                  and f6_eval(6.0, 1.0, 1.0, 0.5, 0.5, 0.5).value == 0.0
-                 and f6_eval_chain(6.0, 1.0, 1.0, 0.5, 0.5, 0.5).value == 0.0)
+                 and H.f6_eval_chain(6.0, 1.0, 1.0, 0.5, 0.5, 0.5).value == 0.0)
 
     ok = routes_ok and vanish_ok
     assert _record(4, ok,
@@ -201,13 +201,13 @@ def test_06_truncation_dominated_by_fourth_order():
 
 def _blocks_integral(hfunc, x1_cap, cfg):
     total = 0.0
-    for blk in decompose_a3_domain():
+    for blk in H.decompose_a3_domain():
         lo, hi = blk.x1_range
         hi = min(hi, x1_cap)
         if hi <= lo:
             continue
-        r = integrate_3d(hfunc, (lo, hi), (blk.x2_lower, blk.x2_upper),
-                         (blk.x3_lower, blk.x3_upper), cfg)
+        r = H.integrate_nested(hfunc, [(lo, hi), (blk.x2_lower, blk.x2_upper),
+                                       (blk.x3_lower, blk.x3_upper)], cfg)
         total += r.value
     return total
 

@@ -1,5 +1,5 @@
-"""Closed forms F3/F4, branch classification, the G kernel, the Weber
-integral, and the delta-sequence utilities."""
+"""Closed forms F3/F4, branch classification, the G kernel and the Weber
+integral."""
 
 import itertools
 import math
@@ -9,11 +9,10 @@ import pytest
 
 from eikamp import (BoundaryCaseError, Branch, QuadratureConfig,
                     bessel_i0e, delta3_sq, delta4_sq, f3_eval, f4_classify,
-                    f4_eval, g_kernel, integrate_1d, smeared_delta_kernel,
-                    weber_integral)
+                    f4_eval, integrate_1d, weber_integral)
 from eikamp.besselprod import (_M1_FLOOR, _delta4_sq_values,
                                _f4_modulus_one_points, _f4_support_lo,
-                               _f4_values, _g_values, delta4_sq_four_factor)
+                               _f4_values, _g_values)
 from eikamp.special import _elliptic_k_core
 
 TIGHT = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-14)
@@ -29,12 +28,15 @@ class TestDiscriminants:
         assert len(vals) == 1
 
     def test_delta4_factored_vs_four_factor(self):
+        # 16 Delta4^2 is also the product of the four signed sums
+        # (a+b+c-d)(a+b+d-c)(a+c+d-b)(b+c+d-a)
         rng = np.random.default_rng(21)
         for _ in range(50):
-            a, b, c, d = rng.uniform(0.3, 4.0, size=4)
-            f1 = delta4_sq(a, b, c, d)
-            f2 = delta4_sq_four_factor(a, b, c, d)
-            assert f1 == pytest.approx(f2, rel=1e-12, abs=1e-14)
+            a, b, c, d = sorted(rng.uniform(0.3, 4.0, size=4))
+            s = a + b + c + d
+            f2 = (s - 2 * d) * (s - 2 * c) * (s - 2 * b) * (s - 2 * a) / 16.0
+            assert delta4_sq(a, b, c, d) == pytest.approx(f2, rel=1e-12,
+                                                          abs=1e-14)
 
     def test_delta4_permutation_bitwise(self):
         vals = {delta4_sq(*p)
@@ -164,8 +166,16 @@ class TestF4Values:
                 n += 1
 
 
+def g_kernel(xp, xm, x3):
+    """A3's kernel G(xp, xm, x3) at one point, through
+    :func:`_g_values` and A3's variables x1 = xp + xm, x2 = xp - xm."""
+    return float(_g_values(np.array([xp + xm]), np.array([xp - xm]),
+                           np.array([float(x3)]))[0])
+
+
 class TestGKernel:
     def test_identity_with_f4_unit_argument(self):
+        # G = F4(xp, xm, x3, 1) against the scalar branch table
         rng = np.random.default_rng(9)
         n = 0
         while n < 100:
@@ -173,18 +183,20 @@ class TestGKernel:
             rep = f4_classify(x, xp, xpp, 1.0)
             if rep.branch is Branch.BOUNDARY:
                 continue
-            assert g_kernel(x, xp, xpp) == f4_eval(x, xp, xpp, 1.0)
+            assert g_kernel(x, xp, xpp) == pytest.approx(
+                f4_eval(x, xp, xpp, 1.0), rel=1e-10)
             n += 1
 
     def test_zero_arguments_allowed(self):
         # the triple integral touches x2 = x1 where one scaled momentum
         # vanishes; the kernel must continue to the three-factor value
-        # there, not raise (the x x' x'' measure factor in the integrand
+        # there, not raise (the xp xm x3 measure factor in the integrand
         # already kills the contribution)
-        assert g_kernel(0.0, 1.0, 1.0) == pytest.approx(
+        assert g_kernel(1.0, 0.0, 1.0) == pytest.approx(
             f3_eval(1.0, 1.0, 1.0), rel=1e-12)
 
     def test_outside_support(self):
+        # xp beyond xm + x3 + 1, i.e. x3 below x2 - 1
         assert g_kernel(5.0, 1.0, 1.0) == 0.0
 
 
@@ -331,25 +343,3 @@ class TestWeberIntegral:
         with pytest.raises(ValueError):
             weber_integral(1.0, 1.0, 0.0)
 
-
-class TestSmearedDelta:
-    def test_unit_mass(self):
-        for eps in (1.0, 0.1, 0.01):
-            res = integrate_1d(lambda x: smeared_delta_kernel(x, eps),
-                               -eps, eps, TIGHT)
-            assert res.value == pytest.approx(1.0, abs=1e-8)
-
-    def test_vanishes_outside_support(self):
-        assert smeared_delta_kernel(1.5, 1.0) == 0.0
-        assert smeared_delta_kernel(-2.0, 1.0) == 0.0
-
-    def test_delta_action_on_smooth_function(self):
-        g = lambda x: np.cos(0.7 * x)
-        vals = []
-        for eps in (0.2, 0.1, 0.05):
-            res = integrate_1d(lambda x: smeared_delta_kernel(x, eps) * g(x),
-                               -eps, eps, TIGHT)
-            vals.append(res.value)
-        errs = [abs(v - 1.0) for v in vals]
-        assert errs[2] < errs[1] < errs[0]
-        assert errs[2] < 1e-3

@@ -4,7 +4,7 @@ reductions.
 Each n >= 5 moment has two independent evaluation routes: a fast form
 that reuses the four-factor closed expressions under one quadrature, and
 a deliberately separate form reduced through three-factor expressions
-only.  Agreement within the combined reported error estimates is the
+only, kept in ``helpers``.  Agreement within the combined reported error estimates is the
 main correctness evidence for both.
 """
 
@@ -13,19 +13,11 @@ import math
 import numpy as np
 import pytest
 
-from eikamp.besselprod import (
-    _chain_q_rows,
-    Branch,
-    f4_classify,
-    f4_eval,
-    f5_eval,
-    f5_eval_symmetric,
-    f6_eval,
-    f6_eval_chain,
-)
+from eikamp.besselprod import Branch, f4_classify, f4_eval, f5_eval, f6_eval
 from eikamp import quadrature as quadrature_module
 from eikamp.exceptions import BoundaryCaseError
 from eikamp.quadrature import QuadratureConfig, _build_tasks
+from helpers import _chain_q_rows, f5_eval_symmetric, f6_eval_chain
 
 # the triple-nested chain route is expensive at tight tolerance; the
 # dual-route bound scales with the reported errors, so a looser config

@@ -16,7 +16,7 @@ import eikamp.eikonal
 from eikamp.besselprod import f5_eval
 from eikamp.cli import main
 from eikamp.eikonal import (assemble_amplitude, build_profile, compute_terms,
-                            diff_cross_section, infer_reality)
+                            diff_cross_section)
 from eikamp.exceptions import NonConvergenceError
 from eikamp.models import Kinematics, load_model
 from eikamp.quadrature import QuadratureConfig
@@ -141,7 +141,7 @@ class TestTableCommand:
         cfg = QuadratureConfig(rel_tol=1e-5, abs_tol=1e-9)
         terms = compute_terms(model, kin, cfg)
         amp = assemble_amplitude(terms)
-        dsig = diff_cross_section(terms, kin, infer_reality(model))
+        dsig = diff_cross_section(terms, kin)
         want = [kin.t, terms.a1.real, terms.a1.imag, terms.a2.real,
                 terms.a2.imag, terms.a3.real, terms.a3.imag, amp.real,
                 amp.imag, dsig, terms.a2_error, terms.a3_error]

@@ -1,5 +1,5 @@
 """Eikonal pipeline: phase profile, smallness gate, amplitude terms,
-assembly, reality classes, and the cross-section combinations.
+assembly, and the cross section.
 
 The Gaussian Born family makes every stage checkable in closed form:
 with chi0 = g lam^2 / (4 pi) the three terms are
@@ -15,30 +15,27 @@ lam^2 -> 1 / (2 B).
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eikamp.eikonal import (
     AmplitudeTerms,
-    BornReality,
     a1_term,
     a2_term,
     a3_term,
     assemble_amplitude,
     build_profile,
     compute_terms,
-    decompose_a3_domain,
     diff_cross_section,
     eikonal_chi,
-    infer_reality,
 )
 from eikamp.besselprod import _delta4_sq_values, _f4_values
 from eikamp import eikonal as eikonal_module
 from eikamp import quadrature as quadrature_module
 from eikamp.eikonal import _a2_with_error, _a3_with_error, _x3_breakpoints
-from eikamp.exceptions import (ChiGateError, NonConvergenceError,
-                               RealityClassError)
+from eikamp.exceptions import ChiGateError, NonConvergenceError
 from eikamp.models import (
     ExponentialPoleBorn,
     GaussianBorn,
@@ -46,10 +43,12 @@ from eikamp.models import (
     TabulatedBorn,
 )
 from eikamp.quadrature import (IntegralResult, QuadratureConfig,
-                               _InheritedError, _iterated, _limits,
-                               integrate_2d, integrate_3d)
+                               _InheritedError, _iterated, _limits)
+from helpers import decompose_a3_domain, integrate_nested
 
 CHI_TIGHT = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-16)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def gaussian_with_chi0(chi0, lam=1.0):
@@ -66,6 +65,13 @@ def closed_a3(model, kin):
     chi0, lam = model.chi0, model.lam
     return -2j * math.pi * kin.s * chi0 ** 3 / (9.0 * lam ** 2) * math.exp(
         kin.t / (6.0 * lam ** 2))
+
+
+def without_closed_chi(monkeypatch, model):
+    """The model with its closed chi withheld, so that eikonal_chi takes
+    the quadrature route."""
+    monkeypatch.setattr(model, "chi_closed", lambda: None)
+    return model
 
 
 def real_tabulated():
@@ -105,12 +111,13 @@ class TestEikonalChi:
         GaussianBorn(g=1.0, lam=1.0),
         ExponentialPoleBorn(c=1.1, slope_b=0.7),
     ], ids=["gaussian", "exponential_pole"])
-    def test_closed_form_matches_quadrature(self, model):
-        for b in (0.0, 0.5, 1.0, 2.0, 5.0):
-            closed = eikonal_chi(model, 100.0, b)
-            quad = eikonal_chi(model, 100.0, b, CHI_TIGHT,
-                               force_quadrature=True)
-            assert abs(quad - closed) <= 1e-8 * abs(closed)
+    def test_closed_form_matches_quadrature(self, monkeypatch, model):
+        bs = (0.0, 0.5, 1.0, 2.0, 5.0)
+        closed = [eikonal_chi(model, 100.0, b) for b in bs]
+        without_closed_chi(monkeypatch, model)
+        for b, want in zip(bs, closed):
+            quad = eikonal_chi(model, 100.0, b, CHI_TIGHT)
+            assert abs(quad - want) <= 1e-8 * abs(want)
 
     def test_vectorized_and_scalar(self):
         m = GaussianBorn(g=1.0, lam=1.0)
@@ -119,10 +126,10 @@ class TestEikonalChi:
         assert arr.shape == (3,)
         assert arr[1] == eikonal_chi(m, 100.0, 1.0)
 
-    def test_negative_b_rejected(self):
-        m = GaussianBorn(g=1.0, lam=1.0)
+    def test_negative_b_rejected(self, monkeypatch):
+        m = without_closed_chi(monkeypatch, GaussianBorn(g=1.0, lam=1.0))
         with pytest.raises(ValueError):
-            eikonal_chi(m, 100.0, -0.5, force_quadrature=True)
+            eikonal_chi(m, 100.0, -0.5)
 
     def test_tabulated_chi_needs_no_graded_edges(self, monkeypatch):
         # the chi integrand is smooth at q = 0, the J0 half-periods and the
@@ -138,7 +145,7 @@ class TestEikonalChi:
 
         def chi_and_points(b):
             points[0] = 0
-            return eikonal_chi(m, 50.0, b, force_quadrature=True), points[0]
+            return eikonal_chi(m, 50.0, b), points[0]
 
         def graded(f, levels, *args, **kwargs):
             return _iterated(f, [(edges, "sqrt", weight)
@@ -195,7 +202,7 @@ class TestChiGate:
     def test_tabulated_profile_scanned(self):
         m = real_tabulated()
         prof = build_profile(m, 50.0)
-        chi0 = eikonal_chi(m, 50.0, 0.0, CHI_TIGHT, force_quadrature=True)
+        chi0 = eikonal_chi(m, 50.0, 0.0, CHI_TIGHT)
         assert prof.max_abs_chi == pytest.approx(abs(chi0), rel=1e-6)
         assert prof.b_cutoff > 0.0
 
@@ -243,9 +250,11 @@ class TestA2:
                     * m.reduced(0.5 * qt * (ch - sv)))
 
         cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-13)
-        full = integrate_2d(integrand, (0.0, 6.0),
-                            (-0.5 * math.pi, 0.5 * math.pi), cfg)
-        half = integrate_2d(integrand, (0.0, 6.0), (0.0, 0.5 * math.pi), cfg)
+        full = integrate_nested(integrand, [(0.0, 6.0),
+                                            (-0.5 * math.pi, 0.5 * math.pi)],
+                                cfg)
+        half = integrate_nested(integrand, [(0.0, 6.0), (0.0, 0.5 * math.pi)],
+                                cfg)
         assert full.value == pytest.approx(2.0 * half.value, rel=1e-9)
 
 
@@ -550,7 +559,7 @@ class TestOnePhaseRealPath:
         kin = Kinematics(s=50.0, t=-1.0)
 
         def run(force_complex):
-            m = make()
+            m = without_closed_chi(monkeypatch, make())
             if force_complex:
                 monkeypatch.setattr(m, "phase", None)
             points = counting_reduced(monkeypatch, m)
@@ -558,7 +567,7 @@ class TestOnePhaseRealPath:
             n_a2 = points[0]
             a3, a3_err, inner = _a3_with_error(m, kin, cfg)
             n_a3 = points[0] - n_a2
-            chi = eikonal_chi(m, kin.s, 0.7, cfg, force_quadrature=True)
+            chi = eikonal_chi(m, kin.s, 0.7, cfg)
             return ((complex(a2), a2_err, n_a2), (a3, a3_err, inner, n_a3),
                     (chi, points[0] - n_a2 - n_a3))
 
@@ -590,11 +599,11 @@ class TestOnePhaseRealPath:
                              *args, **kwargs)
 
         monkeypatch.setattr(eikonal_module, "_iterated", spy)
-        m = make()
+        m = without_closed_chi(monkeypatch, make())
         kin = Kinematics(s=50.0, t=-1.0)
         _a2_with_error(m, kin, cfg)
         _a3_with_error(m, kin, cfg)
-        eikonal_chi(m, kin.s, 0.7, cfg, force_quadrature=True)
+        eikonal_chi(m, kin.s, 0.7, cfg)
         want = np.complex128 if m.phase is None else np.float64
         assert dtypes == {np.dtype(want)}
 
@@ -780,10 +789,10 @@ class TestDomainDecomposition:
         total = 0.0
         for block, want in zip(decompose_a3_domain(), exact):
             x1_hi = min(block.x1_range[1], 3.0)
-            res = integrate_3d(lambda x, y, z: np.ones_like(x),
-                               (block.x1_range[0], x1_hi),
-                               (block.x2_lower, block.x2_upper),
-                               (block.x3_lower, block.x3_upper), cfg)
+            res = integrate_nested(lambda x, y, z: np.ones_like(x),
+                                   [(block.x1_range[0], x1_hi),
+                                    (block.x2_lower, block.x2_upper),
+                                    (block.x3_lower, block.x3_upper)], cfg)
             assert res.value == pytest.approx(want, rel=1e-9)
             total += res.value
         assert total == pytest.approx(12.0, rel=1e-9)
@@ -794,7 +803,6 @@ class TestAssemblyAndCrossSection:
         _model, _kin, terms = terms_03
         expect = (terms.a1 - terms.a3) + 1j * terms.a2
         assert assemble_amplitude(terms) == expect
-        assert terms.assembled == expect
 
     def test_term_hierarchy(self, terms_03):
         _model, _kin, terms = terms_03
@@ -806,17 +814,32 @@ class TestAssemblyAndCrossSection:
         assert abs(terms.a2.imag) <= 1e-10 * abs(terms.a2)
         assert abs(terms.a3.real) <= 1e-10 * abs(terms.a3)
 
-    def test_general_equals_pure_imaginary_branch(self, terms_03):
-        _model, kin, terms = terms_03
-        general = diff_cross_section(terms, kin, BornReality.GENERAL)
-        restricted = diff_cross_section(terms, kin,
-                                        BornReality.PURE_IMAGINARY)
-        assert restricted == pytest.approx(general, rel=1e-12)
-
-    def test_wrong_reality_declaration_raises(self, terms_03):
-        _model, kin, terms = terms_03
-        with pytest.raises(RealityClassError):
-            diff_cross_section(terms, kin, BornReality.REAL)
+    @pytest.mark.parametrize("make, _cfg", FIVE_KINDS)
+    def test_one_formula_gives_the_restricted_conventions(self, make, _cfg):
+        # the off-phase parts of a one-phase model's terms are exact
+        # zeros, so the one general expression gives the bits of the
+        # convention of its phase: r1^2 + r2^2 - 2 r1 r3 on the real parts
+        # of a real model, h1^2 + 2 h1 h2 + h2^2 - 2 h1 h3 on h1 = Im a1,
+        # h2 = Re a2, h3 = Im a3 of a pure-imaginary one.  A general table
+        # gets the expression written out in real and imaginary parts
+        m = make()
+        cfg = QuadratureConfig(rel_tol=1e-3, abs_tol=1e-6)
+        for t in (-2.0, -1.0, -0.25):
+            kin = Kinematics(s=50.0, t=t)
+            terms = eikonal_module._gated_terms(m, kin, cfg)
+            (x1, y1), (x2, y2), (x3, y3) = (
+                (a.real, a.imag) for a in (terms.a1, terms.a2, terms.a3))
+            norm = 1.0 / (16.0 * math.pi * kin.s ** 2)
+            got = diff_cross_section(terms, kin)
+            if m.phase == 1:
+                assert got == norm * (x1 * x1 + x2 * x2 - 2.0 * x1 * x3)
+            elif m.phase == 1j:
+                assert got == norm * (y1 * y1 + 2.0 * y1 * x2 + x2 * x2
+                                      - 2.0 * y1 * y3)
+            else:
+                want = norm * (x1 * x1 + y1 * y1 + 2.0 * (y1 * x2 - x1 * y2)
+                               + x2 * x2 + y2 * y2 - 2.0 * (x1 * x3 + y1 * y3))
+                assert got == pytest.approx(want, rel=1e-14)
 
     def test_born_limit(self, terms_03):
         # zeroing a2 and a3 reduces the cross section to the Born one
@@ -824,10 +847,8 @@ class TestAssemblyAndCrossSection:
         born_only = AmplitudeTerms(a1=terms.a1, a2=0.0 + 0.0j,
                                    a3=0.0 + 0.0j)
         expect = abs(terms.a1) ** 2 / (16.0 * math.pi * kin.s ** 2)
-        got = diff_cross_section(born_only, kin, BornReality.GENERAL)
+        got = diff_cross_section(born_only, kin)
         assert got == pytest.approx(expect, rel=1e-14)
-        also = diff_cross_section(born_only, kin, BornReality.PURE_IMAGINARY)
-        assert also == pytest.approx(expect, rel=1e-14)
 
     def test_cross_section_positive(self, terms_03):
         _model, kin, terms = terms_03
@@ -844,8 +865,7 @@ class TestAssemblyAndCrossSection:
         assert abs(terms.a1.imag) <= 1e-10 * abs(terms.a1)
         assert abs(terms.a2.imag) <= 1e-10 * abs(terms.a2)
         assert abs(terms.a3.imag) <= 1e-10 * max(abs(terms.a3), 1e-300)
-        val = diff_cross_section(terms, kin, BornReality.REAL)
-        assert math.isfinite(val)
+        assert math.isfinite(diff_cross_section(terms, kin))
 
     def test_terms_match_individual_calls(self, terms_03):
         model, kin, terms = terms_03
@@ -855,26 +875,19 @@ class TestAssemblyAndCrossSection:
         assert terms.a3_error > 0.0
 
 
-def reality_unevaluated(monkeypatch, model):
-    """infer_reality with every evaluation of the model refused: the
-    reality class lives in the model's phase alone."""
-    def refuse(q):
-        raise AssertionError("infer_reality evaluated the model")
-
-    monkeypatch.setattr(model, "reduced", refuse)
-    return infer_reality(model)
+def readme_quick_start():
+    """The README's "Library quick start" code block, verbatim."""
+    section = README.read_text(encoding="utf-8").split(
+        "## Library quick start", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
 
 
-class TestInferReality:
-    def test_closed_families_pure_imaginary(self, monkeypatch):
-        for m in (gaussian_with_chi0(0.2), ExponentialPoleBorn(1.0, 1.0)):
-            assert reality_unevaluated(monkeypatch, m) \
-                is BornReality.PURE_IMAGINARY
-
-    def test_tabulated_columns(self, monkeypatch):
-        assert reality_unevaluated(monkeypatch, real_tabulated()) \
-            is BornReality.REAL
-        assert reality_unevaluated(monkeypatch, imaginary_tabulated()) \
-            is BornReality.PURE_IMAGINARY
-        assert reality_unevaluated(monkeypatch, general_tabulated()) \
-            is BornReality.GENERAL
+class TestReadmeQuickStart:
+    def test_quick_start_runs(self):
+        scope = {}
+        exec(readme_quick_start(), scope)
+        terms, kin = scope["terms"], scope["kin"]
+        assert scope["amp"] == assemble_amplitude(terms)
+        assert scope["dsig"] == diff_cross_section(terms, kin) > 0.0
+        assert scope["ref"].value == pytest.approx(1.0 / (12.0 * math.pi),
+                                                   rel=1e-5)

@@ -11,13 +11,13 @@ import scipy.special as sps
 
 from eikamp import (DEFAULT_P_SEQUENCE, ExtrapolationDivergenceError,
                     IntegralResult, NonConvergenceError, QuadratureConfig,
-                    integrate_1d, integrate_2d,
-                    integrate_damped_bessel_product)
+                    integrate_1d, integrate_damped_bessel_product)
 from eikamp import quadrature as quadrature_module
 from eikamp.quadrature import (_QUARTIC_LEFT, _QUARTIC_RIGHT, _SQRT_LEFT,
                                _SQRT_RIGHT, _build_tasks, _eval_segments,
                                _InheritedError, _iterated, _limits,
-                               _map_nodes, _solve_batched, integrate_3d)
+                               _map_nodes, _solve_batched)
+from helpers import integrate_nested
 
 TIGHT = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-14)
 
@@ -255,9 +255,9 @@ class TestEngineBehavior:
         with pytest.raises(ValueError, match="finite"):
             integrate_1d(lambda x: np.exp(-np.abs(x)), a, b)
 
-    def test_non_convergence_raises(self):
-        cfg = QuadratureConfig(rel_tol=1e-15, abs_tol=1e-300,
-                               max_subdivisions=6)
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(quadrature_module, "_MAX_SUBDIVISIONS", 6)
+        cfg = QuadratureConfig(rel_tol=1e-15, abs_tol=1e-300)
         with pytest.raises(NonConvergenceError):
             integrate_1d(lambda x: np.sin(50.0 * x) / (x + 1e-3), 0.0, 1.0,
                          cfg)
@@ -286,13 +286,13 @@ class TestEngineBehavior:
 
 class TestIterated:
     def test_unit_square(self):
-        res = integrate_2d(lambda x, y: np.ones_like(x), (0.0, 1.0),
-                           (0.0, 1.0), TIGHT)
+        res = integrate_nested(lambda x, y: np.ones_like(x),
+                               [(0.0, 1.0), (0.0, 1.0)], TIGHT)
         assert res.value == pytest.approx(1.0, rel=1e-10)
 
     def test_triangle(self):
-        res = integrate_2d(lambda x, y: np.ones_like(x), (0.0, 1.0),
-                           (0.0, lambda x: x), TIGHT)
+        res = integrate_nested(lambda x, y: np.ones_like(x),
+                               [(0.0, 1.0), (0.0, lambda x: x)], TIGHT)
         assert res.value == pytest.approx(0.5, rel=1e-10)
 
     def test_double_sqrt_singular_pattern(self):
@@ -304,7 +304,7 @@ class TestIterated:
         def f(x1, x2):
             return np.exp(-x1) / np.sqrt((x1 * x1 - 1.0) * (1.0 - x2 * x2))
 
-        res = integrate_2d(f, (1.0, 45.0), (0.0, 1.0), cfg)
+        res = integrate_nested(f, [(1.0, 45.0), (0.0, 1.0)], cfg)
         truth = 0.5 * math.pi * sps.k0(1.0)
         assert res.value == pytest.approx(truth, rel=1e-6)
         # cross-check against a fixed-grid oracle in substituted variables
@@ -313,15 +313,15 @@ class TestIterated:
         assert res.value == pytest.approx(grid, rel=1e-6)
 
     def test_triple_box(self):
-        res = integrate_3d(lambda x, y, z: np.ones_like(x), (0.0, 2.0),
-                           (0.0, 1.0), (0.0, 0.5),
-                           QuadratureConfig(rel_tol=1e-9, abs_tol=1e-12))
+        res = integrate_nested(lambda x, y, z: np.ones_like(x),
+                               [(0.0, 2.0), (0.0, 1.0), (0.0, 0.5)],
+                               QuadratureConfig(rel_tol=1e-9, abs_tol=1e-12))
         assert res.value == pytest.approx(1.0, rel=1e-8)
 
     def test_triple_simplex(self):
-        res = integrate_3d(
-            lambda x, y, z: np.ones_like(x), (0.0, 1.0),
-            (0.0, lambda x: x), (0.0, lambda x, y: y),
+        res = integrate_nested(
+            lambda x, y, z: np.ones_like(x),
+            [(0.0, 1.0), (0.0, lambda x: x), (0.0, lambda x, y: y)],
             QuadratureConfig(rel_tol=1e-9, abs_tol=1e-12))
         assert res.value == pytest.approx(1.0 / 6.0, rel=1e-8)
 
@@ -346,7 +346,7 @@ class TestIterated:
     def test_inherited_error_stops_a_task_at_once(self):
         # the inner errors integrate to 1e-6 while the value is about 0:
         # no bisection can help, so the first wave must stop the solve
-        # instead of splitting up to max_subdivisions
+        # instead of splitting up to _MAX_SUBDIVISIONS
         calls = [0]
 
         def f(_tid, x):
@@ -406,8 +406,8 @@ class TestIterated:
         truth = eps * (30.0 - math.exp(-30.0) * (30.0 * math.cos(40.0)
                                                  - 40.0 * math.sin(40.0))
                        ) / 2500.0
-        res = integrate_2d(f, (0.0, 1.0), (0.0, 1.0),
-                           QuadratureConfig(rel_tol=1e-8, abs_tol=1e-300))
+        res = integrate_nested(f, [(0.0, 1.0), (0.0, 1.0)],
+                               QuadratureConfig(rel_tol=1e-8, abs_tol=1e-300))
         assert [kind for kind, _ in outer_runs] == ["inherited", "converged"]
         assert outer_runs[0][1] == 1
         assert abs(res.value - truth) <= res.error_estimate
@@ -417,13 +417,11 @@ class TestIterated:
         # one level down keeps the relative tolerance; only the absolute
         # one is divided by the outer span (never multiplied, for spans
         # below 1), so that inner errors integrated over it fit the budget
-        cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-10,
-                               max_subdivisions=77)
+        cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-10)
         for span, abs_tol in ((1.0, 1e-10), (4.0, 2.5e-11), (0.25, 1e-10)):
             child = cfg.child(span)
             assert child.rel_tol == 1e-6
             assert child.abs_tol == pytest.approx(abs_tol, rel=1e-15)
-            assert child.max_subdivisions == 77
 
 
 class TestNestedQuadrature:
@@ -584,14 +582,11 @@ class TestConfigValidation:
             QuadratureConfig(rel_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureConfig(abs_tol=-1.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(max_subdivisions=0)
 
     def test_defaults(self):
         cfg = QuadratureConfig()
         assert cfg.rel_tol == 1e-6
         assert cfg.abs_tol == 1e-12
-        assert cfg.max_subdivisions >= 1
 
 
 class TestSingleEntry:
