@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .exceptions import ModelFileError
 
@@ -209,6 +208,10 @@ class TabulatedBorn(BornModel):
     kind = BornKind.TABULATED
 
     def __init__(self, q_grid, re_vals, im_vals, envelope_m, envelope_kappa):
+        # imported here: scipy.interpolate costs ~0.3 s at start-up, and
+        # only tables need it
+        from scipy.interpolate import PchipInterpolator
+
         q = np.asarray(q_grid, dtype=float)
         re = np.asarray(re_vals, dtype=float)
         im = np.asarray(im_vals, dtype=float)
@@ -355,7 +358,7 @@ def load_model(path):
             raise ModelFileError(
                 f"{path}: tabulated model needs an [envelope] section")
         env = cp["envelope"]
-        arr = np.asarray(rows, dtype=float)
+        arr = np.asarray(rows, dtype=float).reshape(-1, 3)
         return TabulatedBorn(arr[:, 0], arr[:, 1], arr[:, 2],
                              _get_float(env, "m", path),
                              _get_float(env, "kappa", path))

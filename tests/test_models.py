@@ -2,12 +2,16 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
+import eikamp
 from eikamp.exceptions import ModelFileError
 from eikamp.models import (
     BornKind,
@@ -326,6 +330,13 @@ class TestLoadModel:
         with pytest.raises(ModelFileError, match="needs 'points'"):
             load_model(p)
 
+    def test_tabulated_empty_points(self, tmp_path):
+        p = tmp_path / "bad.ini"
+        p.write_text("[model]\nkind = tabulated\npoints =\n\n[envelope]\n"
+                     "m = 1.0\nkappa = 1.0\n")
+        with pytest.raises(ModelFileError, match="at least 3 points"):
+            load_model(p)
+
     def test_tabulated_short_row(self, tmp_path):
         p = tmp_path / "bad.ini"
         p.write_text("[model]\nkind = tabulated\npoints =\n    0.0 1.0\n"
@@ -383,3 +394,44 @@ class TestReadmeModelFiles:
                         "g = 2.0  ; coupling\nlambda = 1.0\n")
         m = load_model(path)
         assert (m.g, m.lam) == (2.0, 1.0)
+
+
+_IMPORT_PROBE = """\
+import sys
+
+from eikamp.besselprod import f3_eval, f4_eval, f5_eval, f6_eval
+from eikamp.cli import main
+from eikamp.models import load_model
+
+gauss, pole, tab, out = sys.argv[1:]
+for model in (gauss, pole):
+    code = main(["table", "--model", model, "--s", "50", "--t-min", "-1",
+                 "--t-max", "-0.5", "--points", "2", "--rel-tol", "1e-2",
+                 "--out", out])
+    assert code == 0, code
+f3_eval(3.0, 4.0, 5.0)
+f4_eval(1.0, 0.9, 1.1, 1.4)
+f5_eval(1.0, 1.2, 0.9, 1.1, 1.3)
+f6_eval(1.0, 1.2, 0.9, 1.1, 1.3, 0.8)
+assert "scipy.interpolate" not in sys.modules
+load_model(tab)
+assert "scipy.interpolate" in sys.modules
+"""
+
+
+class TestImportGraph:
+    def test_only_tables_load_scipy_interpolate(self, tmp_path):
+        # a fresh interpreter: this module imports scipy.interpolate itself
+        paths = []
+        for name, text in zip(("gauss", "pole", "tab"),
+                              readme_model_files()):
+            path = tmp_path / f"{name}.ini"
+            path.write_text(text, encoding="utf-8")
+            paths.append(str(path))
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(eikamp.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, *paths,
+             str(tmp_path / "table.csv")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
