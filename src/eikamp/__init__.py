@@ -22,7 +22,6 @@ __version__ = "0.1.0"
 from .quadrature import (  # noqa: E402
     IntegralResult,
     QuadratureConfig,
-    integrate_1d,
 )
 from .besselprod import (  # noqa: E402
     Branch,
@@ -80,7 +79,6 @@ __all__ = [
     "QuadratureConfig",
     "IntegralResult",
     "DEFAULT_P_SEQUENCE",
-    "integrate_1d",
     "integrate_damped_bessel_product",
     "Branch",
     "BranchReport",

@@ -73,6 +73,8 @@ class RunSpec:
     override_chi_gate: bool = False
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.s, self.t_min, self.t_max))):
+            raise ValueError("s, t_min and t_max must be finite")
         if self.count < 1:
             raise ValueError("points must be >= 1")
         if not (self.t_max < 0.0):
@@ -164,7 +166,11 @@ def _cmd_besselprod(args):
               "smear one scale (n >= 3) to get a finite value",
               file=sys.stderr)
         return EXIT_USAGE
-    cfg = QuadratureConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
+    try:
+        cfg = QuadratureConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
+    except ValueError as exc:
+        print(f"eikamp besselprod: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         if n == 3:
             value = f3_eval(*params)

@@ -32,29 +32,32 @@ floor is reported but never blocks convergence (subdividing cannot reduce
 it); the refinable part alone is tested against tolerance.
 
 Every integral runs on one routine, :func:`_iterated`, which takes
-per-level edges, grading and weight; the 1D ones (:func:`integrate_1d`,
-F5, F6, the eikonal phase) are one-level nests.  Every level runs at the
-caller's relative tolerance; only the absolute tolerance is divided by the
-widest parent task (:meth:`QuadratureConfig.child`).  An outer integrand
-that is itself an inner integral returns the inner errors with its values,
-and the engine keeps that propagated part apart from each panel's own
-Kronrod error: a panel is split only when its own error exceeds what the
-propagated part leaves of the budget, and a task whose propagated error
-alone reaches its target stops at once, since bisecting cannot reduce it.
-The nest is then rerun with its inner levels 10x tighter, and if need be
-100x, so only a parent whose value cancels pays for tighter children.
+per-level edges, grading and weight; the 1D ones (F5, F6, the eikonal
+phase) are one-level nests.  Every level runs at the caller's relative
+tolerance, and every task carries its own absolute tolerance: the inner
+integral a node starts gets its own parent task's, divided by that
+task's span (at least 1), so that inner errors integrated over the task
+fit its budget.  An outer integrand that is itself an inner integral
+returns the inner errors with its values, and the engine keeps that
+propagated part apart from each panel's own Kronrod error: a panel is
+split only when its own error exceeds what the propagated part leaves of
+the budget, and a task whose propagated error alone reaches its target
+stops at once, since bisecting cannot reduce it.  The nest is then rerun
+with its inner levels 10x tighter, and if need be 100x, so only a parent
+whose value cancels pays for tighter children.
 
 A node of an outer level costs a whole inner integral, so a panel that is
 bisected spends its 15 nodes' inner integrals on a parent that is thrown
 away; callers that know where an outer axis will need panels (A3's
 unbounded x1 axis, summed over dyadic slabs) supply them as edges.
-A wave is evaluated in slices of at most :data:`_WAVE_SLICE` (512)
-segments, so its memory, and that of the inner solves a slice starts,
-stays bounded however wide the wave, and each slice's temporaries (60 KB
-for a real node array) stay small enough for the allocator to reuse
-their pages rather than map and fault in fresh ones each wave; slicing
-changes no value, error or count.  The
-Gauss-Kronrod sums are per-row reductions, so no BLAS thread pool starts.
+Every wave, at every level, is evaluated in slices of at most
+:data:`_WAVE_SLICE` (512) segments, so its memory, and that of the inner
+solves a slice starts, stays bounded however wide the wave, and each
+slice's temporaries (60 KB for a real node array) stay small enough for
+the allocator to reuse their pages rather than map and fault in fresh
+ones each wave.  Since no tolerance depends on the rest of a wave,
+slicing changes no value, error or count.  The Gauss-Kronrod sums are
+per-row reductions, so no BLAS thread pool starts.
 
 The engine meets the tolerance it is given.  How a sum of separate nests
 shares one tolerance is the caller's decision: A3 gives each of its x1
@@ -64,8 +67,7 @@ it (:func:`eikamp.eikonal._a3_with_error`).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,7 +76,6 @@ from .exceptions import NonConvergenceError
 __all__ = [
     "QuadratureConfig",
     "IntegralResult",
-    "integrate_1d",
 ]
 
 # ---------------------------------------------------------------------------
@@ -155,13 +156,6 @@ class QuadratureConfig:
     def __post_init__(self):
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise ValueError("tolerances must be positive")
-
-    def child(self, span: float) -> "QuadratureConfig":
-        """Tolerance budget for one nesting level down: the same relative
-        tolerance, and the absolute one divided by the outer span, so that
-        inner errors integrated over the span fit the outer budget."""
-        return replace(self,
-                       abs_tol=max(self.abs_tol / max(span, 1.0), 1e-290))
 
 
 @dataclass(frozen=True)
@@ -257,23 +251,22 @@ def _map_nodes(kind, anc, u):
     return x, jac
 
 
-def _eval_segments(f, tid, kind, anc, lo, hi, sliced=True):
+def _eval_segments(f, tid, kind, anc, lo, hi):
     """GK15 on each segment.
 
     Returns (value, refinable_err, floor_err, propagated_err): the last is
     the integral of the inner errors an integrand returns as ``yerr``, or
     None when it returns none.
 
-    With ``sliced`` the wave is evaluated in slices of at most
-    :data:`_WAVE_SLICE` segments, one call of ``f`` each, so its nodes,
-    the integrand's temporaries and, for a nested integrand, the inner
-    solve they start stay bounded however wide the wave.  Each segment's
-    sums are per-row reductions rather than matrix-vector products, so no
-    BLAS thread pool is started."""
-    step = _WAVE_SLICE if sliced else tid.size
+    The wave is evaluated in slices of at most :data:`_WAVE_SLICE`
+    segments, one call of ``f`` each, so its nodes, the integrand's
+    temporaries and, for a nested integrand, the inner solve they start
+    stay bounded however wide the wave.  Each segment's sums are per-row
+    reductions rather than matrix-vector products, so no BLAS thread pool
+    is started."""
     parts = []
-    for start in range(0, tid.size, step):
-        sl = slice(start, start + step)
+    for start in range(0, tid.size, _WAVE_SLICE):
+        sl = slice(start, start + _WAVE_SLICE)
         mid = 0.5 * (lo[sl] + hi[sl])
         h = 0.5 * (hi[sl] - lo[sl])
         u = mid[:, None] + h[:, None] * _X15[None, :]
@@ -317,15 +310,16 @@ class _InheritedError(NonConvergenceError):
     """A task's propagated inner error alone reaches its target."""
 
 
-def _solve_batched(f, edges_list, rel_tol, abs_tol, max_subdiv,
-                   grading="sqrt", sliced=True):
+def _solve_batched(f, edges_list, rel_tol, abs_tol, grading="sqrt"):
     """Run the batched adaptive loop over independent 1D tasks.
 
     f(task_indices, x) -> y or (y, yerr); both flat arrays.  Returns
     (values, error_estimates, evaluation_counts, converged_mask).
-    ``grading`` maps each task's panels, see :func:`_build_tasks`;
-    ``sliced`` bounds the segments per call of f, see
-    :func:`_eval_segments`.
+    ``abs_tol`` is one absolute tolerance for every task or an array of
+    one per task; ``grading`` maps each task's panels, see
+    :func:`_build_tasks`.  Each task may bisect at most
+    :data:`_MAX_SUBDIVISIONS` panels, and each wave is evaluated in
+    slices, see :func:`_eval_segments`.
 
     A ``yerr`` is integrated into each panel's propagated error, kept
     apart from its own error (see the module docstring); a task whose
@@ -344,7 +338,7 @@ def _solve_batched(f, edges_list, rel_tol, abs_tol, max_subdiv,
         return z, z.copy(), evals, np.ones(T, dtype=bool)
 
     val_seg, err_seg, floor_seg, prop_seg = _eval_segments(f, tid, kind, anc,
-                                                           lo, hi, sliced)
+                                                           lo, hi)
     np.add.at(evals, tid, 15)
     cdtype = val_seg.dtype
 
@@ -385,7 +379,7 @@ def _solve_batched(f, edges_list, rel_tol, abs_tol, max_subdiv,
             failed |= need
             break
         n_split_t = np.bincount(tid[split], minlength=T)
-        over = need & (splits + n_split_t > max_subdiv)
+        over = need & (splits + n_split_t > _MAX_SUBDIVISIONS)
         if over.any():
             failed |= over
             split &= ~failed[tid]
@@ -405,7 +399,7 @@ def _solve_batched(f, edges_list, rel_tol, abs_tol, max_subdiv,
         c_lo = np.concatenate([s_lo, s_mid])
         c_hi = np.concatenate([s_mid, s_hi])
         c_val, c_err, c_floor, c_prop = _eval_segments(f, c_tid, c_kind, c_anc,
-                                                       c_lo, c_hi, sliced)
+                                                       c_lo, c_hi)
         np.add.at(evals, c_tid, 15)
 
         keep = ~split
@@ -428,42 +422,8 @@ def _solve_batched(f, edges_list, rel_tol, abs_tol, max_subdiv,
 
 
 # ---------------------------------------------------------------------------
-# public 1D wrapper and the nested driver
+# the nested driver
 # ---------------------------------------------------------------------------
-
-def integrate_1d(f, a, b, cfg=None, breakpoints=None):
-    """Adaptive integral of f over the finite range (a, b): a one-level
-    nest of :func:`_iterated` with the ``"sqrt"`` grading.
-
-    Parameters
-    ----------
-    f : callable
-        Vectorized integrand: maps an ndarray of abscissae to an ndarray of
-        values (real or complex).  Never called at a, b, or any breakpoint.
-    a, b : float
-        Finite limits, a < b.
-    breakpoints : sequence of float, optional
-        Interior points of known bad behavior (integrable log singularities,
-        jumps); they become panel edges, the panels on both sides are
-        graded toward them by x = x0 +/- u^2, and nodes never touch them.
-        The endpoints are graded the same way, which removes x^{-1/2}
-        singularities there.  Points outside (a, b) are ignored.
-
-    Raises
-    ------
-    NonConvergenceError
-        If the subdivision budget is exhausted before reaching tolerance.
-    """
-    a, b = float(a), float(b)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("integrate_1d takes finite limits only")
-    if not b > a:
-        raise ValueError("require a < b")
-    brk = () if breakpoints is None else breakpoints
-    edges = np.unique(np.clip([a, *brk, b], a, b))
-    return _iterated(f, [(lambda: edges[None], "sqrt", None)],
-                     cfg or QuadratureConfig())
-
 
 def _limits(lo, hi):
     """Edges of a level whose tasks are single intervals: one row
@@ -495,28 +455,29 @@ def _iterated(f, levels, cfg, strict=True):
     ``f`` receives each outer variable as a gathered copy of its own,
     which it may overwrite, but must leave ``x_n`` intact.
     Each level's errors propagate into its parent's panel errors.  Inner
-    levels keep their parent's relative tolerance and divide its absolute
-    one by the widest parent task (:meth:`QuadratureConfig.child`).  A
-    level whose propagated error alone reaches its target stops the nest,
-    which reruns with every inner level 10x, then 100x tighter than its
-    parent.  With ``strict`` an inner task that does not converge raises
-    NonConvergenceError; without, its error propagates like any other.
-    The outermost level always raises.  Returns an IntegralResult counting
-    the innermost evaluations of every attempt.
+    levels keep their parent's relative tolerance; each inner task takes
+    the absolute tolerance of the task whose node started it, divided by
+    that task's span (at least 1), so every task's tolerance is its own
+    and any wave may be sliced.  A level whose propagated error alone
+    reaches its target stops the nest, which reruns with every inner
+    level 10x, then 100x tighter than its parent.  With ``strict`` an
+    inner task that does not converge raises NonConvergenceError;
+    without, its error propagates like any other.  The outermost level
+    always raises.  Returns an IntegralResult counting the innermost
+    evaluations of every attempt.
     """
     innermost = len(levels) - 1
     inner_evals = 0
 
-    def solve(depth, outer, scale, lcfg, factor):
+    def solve(depth, outer, scale, rel_tol, abs_tol, factor):
         nonlocal inner_evals
         edges, grading, weight = levels[depth]
         rows = edges(*outer)
         if depth < innermost:
-            ccfg = lcfg.child(float(np.max(rows[:, -1] - rows[:, 0],
-                                           initial=1.0)))
-            if factor != 1.0:
-                ccfg = replace(ccfg, rel_tol=max(ccfg.rel_tol / factor, 5e-15),
-                               abs_tol=max(ccfg.abs_tol / factor, 1e-290))
+            span = np.maximum(rows[:, -1] - rows[:, 0], 1.0)
+            child_abs = np.maximum(abs_tol / span / factor, 1e-290)
+            child_rel = (rel_tol if factor == 1.0
+                         else max(rel_tol / factor, 5e-15))
 
         def g(tids, x):
             pts = tuple(o[tids] for o in outer) + (x,)
@@ -524,7 +485,8 @@ def _iterated(f, levels, cfg, strict=True):
             if depth < innermost:
                 if scale is not None:
                     s = scale[tids] if s is None else scale[tids] * s
-                return solve(depth + 1, pts, s, ccfg, factor)
+                return solve(depth + 1, pts, s, child_rel, child_abs[tids],
+                             factor)
             # f's temporaries set the peak memory of a wave: the factors
             # from above are gathered only after f, with the outer
             # variables released
@@ -534,14 +496,8 @@ def _iterated(f, levels, cfg, strict=True):
                 y = y * s
             return y if scale is None else y * scale[tids]
 
-        # level 0 is a single task, passed in the ragged form.  A wave two
-        # or more levels above the innermost is evaluated whole: the
-        # widest task it spawns one level down sets the absolute tolerance
-        # two levels down (ccfg above), which a slice would narrow
-        v, e, ev, ok = _solve_batched(
-            g, rows if depth else [rows[0]], lcfg.rel_tol, lcfg.abs_tol,
-            _MAX_SUBDIVISIONS, grading=grading,
-            sliced=depth >= innermost - 1)
+        v, e, ev, ok = _solve_batched(g, rows, rel_tol, abs_tol,
+                                      grading=grading)
         if depth == innermost:
             inner_evals += int(ev.sum())
         if not ok.all() and (strict or depth == 0):
@@ -553,7 +509,7 @@ def _iterated(f, levels, cfg, strict=True):
 
     for factor in _RETRY_TIGHTENING:
         try:
-            v, e = solve(0, (), None, cfg, factor)
+            v, e = solve(0, (), None, cfg.rel_tol, cfg.abs_tol, factor)
         except _InheritedError as exc:
             last = exc
             continue

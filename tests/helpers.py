@@ -5,8 +5,8 @@ code paths: direct power series for the special functions, scipy
 quadrature of defining integrals, and a scan-plus-bisection resolver for
 the raw support indicator of the triple-kernel region.  Where a helper
 does lean on package internals it says so explicitly: the second F5/F6
-routes, the paper's five-block split of the A3 region and the nested
-integral below run on the package's engine and F3 kernel.
+routes, the paper's five-block split of the A3 region and the 1D and
+nested integrals below run on the package's engine and F3 kernel.
 """
 
 import math
@@ -177,8 +177,42 @@ def gauss_panels(edges, order=24):
 
 
 # ---------------------------------------------------------------------------
-# nested integral over iterated limits (runs on the package engine)
+# 1D and nested integrals over iterated limits (run on the package engine)
 # ---------------------------------------------------------------------------
+
+def integrate_1d(f, a, b, cfg=None, breakpoints=None):
+    """Adaptive integral of f over the finite range (a, b): a one-level
+    nest of :func:`_iterated` with the ``"sqrt"`` grading.
+
+    Parameters
+    ----------
+    f : callable
+        Vectorized integrand: maps an ndarray of abscissae to an ndarray of
+        values (real or complex).  Never called at a, b, or any breakpoint.
+    a, b : float
+        Finite limits, a < b.
+    breakpoints : sequence of float, optional
+        Interior points of known bad behavior (integrable log singularities,
+        jumps); they become panel edges, the panels on both sides are
+        graded toward them by x = x0 +/- u^2, and nodes never touch them.
+        The endpoints are graded the same way, which removes x^{-1/2}
+        singularities there.  Points outside (a, b) are ignored.
+
+    Raises
+    ------
+    NonConvergenceError
+        If the subdivision budget is exhausted before reaching tolerance.
+    """
+    a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("integrate_1d takes finite limits only")
+    if not b > a:
+        raise ValueError("require a < b")
+    brk = () if breakpoints is None else breakpoints
+    edges = np.unique(np.clip([a, *brk, b], a, b))
+    return _iterated(f, [(lambda: edges[None], "sqrt", None)],
+                     cfg or QuadratureConfig())
+
 
 def integrate_nested(f, ranges, cfg=None):
     """Iterated integral of ``f(x_0, ..., x_n)`` over x_k in ranges[k],

@@ -23,7 +23,7 @@ from eikamp.models import GaussianBorn, Kinematics
 from eikamp.oracle import (direct_eikonal_amplitude,
                            gaussian_series_amplitude,
                            reference_besselproduct)
-from eikamp.quadrature import QuadratureConfig, integrate_1d
+from eikamp.quadrature import QuadratureConfig
 from eikamp.special import elliptic_k
 
 CHAIN_CFG = QuadratureConfig(rel_tol=1e-4, abs_tol=1e-7)
@@ -243,7 +243,7 @@ def _gaussian_weight_indicator_oracle():
             if hi - lo < 1e-13:
                 continue
             brk = H.modulus_one_points(xp, xm, lo, hi, n_scan=129)
-            r = integrate_1d(f, lo, hi, inner_cfg, breakpoints=brk or None)
+            r = H.integrate_1d(f, lo, hi, inner_cfg, breakpoints=brk or None)
             total += r.value
             err += r.error_estimate
         return total, err
@@ -330,9 +330,9 @@ def test_09_special_function_witnesses():
     # the damped two-factor product is a smeared delta(a-b)/a; its mass
     # against the radial measure a da must be exactly one
     b, p = 1.0, 0.1
-    mass = integrate_1d(lambda a: a * weber_integral(a, b, p), 0.0,
-                        b + 40.0 * p,
-                        QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15)).value
+    mass = H.integrate_1d(lambda a: a * weber_integral(a, b, p), 0.0,
+                          b + 40.0 * p,
+                          QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15)).value
     mass_dev = abs(mass - 1.0)
 
     ok = worst_k <= 1e-10 and k0_dev <= 4e-16 and mass_dev <= 1e-8

@@ -9,11 +9,12 @@ import pytest
 
 from eikamp import (BoundaryCaseError, Branch, QuadratureConfig,
                     bessel_i0e, delta3_sq, delta4_sq, f3_eval, f4_classify,
-                    f4_eval, integrate_1d, weber_integral)
+                    f4_eval, weber_integral)
 from eikamp.besselprod import (_M1_FLOOR, _delta4_sq_values,
                                _f4_modulus_one_points, _f4_support_lo,
                                _f4_values, _g_values)
 from eikamp.special import _elliptic_k_core
+from helpers import integrate_1d
 
 TIGHT = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-14)
 

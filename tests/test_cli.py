@@ -107,6 +107,16 @@ class TestBesselprodCommand:
         assert code == 64
         assert "2 to 6" in err
 
+    @pytest.mark.parametrize("flag, value", [("--rel-tol", "0"),
+                                             ("--rel-tol", "nan"),
+                                             ("--abs-tol", "-1")])
+    def test_bad_tolerance_refused(self, flag, value, capsys):
+        code, out, err = run_cli(["besselprod", "1", "1", "1", "1", "1",
+                                  f"{flag}={value}"], capsys)
+        assert code == 64
+        assert err.startswith("eikamp besselprod: ")
+        assert "tolerances" in err
+
 
 class TestTableCommand:
     def test_csv_structure_and_positivity(self, gauss_model, capsys):
@@ -271,6 +281,20 @@ class TestUsageErrors:
              "--t-min", "-1", "--t-max", "0", "--points", "2"], capsys)
         assert code == 64
         assert "negative" in err
+
+    @pytest.mark.parametrize("command", ["table", "compare"])
+    @pytest.mark.parametrize("grid", [
+        ["--s", "inf", "--t-min", "-1", "--t-max", "-0.5"],
+        ["--s", "50", "--t-min", "nan", "--t-max", "-0.5", "--points", "1"],
+        ["--s", "50", "--t-min=-inf", "--t-max=-1", "--points", "2"],
+        ["--s", "50", "--t-min=-inf", "--t-max=-inf", "--points", "1"],
+    ], ids=["s", "t-min", "t-min-grid", "t-max"])
+    def test_non_finite_kinematics_refused(self, gauss_model, command, grid,
+                                           capsys):
+        code, out, err = run_cli([command, "--model", gauss_model] + grid,
+                                 capsys)
+        assert code == 64
+        assert "finite" in err
 
     def test_missing_model_file(self, tmp_path, capsys):
         code, out, err = run_cli(

@@ -20,7 +20,8 @@ from eikamp.oracle import (OracleConfig, _auto_b_max,
                            gaussian_series_amplitude,
                            integrate_damped_bessel_product,
                            reference_besselproduct)
-from eikamp.quadrature import QuadratureConfig, integrate_1d
+from eikamp.quadrature import QuadratureConfig
+from helpers import integrate_1d
 
 
 def gaussian_with_chi0(chi0, lam=1.0):

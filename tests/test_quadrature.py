@@ -11,13 +11,13 @@ import scipy.special as sps
 
 from eikamp import (DEFAULT_P_SEQUENCE, ExtrapolationDivergenceError,
                     IntegralResult, NonConvergenceError, QuadratureConfig,
-                    integrate_1d, integrate_damped_bessel_product)
+                    integrate_damped_bessel_product)
 from eikamp import quadrature as quadrature_module
 from eikamp.quadrature import (_QUARTIC_LEFT, _QUARTIC_RIGHT, _SQRT_LEFT,
                                _SQRT_RIGHT, _build_tasks, _eval_segments,
                                _InheritedError, _iterated, _limits,
                                _map_nodes, _solve_batched)
-from helpers import integrate_nested
+from helpers import integrate_1d, integrate_nested
 
 TIGHT = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-14)
 
@@ -182,7 +182,7 @@ class TestEngineBehavior:
         truth = 2.0 * math.log(2.0) - 3.0
         for rel in (1e-8, 1e-11, 1e-13):
             v, e, _, ok = _solve_batched(f, [np.array([x0 - 1.0, x0, x0 + 2.0])],
-                                         rel, 1e-300, 2000, grading=grading)
+                                         rel, 1e-300, grading=grading)
             assert ok[0] or (grading == "sqrt" and x0 > 100.0 and rel < 1e-12)
             assert abs(v[0] - truth) <= e[0]
         assert not np.any(np.concatenate(seen) == x0)
@@ -236,7 +236,7 @@ class TestEngineBehavior:
         edges = [np.array([0.0, 0.3, 1.0])]
         counts = {}
         for grading in ("log", "sqrt"):
-            v, e, n, ok = _solve_batched(f, edges, rel, 1e-300, 2000,
+            v, e, n, ok = _solve_batched(f, edges, rel, 1e-300,
                                          grading=grading)
             assert ok[0]
             assert abs(v[0] - truth) <= e[0]
@@ -336,10 +336,8 @@ class TestIterated:
 
         edges = [np.array([0.0, 0.3, 1.0]), np.array([0.0, 2.0])]
         for grading in ("plain", "log"):
-            a = _solve_batched(plain, edges, 1e-9, 1e-300, 2000,
-                               grading=grading)
-            b = _solve_batched(nested, edges, 1e-9, 1e-300, 2000,
-                               grading=grading)
+            a = _solve_batched(plain, edges, 1e-9, 1e-300, grading=grading)
+            b = _solve_batched(nested, edges, 1e-9, 1e-300, grading=grading)
             for got, want in zip(b, a):
                 np.testing.assert_array_equal(got, want)
 
@@ -354,7 +352,7 @@ class TestIterated:
             return np.sin(2.0 * math.pi * x), np.full_like(x, 1e-6)
 
         with pytest.raises(_InheritedError, match="inherited error"):
-            _solve_batched(f, [np.array([0.0, 1.0])], 1e-6, 1e-12, 2000,
+            _solve_batched(f, [np.array([0.0, 1.0])], 1e-6, 1e-12,
                            grading="plain")
         assert calls[0] == 1
 
@@ -365,7 +363,7 @@ class TestIterated:
             return np.exp(x), np.full_like(x, 0.5e-8 * math.e)
 
         v, e, _, ok = _solve_batched(f, [np.array([0.0, 1.0])], 1e-8,
-                                     1e-300, 2000, grading="plain")
+                                     1e-300, grading="plain")
         assert ok[0]
         assert abs(v[0] - (math.e - 1.0)) <= 1e-8 * (math.e - 1.0)
         assert e[0] <= 1e-8 * v[0]
@@ -377,10 +375,11 @@ class TestIterated:
         # its first wave and the rerun with 10x tighter inner levels
         # converges
         real = quadrature_module._solve_batched
+        depth = [0]
         outer_runs = []
 
         def spy(f, edges, *args, **kwargs):
-            if not isinstance(edges, list):
+            if depth[0]:
                 return real(f, edges, *args, **kwargs)
             waves = [0]
 
@@ -388,11 +387,14 @@ class TestIterated:
                 waves[0] += 1
                 return f(tid, x)
 
+            depth[0] += 1
             try:
                 out = real(counted, edges, *args, **kwargs)
             except _InheritedError:
                 outer_runs.append(("inherited", waves[0]))
                 raise
+            finally:
+                depth[0] -= 1
             outer_runs.append(("converged", waves[0]))
             return out
 
@@ -413,15 +415,63 @@ class TestIterated:
         assert abs(res.value - truth) <= res.error_estimate
         assert res.error_estimate <= 1e-8 * abs(truth)
 
-    def test_tolerance_budget_keeps_rel_and_divides_abs_by_span(self):
-        # one level down keeps the relative tolerance; only the absolute
-        # one is divided by the outer span (never multiplied, for spans
-        # below 1), so that inner errors integrated over it fit the budget
-        cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-10)
-        for span, abs_tol in ((1.0, 1e-10), (4.0, 2.5e-11), (0.25, 1e-10)):
-            child = cfg.child(span)
-            assert child.rel_tol == 1e-6
-            assert child.abs_tol == pytest.approx(abs_tol, rel=1e-15)
+    def test_each_inner_task_divides_its_own_task_abs_tol_by_its_span(
+            self, monkeypatch):
+        # one level down keeps the relative tolerance; the absolute one of
+        # each inner task is that of the middle task whose node started
+        # it, divided by that task's span (never multiplied, for spans
+        # below 1), so that inner errors integrated over the task fit its
+        # budget.  The middle tasks y in [0, x] span 0 to 4, so the inner
+        # tolerances differ from node to node
+        real = quadrature_module._solve_batched
+        depth = [0]
+        # per middle call: its rows, its abs_tol per task and the task ids
+        # of the nodes it is evaluating; per inner call: its abs_tol per
+        # task and what its middle call held when it started
+        middle = []
+        inner = []
+        rels = []
+
+        def spy(g, edges, rel_tol, abs_tol, *args, **kwargs):
+            d = depth[0]
+            rels.append(rel_tol)
+            abs_tol = np.broadcast_to(abs_tol, (len(edges),)).copy()
+            if d == 1:
+                entry = (np.asarray(edges), abs_tol, [None])
+
+                def tracked(tids, x):
+                    entry[2][0] = tids
+                    return g(tids, x)
+
+                middle.append(entry)
+                call = tracked
+            else:
+                call = g
+                if d == 2:
+                    rows, mid_abs, tids = middle[-1]
+                    inner.append((abs_tol, rows, mid_abs, tids[0]))
+            depth[0] += 1
+            try:
+                return real(call, edges, rel_tol, abs_tol, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(quadrature_module, "_solve_batched", spy)
+        cfg = QuadratureConfig(rel_tol=1e-7, abs_tol=1e-9)
+        res = integrate_nested(lambda x, y, z: np.exp(-x * y) * np.cos(z),
+                               [(0.0, 4.0), (0.0, lambda x: x),
+                                (0.0, lambda x, y: 1.0 + y)], cfg)
+        assert res.value > 0.0
+        assert set(rels) == {1e-7}
+        for _, abs_tol, _ in middle:
+            # the one outer task spans 4
+            np.testing.assert_array_equal(abs_tol, 1e-9 / 4.0)
+        values = set()
+        for abs_tol, rows, mid_abs, tids in inner:
+            span = np.maximum(rows[:, -1] - rows[:, 0], 1.0)
+            np.testing.assert_array_equal(abs_tol, mid_abs[tids] / span[tids])
+            values.update(abs_tol.tolist())
+        assert len(values) > 1
 
 
 class TestNestedQuadrature:
@@ -495,10 +545,16 @@ class TestNestedQuadrature:
         cfg = QuadratureConfig(rel_tol=1e-8)
         want = _iterated(f, self._levels(), cfg)
         real = quadrature_module._solve_batched
+        depth = [0]
 
-        def solve(g, edges, *args, **kwargs):
-            vals, errs, evals, ok = real(g, edges, *args, **kwargs)
-            if not isinstance(edges, list):
+        def solve(*args, **kwargs):
+            inner = depth[0] > 0
+            depth[0] += 1
+            try:
+                vals, errs, evals, ok = real(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+            if inner:
                 ok = ok.copy()
                 ok[0] = False
             return vals, errs, evals, ok
@@ -512,11 +568,11 @@ class TestNestedQuadrature:
 
 
     def test_wave_slices_change_no_result(self, monkeypatch):
-        # one segment per integrand call gives every value, error and count
-        # of whole waves.  The middle tasks here reach width 8, and the
-        # widest one an outer wave spawns sets the inner absolute
-        # tolerance, which binds for this decaying integrand: the outer
-        # wave must stay whole for the count to hold
+        # one segment per integrand call, at every level, gives every
+        # value, error and count of whole waves.  The middle tasks here
+        # reach width 8, and each inner task's absolute tolerance, which
+        # binds for this decaying integrand, comes from its own middle
+        # task alone, so no slice can change it
         def f(x, y, z):
             return np.exp(-2.0 * (x + y + z)) * np.cos(y * z)
 
@@ -525,8 +581,28 @@ class TestNestedQuadrature:
                   (_limits(0.0, lambda x, y: x + y), "plain", None)]
         cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-6)
         whole = _iterated(f, levels, cfg)
+
+        real = quadrature_module._solve_batched
+        depth = [0]
+        widest = [0, 0, 0]
+
+        def spy(g, *args, **kwargs):
+            d = depth[0]
+
+            def counted(tids, x):
+                widest[d] = max(widest[d], x.size)
+                return g(tids, x)
+
+            depth[0] += 1
+            try:
+                return real(counted, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(quadrature_module, "_solve_batched", spy)
         monkeypatch.setattr(quadrature_module, "_WAVE_SLICE", 1)
         sliced = _iterated(f, levels, cfg)
+        assert widest == [15, 15, 15]
         assert (sliced.value, sliced.error_estimate, sliced.evaluations) == (
             whole.value, whole.error_estimate, whole.evaluations)
 
