@@ -210,15 +210,20 @@ def f4_eval(a, b, c, d):
 # ---------------------------------------------------------------------------
 
 def _delta4_sq_values(a, b, c, d):
-    """Factored-form invariant, broadcasting, no canonical sorting."""
-    return (((c + d) ** 2 - (a - b) ** 2) * ((a + b) ** 2 - (c - d) ** 2)) / 16.0
+    """Factored-form invariant, broadcasting, no canonical sorting.
+    Squares are products: a numpy scalar's ``** 2`` goes through pow and
+    is not always the correctly rounded x * x that an array's is."""
+    s, u, v, w = c + d, a - b, a + b, c - d
+    return ((s * s - u * u) * (v * v - w * w)) / 16.0
 
 
 def _f3_values(a, b, c):
-    """Vectorized F3; inputs broadcast.  0 outside support, no boundary
-    errors (nodes close to a boundary see the genuine 1/Delta3 growth)."""
-    a, b, c = np.broadcast_arrays(*(np.asarray(v, float) for v in (a, b, c)))
-    d2 = ((c * c - (a - b) ** 2) * ((a + b) ** 2 - c * c)) / 16.0
+    """Vectorized F3; inputs broadcast by the arithmetic, so scalar sides
+    cost one operation each.  0 outside support, no boundary errors
+    (nodes close to a boundary see the genuine 1/Delta3 growth)."""
+    a, b, c = (np.asarray(v, float) for v in (a, b, c))
+    u, v = a - b, a + b     # products, as in _delta4_sq_values
+    d2 = ((c * c - u * u) * (v * v - c * c)) / 16.0
     out = np.zeros_like(d2)
     pos = d2 > 0.0
     out[pos] = 1.0 / (2.0 * math.pi * np.sqrt(d2[pos]))
@@ -226,13 +231,14 @@ def _f3_values(a, b, c):
 
 
 def _f4_values(a, b, c, d):
-    """Vectorized F4; inputs broadcast, no boundary errors.
+    """Vectorized F4; inputs broadcast by the arithmetic, no boundary
+    errors.
 
     The branch is the sign of the factored gap Delta4^2 - abcd (SUPER
     where it is positive), and K takes the complementary parameter
     m1 = |gap| / den straight from it, floored at ``_M1_FLOOR`` so that an
     exact modulus-one root stays finite."""
-    a, b, c, d = np.broadcast_arrays(*(np.asarray(v, float) for v in (a, b, c, d)))
+    a, b, c, d = (np.asarray(v, float) for v in (a, b, c, d))
     d2 = _delta4_sq_values(a, b, c, d)
     gap = _modulus_one_gap(a, b, c, d)
     den = np.where(gap > 0.0, d2, a * b * c * d)

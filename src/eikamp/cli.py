@@ -166,11 +166,11 @@ def _cmd_besselprod(args):
               "smear one scale (n >= 3) to get a finite value",
               file=sys.stderr)
         return EXIT_USAGE
-    try:
-        cfg = QuadratureConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
-    except ValueError as exc:
-        print(f"eikamp besselprod: {exc}", file=sys.stderr)
+    if not (0 < args.rel_tol < 1 and 0 < args.abs_tol < 1):
+        print("eikamp besselprod: tolerances must be in (0, 1)",
+              file=sys.stderr)
         return EXIT_USAGE
+    cfg = QuadratureConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     try:
         if n == 3:
             value = f3_eval(*params)

@@ -306,12 +306,14 @@ def _a3_block(model, qt, x1_lo, x1_hi, cfg, x3_cap, counters):
     For a model of one constant phase the nest integrates the real
     a / phase and the slab's value is multiplied by phase^3 once.
 
-    Only the inner axis is graded (``"log"``): its interior edges are the
-    kernel's modulus-one points, where G has a log spike, and for
-    tabulated models the PCHIP knots.  The x2 and x1 integrands are inner
-    integrals, smooth at their panel edges, so those axes take plain
-    panels: graded halves would only double the middle nodes, each of
-    which costs a whole inner task.
+    Only the inner axis is graded (``"log"``), and only at the task ends
+    and the kernel's modulus-one points, where G has a log spike.  For
+    tabulated models the PCHIP knots, where a(qt x3) is C1, are panel
+    edges marked smooth, with no graded map of their own
+    (:func:`eikamp.quadrature._build_tasks`).  The x2 and x1 integrands
+    are inner integrals, smooth at their panel edges, so those axes take
+    plain panels: graded halves would only double the middle nodes, each
+    of which costs a whole inner task.
 
     The nest runs on :func:`eikamp.quadrature._iterated` at
     ``cfg.rel_tol``; a slab whose middle or outer value cancels is rerun
@@ -322,9 +324,9 @@ def _a3_block(model, qt, x1_lo, x1_hi, cfg, x3_cap, counters):
         return 0.0 + 0.0j, 0.0
     phase, red = _phase_split(model)
     # a tabulated a(qt x3) is only C1 at its grid knots: panel edges there
-    # restore full quadrature order on the inner axis
+    # restore full quadrature order on the inner axis, with no graded map
     grid = getattr(model, "q_grid", None)
-    knots = np.empty((1, 0)) if grid is None else grid[None, 1:] / qt
+    knots = None if grid is None else grid[None, 1:] / qt
 
     def x2_rows(x1):
         return np.column_stack([np.zeros_like(x1), np.minimum(x1, 1.0), x1])
@@ -332,9 +334,21 @@ def _a3_block(model, qt, x1_lo, x1_hi, cfg, x3_cap, counters):
     def x3_rows(x1, x2):
         lo3 = np.maximum(np.maximum(1.0 - x1, x2 - 1.0), 0.0)
         hi3 = np.maximum(np.minimum(x1 + 1.0, x3_cap), lo3)
-        return np.sort(np.column_stack([
-            lo3, _x3_breakpoints(0.5 * (x1 + x2), 0.5 * (x1 - x2), lo3, hi3),
-            np.clip(knots, lo3[:, None], hi3[:, None]), hi3]), axis=1)
+        roots = _x3_breakpoints(0.5 * (x1 + x2), 0.5 * (x1 - x2), lo3, hi3)
+        if knots is None:
+            return np.sort(np.column_stack([lo3, roots, hi3]), axis=1)
+        lo3, hi3 = lo3[:, None], hi3[:, None]
+        k = np.clip(knots, lo3, hi3)
+        rows = np.concatenate([lo3, roots, k, hi3], axis=1)
+        # a knot is smooth strictly inside the task and off every root;
+        # a clipped knot sits on a task end, which may carry 1/sqrt
+        smooth = np.zeros(rows.shape, dtype=bool)
+        smooth[:, 1 + roots.shape[1]:-1] = (
+            (k > lo3) & (k < hi3)
+            & ~(k[:, :, None] == roots[:, None, :]).any(axis=2))
+        order = np.argsort(rows, axis=1)
+        return (np.take_along_axis(rows, order, axis=1),
+                np.take_along_axis(smooth, order, axis=1))
 
     def pair(x1, x2):
         xp, xm = 0.5 * (x1 + x2), 0.5 * (x1 - x2)
@@ -438,8 +452,9 @@ def a3_term(model, kin, cfg=None):
     slab's (:func:`_a3_with_error`).  Semi-infinite ranges truncate
     on the model envelope with a tail bound added to the error estimate;
     the kernel's log-singular surfaces (elliptic modulus 1) are planes in
-    closed form, inserted as graded breakpoints on the innermost axis.  An
-    inner integral that does not converge raises NonConvergenceError.
+    closed form, inserted as graded breakpoints on the innermost axis,
+    where a table's knots are ungraded panel edges.  An inner integral
+    that does not converge raises NonConvergenceError.
     """
     cfg = cfg or QuadratureConfig()
     value, _err, _n = _a3_with_error(model, kin, cfg)

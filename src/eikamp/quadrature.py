@@ -21,6 +21,14 @@ and takes one of three gradings:
   interior edge, which turns log|x - x0| into u^3 log u, so a known
   logarithmic point costs a few bisections instead of a dozen per side.
 
+A level may mark interior edges of a ``"sqrt"`` or ``"log"`` task as
+smooth: knots where the integrand is only C1, such as those of a
+tabulated interpolant.  A panel edge there restores full order, so a
+knot gets no graded map: a panel between two knots is one plain segment,
+and one between a knot and a graded edge is one segment graded toward
+that edge only.  Only the singular points and a task's ends are then
+graded.
+
 Kronrod nodes are strictly interior, and a graded node keeps at least one
 float spacing from its anchor even where u^2 or u^4 underflows against
 it, so integrands are never evaluated exactly at endpoints or listed
@@ -67,6 +75,7 @@ it (:func:`eikamp.eikonal._a3_with_error`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,8 +163,9 @@ class QuadratureConfig:
     abs_tol: float = 1e-12
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.rel_tol < math.inf
+                and 0.0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -177,7 +187,7 @@ class IntegralResult:
 # batched engine
 # ---------------------------------------------------------------------------
 
-def _build_tasks(edges_list, grading):
+def _build_tasks(edges_list, grading, smooth=None):
     """Turn per-task edges into flat segment arrays with maps.
 
     ``edges_list`` is a 2D array with one row of edges per task, or a
@@ -190,6 +200,14 @@ def _build_tasks(edges_list, grading):
     edges, with the square-root map at every edge (``"sqrt"``) or at the
     task's first and last edges and the quartic map at its interior ones
     (``"log"``).
+
+    ``smooth``, a bool mask of the shape of ``edges_list``, marks edges
+    where the integrand is smooth on either side (a C1 knot): a panel
+    edge there restores full order, and no map is anchored on it.  A
+    graded panel with one smooth edge is one segment graded toward the
+    other over its full width, and one with two is one plain segment.
+    Flags on a task's first and last edges, which may carry 1/sqrt, and
+    on edges of zero-length panels are ignored.
     """
     if grading not in _GRADINGS:
         raise ValueError(f"grading must be one of {_GRADINGS}, got {grading!r}")
@@ -197,11 +215,15 @@ def _build_tasks(edges_list, grading):
         n_tasks, width = edges_list.shape
         lens = np.full(n_tasks, width)
         flat = edges_list.ravel().astype(float)
+        if smooth is not None:
+            smooth = np.array(smooth, dtype=bool).ravel()
     else:
         n_tasks = len(edges_list)
         lens = np.fromiter(map(len, edges_list), dtype=int, count=n_tasks)
         flat = (np.concatenate(edges_list).astype(float) if lens.sum()
                 else np.zeros(0))
+        if smooth is not None:
+            smooth = np.concatenate([*smooth, np.zeros(0, dtype=bool)])
     first = np.cumsum(lens) - lens
     live = np.zeros(n_tasks, dtype=bool)
     filled = lens > 0
@@ -220,15 +242,39 @@ def _build_tasks(edges_list, grading):
     if grading == "log":
         left[lo > flat[first[tid]]] = _QUARTIC_LEFT
         right[hi < flat[first[tid] + lens[tid] - 1]] = _QUARTIC_RIGHT
-    half = 0.5 * (hi - lo)
+    w_left = w_right = 0.5 * (hi - lo)
+    if smooth is not None:
+        # an edge counts as smooth only with both neighbours in its task
+        # and strictly apart from them: off its task's ends and off any
+        # zero-length panel
+        sm = np.zeros(flat.size, dtype=bool)
+        sm[1:-1] = (smooth[1:-1] & (owner[:-2] == owner[2:])
+                    & (flat[:-2] < flat[1:-1]) & (flat[1:-1] < flat[2:]))
+        panel = np.flatnonzero(same)[keep]
+        s_lo, s_hi = sm[panel], sm[panel + 1]
+        w_left = np.where(s_hi & ~s_lo, hi - lo, w_left)
+        w_right = np.where(s_lo & ~s_hi, hi - lo, w_right)
     kind = np.empty(2 * tid.size, dtype=np.int8)
     kind[0::2], kind[1::2] = left, right
     anc = np.empty(2 * tid.size)
     anc[0::2], anc[1::2] = lo, hi
-    u_hi = np.sqrt(np.repeat(half, 2))
+    u_lo = np.zeros(2 * tid.size)
+    u_hi = np.empty(2 * tid.size)
+    u_hi[0::2], u_hi[1::2] = w_left, w_right
+    np.sqrt(u_hi, out=u_hi)
     quartic = kind >= _QUARTIC_LEFT
     u_hi[quartic] = np.sqrt(u_hi[quartic])
-    return np.repeat(tid, 2), kind, anc, np.zeros(2 * tid.size), u_hi
+    seg_tid = np.repeat(tid, 2)
+    if smooth is None:
+        return seg_tid, kind, anc, u_lo, u_hi
+    # a panel smooth at both edges keeps its left half as a plain segment
+    both = s_lo & s_hi
+    at = 2 * np.flatnonzero(both)
+    kind[at], anc[at], u_lo[at], u_hi[at] = 0, 0.0, lo[both], hi[both]
+    kept = np.empty(2 * tid.size, dtype=bool)
+    kept[0::2], kept[1::2] = ~s_lo | both, ~s_hi
+    kept = np.flatnonzero(kept)
+    return tuple(a.take(kept) for a in (seg_tid, kind, anc, u_lo, u_hi))
 
 
 def _map_nodes(kind, anc, u):
@@ -310,14 +356,15 @@ class _InheritedError(NonConvergenceError):
     """A task's propagated inner error alone reaches its target."""
 
 
-def _solve_batched(f, edges_list, rel_tol, abs_tol, grading="sqrt"):
+def _solve_batched(f, edges_list, rel_tol, abs_tol, grading="sqrt",
+                   smooth=None):
     """Run the batched adaptive loop over independent 1D tasks.
 
     f(task_indices, x) -> y or (y, yerr); both flat arrays.  Returns
     (values, error_estimates, evaluation_counts, converged_mask).
     ``abs_tol`` is one absolute tolerance for every task or an array of
-    one per task; ``grading`` maps each task's panels, see
-    :func:`_build_tasks`.  Each task may bisect at most
+    one per task; ``grading`` and the optional ``smooth`` mask map each
+    task's panels, see :func:`_build_tasks`.  Each task may bisect at most
     :data:`_MAX_SUBDIVISIONS` panels, and each wave is evaluated in
     slices, see :func:`_eval_segments`.
 
@@ -327,7 +374,7 @@ def _solve_batched(f, edges_list, rel_tol, abs_tol, grading="sqrt"):
     :class:`_InheritedError` at once.
     """
     T = len(edges_list)
-    tid, kind, anc, lo, hi = _build_tasks(edges_list, grading)
+    tid, kind, anc, lo, hi = _build_tasks(edges_list, grading, smooth)
     abs_tol_arr = np.broadcast_to(np.asarray(abs_tol, dtype=float), (T,))
     evals = np.zeros(T, dtype=int)
     splits = np.zeros(T, dtype=int)
@@ -446,8 +493,11 @@ def _iterated(f, levels, cfg, strict=True):
     variable x_k:
 
     * ``edges(x_0, ..., x_{k-1})`` returns sorted task rows, one per node
-      of level k-1 (level 0 is called with no argument, for one row);
-    * ``grading`` maps the panels of the level, see :func:`_build_tasks`;
+      of level k-1 (level 0 is called with no argument, for one row), or
+      ``(rows, smooth)`` with a bool mask of the rows' shape marking the
+      edges that need a panel but no graded map (C1 knots);
+    * ``grading`` maps the panels of the level, with the mask if any, see
+      :func:`_build_tasks`;
     * ``weight(x_0, ..., x_k)`` is None or a factor formed once per node
       of the level and multiplied into every innermost value below it.
 
@@ -473,6 +523,7 @@ def _iterated(f, levels, cfg, strict=True):
         nonlocal inner_evals
         edges, grading, weight = levels[depth]
         rows = edges(*outer)
+        rows, smooth = rows if isinstance(rows, tuple) else (rows, None)
         if depth < innermost:
             span = np.maximum(rows[:, -1] - rows[:, 0], 1.0)
             child_abs = np.maximum(abs_tol / span / factor, 1e-290)
@@ -497,7 +548,7 @@ def _iterated(f, levels, cfg, strict=True):
             return y if scale is None else y * scale[tids]
 
         v, e, ev, ok = _solve_batched(g, rows, rel_tol, abs_tol,
-                                      grading=grading)
+                                      grading=grading, smooth=smooth)
         if depth == innermost:
             inner_evals += int(ev.sum())
         if not ok.all() and (strict or depth == 0):

@@ -10,9 +10,10 @@ import pytest
 from eikamp import (BoundaryCaseError, Branch, QuadratureConfig,
                     bessel_i0e, delta3_sq, delta4_sq, f3_eval, f4_classify,
                     f4_eval, weber_integral)
-from eikamp.besselprod import (_M1_FLOOR, _delta4_sq_values,
-                               _f4_modulus_one_points, _f4_support_lo,
-                               _f4_values, _g_values)
+from eikamp.besselprod import (_M1_FLOOR, _PI2, _delta4_sq_values,
+                               _f3_values, _f4_modulus_one_points,
+                               _f4_support_lo, _f4_values, _g_values,
+                               _modulus_one_gap)
 from eikamp.special import _elliptic_k_core
 from helpers import integrate_1d
 
@@ -165,6 +166,62 @@ class TestF4Values:
             if rep.branch in (Branch.SUPER, Branch.SUB):
                 assert f4_eval(*p) > 0.0
                 n += 1
+
+
+class TestVectorizedValues:
+    @staticmethod
+    def broadcast_f3(a, b, c):
+        # the explicitly broadcast form of _f3_values
+        a, b, c = np.broadcast_arrays(*(np.asarray(v, float)
+                                        for v in (a, b, c)))
+        d2 = ((c * c - (a - b) ** 2) * ((a + b) ** 2 - c * c)) / 16.0
+        out = np.zeros_like(d2)
+        pos = d2 > 0.0
+        out[pos] = 1.0 / (2.0 * math.pi * np.sqrt(d2[pos]))
+        return out
+
+    @staticmethod
+    def broadcast_f4(a, b, c, d):
+        # the explicitly broadcast form of _f4_values
+        a, b, c, d = np.broadcast_arrays(*(np.asarray(v, float)
+                                           for v in (a, b, c, d)))
+        d2 = _delta4_sq_values(a, b, c, d)
+        gap = _modulus_one_gap(a, b, c, d)
+        den = np.where(gap > 0.0, d2, a * b * c * d)
+        out = np.zeros(d2.shape)
+        live = d2 >= 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m1 = np.maximum(np.abs(gap[live]) / den[live], _M1_FLOOR)
+        out[live] = _elliptic_k_core(m1) / (_PI2 * np.sqrt(den[live]))
+        return out
+
+    def test_scalar_sides_broadcast_to_the_bit(self):
+        # F5 and F6 call _f3_values and _f4_values with scalar parameters
+        # against an array of t: letting the arithmetic broadcast the
+        # scalars gives the explicitly broadcast values bit for bit, on
+        # draws where every fifth one vanishes (one parameter 1.25 to 1.6
+        # times the sum of the others) and on t spanning both supports.
+        # The first draw has a + b = 1.5070..., whose square as a numpy
+        # scalar ** 2 is one ulp off the array's; about 1 in 1,000 values
+        # is, so the draws are many
+        rng = np.random.default_rng(21)
+        draws = [np.array([0.6285940564053194, 0.8784229233302765,
+                           1.7440278689382005])]
+        for k in range(1, 1500):
+            p = rng.uniform(0.5, 2.0, 3)
+            if k % 5 == 0:
+                p[k % 3] = rng.uniform(1.25, 1.6) * (p.sum() - p[k % 3])
+            draws.append(p)
+        for p in draws:
+            t = np.concatenate([rng.uniform(0.0, 8.0, 20), p])
+            a, b, c = map(float, p)
+            for got, want in ((_f3_values(a, b, t), self.broadcast_f3(a, b, t)),
+                              (_f4_values(a, b, c, t),
+                               self.broadcast_f4(a, b, c, t)),
+                              (_f4_values(t, a, b, c),
+                               self.broadcast_f4(t, a, b, c))):
+                assert got.shape == want.shape == t.shape
+                assert got.tobytes() == want.tobytes()
 
 
 def g_kernel(xp, xm, x3):

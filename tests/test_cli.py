@@ -109,7 +109,10 @@ class TestBesselprodCommand:
 
     @pytest.mark.parametrize("flag, value", [("--rel-tol", "0"),
                                              ("--rel-tol", "nan"),
-                                             ("--abs-tol", "-1")])
+                                             ("--abs-tol", "-1"),
+                                             ("--rel-tol", "inf"),
+                                             ("--rel-tol", "5"),
+                                             ("--abs-tol", "inf")])
     def test_bad_tolerance_refused(self, flag, value, capsys):
         code, out, err = run_cli(["besselprod", "1", "1", "1", "1", "1",
                                   f"{flag}={value}"], capsys)

@@ -302,6 +302,20 @@ class TestA3:
             total += n
         assert total <= 1_000_000
 
+    def test_table_knots_cost_no_graded_halves(self):
+        # the PCHIP knots of a table are ungraded panel edges on the x3
+        # axis: the bench table at s = 50, t = -1, rel 1e-3 / abs 1e-6
+        # takes at most 540,000 inner points (668,310 with a graded half
+        # on each side of every knot, 479,430 without), stays within its
+        # reported error of the graded value and reports within rel 1e-3
+        graded = 0.012204815832582892
+        value, err, n = _a3_with_error(
+            real_tabulated(), Kinematics(s=50.0, t=-1.0),
+            QuadratureConfig(rel_tol=1e-3, abs_tol=1e-6))
+        assert n <= 540_000
+        assert abs(value - graded) <= err
+        assert err <= 1e-3 * abs(value)
+
     def test_later_blocks_take_a_floor_from_the_running_sum(
             self, monkeypatch):
         # A3 runs in the x1 slabs [0, 1], [1, 2], [2, 4], [4, 8], ... up
@@ -760,6 +774,34 @@ class TestDomainDecomposition:
                     assert row3[-1] == blk.x3_upper(a, b)
                     checked += 1
         assert checked > 450
+
+    def test_only_inner_table_knots_off_the_roots_are_smooth(
+            self, monkeypatch):
+        # a knot k / qt of a table is a smooth x3 edge only strictly inside
+        # (lo3, hi3) and off every modulus-one root; a knot clipped onto a
+        # task end, where 1/sqrt may sit, or on a root stays graded
+        levels = []
+
+        def capture(f, lv, cfg):
+            levels[:] = lv
+            return IntegralResult(0.0, 0.0, 1)
+
+        monkeypatch.setattr(eikonal_module, "_iterated", capture)
+        eikonal_module._a3_block(real_tabulated(), 1.0, 0.0, 4.0,
+                                 QuadratureConfig(), math.inf, [0])
+        x3_rows = levels[2][0]
+        # knots 0.5, 1, 1.5, 2 at qt = 1; per (x1, x2): lo3, the three
+        # roots x1 - 1, 1 - x2, 1 + x2 (clipped) and hi3
+        x1, x2 = np.array([0.5, 1.5, 3.0]), np.array([0.25, 0.5, 0.125])
+        rows, smooth = x3_rows(x1, x2)
+        np.testing.assert_array_equal(rows, [
+            [0.5, 0.5, 0.5, 0.75, 1.0, 1.25, 1.5, 1.5, 1.5],   # [0.5, 1.5]
+            [0.0, 0.5, 0.5, 0.5, 1.0, 1.5, 1.5, 2.0, 2.5],     # [0, 2.5]
+            [0.0, 0.5, 0.875, 1.0, 1.125, 1.5, 2.0, 2.0, 4.0]])  # [0, 4]
+        assert [r[m].tolist() for r, m in zip(rows, smooth)] == [
+            [1.0],              # 0.5 on lo3; 1.5, and 2 clipped, on hi3
+            [1.0, 2.0],         # 0.5 and 1.5 are roots
+            [0.5, 1.0, 1.5]]    # 2 is a root
 
     @pytest.mark.parametrize("make, t, cfg", [
         (lambda: ExponentialPoleBorn(c=1.1, slope_b=0.7), -1.0,

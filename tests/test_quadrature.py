@@ -165,6 +165,101 @@ class TestEngineBehavior:
             _build_tasks([[0.0, 1.0]], True)
 
     @pytest.mark.parametrize("grading", ["sqrt", "log"])
+    def test_smooth_edges_get_a_panel_but_no_map(self, grading):
+        # edges 0 | 1 | 3 ~ 4 ~ 6 | 7 with ~ smooth: a panel with one
+        # smooth edge is one segment graded toward its other edge over its
+        # full width, one with two is plain, one with none keeps its halves
+        inner_l, inner_r = ((_QUARTIC_LEFT, _QUARTIC_RIGHT) if grading == "log"
+                            else (_SQRT_LEFT, _SQRT_RIGHT))
+        edges = np.array([[0.0, 1.0, 3.0, 4.0, 6.0, 7.0]])
+        smooth = np.array([[False, False, True, True, False, False]])
+        tid, kind, anc, u_lo, u_hi = _build_tasks(edges, grading, smooth)
+        assert tid.tolist() == [0] * 7
+        assert kind.tolist() == [_SQRT_LEFT, inner_r, inner_l, 0,
+                                 inner_r, inner_l, _SQRT_RIGHT]
+        assert anc.tolist() == [0.0, 1.0, 1.0, 0.0, 6.0, 6.0, 7.0]
+        assert u_lo.tolist() == [0.0, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0]
+        # each graded segment's map reaches the far end of its part
+        reach = np.where(kind == 0, u_hi,
+                         u_hi ** np.where(kind >= _QUARTIC_LEFT, 4, 2))
+        np.testing.assert_allclose(reach, [0.5, 0.5, 2.0, 4.0, 2.0, 0.5, 0.5],
+                                   rtol=1e-15)
+        # ragged rows take a ragged mask
+        ragged = _build_tasks([edges[0], [0.0, 2.0]], grading,
+                              [smooth[0], [False, False]])
+        assert ragged[0].tolist() == [0] * 7 + [1, 1]
+        np.testing.assert_array_equal(ragged[1][:7], kind)
+
+    @pytest.mark.parametrize("edges, smooth", [
+        ([0.0, 1.0, 2.0], [True, False, True]),        # first and last
+        ([0.0, 1.0, 1.0, 2.0], [False, True, True, False]),
+        ([0.0, 1.0, 1.0, 2.0], [False, True, False, False]),
+        ([0.0, 0.0, 1.0, 2.0], [True, True, False, False]),
+        ([0.0, 1.0, 2.0, 2.0], [False, False, True, True]),
+    ], ids=["task-ends", "repeat-both", "repeat-one", "repeat-first",
+            "repeat-last"])
+    @pytest.mark.parametrize("grading", ["sqrt", "log"])
+    def test_smooth_flags_on_ends_and_zero_length_panels_are_ignored(
+            self, edges, smooth, grading):
+        # a task end may carry 1/sqrt, and an edge of a zero-length panel
+        # may be listed twice with different flags: both stay graded
+        got = _build_tasks([np.array(edges)], grading, [np.array(smooth)])
+        want = _build_tasks([np.array(edges)], grading)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("grading", ["plain", "sqrt", "log"])
+    def test_no_smooth_mask_builds_the_halves(self, grading):
+        # without a mask, and with one that flags nothing, every panel of
+        # a graded task is two halves anchored at its edges, with u from 0
+        # to the half width's square root (fourth root for a quartic
+        # map), to the bit
+        rows = np.array([[0.0, 0.25, 0.25, 1.0, 3.5], [1.0, 1.5, 2.0, 2.0, 2.0],
+                         [0.0, 0.3, 0.7, 1.1, 1.3]])
+        got = _build_tasks(rows, grading)
+        flagged = _build_tasks(rows, grading, np.zeros(rows.shape, bool))
+        for g, f in zip(got, flagged):
+            assert g.dtype == f.dtype and g.tobytes() == f.tobytes()
+        tid, kind, anc, u_lo, u_hi = got
+        assert kind.dtype == np.int8
+        lo, hi = rows[:, :-1].ravel(), rows[:, 1:].ravel()
+        panel = np.repeat(np.arange(3), 4)[hi > lo]
+        lo, hi = lo[hi > lo], hi[hi > lo]
+        if grading == "plain":
+            assert tid.tolist() == panel.tolist() and not kind.any()
+            assert u_lo.tobytes() == lo.tobytes()
+            assert u_hi.tobytes() == hi.tobytes()
+            return
+        assert tid.tolist() == np.repeat(panel, 2).tolist()
+        half = np.sqrt(np.repeat(0.5 * (hi - lo), 2))
+        quartic = kind >= _QUARTIC_LEFT
+        half[quartic] = np.sqrt(half[quartic])
+        assert u_hi.tobytes() == half.tobytes()
+        assert u_lo.tobytes() == np.zeros(u_hi.size).tobytes()
+        assert anc.tolist() == np.column_stack([lo, hi]).ravel().tolist()
+        assert quartic.any() == (grading == "log")
+
+    def test_smooth_knot_keeps_the_value_in_fewer_points(self):
+        # a log point at 0.7 and a C1 knot at 1.5, where (x - 1.5)|x - 1.5|
+        # jumps in its second derivative: a plain panel edge at the knot
+        # restores full order, so flagging it smooth keeps the value and
+        # saves the graded halves' points
+        def f(_tid, x):
+            return np.log(np.abs(x - 0.7)) + (x - 1.5) * np.abs(x - 1.5)
+
+        truth = (0.7 * math.log(0.7) + 1.3 * math.log(1.3) - 2.0
+                 + (0.5 ** 3 - 1.5 ** 3) / 3.0)
+        edges = np.array([[0.0, 0.7, 1.5, 2.0]])
+        counts = []
+        for smooth in (None, np.array([[False, False, True, False]])):
+            v, e, n, ok = _solve_batched(f, edges, 1e-10, 1e-300,
+                                         grading="log", smooth=smooth)
+            assert ok[0]
+            assert abs(v[0] - truth) <= max(e[0], 1e-14)
+            counts.append(n[0])
+        assert counts[1] < counts[0]
+
+    @pytest.mark.parametrize("grading", ["sqrt", "log"])
     @pytest.mark.parametrize("x0", [0.3, 1.7, 123.4])
     def test_graded_nodes_never_land_on_their_anchor(self, x0, grading):
         # deep bisection toward x0 shrinks u^2 (and u^4 much sooner) below
@@ -658,6 +753,16 @@ class TestConfigValidation:
             QuadratureConfig(rel_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureConfig(abs_tol=-1.0)
+
+    @pytest.mark.parametrize("field", ["rel_tol", "abs_tol"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite_tolerances(self, field, value):
+        # an infinite tolerance asks for nothing: the first wave would
+        # pass; any positive finite one is kept, above 1 too, since A3
+        # derives its slab tolerances with dataclasses.replace
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureConfig(**{field: value})
+        QuadratureConfig(**{field: 5.0})
 
     def test_defaults(self):
         cfg = QuadratureConfig()
