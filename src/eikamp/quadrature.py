@@ -37,7 +37,11 @@ breakpoints.
 Error estimates follow QUADPACK: the scaled |K15 - G7| difference plus a
 machine-rounding floor proportional to the L1 norm of the integrand.  The
 floor is reported but never blocks convergence (subdividing cannot reduce
-it); the refinable part alone is tested against tolerance.
+it); the refinable part alone is tested against tolerance.  QUADPACK's
+scaling, (200 |K15 - G7| / resasc)^1.5, assumes an analytic integrand;
+on a quartic-graded segment, where a log point leaves u^3 log u and K15
+converges only algebraically, |K15 - G7| alone already overstates K15's
+error, so such a segment takes the smaller of the two.
 
 Every integral runs on one routine, :func:`_iterated`, which takes
 per-level edges, grading and weight; the 1D ones (F5, F6, the eikonal
@@ -302,7 +306,9 @@ def _eval_segments(f, tid, kind, anc, lo, hi):
 
     Returns (value, refinable_err, floor_err, propagated_err): the last is
     the integral of the inner errors an integrand returns as ``yerr``, or
-    None when it returns none.
+    None when it returns none.  ``refinable_err`` is QUADPACK's scaled
+    |K15 - G7|, capped at |K15 - G7| itself on quartic segments (see the
+    module docstring).
 
     The wave is evaluated in slices of at most :data:`_WAVE_SLICE`
     segments, one call of ``f`` each, so its nodes, the integrand's
@@ -341,6 +347,8 @@ def _eval_segments(f, tid, kind, anc, lo, hi):
                     resasc > 0.0, resasc, 1.0)) ** 1.5),
                 err_raw,
             )
+        scaled = np.where(kind[sl] >= _QUARTIC_LEFT,
+                          np.minimum(scaled, err_raw), scaled)
         floor = 50.0 * _EPS * resabs
         if yerr is not None:
             yerr = h * np.einsum("ij,j->i",

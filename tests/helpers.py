@@ -2,8 +2,9 @@
 
 Everything here is intentionally independent of the package's production
 code paths: direct power series for the special functions, scipy
-quadrature of defining integrals, and a scan-plus-bisection resolver for
-the raw support indicator of the triple-kernel region.  Where a helper
+quadrature of defining integrals, F5/F6 reductions in mpmath at 30
+digits, and a scan-plus-bisection resolver for the raw support indicator
+of the triple-kernel region.  Where a helper
 does lean on package internals it says so explicitly: the second F5/F6
 routes, the paper's five-block split of the A3 region and the 1D and
 nested integrals below run on the package's engine and F3 kernel.
@@ -301,6 +302,66 @@ def f6_eval_chain(a, b, c, d, e, f, cfg=None):
          (_limits(lambda t, q: np.maximum(abs(e - f), np.abs(t - q)),
                   lambda t, q: np.minimum(e + f, t + q)), "sqrt", None)],
         cfg, strict=False)
+
+
+# ---------------------------------------------------------------------------
+# F5/F6 to 30 digits (mpmath, independent of the package)
+# ---------------------------------------------------------------------------
+
+def f5_f6_mpmath(params, dps=30):
+    """F5 (five parameters) or F6 (six) to ``dps`` digits: the reduction
+    int dt t F3(a,b,t) F4(c,d,e,t), or int dt t F4(a,b,c,t) F4(d,e,f,t),
+    by mpmath's tanh-sinh rule, split at the support edges and at every
+    modulus-one point, so each singularity is a panel end.
+
+    F3 and F4 are written out here from their invariants.  K takes its
+    complementary parameter m1 = |Delta4^2 - abcd| / den from the
+    factored gap, and K(1 - m1) is formed 100 digits deeper: at ``dps``
+    digits 1 - m1 rounds to 1, and K to inf, at nodes within 10^-dps of
+    a modulus-one point."""
+    from mpmath import mp
+
+    with mp.workdps(dps):
+        p = [mp.mpf(x) for x in params]
+
+        def f3(a, b, t):
+            d2 = (t * t - (a - b) ** 2) * ((a + b) ** 2 - t * t) / 16
+            return 1 / (2 * mp.pi * mp.sqrt(d2)) if d2 > 0 else mp.zero
+
+        def f4(a, b, c, d):
+            s = a + b + c + d
+            d2 = (s - 2 * a) * (s - 2 * b) * (s - 2 * c) * (s - 2 * d) / 16
+            if d2 <= 0:
+                return mp.zero
+            gap = -(a - b - c + d) * (a - b + c - d) * (a + b - c - d) * s / 16
+            den = d2 if gap > 0 else a * b * c * d
+            # a node that rounds onto a root has m1 = 0; the floor keeps K
+            # finite there, at no cost to the sum
+            m1 = max(abs(gap) / den, mp.mpf(10) ** -(dps + 50))
+            with mp.workdps(dps + 100):
+                k = mp.ellipk(1 - m1)
+            return k / (mp.pi ** 2 * mp.sqrt(den))
+
+        def support(x, y, z):
+            """t-support of F4(x, y, z, t) and its modulus-one points."""
+            return (max(0, 2 * max(x, y, z) - (x + y + z)), x + y + z,
+                    [y + z - x, x - y + z, x + y - z])
+
+        if len(p) == 5:
+            a, b, c, d, e = p
+            lo4, hi4, roots = support(c, d, e)
+            lo, hi = max(abs(a - b), lo4), min(a + b, hi4)
+            factors = (lambda t: f3(a, b, t), lambda t: f4(c, d, e, t))
+        else:
+            lo1, hi1, r1 = support(*p[:3])
+            lo2, hi2, r2 = support(*p[3:])
+            lo, hi, roots = max(lo1, lo2), min(hi1, hi2), r1 + r2
+            factors = (lambda t: f4(*p[:3], t), lambda t: f4(*p[3:], t))
+        if not hi > lo:
+            return 0.0
+        edges = sorted({lo, hi, *(r for r in roots if lo < r < hi)})
+        return float(mp.quad(lambda t: t * factors[0](t) * factors[1](t),
+                             edges))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Closed forms F3/F4, branch classification, the G kernel and the Weber
-integral."""
+"""Closed forms F3/F4, branch classification, the G kernel, the Weber
+integral, and F5/F6 against 30-digit values."""
 
+import functools
 import itertools
 import math
 
@@ -9,13 +10,13 @@ import pytest
 
 from eikamp import (BoundaryCaseError, Branch, QuadratureConfig,
                     bessel_i0e, delta3_sq, delta4_sq, f3_eval, f4_classify,
-                    f4_eval, weber_integral)
+                    f4_eval, f5_eval, f6_eval, weber_integral)
 from eikamp.besselprod import (_M1_FLOOR, _PI2, _delta4_sq_values,
                                _f3_values, _f4_modulus_one_points,
                                _f4_support_lo, _f4_values, _g_values,
                                _modulus_one_gap)
 from eikamp.special import _elliptic_k_core
-from helpers import integrate_1d
+from helpers import f5_f6_mpmath, integrate_1d
 
 TIGHT = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-14)
 
@@ -401,3 +402,67 @@ class TestWeberIntegral:
         with pytest.raises(ValueError):
             weber_integral(1.0, 1.0, 0.0)
 
+
+
+# Draws of the moments bench, keyed seed/order/index: the two F5 whose
+# bench reference quad_f5 is off by 3.2e-9 and 5.6e-9 (seeds 8 and 205),
+# the seed-9 F5 that |K15 - G7| / 40 under-reports, and the draws with the
+# smallest reported/true ratios over the 960 non-vanishing F5/F6 draws of
+# seeds 1, 8, 9 and 205, two of which put a tanh-sinh node onto a
+# modulus-one point
+MOMENT_DRAWS = {
+    "8/5/147": (0.9833506380289437, 1.683911705732129, 1.5430565086287447,
+                0.5232983535414479, 1.7206134783367513),
+    "205/5/60": (0.5180344426341468, 1.6862457287850514, 0.9550083891871366,
+                 1.2232011121160578, 1.0079554517830875),
+    "9/5/88": (1.1329590128558868, 1.7157375255937515, 1.9592920707667472,
+               1.9670776590206662, 0.5785284333727253),
+    "8/5/66": (0.9439641642748948, 0.9736433911133839, 0.5091474715030658,
+               1.8496898771120112, 0.7626824106779913),
+    "1/5/123": (1.7387581340729625, 0.8041316601596264, 0.5615669658406393,
+                1.5761308055994703, 1.5445027383466858),
+    "9/5/10": (0.6145126343838685, 1.7647041707331488, 0.7260060806985275,
+               0.9110814550696675, 0.9703388888803999),
+    "8/6/43": (1.1605220797197389, 1.4854921763751872, 1.842169026740434,
+               1.1325591563192225, 0.6108818275519008, 1.6454440758102797),
+    "9/6/78": (0.5772013523344406, 1.6576956184408587, 1.6577027616041295,
+               0.8558782471599232, 1.912201665341071, 1.9040462425786653),
+    "9/6/42": (1.7953822208567418, 1.5817007046013762, 1.6956181725311135,
+               1.451962178851263, 1.4516812524862155, 0.704042222825376),
+    "8/6/70": (0.9700046255395722, 1.8708787995445733, 1.2798617005511106,
+               1.956078429714151, 1.182576562516485, 1.1821734572246416),
+    "205/6/53": (1.9890486408772077, 1.0244352060958644, 1.2224223450299947,
+                 1.3866087370393472, 0.5505760186590477, 1.3860172817220906),
+    "9/6/31": (0.6911216156169023, 1.4201432015789661, 1.1704990176749661,
+               1.188707522590704, 1.8882989254918061, 1.3415890347808292),
+}
+
+# at rel 1e-10 this F6 lands 6.94e-12 from its value and reports 6.22e-12;
+# at rel 1e-9 and 1e-11 its estimate holds
+_UNDER_REPORTED = {("9/6/31", 1e-10)}
+
+
+@functools.cache
+def moment_truth(draw):
+    pytest.importorskip("mpmath")
+    return f5_f6_mpmath(MOMENT_DRAWS[draw])
+
+
+class TestF5F6AgainstThirtyDigits:
+    def test_reference_values(self):
+        # the 30-digit values quoted for the two bench F5 draws
+        assert moment_truth("8/5/147") == pytest.approx(
+            0.184661183833081142, abs=1e-15)
+        assert moment_truth("205/5/60") == pytest.approx(
+            0.271766809495053030, abs=1e-15)
+
+    @pytest.mark.parametrize("draw, rel", [
+        pytest.param(draw, rel, marks=pytest.mark.xfail(
+            strict=True, reason="F6 estimate below its true error")
+            if (draw, rel) in _UNDER_REPORTED else ())
+        for draw in MOMENT_DRAWS for rel in (1e-6, 1e-10)])
+    def test_reported_error_bounds_the_true_error(self, draw, rel):
+        params = MOMENT_DRAWS[draw]
+        fn = f5_eval if len(params) == 5 else f6_eval
+        res = fn(*params, cfg=QuadratureConfig(rel_tol=rel, abs_tol=1e-15))
+        assert abs(res.value - moment_truth(draw)) <= res.error_estimate

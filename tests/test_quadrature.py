@@ -14,9 +14,9 @@ from eikamp import (DEFAULT_P_SEQUENCE, ExtrapolationDivergenceError,
                     integrate_damped_bessel_product)
 from eikamp import quadrature as quadrature_module
 from eikamp.quadrature import (_QUARTIC_LEFT, _QUARTIC_RIGHT, _SQRT_LEFT,
-                               _SQRT_RIGHT, _build_tasks, _eval_segments,
-                               _InheritedError, _iterated, _limits,
-                               _map_nodes, _solve_batched)
+                               _SQRT_RIGHT, _W7, _W15, _X15, _build_tasks,
+                               _eval_segments, _InheritedError, _iterated,
+                               _limits, _map_nodes, _solve_batched)
 from helpers import integrate_1d, integrate_nested
 
 TIGHT = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-14)
@@ -337,6 +337,84 @@ class TestEngineBehavior:
             assert abs(v[0] - truth) <= e[0]
             counts[grading] = n[0]
         assert counts["log"] < counts["sqrt"]
+
+    def test_quartic_segments_take_the_smaller_error(self):
+        # x = 0.7 -/+ u^4 leaves u^3 log u, on which QUADPACK's power law,
+        # made for analytic integrands, inflates |K15 - G7| further: a
+        # quartic segment reports the smaller of the two, and that still
+        # bounds its true error, here from 100-node Gauss-Legendre on the
+        # same mapped segment; plain and square-root waves keep QUADPACK's
+        # value bit for bit.  The true error is held to the own error plus
+        # the rounding floor, which the engine reports apart
+        def f(_tid, x):
+            return np.log(np.abs(x - 0.7)) + np.exp(x)
+
+        def generations(tid, kind, anc, lo, hi, n=3):
+            # the first wave and its halves, as bisection makes them
+            waves = [(tid, kind, anc, lo, hi)]
+            for _ in range(n):
+                tid, kind, anc, lo, hi = waves[-1]
+                mid = 0.5 * (lo + hi)
+                waves.append((np.tile(tid, 2), np.tile(kind, 2),
+                              np.tile(anc, 2), np.concatenate([lo, mid]),
+                              np.concatenate([mid, hi])))
+            return tuple(np.concatenate(col) for col in zip(*waves))
+
+        def quadpack(kind, anc, lo, hi):
+            h = 0.5 * (hi - lo)
+            u = 0.5 * (lo + hi)[:, None] + h[:, None] * _X15[None, :]
+            x, jac = _map_nodes(kind, anc, u)
+            y = f(None, x) * jac
+            resk = h * np.einsum("ij,j->i", y, _W15)
+            raw = np.abs(resk - h * np.einsum("ij,j->i", y, _W7))
+            mean = (resk / (2.0 * h))[:, None]
+            resasc = h * np.einsum("ij,j->i", np.abs(y - mean), _W15)
+            scaled = resasc * np.minimum(1.0, (200.0 * raw / resasc) ** 1.5)
+            return resk, scaled, raw
+
+        edges = [np.array([0.0, 0.7, 2.0])]
+        for grading in ("plain", "sqrt", "log"):
+            wave = generations(*_build_tasks(edges, grading))
+            value, err, floor, prop = _eval_segments(f, *wave)
+            resk, scaled, raw = quadpack(*wave[1:])
+            assert prop is None
+            np.testing.assert_array_equal(value, resk)
+            quartic = wave[1] >= _QUARTIC_LEFT
+            assert quartic.any() == (grading == "log")
+            np.testing.assert_array_equal(err[~quartic], scaled[~quartic])
+            if grading != "log":
+                continue
+            np.testing.assert_array_equal(err[quartic],
+                                          np.minimum(scaled, raw)[quartic])
+            assert np.any(raw[quartic] < scaled[quartic])
+            kind, anc, lo, hi = (a[quartic] for a in wave[1:])
+            gl_u, gl_w = np.polynomial.legendre.leggauss(100)
+            h = 0.5 * (hi - lo)
+            x, jac = _map_nodes(kind, anc,
+                                0.5 * (lo + hi)[:, None] + h[:, None] * gl_u)
+            true = np.abs(value[quartic] - h * ((f(None, x) * jac) @ gl_w))
+            assert np.all(true <= err[quartic] + floor[quartic])
+
+    @pytest.mark.parametrize("rel", [1e-4, 1e-6, 1e-10])
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_log_points_report_at_least_the_true_error(self, k, rel):
+        # int_0^1 (x - c)^k log|x - c| + e^x dx over 60 log points c, one
+        # task each: the quartic segments' smaller error estimate must
+        # still never fall below the true error
+        c = np.linspace(0.01, 0.99, 60)
+
+        def f(tid, x):
+            y = x - c[tid]
+            return y ** k * np.log(np.abs(y)) + np.exp(x)
+
+        def anti(y):
+            return y ** (k + 1) / (k + 1) * (np.log(np.abs(y)) - 1.0 / (k + 1))
+
+        truth = anti(1.0 - c) - anti(-c) + math.e - 1.0
+        edges = np.column_stack([np.zeros(c.size), c, np.ones(c.size)])
+        v, e, _, ok = _solve_batched(f, edges, rel, 1e-300, grading="log")
+        assert ok.all()
+        assert np.all(np.abs(v - truth) <= e)
 
     def test_invalid_range(self):
         with pytest.raises(ValueError):
