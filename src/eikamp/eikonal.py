@@ -86,7 +86,12 @@ def eikonal_chi(model, s, b, cfg=None):
     Gaussian-family models use their closed form (the transform of a
     Gaussian is a Gaussian).  Any other model takes the quadrature route,
     which truncates where the model envelope has decayed by 1e-16 and
-    supplies the Bessel zero spacing as panel breakpoints.
+    supplies the Bessel zero spacing as panel breakpoints.  An array of b
+    is one solve with one task per b, each task refined as it would be
+    alone, so every chi is bit for bit that of a scalar call; a scalar b
+    returns a complex.  The solve holds every task's panels at once, up
+    to 4,000 each, so a caller with many thousands of b passes them in
+    pieces.
     """
     closed = model.chi_closed()
     if closed is not None:
@@ -94,33 +99,38 @@ def eikonal_chi(model, s, b, cfg=None):
         return complex(out) if np.ndim(b) == 0 else out
 
     cfg = cfg or QuadratureConfig()
-    if np.ndim(b) != 0:
-        return np.array([eikonal_chi(model, s, bi, cfg)
-                         for bi in np.asarray(b, dtype=float)])
-    b = float(b)
-    if b < 0.0:
+    bs = np.asarray(b, dtype=float)
+    if np.any(bs < 0.0):
         raise ValueError("impact parameter b must be >= 0")
     env0 = float(model.envelope(0.0))
     q_cut = model.q_cutoff(_TAIL_DECAY * env0)
     phase, red = _phase_split(model)
+    # tabulated interpolants are C1 at the nodes; panel edges there
+    # restore full quadrature order
+    grid = getattr(model, "q_grid", None)
+    knots = [] if grid is None else [float(qn) for qn in grid
+                                     if 0.0 < qn < q_cut]
+
+    def edges(b):
+        rows = []
+        for bi in b:
+            brk = []
+            if bi * q_cut > 2.0 * math.pi:
+                # panel edges near the J0 oscillation nodes
+                n = min(int(bi * q_cut / math.pi), 4000)
+                brk = (np.arange(1, n + 1) * (math.pi / bi)).tolist()
+            rows.append(np.unique(np.clip([0.0, *brk, *knots, q_cut],
+                                          0.0, q_cut)))
+        return rows
+
     # the s in the prefactor cancels against A_B = s * a(q)
-    def f(q):
+    def f(b, q):
         return (q / (4.0 * math.pi)) * bessel_j0(q * b) * red(q)
 
-    brk = []
-    if b * q_cut > 2.0 * math.pi:
-        # panel edges near the J0 oscillation nodes
-        n = min(int(b * q_cut / math.pi), 4000)
-        brk += (np.arange(1, n + 1) * (math.pi / b)).tolist()
-    grid = getattr(model, "q_grid", None)
-    if grid is not None:
-        # tabulated interpolants are C1 at the nodes; panel edges there
-        # restore full quadrature order
-        brk += [float(qn) for qn in grid if 0.0 < qn < q_cut]
-    edges = np.unique(np.clip([0.0, *brk, q_cut], 0.0, q_cut))
     # no edge is singular (q = 0, J0 half-periods, C1 knots): plain panels
-    res = _iterated(f, [(lambda: edges[None], "plain", None)], cfg)
-    return complex(phase * res.value)
+    res = _iterated(f, [(edges, "plain", None)], cfg, outer=(bs.ravel(),))
+    chi = np.asarray(phase * res.value, dtype=complex)
+    return complex(chi[0]) if bs.ndim == 0 else chi.reshape(bs.shape)
 
 
 @dataclass(frozen=True)
@@ -176,9 +186,9 @@ def build_profile(model, s, cfg=None, *, override_chi_gate=False):
     """Construct the eikonal profile at fixed s and run the smallness gate.
 
     For closed-form families the peak and cutoff are analytic.  Tabulated
-    models get their peak from a quadrature scan over a few envelope decay
-    lengths and their cutoff from the decay bound of the envelope
-    transform.
+    models get their peak from a quadrature scan of 41 b over a few
+    envelope decay lengths, one :func:`eikonal_chi` solve for all of
+    them, and their cutoff from the decay bound of the envelope transform.
     """
     cfg = cfg or QuadratureConfig()
     closed = model.chi_closed()

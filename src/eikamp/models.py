@@ -196,10 +196,13 @@ class ExponentialPoleBorn(BornModel):
 class TabulatedBorn(BornModel):
     """Reduced amplitude from a grid (q_i, Re a_i, Im a_i).
 
-    Interpolation is monotone cubic (no overshoot between grid points);
-    beyond the last point the complex value decays as
-    a(q_N) exp(-kappa_tail (q - q_N)) with kappa_tail fitted from the
-    magnitudes of the last two grid points.  The stated envelope
+    Interpolation is monotone cubic (no overshoot between grid points),
+    scipy's PCHIP bit for bit but built and evaluated here
+    (:func:`_pchip`, :func:`_cubic`): importing ``scipy.interpolate``
+    would add about 0.3 s to a cold start.  Beyond the last point the
+    complex value decays as a(q_N) exp(-kappa_tail (q - q_N)) with
+    kappa_tail fitted from the magnitudes of the last two grid points.
+    Every grid value, M and kappa must be finite.  The stated envelope
     M exp(-kappa q) is validated against the grid at construction and
     must also dominate the fitted tail.  A table whose Re or Im column is
     all zero has one phase and interpolates only its other column.
@@ -208,10 +211,6 @@ class TabulatedBorn(BornModel):
     kind = BornKind.TABULATED
 
     def __init__(self, q_grid, re_vals, im_vals, envelope_m, envelope_kappa):
-        # imported here: scipy.interpolate costs ~0.3 s at start-up, and
-        # only tables need it
-        from scipy.interpolate import PchipInterpolator
-
         q = np.asarray(q_grid, dtype=float)
         re = np.asarray(re_vals, dtype=float)
         im = np.asarray(im_vals, dtype=float)
@@ -219,10 +218,13 @@ class TabulatedBorn(BornModel):
             raise ValueError("grid needs at least 3 points")
         if re.shape != q.shape or im.shape != q.shape:
             raise ValueError("grid columns must have equal length")
+        if not np.isfinite(np.stack([q, re, im])).all():
+            raise ValueError("grid q, Re and Im must be finite")
         if q[0] != 0.0 or np.any(np.diff(q) <= 0.0):
             raise ValueError("q grid must start at 0 and increase strictly")
-        if not (envelope_m > 0.0 and envelope_kappa > 0.0):
-            raise ValueError("envelope requires M > 0 and kappa > 0")
+        if not (0.0 < envelope_m < math.inf
+                and 0.0 < envelope_kappa < math.inf):
+            raise ValueError("envelope requires finite M > 0 and kappa > 0")
         mag = np.hypot(re, im)
         bound = envelope_m * np.exp(-envelope_kappa * q)
         bad = mag > bound * (1.0 + 1e-9)
@@ -242,10 +244,14 @@ class TabulatedBorn(BornModel):
                 f"envelope would not bound the extrapolated amplitude")
         self.q_grid = q
         # an all-zero column would interpolate to 0.0 everywhere; it is
-        # left out, which changes no bit of a(q)
-        self._re, self._im = (
-            PchipInterpolator(q, col, extrapolate=False) if col.any() else None
-            for col in (re, im))
+        # left out, which changes no bit of a(q).  One row of
+        # coefficients per interval: a point gathers its four at once
+        self._re, self._im = (np.ascontiguousarray(_pchip(q, col).T)
+                              if col.any() else None for col in (re, im))
+        if any(c is not None and not np.isfinite(c).all()
+               for c in (self._re, self._im)):
+            raise ValueError("grid too steep: the interpolant's "
+                             "coefficients overflow")
         if self._re is None:
             self.phase = 1j
         elif self._im is None:
@@ -262,8 +268,12 @@ class TabulatedBorn(BornModel):
         out = np.empty(q.shape, dtype=complex)
         inside = q <= self.q_grid[-1]
         q_in = q[inside]
-        out[inside] = ((0.0 if self._re is None else self._re(q_in))
-                       + 1j * (0.0 if self._im is None else self._im(q_in)))
+        # x[i] <= q < x[i+1], and the last interval is closed on the right
+        i = np.searchsorted(self.q_grid[1:-1], q_in, side="right")
+        s = q_in - self.q_grid[i]
+        out[inside] = ((0.0 if self._re is None else _cubic(self._re, i, s))
+                       + 1j * (0.0 if self._im is None
+                               else _cubic(self._im, i, s)))
         tail = ~inside
         out[tail] = self._a_end * np.exp(
             -self._kappa_tail * (q[tail] - self.q_grid[-1]))
@@ -277,6 +287,58 @@ class TabulatedBorn(BornModel):
         if threshold >= self.envelope_m:
             return 0.0
         return math.log(self.envelope_m / threshold) / self.envelope_kappa
+
+
+def _pchip(x, y):
+    """Coefficients c, shape (4, n - 1), of the monotone piecewise cubic
+    through (x, y): on [x_i, x_i+1] it is c[0, i] s^3 + c[1, i] s^2 +
+    c[2, i] s + c[3, i] with s = x - x_i.
+
+    The slope at an interior node is Fritsch and Butland's weighted
+    harmonic mean of its two secants (SIAM J. Sci. Comput. 5, 1984), or
+    zero where they change sign or one vanishes; an end slope is Moler's
+    one-sided three-point formula with its two shape fixes (Numerical
+    Computing with MATLAB, 2004).  The arithmetic is scipy's
+    ``PchipInterpolator``'s, so c is its ``c`` bit for bit.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.zeros_like(y)
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    same = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0) & (m[:-1] != 0)
+    with np.errstate(divide="ignore"):
+        d[1:-1] = np.where(same, 1.0 / ((w1 / m[:-1] + w2 / m[1:])
+                                        / (w1 + w2)), 0.0)
+
+    def end(h0, h1, m0, m1):
+        e = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(e) != np.sign(m0):
+            return 0.0
+        if np.sign(m0) != np.sign(m1) and abs(e) > 3.0 * abs(m0):
+            return 3.0 * m0
+        return e
+
+    d[0] = end(h[0], h[1], m[0], m[1])
+    d[-1] = end(h[-1], h[-2], m[-1], m[-2])
+    # the cubic Hermite form, as scipy's CubicHermiteSpline builds it
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+
+
+def _cubic(c, i, s):
+    """The cubics of rows c[i] = (c0, c1, c2, c3) at s, in scipy's
+    ``PPoly`` order: c3 + c2 s, then + c1 s^2, then + c0 s^3, with s^3
+    formed as (s s) s."""
+    c0, c1, c2, c3 = c.take(i, axis=0).T
+    out = c2 * s
+    out += c3
+    z = s * s
+    c1 *= z
+    out += c1
+    z *= s
+    c0 *= z
+    out += c0
+    return out
 
 
 def _get_float(section, key, path):

@@ -167,7 +167,9 @@ def direct_eikonal_amplitude(model, kin, cfg=None, *, quad_cfg=None):
         chi_fn = closed
     else:
         def chi_fn(b):
-            return eikonal_chi(model, s, b, quad_cfg)
+            # one solve per b: a sweep holds up to millions of b, whose J0
+            # panels would not fit in memory as one solve
+            return np.array([eikonal_chi(model, s, bi, quad_cfg) for bi in b])
 
     def f(b):
         return b * bessel_j0(qt * b) * (1.0 - np.exp(1j * chi_fn(b)))

@@ -174,14 +174,18 @@ class QuadratureConfig:
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """Value, honest error estimate, and integrand-evaluation count."""
+    """Value, honest error estimate, and integrand-evaluation count; per
+    task arrays of value and error for a solve of many level-0 tasks
+    (see :func:`_iterated`)."""
 
-    value: complex | float
-    error_estimate: float
+    value: complex | float | np.ndarray
+    error_estimate: float | np.ndarray
     evaluations: int
 
     def __post_init__(self):
-        if self.error_estimate < 0.0:
+        err = self.error_estimate
+        # a float skips np.any, which would cost microseconds per solve
+        if (err < 0.0).any() if isinstance(err, np.ndarray) else err < 0.0:
             raise ValueError("error_estimate must be >= 0")
         if self.evaluations < 1:
             raise ValueError("evaluations must be >= 1")
@@ -493,7 +497,7 @@ def _limits(lo, hi):
     return edges
 
 
-def _iterated(f, levels, cfg, strict=True):
+def _iterated(f, levels, cfg, strict=True, outer=()):
     """Iterated adaptive integral over nested levels, the one routine of
     every integral in eikamp; a 1D integral is a one-level nest.
 
@@ -501,17 +505,25 @@ def _iterated(f, levels, cfg, strict=True):
     variable x_k:
 
     * ``edges(x_0, ..., x_{k-1})`` returns sorted task rows, one per node
-      of level k-1 (level 0 is called with no argument, for one row), or
+      of level k-1 (level 0 is called with the ``outer`` arrays), or
       ``(rows, smooth)`` with a bool mask of the rows' shape marking the
-      edges that need a panel but no graded map (C1 knots);
+      edges that need a panel but no graded map (C1 knots); the rows of
+      the innermost level may be ragged, a list of arrays;
     * ``grading`` maps the panels of the level, with the mask if any, see
       :func:`_build_tasks`;
     * ``weight(x_0, ..., x_k)`` is None or a factor formed once per node
       of the level and multiplied into every innermost value below it.
 
-    The integrand is ``f(x_0, ..., x_n)`` times every weight on its path.
-    ``f`` receives each outer variable as a gathered copy of its own,
-    which it may overwrite, but must leave ``x_n`` intact.
+    ``outer`` holds level-0 outer variables, arrays of one length: level
+    0 then has one task per element, ``f`` and every ``edges`` and
+    ``weight`` take them first, gathered per node like any outer
+    variable, and the result holds per-task value and error arrays.
+    Without, level 0 is one task (its ``edges`` takes no argument) and
+    the result holds scalars.
+
+    The integrand is ``f(*outer, x_0, ..., x_n)`` times every weight on
+    its path.  ``f`` receives each outer variable as a gathered copy of
+    its own, which it may overwrite, but must leave ``x_n`` intact.
     Each level's errors propagate into its parent's panel errors.  Inner
     levels keep their parent's relative tolerance; each inner task takes
     the absolute tolerance of the task whose node started it, divided by
@@ -568,10 +580,13 @@ def _iterated(f, levels, cfg, strict=True):
 
     for factor in _RETRY_TIGHTENING:
         try:
-            v, e = solve(0, (), None, cfg.rel_tol, cfg.abs_tol, factor)
+            v, e = solve(0, outer, None, cfg.rel_tol, cfg.abs_tol, factor)
         except _InheritedError as exc:
             last = exc
             continue
+        if outer:
+            return IntegralResult(value=v, error_estimate=e,
+                                  evaluations=max(inner_evals, 1))
         value = complex(v[0])
         return IntegralResult(value=value if value.imag else value.real,
                               error_estimate=float(e[0]),

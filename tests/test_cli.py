@@ -315,6 +315,31 @@ class TestUsageErrors:
         assert code == 64
         assert "parse error" in err
 
+    @pytest.mark.parametrize("row,envelope", [
+        ("0.5 nan 0.0", ("2.1", "1.2")),
+        ("nan 0.87 0.0", ("2.1", "1.2")),
+        ("0.5 0.87 nan", ("2.1", "1.2")),
+        ("0.5 inf 0.0", ("2.1", "1.2")),
+        ("inf 0.87 0.0", ("2.1", "1.2")),
+        ("0.5 0.87 -inf", ("2.1", "1.2")),
+        ("0.5 0.87 0.0", ("inf", "1.2")),
+        ("0.5 0.87 0.0", ("2.1", "inf")),
+    ], ids=["re-nan", "q-nan", "im-nan", "re-inf", "q-inf", "im-inf",
+            "m-inf", "kappa-inf"])
+    def test_non_finite_table_refused(self, tmp_path, capsys, row, envelope):
+        # the table's second row or its envelope carries the bad value
+        path = tmp_path / "tab.ini"
+        path.write_text(
+            "[model]\nkind = tabulated\npoints =\n    0.0 1.0 0.0\n"
+            f"    {row}\n    1.0 0.55 0.0\n    1.5 0.28 0.0\n"
+            "    2.0 0.12 0.0\n[envelope]\nm = {}\nkappa = {}\n"
+            .format(*envelope))
+        code, out, err = run_cli(
+            ["table", "--model", str(path), "--s", "50", "--t-min", "-1",
+             "--t-max", "-0.5", "--rel-tol", "1e-2"], capsys)
+        assert code == 64
+        assert "finite" in err
+
     def test_zero_points(self, gauss_model, capsys):
         code, out, err = run_cli(
             ["table", "--model", gauss_model, "--s", "50",

@@ -92,6 +92,19 @@ def general_tabulated():
                          [0.1, 0.087, 0.055, 0.028, 0.012], 2.2, 1.2)
 
 
+def sign_changing_tabulated():
+    return TabulatedBorn(np.arange(7) * 0.5,
+                         [1.0, 0.7, 0.25, -0.1, -0.15, -0.08, -0.03],
+                         np.zeros(7), 1.1, 0.9)
+
+
+def gate_bs(model):
+    """The b values of build_profile's peak scan."""
+    kappa = model.envelope_kappa
+    return np.concatenate([[0.0], np.geomspace(1e-2 / kappa, 12.0 / kappa,
+                                               40)])
+
+
 @pytest.fixture(scope="module")
 def terms_03():
     """Pipeline result at chi0 = 0.3, s = 50, t = -1 (module-shared)."""
@@ -130,6 +143,45 @@ class TestEikonalChi:
         m = without_closed_chi(monkeypatch, GaussianBorn(g=1.0, lam=1.0))
         with pytest.raises(ValueError):
             eikonal_chi(m, 100.0, -0.5)
+
+    @pytest.mark.parametrize("cfg", [
+        QuadratureConfig(rel_tol=1e-3, abs_tol=1e-6), QuadratureConfig(),
+    ], ids=["rel1e-3", "default"])
+    @pytest.mark.parametrize("make", [
+        real_tabulated, general_tabulated, sign_changing_tabulated,
+    ], ids=["real", "complex", "sign_changing"])
+    def test_array_bitwise_as_scalar_calls(self, monkeypatch, make, cfg):
+        # an array of b is one solve, and each b's task is refined as it
+        # would be alone: same chi bits, same model evaluations
+        m = make()
+        points = [0]
+
+        def counted(q):
+            points[0] += np.size(q)
+            return TabulatedBorn.reduced(m, q)
+
+        monkeypatch.setattr(m, "reduced", counted)
+        bs = gate_bs(m)
+        arr = eikonal_chi(m, 50.0, bs, cfg)
+        n_arr, points[0] = points[0], 0
+        one = np.array([eikonal_chi(m, 50.0, b, cfg) for b in bs])
+        assert points[0] == n_arr
+        assert arr.dtype == one.dtype == complex
+        assert arr.tobytes() == one.tobytes()
+
+    def test_tabulated_scalar_is_complex_and_shape_kept(self):
+        m = real_tabulated()
+        chi = eikonal_chi(m, 50.0, 0.7)
+        assert type(chi) is complex
+        bs = np.array([[0.0, 0.7, 3.0], [1.0, 2.0, 12.0]])
+        grid = eikonal_chi(m, 50.0, bs)
+        assert grid.shape == (2, 3)
+        assert grid[0, 1] == chi
+
+    def test_negative_b_in_array_rejected(self):
+        with pytest.raises(ValueError, match="b must be >= 0"):
+            eikonal_chi(real_tabulated(), 50.0,
+                        np.array([0.0, 1.0, -1e-3, 2.0]))
 
     def test_tabulated_chi_needs_no_graded_edges(self, monkeypatch):
         # the chi integrand is smooth at q = 0, the J0 half-periods and the
@@ -198,6 +250,28 @@ class TestChiGate:
         assert abs(prof.chi(prof.b_cutoff)) <= 2e-12
         assert abs(prof.chi(0.0)) == pytest.approx(prof.max_abs_chi,
                                                    rel=1e-12)
+
+    def test_tabulated_profile_is_one_solve(self, monkeypatch):
+        # the peak scan's 41 b enter the engine once, as one nest of one
+        # batched solve
+        nests, solves = [], []
+
+        def nest(*args, **kwargs):
+            nests.append(kwargs["outer"])
+            return _iterated(*args, **kwargs)
+
+        def solve(*args, **kwargs):
+            solves.append(len(args[1]))
+            return solve_batched(*args, **kwargs)
+
+        solve_batched = quadrature_module._solve_batched
+        monkeypatch.setattr(eikonal_module, "_iterated", nest)
+        monkeypatch.setattr(quadrature_module, "_solve_batched", solve)
+        m = real_tabulated()
+        prof = build_profile(m, 50.0)
+        assert [len(b) for (b,) in nests] == [41] and solves == [41]
+        assert prof.max_abs_chi == np.abs(eikonal_chi(m, 50.0,
+                                                      gate_bs(m))).max()
 
     def test_tabulated_profile_scanned(self):
         m = real_tabulated()

@@ -19,6 +19,7 @@ from eikamp.models import (
     GaussianBorn,
     Kinematics,
     TabulatedBorn,
+    _pchip,
     load_model,
 )
 
@@ -188,6 +189,33 @@ class TestTabulatedBorn:
         with pytest.raises(ValueError):
             TabulatedBorn(TAB_Q, TAB_RE, TAB_IM, 1.0, -1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", range(3), ids=["q", "re", "im"])
+    def test_non_finite_grid_rejected(self, column, bad):
+        # a NaN passes every ordering test, and an inf breaks the
+        # interpolant without an error of its own
+        cols = [list(TAB_Q), list(TAB_RE), list(TAB_IM)]
+        cols[column][2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            TabulatedBorn(*cols, TAB_M, TAB_KAPPA)
+
+    def test_overflowing_grid_rejected(self):
+        # finite values whose secant slope overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="overflow"):
+                TabulatedBorn([0.0, 1e-10, 1.0], [1e300, -1e300, 5e299],
+                              [0.0] * 3, 2e300, 1e-3)
+
+    @pytest.mark.parametrize("m,kappa", [(math.inf, TAB_KAPPA),
+                                         (TAB_M, math.inf),
+                                         (math.nan, TAB_KAPPA)],
+                             ids=["m", "kappa", "m-nan"])
+    def test_non_finite_envelope_rejected(self, m, kappa):
+        # an infinite M passes every grid check, and q_cutoff then
+        # divides by zero
+        with pytest.raises(ValueError, match="finite"):
+            TabulatedBorn(TAB_Q, TAB_RE, TAB_IM, m, kappa)
+
     def test_chi_closed_absent(self):
         assert make_tabulated().chi_closed() is None
 
@@ -228,6 +256,100 @@ class TestOnePhase:
         got = m.reduced(q)
         assert got.dtype == expect.dtype
         assert got.tobytes() == expect.tobytes()
+
+
+def random_column(rng, n):
+    """n values with sign changes, and in most draws a flat run, a -0.0
+    or two zeros in a row."""
+    y = rng.normal(size=n)
+    pick = rng.integers(4)
+    j = rng.integers(n - 1)
+    if pick == 1:
+        y[j + 1] = y[j]
+    elif pick == 2:
+        y[j] = -0.0
+    elif pick == 3:
+        y[j:j + 2] = 0.0
+    return y
+
+
+def random_grid(rng, n):
+    """n non-uniform knots from q = 0, spacings 50x apart at most."""
+    return np.concatenate([[0.0], np.cumsum(rng.uniform(0.04, 2.0, n - 1))])
+
+
+def random_table(rng, n, kind):
+    """A valid (q, Re, Im, M, kappa) of n nodes: |a| falls over the last
+    interval, and the envelope is the tightest M at half the tail's
+    decay rate."""
+    q = random_grid(rng, n)
+    re, im = random_column(rng, n), random_column(rng, n)
+    for col in (re, im):
+        col[-2] += math.copysign(1.0, col[-2])
+        col[-1] = col[-2] * rng.uniform(0.2, 0.8)
+    if kind == "real":
+        im[:] = 0.0
+    elif kind == "imaginary":
+        re[:] = 0.0
+    mag = np.hypot(re, im)
+    kappa = 0.5 * math.log(mag[-2] / mag[-1]) / (q[-1] - q[-2])
+    return q, re, im, 1.01 * float(np.max(mag * np.exp(kappa * q))), kappa
+
+
+def scipy_reduced(q, grid, re, im):
+    """a(q) as TabulatedBorn formed it on scipy's PchipInterpolator."""
+    re_p, im_p = (PchipInterpolator(grid, col, extrapolate=False)
+                  if col.any() else None for col in (re, im))
+    mag = np.hypot(re, im)
+    kappa_tail = math.log(mag[-2] / mag[-1]) / (grid[-1] - grid[-2])
+    inside = q <= grid[-1]
+    out = np.empty(q.shape, dtype=complex)
+    out[inside] = ((0.0 if re_p is None else re_p(q[inside]))
+                   + 1j * (0.0 if im_p is None else im_p(q[inside])))
+    out[~inside] = complex(re[-1], im[-1]) * np.exp(
+        -kappa_tail * (q[~inside] - grid[-1]))
+    return out
+
+
+class TestPchipAgainstScipy:
+    """eikamp's PCHIP is scipy's arithmetic without scipy.interpolate:
+    coefficients and a(q) must equal scipy's bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_coefficients_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in [3] * 20 + list(range(4, 13)) * 5:
+            x, y = random_grid(rng, n), random_column(rng, n)
+            want = PchipInterpolator(x, y).c
+            got = _pchip(x, y)
+            assert got.shape == want.shape == (4, n - 1)
+            assert got.tobytes() == want.tobytes(), (x, y)
+
+    @pytest.mark.parametrize("kind", ["real", "imaginary", "complex"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reduced_bitwise(self, kind, seed):
+        # at the knots, inside the grid, at its end and in the tail, on a
+        # flat array and on the (segments, 15) node arrays A3 passes
+        rng = np.random.default_rng(100 * seed + len(kind))
+        for n in [3] * 5 + list(range(4, 13)):
+            grid, re, im, m_env, kappa = random_table(rng, n, kind)
+            m = TabulatedBorn(grid, re, im, m_env, kappa)
+            assert m.phase == {"real": 1, "imaginary": 1j,
+                               "complex": None}[kind]
+            end = grid[-1]
+            flat = np.concatenate([grid, rng.uniform(0.0, end, 300),
+                                   [end, np.nextafter(end, 0.0),
+                                    np.nextafter(end, np.inf)],
+                                   rng.uniform(end, 3.0 * end, 100)])
+            nodes = rng.uniform(0.0, 1.5 * end, (40, 15))
+            nodes[0, :n] = grid
+            for q in (flat, nodes):
+                got, want = m.reduced(q), scipy_reduced(q, grid, re, im)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (grid, re, im)
+            for qs in grid[::2]:
+                assert m.reduced(qs) == scipy_reduced(np.array([qs]), grid,
+                                                      re, im)[0]
 
 
 class TestEnvelopeContract:
@@ -401,12 +523,11 @@ import sys
 
 from eikamp.besselprod import f3_eval, f4_eval, f5_eval, f6_eval
 from eikamp.cli import main
-from eikamp.models import load_model
 
-gauss, pole, tab, out = sys.argv[1:]
-for model in (gauss, pole):
+*models, out = sys.argv[1:]
+for model in models:
     code = main(["table", "--model", model, "--s", "50", "--t-min", "-1",
-                 "--t-max", "-0.5", "--points", "2", "--rel-tol", "1e-2",
+                 "--t-max", "-1", "--points", "1", "--rel-tol", "1e-2",
                  "--out", out])
     assert code == 0, code
 f3_eval(3.0, 4.0, 5.0)
@@ -414,14 +535,14 @@ f4_eval(1.0, 0.9, 1.1, 1.4)
 f5_eval(1.0, 1.2, 0.9, 1.1, 1.3)
 f6_eval(1.0, 1.2, 0.9, 1.1, 1.3, 0.8)
 assert "scipy.interpolate" not in sys.modules
-load_model(tab)
-assert "scipy.interpolate" in sys.modules
 """
 
 
 class TestImportGraph:
-    def test_only_tables_load_scipy_interpolate(self, tmp_path):
-        # a fresh interpreter: this module imports scipy.interpolate itself
+    def test_no_path_loads_scipy_interpolate(self, tmp_path):
+        # a fresh interpreter: this module imports scipy.interpolate
+        # itself.  Every model kind runs one table row, the table's
+        # PCHIP and chi gate included
         paths = []
         for name, text in zip(("gauss", "pole", "tab"),
                               readme_model_files()):
