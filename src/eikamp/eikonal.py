@@ -34,7 +34,6 @@ import numpy as np
 
 from .besselprod import _f4_modulus_one_points, _g_values
 from .exceptions import ChiGateError
-from .models import BornKind
 from .quadrature import QuadratureConfig, _iterated, _limits
 from .special import bessel_j0
 
@@ -60,7 +59,8 @@ CHI_HARD_THRESHOLD = 2.0
 
 # relative decay level at which semi-infinite integration ranges are cut
 _TAIL_DECAY = 1e-16
-# |chi| level defining the impact-parameter cutoff of a profile
+# |chi| level defining the impact-parameter cutoff of a profile and the
+# oracle's automatic b_max
 _CHI_CUTOFF_LEVEL = 1e-12
 # each A3 x1 slab after the first runs at the absolute tolerance
 # _SHARE * rel_tol * |sum of the slabs before it| (see _a3_with_error)
@@ -100,14 +100,14 @@ def eikonal_chi(model, s, b, cfg=None):
 
     cfg = cfg or QuadratureConfig()
     bs = np.asarray(b, dtype=float)
-    if np.any(bs < 0.0):
-        raise ValueError("impact parameter b must be >= 0")
+    if not np.all((bs >= 0.0) & (bs < math.inf)):
+        raise ValueError("impact parameter b must be >= 0 and finite")
     env0 = float(model.envelope(0.0))
     q_cut = model.q_cutoff(_TAIL_DECAY * env0)
     phase, red = _phase_split(model)
     # tabulated interpolants are C1 at the nodes; panel edges there
     # restore full quadrature order
-    grid = getattr(model, "q_grid", None)
+    grid = model.q_grid
     knots = [] if grid is None else [float(qn) for qn in grid
                                      if 0.0 < qn < q_cut]
 
@@ -142,25 +142,6 @@ class EikonalProfile:
     b_cutoff: float
 
 
-def _envelope_b_cutoff(model, level):
-    """Impact parameter beyond which |chi| is certainly below ``level``.
-
-    With |a(q)| <= M exp(-kappa q) the phase obeys the closed Hankel
-    transform bound of the envelope,
-
-        |chi(b)| <~ (M / 4 pi) kappa / (kappa^2 + b^2)^(3/2),
-
-    which decays like b^-3; a 30x pad keeps the estimate conservative for
-    tables that do not saturate their envelope profile.  The quadrature
-    route cannot certify levels this small at such b (the J0 oscillation
-    noise floor sits above them), so the cutoff must be analytic.
-    """
-    env0 = float(model.envelope(0.0))
-    kappa = model.envelope_kappa
-    scale = 30.0 * env0 * kappa / (4.0 * math.pi * level)
-    return max(scale ** (1.0 / 3.0), 12.0 / kappa)
-
-
 def _apply_chi_gate(max_abs_chi, override):
     if max_abs_chi >= CHI_HARD_THRESHOLD:
         raise ChiGateError(
@@ -185,36 +166,27 @@ def _apply_chi_gate(max_abs_chi, override):
 def build_profile(model, s, cfg=None, *, override_chi_gate=False):
     """Construct the eikonal profile at fixed s and run the smallness gate.
 
-    For closed-form families the peak and cutoff are analytic.  Tabulated
-    models get their peak from a quadrature scan of 41 b over a few
-    envelope decay lengths, one :func:`eikonal_chi` solve for all of
-    them, and their cutoff from the decay bound of the envelope transform.
+    For closed-form families the peak is analytic.  Tabulated models get
+    their peak from a quadrature scan of 41 b over a few envelope decay
+    lengths, one :func:`eikonal_chi` solve for all of them.  The cutoff
+    is the model's own (``chi_b_cutoff``).
     """
     cfg = cfg or QuadratureConfig()
-    closed = model.chi_closed()
-    if closed is not None:
+    chi = model.chi_closed()
+    if chi is not None:
         peak = float(model.chi0)
-        # |chi| = chi0 exp(-beta b^2) for both closed families
-        if model.kind is BornKind.GAUSSIAN:
-            beta = 0.5 * model.lam ** 2
-        else:
-            beta = 1.0 / (4.0 * model.slope_b)
-        arg = max(peak / _CHI_CUTOFF_LEVEL, math.e)
-        b_cut = math.sqrt(math.log(arg) / beta)
-        _apply_chi_gate(peak, override_chi_gate)
-        return EikonalProfile(chi=closed, max_abs_chi=peak, b_cutoff=b_cut)
+    else:
+        def chi(b):
+            return eikonal_chi(model, s, b, cfg)
 
-    def chi(b):
-        return eikonal_chi(model, s, b, cfg)
-
-    # peak scan: |chi| decays on the scale of a few 1/kappa, so a short
-    # geometric grid brackets the maximum; pushing the quadrature route to
-    # extreme b would drown in J0 oscillation panels for no benefit
-    kappa = model.envelope_kappa
-    bs = np.concatenate([[0.0], np.geomspace(1e-2 / kappa, 12.0 / kappa, 40)])
-    mags = np.abs(chi(bs))
-    peak = float(mags.max())
-    b_cut = _envelope_b_cutoff(model, _CHI_CUTOFF_LEVEL)
+        # peak scan: |chi| decays on the scale of a few 1/kappa, so a
+        # short geometric grid brackets the maximum; extreme b would only
+        # drown the quadrature route in J0 oscillation panels
+        kappa = model.envelope_kappa
+        bs = np.concatenate([[0.0],
+                             np.geomspace(1e-2 / kappa, 12.0 / kappa, 40)])
+        peak = float(np.abs(chi(bs)).max())
+    b_cut = model.chi_b_cutoff(_CHI_CUTOFF_LEVEL)
     _apply_chi_gate(peak, override_chi_gate)
     return EikonalProfile(chi=chi, max_abs_chi=peak, b_cutoff=b_cut)
 
@@ -335,7 +307,7 @@ def _a3_block(model, qt, x1_lo, x1_hi, cfg, x3_cap, counters):
     phase, red = _phase_split(model)
     # a tabulated a(qt x3) is only C1 at its grid knots: panel edges there
     # restore full quadrature order on the inner axis, with no graded map
-    grid = getattr(model, "q_grid", None)
+    grid = model.q_grid
     knots = None if grid is None else grid[None, 1:] / qt
 
     def x2_rows(x1):

@@ -1,11 +1,12 @@
 """Born amplitude models and kinematics.
 
 The scattering pipeline is abstract in the Born amplitude A_B(s, t): any
-function with a decaying envelope in q = sqrt(-t) works.  Three concrete
-families are provided:
+function with a decaying envelope in q = sqrt(-t) works.  Two families are
+provided, the first in two parameterisations:
 
 GAUSSIAN          A_B(s, q) = i g s exp(-q^2 / (2 Lambda^2))
-EXPONENTIAL_POLE  A_B(s, q) = i C s exp(t B) = i C s exp(-q^2 B)
+EXPONENTIAL_POLE  A_B(s, q) = i C s exp(t B) = i C s exp(-q^2 B), the
+                  same Gaussian in q with g = C and Lambda = 1 / sqrt(2 B)
 TABULATED         A_B(s, q) = s [Re a(q) + i Im a(q)] from a (q, Re, Im)
                   grid with monotone cubic interpolation and an
                   exponential tail beyond the last grid point
@@ -15,7 +16,7 @@ s-independent; the i*g*s normalization convention is adopted and
 documented here because the underlying physics leaves it open.
 
 A model whose a(q) has one constant phase, a(q) = phase * r(q) with r
-real, says so in ``phase``: 1j for both closed families, 1 or 1j for a
+real, says so in ``phase``: 1j for the Gaussian family, 1 or 1j for a
 table with an all-zero Im or Re column, None for a general table.  The
 amplitude integrals then run on r in real arithmetic and multiply the
 phase back in once (see :mod:`eikamp.eikonal`).
@@ -23,7 +24,9 @@ phase back in once (see :mod:`eikamp.eikonal`).
 Every model carries an envelope |a(q)| <= envelope(q) that decays at least
 exponentially; the impact-parameter transform converges absolutely only
 under such a bound, and the integrators use envelope crossings to truncate
-semi-infinite ranges.
+semi-infinite ranges.  Each model also states the impact parameter beyond
+which its eikonal phase is negligible (``chi_b_cutoff``), so no caller
+needs to know which family it holds.
 """
 
 from __future__ import annotations
@@ -76,16 +79,19 @@ class BornModel:
     """Common interface of the Born families.
 
     Subclasses implement ``reduced(q)`` (vectorized complex a(q) =
-    A_B/s), ``envelope(q)`` (a decreasing positive bound on |a(q)|), and
-    ``q_cutoff(threshold)`` (the envelope's crossing point).  ``value``
-    restores the s factor.  ``chi_closed`` returns a closed-form eikonal
-    phase function of b when the family admits one, else None.
-    ``phase`` is the constant phase of a(q) (1 or 1j) when it has one, so
-    that a(q) / phase is real, else None.
+    A_B/s), ``envelope(q)`` (a decreasing positive bound on |a(q)|),
+    ``q_cutoff(threshold)`` (the envelope's crossing point) and
+    ``chi_b_cutoff(level)`` (an impact parameter beyond which |chi| <
+    level).  ``value`` restores the s factor.  ``chi_closed`` returns a
+    closed-form eikonal phase function of b when the family admits one,
+    else None.  ``phase`` is the constant phase of a(q) (1 or 1j) when it
+    has one, so that a(q) / phase is real, else None.  ``q_grid`` holds
+    the nodes where a tabulated a(q) is only C1, else None.
     """
 
     kind: BornKind
     phase = None
+    q_grid = None
 
     def value(self, s, q):
         return s * self.reduced(q)
@@ -97,6 +103,9 @@ class BornModel:
         raise NotImplementedError
 
     def q_cutoff(self, threshold):
+        raise NotImplementedError
+
+    def chi_b_cutoff(self, level):
         raise NotImplementedError
 
     def chi_closed(self):
@@ -140,8 +149,7 @@ class GaussianBorn(BornModel):
         return self.g * self.lam ** 2 / (4.0 * math.pi)
 
     def chi_closed(self):
-        g, lam = self.g, self.lam
-        chi0 = self.chi0
+        lam, chi0 = self.lam, self.chi0
 
         def chi(b):
             b = np.asarray(b, dtype=float)
@@ -149,48 +157,32 @@ class GaussianBorn(BornModel):
 
         return chi
 
+    def chi_b_cutoff(self, level):
+        """The closed inversion of |chi| = chi0 exp(-beta b^2), beta =
+        lam^2 / 2, at ``level``; at least 1 / sqrt(beta)."""
+        beta = 0.5 * self.lam ** 2
+        return math.sqrt(math.log(max(self.chi0 / level, math.e)) / beta)
 
-class ExponentialPoleBorn(BornModel):
-    """a(q) = i C exp(-B q^2): exponential-in-t with slope B."""
+
+class ExponentialPoleBorn(GaussianBorn):
+    """a(q) = i C exp(-B q^2): exponential-in-t with slope B, the
+    Gaussian family with g = C and lam = 1 / sqrt(2 B)."""
 
     kind = BornKind.EXPONENTIAL_POLE
-    phase = 1j
 
     def __init__(self, c, slope_b):
         if not (c > 0.0 and math.isfinite(c)):
             raise ValueError("normalization c must be positive")
         if not (slope_b > 0.0 and math.isfinite(slope_b)):
             raise ValueError("slope must be positive")
+        super().__init__(c, 1.0 / math.sqrt(2.0 * slope_b))
         self.c = float(c)
         self.slope_b = float(slope_b)
 
     def reduced(self, q):
+        # in B itself, which lam^2 = 1 / (2 B) would round
         q = np.asarray(q, dtype=float)
         return 1j * self.c * np.exp(-self.slope_b * q * q)
-
-    def envelope(self, q):
-        q = np.asarray(q, dtype=float)
-        return self.c * np.exp(-self.slope_b * q * q)
-
-    def q_cutoff(self, threshold):
-        if threshold >= self.c:
-            return 0.0
-        return math.sqrt(math.log(self.c / threshold) / self.slope_b)
-
-    @property
-    def chi0(self):
-        """Peak phase magnitude |chi(b=0)| = C / (8 pi B)."""
-        return self.c / (8.0 * math.pi * self.slope_b)
-
-    def chi_closed(self):
-        chi0 = self.chi0
-        inv4b = 1.0 / (4.0 * self.slope_b)
-
-        def chi(b):
-            b = np.asarray(b, dtype=float)
-            return 1j * chi0 * np.exp(-b * b * inv4b)
-
-        return chi
 
 
 class TabulatedBorn(BornModel):
@@ -287,6 +279,24 @@ class TabulatedBorn(BornModel):
         if threshold >= self.envelope_m:
             return 0.0
         return math.log(self.envelope_m / threshold) / self.envelope_kappa
+
+    def chi_b_cutoff(self, level):
+        """Impact parameter beyond which |chi| is certainly below ``level``.
+
+        With |a(q)| <= M exp(-kappa q) the phase obeys the closed Hankel
+        transform bound of the envelope,
+
+            |chi(b)| <~ (M / 4 pi) kappa / (kappa^2 + b^2)^(3/2),
+
+        which decays like b^-3; a 30x pad keeps the estimate conservative
+        for tables that do not saturate their envelope profile.  The
+        quadrature route cannot certify levels this small at such b (the
+        J0 oscillation noise floor sits above them), so the cutoff must be
+        analytic.
+        """
+        kappa = self.envelope_kappa
+        scale = 30.0 * self.envelope_m * kappa / (4.0 * math.pi * level)
+        return max(scale ** (1.0 / 3.0), 12.0 / kappa)
 
 
 def _pchip(x, y):

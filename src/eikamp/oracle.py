@@ -8,7 +8,9 @@ Two oracles validate the oscillation-free pipeline from the outside:
   s >> -t >> (hadron scale)^2 the oscillation count explodes and this
   oracle refuses, which is precisely why the oscillation-free formulas
   exist.  Validation there is indirect, through the closed forms this
-  oracle certifies at moderate kinematics.
+  oracle certifies at moderate kinematics.  Unless configured, the range
+  ends at the model's own ``chi_b_cutoff`` at |chi| = 1e-12, the
+  ``b_cutoff`` that the smallness gate reports.
 
 * ``gaussian_series_amplitude`` sums the exact all-orders eikonal series
   of the Gaussian model, whose n-th term is an explicit Gaussian in t.
@@ -35,10 +37,9 @@ from itertools import product
 import numpy as np
 
 from .exceptions import ExtrapolationDivergenceError, NonConvergenceError
-from .models import BornKind
 from .quadrature import IntegralResult, QuadratureConfig
 from .special import bessel_j0
-from .eikonal import _envelope_b_cutoff, eikonal_chi
+from .eikonal import _CHI_CUTOFF_LEVEL, eikonal_chi
 
 __all__ = [
     "OracleConfig",
@@ -51,8 +52,6 @@ __all__ = [
 
 DEFAULT_P_SEQUENCE = (0.2, 0.1, 0.05, 0.025)
 
-# |chi| level defining the automatic b_max
-_B_MAX_LEVEL = 1e-12
 # relative size of the last series term that stops the Gaussian series
 _SERIES_STOP = 1e-15
 
@@ -104,7 +103,8 @@ def _gauss_panels(f, hi, n, rel_tol, abs_tol=0.0):
 class OracleConfig:
     """Reference-computation knobs; None means derive automatically.
 
-    b_max: impact-parameter cutoff (auto: |chi(b_max)| < 1e-12).
+    b_max: impact-parameter cutoff, finite (auto: the model's
+        ``chi_b_cutoff`` at |chi| = 1e-12, the gate's own b_cutoff).
     p_damping: damping sequence for Bessel-product references (auto:
         scaled to the parameters, see reference_besselproduct).
     series_terms: Gaussian series length (auto: stop when the last term
@@ -116,8 +116,8 @@ class OracleConfig:
     series_terms: int | None = None
 
     def __post_init__(self):
-        if self.b_max is not None and not self.b_max > 0.0:
-            raise ValueError("b_max must be positive")
+        if self.b_max is not None and not 0.0 < self.b_max < math.inf:
+            raise ValueError("b_max must be positive and finite")
         if self.series_terms is not None and self.series_terms < 1:
             raise ValueError("series_terms must be >= 1")
         if self.p_damping is not None:
@@ -125,26 +125,6 @@ class OracleConfig:
             if ps.size < 3 or np.any(ps <= 0) or np.any(np.diff(ps) >= 0):
                 raise ValueError(
                     "p_damping must be >= 3 decreasing positive values")
-
-
-def _auto_b_max(model, s, cfg):
-    """Impact-parameter cutoff with |chi| below the 1e-12 level; no
-    smallness gate (the oracle itself is valid for any chi).
-
-    Closed-form families invert |chi| = chi0 exp(-beta b^2) exactly.
-    Tabulated models take the analytic envelope-transform bound: a
-    quadrature scan cannot certify the 1e-12 level at the far tail, where
-    the J0 oscillation noise floor of the phase integral sits above it.
-    """
-    closed = model.chi_closed()
-    if closed is not None:
-        peak = float(model.chi0)
-        if model.kind is BornKind.GAUSSIAN:
-            beta = 0.5 * model.lam ** 2
-        else:
-            beta = 1.0 / (4.0 * model.slope_b)
-        return math.sqrt(math.log(max(peak / _B_MAX_LEVEL, math.e)) / beta)
-    return _envelope_b_cutoff(model, _B_MAX_LEVEL)
 
 
 def direct_eikonal_amplitude(model, kin, cfg=None, *, quad_cfg=None):
@@ -160,8 +140,8 @@ def direct_eikonal_amplitude(model, kin, cfg=None, *, quad_cfg=None):
     cfg = cfg or OracleConfig()
     quad_cfg = quad_cfg or QuadratureConfig()
     s, qt = kin.s, kin.q
-    b_max = cfg.b_max if cfg.b_max is not None else _auto_b_max(model, s,
-                                                                quad_cfg)
+    b_max = (cfg.b_max if cfg.b_max is not None
+             else model.chi_b_cutoff(_CHI_CUTOFF_LEVEL))
     closed = model.chi_closed()
     if closed is not None:
         chi_fn = closed

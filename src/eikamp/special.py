@@ -193,10 +193,11 @@ def elliptic_k(k):
     Raises
     ------
     EikampError
-        For k < 0 or k >= 1 (the integral diverges at k = 1).
+        For any k outside 0 <= k < 1, NaN included (the integral diverges
+        at k = 1).
     """
     arr, scalar = _as_array(k)
-    if np.any(arr < 0.0) or np.any(arr >= 1.0):
+    if not np.all((arr >= 0.0) & (arr < 1.0)):
         raise EikampError("elliptic_k: modulus must satisfy 0 <= k < 1 "
                           "(argument is the modulus k, not the parameter m = k^2)")
     # (1-k)(1+k) keeps precision for k near 1 better than 1 - k*k.

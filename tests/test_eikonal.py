@@ -179,9 +179,13 @@ class TestEikonalChi:
         assert grid[0, 1] == chi
 
     def test_negative_b_in_array_rejected(self):
-        with pytest.raises(ValueError, match="b must be >= 0"):
-            eikonal_chi(real_tabulated(), 50.0,
-                        np.array([0.0, 1.0, -1e-3, 2.0]))
+        # NaN and inf are refused like a negative b, scalar or in an array
+        m = real_tabulated()
+        for bad in (-1e-3, math.inf, math.nan):
+            with pytest.raises(ValueError, match="b must be >= 0"):
+                eikonal_chi(m, 50.0, np.array([0.0, 1.0, bad, 2.0]))
+            with pytest.raises(ValueError, match="b must be >= 0"):
+                eikonal_chi(m, 50.0, bad)
 
     def test_tabulated_chi_needs_no_graded_edges(self, monkeypatch):
         # the chi integrand is smooth at q = 0, the J0 half-periods and the
@@ -245,9 +249,13 @@ class TestChiGate:
         with pytest.raises(ChiGateError):
             compute_terms(gaussian_with_chi0(1.2), Kinematics(s=50.0, t=-1.0))
 
-    def test_profile_cutoff_reaches_decay_level(self):
-        prof = build_profile(gaussian_with_chi0(0.3), 50.0)
-        assert abs(prof.chi(prof.b_cutoff)) <= 2e-12
+    @pytest.mark.parametrize("model", [
+        gaussian_with_chi0(0.3), ExponentialPoleBorn(c=1.1, slope_b=0.7),
+    ], ids=["gaussian", "exponential_pole"])
+    def test_profile_cutoff_reaches_decay_level(self, model):
+        # the closed inversion lands on the 1e-12 level, not beyond it
+        prof = build_profile(model, 50.0)
+        assert 5e-13 <= abs(prof.chi(prof.b_cutoff)) <= 2e-12
         assert abs(prof.chi(0.0)) == pytest.approx(prof.max_abs_chi,
                                                    rel=1e-12)
 

@@ -121,6 +121,20 @@ class TestExponentialPoleBorn:
         m = ExponentialPoleBorn(1.0, 1.0)
         assert m.kind is BornKind.EXPONENTIAL_POLE
 
+    def test_is_the_gaussian_family(self):
+        # g = C, lam = 1 / sqrt(2 B); only a(q) is its own, bit for bit
+        # in B
+        m = ExponentialPoleBorn(c=1.1, slope_b=0.7)
+        assert isinstance(m, GaussianBorn)
+        assert (m.g, m.lam) == (1.1, 1.0 / math.sqrt(1.4))
+        q = np.linspace(0.0, 6.0, 61)
+        assert m.reduced(q).tobytes() == (1j * 1.1 * np.exp(-0.7 * q * q)
+                                          ).tobytes()
+        np.testing.assert_allclose(m.reduced(q),
+                                   GaussianBorn.reduced(m, q), rtol=1e-14)
+        own = {k for k, v in vars(ExponentialPoleBorn).items() if callable(v)}
+        assert own == {"__init__", "reduced"}
+
 
 class TestTabulatedBorn:
     def test_interpolates_grid_nodes_exactly(self):

@@ -11,12 +11,14 @@ import math
 import numpy as np
 import pytest
 
+from eikamp import oracle as oracle_module
 from eikamp import quadrature as quadrature_module
 from eikamp.besselprod import f3_eval, f6_eval
 from eikamp.exceptions import ExtrapolationDivergenceError, NonConvergenceError
-from eikamp.models import GaussianBorn, Kinematics
-from eikamp.oracle import (OracleConfig, _auto_b_max,
-                           direct_eikonal_amplitude,
+from eikamp.eikonal import build_profile
+from eikamp.models import (ExponentialPoleBorn, GaussianBorn, Kinematics,
+                           TabulatedBorn)
+from eikamp.oracle import (OracleConfig, direct_eikonal_amplitude,
                            gaussian_series_amplitude,
                            integrate_damped_bessel_product,
                            reference_besselproduct)
@@ -26,6 +28,20 @@ from helpers import integrate_1d
 
 def gaussian_with_chi0(chi0, lam=1.0):
     return GaussianBorn(g=4.0 * math.pi * chi0 / lam ** 2, lam=lam)
+
+
+def auto_b_max(monkeypatch, model):
+    """The b_max that direct_eikonal_amplitude picks for ``model`` when
+    none is configured, read off its call of the panel integrator."""
+    seen = []
+
+    def panels(f, hi, n, rel_tol, abs_tol=0.0):
+        seen.append(hi)
+        return 0.0, 0.0, 0
+
+    monkeypatch.setattr(oracle_module, "_gauss_panels", panels)
+    direct_eikonal_amplitude(model, Kinematics(s=50.0, t=-1.0))
+    return seen[0]
 
 
 class TestReferenceBesselProduct:
@@ -141,10 +157,22 @@ class TestDirectAmplitude:
         with pytest.raises(NonConvergenceError, match="panel budget"):
             direct_eikonal_amplitude(m, Kinematics(s=50.0, t=-4e8))
 
-    def test_auto_b_max_reaches_decay_level(self):
-        m = gaussian_with_chi0(0.3)
-        b = _auto_b_max(m, 50.0, QuadratureConfig())
-        assert abs(m.chi_closed()(b)) <= 2e-12
+    @pytest.mark.parametrize("model", [
+        gaussian_with_chi0(0.3), ExponentialPoleBorn(c=1.1, slope_b=0.7),
+    ], ids=["gaussian", "exponential_pole"])
+    def test_auto_b_max_reaches_decay_level(self, monkeypatch, model):
+        b = auto_b_max(monkeypatch, model)
+        assert abs(model.chi_closed()(b)) <= 2e-12
+
+    @pytest.mark.parametrize("model", [
+        gaussian_with_chi0(0.3), ExponentialPoleBorn(c=1.1, slope_b=0.7),
+        TabulatedBorn([0.0, 0.5, 1.0, 1.5, 2.0],
+                      [1.0, 0.87, 0.55, 0.28, 0.12], [0.0] * 5, 2.1, 1.2),
+    ], ids=["gaussian", "exponential_pole", "tabulated"])
+    def test_auto_b_max_is_the_gate_cutoff(self, monkeypatch, model):
+        # one cutoff, stated by the model, serves the gate and the oracle
+        assert (auto_b_max(monkeypatch, model)
+                == build_profile(model, 50.0).b_cutoff)
 
 
 class TestGaussianSeries:
@@ -195,6 +223,8 @@ class TestOracleConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(b_max=0.0),
         dict(b_max=-2.0),
+        dict(b_max=math.inf),
+        dict(b_max=math.nan),
         dict(series_terms=0),
         dict(p_damping=(0.1, 0.05)),
         dict(p_damping=(0.1, 0.2, 0.3)),

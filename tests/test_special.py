@@ -175,3 +175,8 @@ class TestEllipticK:
         for bad in (-0.1, 1.0, 1.5):
             with pytest.raises(EikampError):
                 elliptic_k(bad)
+
+    def test_nan_is_outside_the_domain(self):
+        for bad in (math.nan, [0.5, math.nan]):
+            with pytest.raises(EikampError):
+                elliptic_k(bad)
