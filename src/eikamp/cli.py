@@ -30,8 +30,8 @@ import numpy as np
 from . import __version__
 from .besselprod import (f3_eval, f4_classify, f4_eval, f5_eval, f6_eval,
                          delta3_sq, weber_integral)
-from .eikonal import (_gated_terms, assemble_amplitude, build_profile,
-                      compute_terms, diff_cross_section)
+from .eikonal import (_A2Hat, _gated_terms, assemble_amplitude,
+                      build_profile, compute_terms, diff_cross_section)
 from .exceptions import (BoundaryCaseError, ChiGateError, EikampError,
                          ExtrapolationDivergenceError, ModelFileError,
                          NonConvergenceError)
@@ -277,10 +277,13 @@ def _cmd_table(args):
     cfg = spec.quad_config()
     _gate_or_exit(model, spec, cfg)
     rows = []
+    a2hat = None
     for t in spec.t_grid():
         kin = Kinematics(spec.s, float(t))
         try:
-            terms = _gated_terms(model, kin, cfg)
+            # A2 / s depends on neither s nor t: one build serves every row
+            a2hat = a2hat or _A2Hat(model, cfg)
+            terms = _gated_terms(model, kin, cfg, a2hat)
             amp = assemble_amplitude(terms)
             dsig = diff_cross_section(terms, kin)
             rows.append([float(t), terms.a1.real, terms.a1.imag,
@@ -300,10 +303,12 @@ def _cmd_compare(args):
     cfg = spec.quad_config()
     profile = _gate_or_exit(model, spec, cfg)
     devs, rows = [], []
+    a2hat = None
     for t in spec.t_grid():
         kin = Kinematics(spec.s, float(t))
         try:
-            terms = _gated_terms(model, kin, cfg)
+            a2hat = a2hat or _A2Hat(model, cfg)
+            terms = _gated_terms(model, kin, cfg, a2hat)
             approx = assemble_amplitude(terms)
             direct = direct_eikonal_amplitude(model, kin, quad_cfg=cfg)
         except EikampError as exc:

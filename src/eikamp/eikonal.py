@@ -6,18 +6,22 @@ three terms of the moderately-small-eikonal expansion,
     A(s, t) ~= [A1(s, t) - A3(s, t)] + i A2(s, t),
 
 where A1 is the Born amplitude itself, A2 is a 2D integral of two Born
-factors against an algebraic weight, and A3 is a 3D integral of three
-Born factors against the elliptic kernel G over the one region where G
-has support, summed over dyadic x1 slabs.  None of the
+factors against an algebraic weight, and A3 is the 2D convolution of the
+Born amplitude with A2, whose kernel for radial functions is the closed
+form F3.  A2 / s depends on neither s nor t, so it is interpolated once
+per model and every (s, t) costs one more 2D integral.  None of the
 integrals oscillate: the Bessel products of the naive impact-parameter
 representation have been integrated out in closed form, which is the
-entire point of the construction.
+entire point of the construction.  The paper's own A3, a 3D integral of
+three Born factors against the elliptic kernel G over the region where
+G has support, stays as the second route (:func:`_a3_g_route`).
 
 A model of one constant phase, a(q) = phase * r(q) with r real (both
 closed families and real or pure-imaginary tables, see
 :attr:`eikamp.models.BornModel.phase`), has A2, A3 and the tabulated
 phase chi integrated over r in real arithmetic, times phase^2, phase^3
 and phase once at the end; a general table keeps complex integrands.
+The interpolant of A2 / s holds A2 / (s phase^2), the integral over r.
 
 The expansion is valid while the eikonal phase chi(s, b) stays moderately
 small; a gate warns at max|chi| >= 0.5, refuses at >= 1 unless overridden,
@@ -33,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .besselprod import _f4_modulus_one_points, _g_values
-from .exceptions import ChiGateError
+from .exceptions import ChiGateError, NonConvergenceError
 from .quadrature import QuadratureConfig, _iterated, _limits
 from .special import bessel_j0
 
@@ -62,9 +66,17 @@ _TAIL_DECAY = 1e-16
 # |chi| level defining the impact-parameter cutoff of a profile and the
 # oracle's automatic b_max
 _CHI_CUTOFF_LEVEL = 1e-12
-# each A3 x1 slab after the first runs at the absolute tolerance
-# _SHARE * rel_tol * |sum of the slabs before it| (see _a3_with_error)
+# each x1 slab of A3's G route after the first runs at the absolute
+# tolerance _SHARE * rel_tol * |sum of the slabs before it| (see
+# _a3_g_route)
 _SHARE = 0.1
+# the interpolant of A2 / s is held to _A2HAT_SHARE * rel_tol * max|A2 / s|
+# (see _A2Hat); its panels start at degree _A2HAT_DEGREE and split after
+# _A2HAT_MAX_DEGREE, within _A2HAT_MAX_ROUNDS rounds of new nodes
+_A2HAT_SHARE = 0.1
+_A2HAT_DEGREE = 8
+_A2HAT_MAX_DEGREE = 16
+_A2HAT_MAX_ROUNDS = 12
 
 
 def _phase_split(model):
@@ -93,15 +105,15 @@ def eikonal_chi(model, s, b, cfg=None):
     to 4,000 each, so a caller with many thousands of b passes them in
     pieces.
     """
+    bs = np.asarray(b, dtype=float)
+    if not np.all((bs >= 0.0) & (bs < math.inf)):
+        raise ValueError("impact parameter b must be >= 0 and finite")
     closed = model.chi_closed()
     if closed is not None:
         out = closed(b)
         return complex(out) if np.ndim(b) == 0 else out
 
     cfg = cfg or QuadratureConfig()
-    bs = np.asarray(b, dtype=float)
-    if not np.all((bs >= 0.0) & (bs < math.inf)):
-        raise ValueError("impact parameter b must be >= 0 and finite")
     env0 = float(model.envelope(0.0))
     q_cut = model.q_cutoff(_TAIL_DECAY * env0)
     phase, red = _phase_split(model)
@@ -244,6 +256,295 @@ def a2_term(model, kin, cfg=None):
     return complex(value)
 
 
+# ---------------------------------------------------------------------------
+# A3 as the convolution of a with A2
+# ---------------------------------------------------------------------------
+
+def _lobatto(lo, hi, n):
+    """The n + 1 Chebyshev-Lobatto points of [lo, hi], ascending; the
+    ends and, for even n, the midpoint are exact, so a panel shares them
+    with its halves and its doubled degree."""
+    x = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(
+        np.pi * np.arange(n + 1) / n)
+    x[0], x[-1] = lo, hi
+    if n % 2 == 0:
+        x[n // 2] = 0.5 * (lo + hi)
+    return x
+
+
+def _lobatto_weights(n):
+    """Barycentric weights of the n + 1 Chebyshev-Lobatto points."""
+    w = (-1.0) ** np.arange(n + 1)
+    w[[0, -1]] *= 0.5
+    return w
+
+
+def _chebyshev_tail(values):
+    """|c_{n-1}| + |c_n|, the last two Chebyshev coefficients of the
+    interpolant through ``values`` at a panel's Lobatto points: the
+    estimate of its error."""
+    n = len(values) - 1
+    half = np.ones(n + 1)
+    half[[0, -1]] = 0.5
+    cos = np.cos(np.pi * np.outer([n - 1, n], np.arange(n + 1)) / n)
+    c = np.abs((cos * (half * values)).sum(axis=1)) * (2.0 / n)
+    return float(c[0] + 0.5 * c[1])
+
+
+def _a2_cap(model, level):
+    """The k beyond which the model's decreasing bound on |A2(s, -k^2)|
+    / s stays at or below ``level``, to about 1e-12 relative."""
+    lo, hi = 0.0, 1.0
+    while model.a2_bound(hi) > level:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if model.a2_bound(mid) <= level else (mid, hi)
+    return hi
+
+
+class _A2Hat:
+    """A2 of the model as a function of momentum, built once for every
+    s and t: Â2(k) = A2(s, -k^2) / (s phase^2), which depends on neither.
+
+    A piecewise Chebyshev-Lobatto interpolant on [0, k_cap], evaluated in
+    barycentric form, and 0 beyond k_cap.  Panels start dyadic, [0, w],
+    [w, 2w], [2w, 4w], ..., w the width over which the envelope falls by
+    e, at degree :data:`_A2HAT_DEGREE`; a panel whose estimate, its last
+    two Chebyshev coefficients, misses the tolerance doubles its degree
+    up to :data:`_A2HAT_MAX_DEGREE`, then splits in two.  Each round of
+    new nodes is one solve (:meth:`_solve_nodes`), to a tenth of the
+    tolerance.
+
+    The tolerance, _A2HAT_SHARE rel_tol max |Â2|, is on the supremum norm,
+    with max |Â2| <= (1/8 pi) int k |a|^2 dk (equal for a model of one
+    phase, at k = 0) as the scale rather than |Â2(k)|, which may cross
+    zero; k_cap is where the model's bound on |Â2| (``a2_bound``) falls
+    to half of it.  ``error`` bounds |Â2 - interpolant| over every
+    k >= 0: the worst panel's estimate plus its Lebesgue constant times
+    its nodes' quadrature errors, or that bound at k_cap, whichever is
+    larger.  ``l1`` is 2 pi int k |a(k)| dk, so an error e of Â2 moves
+    a convolution with a by at most e l1.
+    """
+
+    def __init__(self, model, cfg):
+        self.model = model
+        env0 = float(model.envelope(0.0))
+        self.q_cut = model.q_cutoff(_TAIL_DECAY * env0)
+        _phase, red = _phase_split(model)
+        # a table's knots, q = 0 among them (the cone of r at the origin)
+        grid = model.q_grid
+        knots = np.zeros(0) if grid is None else np.asarray(grid, float)
+        self.knots = knots[knots < self.q_cut]
+        # int k |a|^p dk, p = 1 and 2, in one solve
+        q_edges = np.unique(np.concatenate([[0.0], self.knots,
+                                            [self.q_cut]]))
+        norms = _iterated(
+            lambda p, q: q * np.abs(red(q)) ** p,
+            [(lambda p: np.broadcast_to(q_edges, (p.size, q_edges.size)),
+              "plain", None)],
+            cfg, outer=(np.array([1.0, 2.0]),))
+        self.l1 = 2.0 * math.pi * float(norms.value[0])
+        self.tol = (_A2HAT_SHARE * cfg.rel_tol * float(norms.value[1])
+                    / (8.0 * math.pi))
+        self.k_cap = _a2_cap(model, 0.5 * self.tol)
+        self._node_cfg = QuadratureConfig(
+            rel_tol=0.1 * _A2HAT_SHARE * cfg.rel_tol,
+            abs_tol=max(0.1 * self.tol * 8.0 * math.pi ** 2, 1e-300))
+        self.evaluations = norms.evaluations
+        self._cache = {}
+
+        edges = [0.0, min(model.q_cutoff(env0 / math.e), self.k_cap)]
+        while 2.0 * edges[-1] < 0.75 * self.k_cap:
+            edges.append(2.0 * edges[-1])
+        edges[-1] = self.k_cap
+        pending = [(lo, hi, _A2HAT_DEGREE) for lo, hi in zip(edges, edges[1:])]
+        done = []
+        for _ in range(_A2HAT_MAX_ROUNDS):
+            points = [_lobatto(lo, hi, n) for lo, hi, n in pending]
+            self._solve_nodes(np.concatenate(points))
+            refine = []
+            for (lo, hi, n), x in zip(pending, points):
+                f, err = (np.array(c) for c in zip(*map(self._cache.get, x)))
+                est = _chebyshev_tail(f)
+                if est <= self.tol:
+                    lebesgue = 2.0 / math.pi * math.log(n + 1) + 1.0
+                    done.append((lo, x, f, est + lebesgue * err.max()))
+                elif n < _A2HAT_MAX_DEGREE:
+                    refine.append((lo, hi, 2 * n))
+                else:
+                    mid = 0.5 * (lo + hi)
+                    refine += [(lo, mid, _A2HAT_DEGREE),
+                               (mid, hi, _A2HAT_DEGREE)]
+            pending = refine
+            if not pending:
+                break
+        if pending:
+            raise NonConvergenceError(
+                f"A2 interpolant did not reach {self.tol:.3e} in "
+                f"{_A2HAT_MAX_ROUNDS} rounds: {len(pending)} panels left")
+        done.sort(key=lambda p: p[0])
+        self.edges = np.array([p[0] for p in done] + [self.k_cap])
+        self.panels = [(x, f, _lobatto_weights(len(x) - 1))
+                       for _lo, x, f, _e in done]
+        self.error = max(max(p[3] for p in done),
+                         model.a2_bound(self.k_cap))
+
+    def _solve_nodes(self, ks):
+        """Â2 at every k not yet known, in one solve of the polar form
+
+            (1/8 pi^2) int_0^q_cut dk1 k1 r(k1) int_0^pi dphi r(rho),
+
+        rho = |k - k1 e^{i phi}|, r = a / phase, with one level-0 task
+        per k.  The k1 axis has edges at the knots and at k + q_j, k - q_j
+        and q_j - k, where the circle rho = q_j touches phi = 0 or pi
+        (q_0 = 0 is r's cone at the origin); the phi axis has them where
+        rho = q_j crosses it.  r is C1 across each, so every edge is a
+        plain panel edge."""
+        ks = np.array(sorted(set(ks.tolist()) - self._cache.keys()))
+        if ks.size == 0:
+            return
+        _phase, red = _phase_split(self.model)
+        q = self.knots[None, :]
+        qj = q[q > 0.0][None, :]
+        q_cut = self.q_cut
+
+        def k1_rows(k):
+            k = k[:, None]
+            rows = np.concatenate([np.zeros_like(k),
+                                   np.broadcast_to(q, (k.size, q.size)),
+                                   k + q, k - q, q - k,
+                                   np.full_like(k, q_cut)], axis=1)
+            return np.sort(np.clip(rows, 0.0, q_cut), axis=1)
+
+        def phi_rows(k, k1):
+            k, k1 = k[:, None], k1[:, None]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                c = (k * k + k1 * k1 - qj * qj) / (2.0 * k * k1)
+            phi = np.arccos(np.clip(np.nan_to_num(c, nan=1.0), -1.0, 1.0))
+            return np.sort(np.concatenate(
+                [np.zeros_like(k), phi, np.full_like(k, math.pi)], axis=1),
+                axis=1)
+
+        def weight(k, k1):
+            return k1 * red(k1)
+
+        def f(k, k1, phi):
+            s = np.sin(0.5 * phi)
+            return red(np.sqrt((k - k1) ** 2 + 4.0 * k * k1 * s * s))
+
+        res = _iterated(f, [(k1_rows, "plain", weight),
+                            (phi_rows, "plain", None)],
+                        self._node_cfg, outer=(ks,))
+        self.evaluations += res.evaluations
+        norm = 1.0 / (8.0 * math.pi ** 2)
+        self._cache.update(zip(ks.tolist(), zip(
+            (norm * res.value).tolist(), (norm * res.error_estimate).tolist())))
+
+    def __call__(self, k):
+        """The interpolant at an array of k >= 0; 0 beyond k_cap."""
+        panel = np.searchsorted(self.edges, k, side="right") - 1
+        out = np.zeros(k.shape, dtype=self.panels[0][1].dtype)
+        for p, (x, f, w) in enumerate(self.panels):
+            at = np.flatnonzero(panel == p)
+            if at.size == 0:
+                continue
+            d = k[at, None] - x[None, :]
+            exact = d == 0.0
+            d[exact] = 1.0
+            c = w / d
+            y = (c * f).sum(axis=1) / c.sum(axis=1)
+            hit = exact.any(axis=1)
+            y[hit] = f[exact.argmax(axis=1)[hit]]
+            out[at] = y
+        return out
+
+
+def _a3_with_error(model, kin, cfg, a2hat=None):
+    """A3, its error estimate and its evaluations, as the 2D convolution
+    of a with A2 (see :func:`a3_term`), given the model's interpolant of
+    A2 / s (:class:`_A2Hat`, built here if not passed).
+
+    One plain 2D solve in A2's variables, run at half of ``cfg``'s
+    tolerances so that the interpolant's share fits beside it.  The v
+    axis has an edge on each knot curve of a(qp), v = arcsin(2 q_j / qt -
+    cosh u), and on each panel break of the interpolant along qm, v =
+    arcsin(cosh u - 2 k_j / qt), the last at k_cap; the u axis has one
+    where either curve leaves the v range.  The error is the solve's,
+    plus (s / 24 pi^2) times the interpolant's error bound times 2 pi
+    int k |a| dk.  That bound holds |Â2| to its maximum, so on a row
+    whose parts cancel it can exceed rel_tol |A3|.  Returns the
+    evaluations of the row's solve; those of the build are its own
+    (``a2hat.evaluations``).
+    """
+    if a2hat is None:
+        a2hat = _A2Hat(model, cfg)
+    s, qt = kin.s, kin.q
+    phase, red = _phase_split(model)
+    grid = model.q_grid
+    knots = np.zeros(0) if grid is None else grid[grid > 0.0]
+    breaks = a2hat.edges[1:]
+    # beyond u_max a(qp) or the interpolant is zero, since qp and qm are
+    # at least qt (cosh u - 1) / 2
+    ch_max = 1.0 + 2.0 * min(a2hat.q_cut, a2hat.k_cap) / qt
+    ch = np.concatenate([2.0 * knots / qt, 2.0 * breaks / qt])
+    ch = np.concatenate([ch - 1.0, ch + 1.0])
+    u_edges = np.unique(np.concatenate([
+        [0.0], np.arccosh(ch[(ch > 1.0) & (ch < ch_max)]),
+        [math.acosh(ch_max)]]))
+    curves = np.concatenate([2.0 * knots / qt, -2.0 * breaks / qt])
+    sign = np.concatenate([-np.ones(knots.size), np.ones(breaks.size)])
+
+    def v_rows(u):
+        c = np.cosh(u)[:, None]
+        v = np.arcsin(np.clip(curves + sign * c, -1.0, 1.0))
+        half = np.full_like(c, 0.5 * math.pi)
+        return np.sort(np.concatenate([-half, v, half], axis=1), axis=1)
+
+    def f(u, v):
+        c = np.cosh(u)
+        sv = np.sin(v)
+        qp = 0.5 * qt * (c + sv)
+        qm = 0.5 * qt * (c - sv)
+        return (c * c - sv * sv) * red(qp) * a2hat(qm)
+
+    res = _iterated(f, [(lambda: u_edges[None, :], "plain", None),
+                        (v_rows, "plain", None)],
+                    replace(cfg, rel_tol=0.5 * cfg.rel_tol,
+                            abs_tol=0.5 * cfg.abs_tol))
+    pref = s * qt ** 2 / (48.0 * math.pi ** 2)
+    spread = s / (24.0 * math.pi ** 2) * a2hat.error * a2hat.l1
+    return (pref * phase ** 3 * complex(res.value),
+            pref * res.error_estimate + spread, res.evaluations)
+
+
+def a3_term(model, kin, cfg=None):
+    """Third term: the 2D convolution of the Born amplitude with A2,
+
+        A3(q) = (1/24 pi^2) int d^2k a(k) A2(s, -|q - k|^2),
+
+    since A3 is the transform of chi^3 = chi chi^2.  For radial functions
+    the kernel of this convolution is the paper's F3 = 1/(2 pi Delta), so
+    no oscillatory integral is evaluated.  In A2's own variables,
+
+        A3 = (s qt^2 / 48 pi^2) int_0^u_max du int_-pi/2^pi/2 dv
+             (cosh^2 u - sin^2 v) a(qp) Â2(qm),
+
+    qp = qt (cosh u + sin v) / 2, qm = qt (cosh u - sin v) / 2, with
+    Â2 = A2 / s interpolated once per model (:class:`_A2Hat`) and one
+    smooth 2D solve per (s, t) (:func:`_a3_with_error`).  The paper's
+    three-factor route over the elliptic kernel G stays as the
+    cross-check (:func:`_a3_g_route`).
+    """
+    cfg = cfg or QuadratureConfig()
+    value, _err, _n = _a3_with_error(model, kin, cfg)
+    return complex(value)
+
+
+# ---------------------------------------------------------------------------
+# A3's second route: three Born factors against the elliptic kernel G
+# ---------------------------------------------------------------------------
+
 def _x3_breakpoints(xp, xm, lo3, hi3):
     """Per-task x3 in [lo3, hi3] where the kernel G is log-singular.
 
@@ -363,8 +664,23 @@ def _a3_caps(model, qt, env0, floor):
     return x1_cap, x3_cap, thr * (x1_cap + x3_cap)
 
 
-def _a3_with_error(model, kin, cfg):
-    """A3, its error estimate and its inner evaluations.
+def _a3_g_route(model, kin, cfg):
+    """A3, its error estimate and its inner evaluations by the paper's
+    route, a 3D integral of three Born factors against the elliptic
+    kernel G, the cross-check of the convolution (:func:`a3_term`):
+
+        A3 = (1/96 pi^2)(-t/s)^2
+             int dx1 dx2 dx3 (xp xm x3) A_B(qt xp) A_B(qt xm) A_B(qt x3)
+                             G(xp, xm, x3),
+
+    xp = (x1+x2)/2, xm = (x1-x2)/2, qt = sqrt(-t), over the region where
+    the kernel has support, which the paper splits into five blocks;
+    here it is one region (:func:`_a3_block`).  Semi-infinite ranges
+    truncate on the model envelope with a tail bound added to the error
+    estimate; the kernel's log-singular surfaces (elliptic modulus 1) are
+    planes in closed form, inserted as graded breakpoints on the
+    innermost axis, where a table's knots are ungraded panel edges.  An
+    inner integral that does not converge raises NonConvergenceError.
 
     The region is summed over the dyadic x1 slabs [0, 1], [1, 2], [2, 4],
     ... up to the x1 cap of ``cfg.abs_tol``, one :func:`_a3_block` each,
@@ -419,30 +735,6 @@ def _a3_with_error(model, kin, cfg):
     return pref * complex(total), abs(pref) * err, counters[0]
 
 
-def a3_term(model, kin, cfg=None):
-    """Third term: a 3D integral of three Born factors against the
-    elliptic kernel G,
-
-        A3 = (1/96 pi^2)(-t/s)^2
-             int dx1 dx2 dx3 (xp xm x3) A_B(qt xp) A_B(qt xm) A_B(qt x3)
-                             G(xp, xm, x3),
-
-    xp = (x1+x2)/2, xm = (x1-x2)/2, qt = sqrt(-t), over the region where
-    the kernel has support, which the paper splits into five blocks;
-    here it is one region, integrated in dyadic x1 slabs
-    (:func:`_a3_block`).  The relative tolerance is A3's, not each
-    slab's (:func:`_a3_with_error`).  Semi-infinite ranges truncate
-    on the model envelope with a tail bound added to the error estimate;
-    the kernel's log-singular surfaces (elliptic modulus 1) are planes in
-    closed form, inserted as graded breakpoints on the innermost axis,
-    where a table's knots are ungraded panel edges.  An inner integral
-    that does not converge raises NonConvergenceError.
-    """
-    cfg = cfg or QuadratureConfig()
-    value, _err, _n = _a3_with_error(model, kin, cfg)
-    return complex(value)
-
-
 # ---------------------------------------------------------------------------
 # assembly and observables
 # ---------------------------------------------------------------------------
@@ -492,11 +784,13 @@ def compute_terms(model, kin, cfg=None, *, override_chi_gate=False):
     return _gated_terms(model, kin, cfg)
 
 
-def _gated_terms(model, kin, cfg):
+def _gated_terms(model, kin, cfg, a2hat=None):
     """A1, A2 and A3 at one (s, t) for a model already gated at s; the
-    gate depends on s alone, so one :func:`build_profile` serves every t."""
+    gate depends on s alone, so one :func:`build_profile` serves every t,
+    and A2 / s depends on neither, so one :class:`_A2Hat` of the model at
+    ``cfg`` (built here if not passed) serves every (s, t)."""
     a1 = a1_term(model, kin)
     a2, a2_err = _a2_with_error(model, kin, cfg)
-    a3, a3_err, _ = _a3_with_error(model, kin, cfg)
+    a3, a3_err, _ = _a3_with_error(model, kin, cfg, a2hat)
     return AmplitudeTerms(a1=a1, a2=complex(a2), a3=complex(a3),
                           a2_error=a2_err, a3_error=a3_err)

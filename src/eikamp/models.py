@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.special import kv
 
 from .exceptions import ModelFileError
 
@@ -82,9 +83,10 @@ class BornModel:
     A_B/s), ``envelope(q)`` (a decreasing positive bound on |a(q)|),
     ``q_cutoff(threshold)`` (the envelope's crossing point) and
     ``chi_b_cutoff(level)`` (an impact parameter beyond which |chi| <
-    level).  ``value`` restores the s factor.  ``chi_closed`` returns a
-    closed-form eikonal phase function of b when the family admits one,
-    else None.  ``phase`` is the constant phase of a(q) (1 or 1j) when it
+    level) and ``a2_bound(k)`` (a bound on |A2(s, -k^2)| / s that
+    decreases in k).  ``value`` restores the s factor.  ``chi_closed``
+    returns a closed-form eikonal phase function of b when the family
+    admits one, else None.  ``phase`` is the constant phase of a(q) (1 or 1j) when it
     has one, so that a(q) / phase is real, else None.  ``q_grid`` holds
     the nodes where a tabulated a(q) is only C1, else None.
     """
@@ -106,6 +108,9 @@ class BornModel:
         raise NotImplementedError
 
     def chi_b_cutoff(self, level):
+        raise NotImplementedError
+
+    def a2_bound(self, k):
         raise NotImplementedError
 
     def chi_closed(self):
@@ -145,8 +150,9 @@ class GaussianBorn(BornModel):
 
     @property
     def chi0(self):
-        """Peak eikonal phase magnitude |chi(b=0)| = g lam^2 / (4 pi)."""
-        return self.g * self.lam ** 2 / (4.0 * math.pi)
+        """Peak eikonal phase magnitude |chi(b=0)| = g lam^2 / (4 pi);
+        inf where lam^2 overflows."""
+        return self.g * (self.lam * self.lam) / (4.0 * math.pi)
 
     def chi_closed(self):
         lam, chi0 = self.lam, self.chi0
@@ -158,10 +164,20 @@ class GaussianBorn(BornModel):
         return chi
 
     def chi_b_cutoff(self, level):
-        """The closed inversion of |chi| = chi0 exp(-beta b^2), beta =
-        lam^2 / 2, at ``level``; at least 1 / sqrt(beta)."""
-        beta = 0.5 * self.lam ** 2
-        return math.sqrt(math.log(max(self.chi0 / level, math.e)) / beta)
+        """The closed inversion of |chi| = chi0 exp(-lam^2 b^2 / 2) at
+        ``level``, at least sqrt(2) / lam.  It is formed in logs, so it
+        is finite for every accepted g and lam, where chi0 or 1 / lam^2
+        would overflow."""
+        log_ratio = (math.log(self.g) + 2.0 * math.log(self.lam)
+                     - math.log(4.0 * math.pi * level))
+        return math.sqrt(2.0 * max(log_ratio, 1.0)) / self.lam
+
+    def a2_bound(self, k):
+        """|A2(s, -k^2)| / s itself: the convolution of two Gaussians,
+        g^2 lam^2 / (16 pi) exp(-k^2 / (4 lam^2))."""
+        x = k / (2.0 * self.lam)
+        return (self.g * self.lam) * (self.g * self.lam) / (
+            16.0 * math.pi) * math.exp(-x * x)
 
 
 class ExponentialPoleBorn(GaussianBorn):
@@ -297,6 +313,21 @@ class TabulatedBorn(BornModel):
         kappa = self.envelope_kappa
         scale = 30.0 * self.envelope_m * kappa / (4.0 * math.pi * level)
         return max(scale ** (1.0 / 3.0), 12.0 / kappa)
+
+    def a2_bound(self, k):
+        """The convolution of two envelopes, which bounds that of two
+        amplitudes: with |a(q)| <= M exp(-kappa q),
+
+            |A2(s, -k^2)| / s <= (M^2 / 16 pi^2) int d^2p
+                                 exp(-kappa (|p| + |k - p|))
+                               = M^2 k^2 K_2(kappa k) / (64 pi),
+
+        in elliptic coordinates about 0 and k, where |p| + |k - p| =
+        k cosh u; z^2 K_2(z) falls from 2 at z = 0."""
+        z = self.envelope_kappa * k
+        z2k2 = 2.0 if z < 1e-8 else z * z * float(kv(2, z))
+        return self.envelope_m ** 2 * z2k2 / (
+            64.0 * math.pi * self.envelope_kappa ** 2)
 
 
 def _pchip(x, y):

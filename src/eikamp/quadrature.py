@@ -60,8 +60,8 @@ whose value cancels pays for tighter children.
 
 A node of an outer level costs a whole inner integral, so a panel that is
 bisected spends its 15 nodes' inner integrals on a parent that is thrown
-away; callers that know where an outer axis will need panels (A3's
-unbounded x1 axis, summed over dyadic slabs) supply them as edges.
+away; callers that know where an outer axis will need panels (the x1
+axis of A3's G route, summed over dyadic slabs) supply them as edges.
 Every wave, at every level, is evaluated in slices of at most
 :data:`_WAVE_SLICE` (512) segments, so its memory, and that of the inner
 solves a slice starts, stays bounded however wide the wave, and each
@@ -72,9 +72,9 @@ slicing changes no value, error or count.  The Gauss-Kronrod sums are
 per-row reductions, so no BLAS thread pool starts.
 
 The engine meets the tolerance it is given.  How a sum of separate nests
-shares one tolerance is the caller's decision: A3 gives each of its x1
-slabs after the first an absolute tolerance from the slabs summed before
-it (:func:`eikamp.eikonal._a3_with_error`).
+shares one tolerance is the caller's decision: A3's G route gives each
+of its x1 slabs after the first an absolute tolerance from the slabs
+summed before it (:func:`eikamp.eikonal._a3_g_route`).
 """
 
 from __future__ import annotations

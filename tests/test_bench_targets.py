@@ -50,7 +50,7 @@ def test_traced_a3_fills_every_layer_metric():
     tracer = _bench_spans().Tracer()
     tracer.install()
     try:
-        _value, _err, inner = eikamp.eikonal._a3_with_error(
+        _value, _err, inner = eikamp.eikonal._a3_g_route(
             GaussianBorn(g=2.51, lam=1.0), Kinematics(s=50.0, t=-1.0),
             QuadratureConfig(rel_tol=1e-3))
     finally:

@@ -11,8 +11,10 @@ import math
 import numpy as np
 import pytest
 
+import eikamp.besselprod
 import eikamp.cli
 import eikamp.eikonal
+import eikamp.special
 from eikamp.besselprod import f5_eval
 from eikamp.cli import main
 from eikamp.eikonal import (assemble_amplitude, build_profile, compute_terms,
@@ -27,6 +29,20 @@ GAUSS_INI = """\
 kind = gaussian
 g = 2.5132741228718345
 lambda = 1.0
+"""
+# the test suite's five-node real table
+TABLE_INI = """\
+[model]
+kind = tabulated
+points =
+    0.0 1.0 0.0
+    0.5 0.87 0.0
+    1.0 0.55 0.0
+    1.5 0.28 0.0
+    2.0 0.12 0.0
+[envelope]
+m = 2.1
+kappa = 1.2
 """
 # chi0 = 1.5: refused by the smallness gate unless overridden
 STRONG_INI = """\
@@ -50,6 +66,13 @@ def run_cli(argv, capsys):
 def gauss_model(tmp_path):
     path = tmp_path / "gauss.ini"
     path.write_text(GAUSS_INI)
+    return str(path)
+
+
+@pytest.fixture
+def table_model(tmp_path):
+    path = tmp_path / "table.ini"
+    path.write_text(TABLE_INI)
     return str(path)
 
 
@@ -218,6 +241,26 @@ class TestTableCommand:
         assert code == 0
         assert len(out.strip().splitlines()) == 2 + 3
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("which", ["gauss_model", "table_model"])
+    def test_table_calls_no_elliptic_kernel(self, which, request,
+                                            monkeypatch, capsys):
+        # A3 is the convolution of a with A2: no row evaluates the kernel
+        # G or elliptic K, which only the G route and F5/F6 call
+        def refuse(*args):
+            raise AssertionError("elliptic kernel called")
+
+        for module in (eikamp.eikonal, eikamp.besselprod, eikamp.special):
+            for name in ("_g_values", "_elliptic_k_core"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        code = main(["table", "--model", request.getfixturevalue(which),
+                     "--s", "50", "--t-min", "-2", "--t-max", "-0.25",
+                     "--points", "2", "--rel-tol", "1e-3",
+                     "--abs-tol", "1e-6"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.count(",ok") == 2
 
     def test_log_spacing_grid(self, gauss_model, capsys):
         code, out, err = run_cli(

@@ -121,6 +121,16 @@ class TestExponentialPoleBorn:
         m = ExponentialPoleBorn(1.0, 1.0)
         assert m.kind is BornKind.EXPONENTIAL_POLE
 
+    @pytest.mark.parametrize("slope_b", [8e307, 5e-324])
+    def test_chi_b_cutoff_finite_at_extreme_slopes(self, slope_b):
+        # 1 / lam^2 overflows at the first slope and lam^2 at the second;
+        # the cutoff, formed in logs, stays finite and at least the decay
+        # length sqrt(2) / lam
+        m = ExponentialPoleBorn(c=1.0, slope_b=slope_b)
+        b = m.chi_b_cutoff(1e-12)
+        assert 0.0 < b < math.inf
+        assert b >= math.sqrt(2.0) / m.lam * (1.0 - 1e-15)
+
     def test_is_the_gaussian_family(self):
         # g = C, lam = 1 / sqrt(2 B); only a(q) is its own, bit for bit
         # in B

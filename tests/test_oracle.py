@@ -175,6 +175,26 @@ class TestDirectAmplitude:
                 == build_profile(model, 50.0).b_cutoff)
 
 
+class TestExtremeSlopes:
+    def test_auto_b_max_finite_at_a_tiny_slope(self, monkeypatch):
+        # lam^2 overflows at slope 5e-324; the automatic b_max is the
+        # model's finite cutoff, which used to raise OverflowError
+        model = ExponentialPoleBorn(c=1.0, slope_b=5e-324)
+        b = auto_b_max(monkeypatch, model)
+        assert 0.0 < b < math.inf
+        assert b == model.chi_b_cutoff(1e-12)
+
+    def test_auto_b_max_finite_at_a_huge_slope(self):
+        # 1 / lam^2 overflows at slope 8e307; the automatic b_max is
+        # finite, so the oracle refuses it by its oscillation budget
+        # rather than by an OverflowError from an infinite b_max
+        model = ExponentialPoleBorn(c=1.0, slope_b=8e307)
+        assert 0.0 < model.chi_b_cutoff(1e-12) < math.inf
+        with pytest.raises(NonConvergenceError, match="oscillation count"):
+            direct_eikonal_amplitude(model, Kinematics(s=50.0, t=-1.0),
+                                     OracleConfig())
+
+
 class TestGaussianSeries:
     KIN = Kinematics(s=50.0, t=-1.0)
 
