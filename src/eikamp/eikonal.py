@@ -314,7 +314,11 @@ class _A2Hat:
     two Chebyshev coefficients, misses the tolerance doubles its degree
     up to :data:`_A2HAT_MAX_DEGREE`, then splits in two.  Each round of
     new nodes is one solve (:meth:`_solve_nodes`), to a tenth of the
-    tolerance.
+    tolerance, over the half-plane p.k <= k^2 / 2 of the convolution
+    a * a, doubled (norm 2 / 8 pi^2): its k1 axis is graded at k / 2,
+    it has no tangency edges beyond the half-plane (those at k + q_j
+    among them), and it runs at half the absolute tolerance of the whole
+    plane.
 
     The tolerance, _A2HAT_SHARE rel_tol max |Â2|, is on the supremum norm,
     with max |Â2| <= (1/8 pi) int k |a|^2 dk (equal for a model of one
@@ -348,9 +352,11 @@ class _A2Hat:
         self.tol = (_A2HAT_SHARE * cfg.rel_tol * float(norms.value[1])
                     / (8.0 * math.pi))
         self.k_cap = _a2_cap(model, 0.5 * self.tol)
+        # a tenth of tol on Â2, that is on the half-plane integral times
+        # the norm 2 / 8 pi^2 of _solve_nodes
         self._node_cfg = QuadratureConfig(
             rel_tol=0.1 * _A2HAT_SHARE * cfg.rel_tol,
-            abs_tol=max(0.1 * self.tol * 8.0 * math.pi ** 2, 1e-300))
+            abs_tol=max(0.1 * self.tol * 4.0 * math.pi ** 2, 1e-300))
         self.evaluations = norms.evaluations
         self._cache = {}
 
@@ -393,14 +399,27 @@ class _A2Hat:
     def _solve_nodes(self, ks):
         """Â2 at every k not yet known, in one solve of the polar form
 
-            (1/8 pi^2) int_0^q_cut dk1 k1 r(k1) int_0^pi dphi r(rho),
+            (2/8 pi^2) int_0^q_cut dk1 k1 r(k1) int_phi0^pi dphi r(rho),
 
         rho = |k - k1 e^{i phi}|, r = a / phase, with one level-0 task
-        per k.  The k1 axis has edges at the knots and at k + q_j, k - q_j
-        and q_j - k, where the circle rho = q_j touches phi = 0 or pi
-        (q_0 = 0 is r's cone at the origin); the phi axis has them where
-        rho = q_j crosses it.  r is C1 across each, so every edge is a
-        plain panel edge."""
+        per k.  The integrand r(p) r(k - p) is symmetric under p -> k - p,
+        so the solve covers only the half-plane p.k <= k^2 / 2 and doubles
+        it: phi0 = arccos(k / 2 k1) for k1 > k / 2 and 0 below (pi / 2 at
+        k = 0).  On the half-plane's edge rho = k1, so the circle rho =
+        q_j meets it at the knot k1 = q_j.
+
+        The k1 axis has edges at the knots, at k / 2, and where the circle
+        rho = q_j touches phi = 0 or pi inside the half-plane: k - q_j for
+        q_j >= k / 2 and q_j - k (q_0 = 0 is r's cone at the origin).  The
+        tangencies at k + q_j, and at k - q_j for q_j < k / 2, lie beyond
+        the half-plane's edge, and the cone of r(rho) at p = k with them.
+        The phi axis has edges at phi0 and where rho = q_j crosses it above
+        phi0.  r is C1 across each of these, so they are plain panel
+        edges; the inner integral has a square-root point at k1 = k / 2,
+        where the phi range starts to shrink, so the k1 axis is
+        square-root graded there and at its ends only.  The solve runs at
+        half the absolute tolerance, so that twice its integral keeps the
+        budget of the whole plane."""
         ks = np.array(sorted(set(ks.tolist()) - self._cache.keys()))
         if ks.size == 0:
             return
@@ -413,17 +432,19 @@ class _A2Hat:
             k = k[:, None]
             rows = np.concatenate([np.zeros_like(k),
                                    np.broadcast_to(q, (k.size, q.size)),
-                                   k + q, k - q, q - k,
+                                   0.5 * k, np.minimum(k - q, 0.5 * k), q - k,
                                    np.full_like(k, q_cut)], axis=1)
-            return np.sort(np.clip(rows, 0.0, q_cut), axis=1)
+            rows = np.sort(np.clip(rows, 0.0, q_cut), axis=1)
+            return rows, rows != 0.5 * k
 
         def phi_rows(k, k1):
             k, k1 = k[:, None], k1[:, None]
             with np.errstate(divide="ignore", invalid="ignore"):
                 c = (k * k + k1 * k1 - qj * qj) / (2.0 * k * k1)
+            lo = np.arccos(np.minimum(0.5 * k / k1, 1.0))
             phi = np.arccos(np.clip(np.nan_to_num(c, nan=1.0), -1.0, 1.0))
             return np.sort(np.concatenate(
-                [np.zeros_like(k), phi, np.full_like(k, math.pi)], axis=1),
+                [lo, np.maximum(phi, lo), np.full_like(k, math.pi)], axis=1),
                 axis=1)
 
         def weight(k, k1):
@@ -433,11 +454,11 @@ class _A2Hat:
             s = np.sin(0.5 * phi)
             return red(np.sqrt((k - k1) ** 2 + 4.0 * k * k1 * s * s))
 
-        res = _iterated(f, [(k1_rows, "plain", weight),
+        res = _iterated(f, [(k1_rows, "sqrt", weight),
                             (phi_rows, "plain", None)],
                         self._node_cfg, outer=(ks,))
         self.evaluations += res.evaluations
-        norm = 1.0 / (8.0 * math.pi ** 2)
+        norm = 2.0 / (8.0 * math.pi ** 2)
         self._cache.update(zip(ks.tolist(), zip(
             (norm * res.value).tolist(), (norm * res.error_estimate).tolist())))
 

@@ -6,8 +6,9 @@ quadrature of defining integrals, F5/F6 reductions in mpmath at 30
 digits, and a scan-plus-bisection resolver for the raw support indicator
 of the triple-kernel region.  Where a helper
 does lean on package internals it says so explicitly: the second F5/F6
-routes, the paper's five-block split of the A3 region and the 1D and
-nested integrals below run on the package's engine and F3 kernel.
+routes, the paper's five-block split of the A3 region, the full-plane
+nodes of A2 / s and the 1D and nested integrals below run on the
+package's engine and F3 kernel.
 """
 
 import math
@@ -18,6 +19,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy import integrate as sp_integrate
 
 from eikamp.besselprod import _check_positive, _empty_result, _f3_values
+from eikamp.eikonal import _phase_split
 from eikamp.quadrature import QuadratureConfig, _iterated, _limits
 
 
@@ -427,3 +429,61 @@ def decompose_a3_domain():
         DomainBlock((2.0, inf), lo_zero, hi_one, x3_zero, x3_hi),
         DomainBlock((2.0, inf), lo_one, hi_x1, x3_x2_minus, x3_hi),
     ]
+
+
+# ---------------------------------------------------------------------------
+# the nodes of A2 / s over the whole plane
+# ---------------------------------------------------------------------------
+
+def a2hat_full_plane_nodes(a2hat, ks):
+    """Â2 and its error at each k of ``ks``, for the model, knots and
+    q_cut of the interpolant ``a2hat``, in one solve of the polar form
+    over the whole plane
+
+        (1/8 pi^2) int_0^q_cut dk1 k1 r(k1) int_0^pi dphi r(rho),
+
+    rho = |k - k1 e^{i phi}|, r = a / phase, with one level-0 task per k
+    and a tenth of the interpolant's tolerance on Â2 (the second route of
+    ``_A2Hat._solve_nodes``, which covers half of the plane).  The k1 axis
+    has edges at the knots and at k + q_j, k - q_j and q_j - k, where the
+    circle rho = q_j touches phi = 0 or pi (q_0 = 0 is r's cone at the
+    origin); the phi axis has them where rho = q_j crosses it.  r is C1
+    across each, so every edge is a plain panel edge."""
+    ks = np.asarray(ks, dtype=float)
+    _phase, red = _phase_split(a2hat.model)
+    q = a2hat.knots[None, :]
+    qj = q[q > 0.0][None, :]
+    q_cut = a2hat.q_cut
+    cfg = QuadratureConfig(
+        rel_tol=a2hat._node_cfg.rel_tol,
+        abs_tol=max(0.1 * a2hat.tol * 8.0 * math.pi ** 2, 1e-300))
+
+    def k1_rows(k):
+        k = k[:, None]
+        rows = np.concatenate([np.zeros_like(k),
+                               np.broadcast_to(q, (k.size, q.size)),
+                               k + q, k - q, q - k,
+                               np.full_like(k, q_cut)], axis=1)
+        return np.sort(np.clip(rows, 0.0, q_cut), axis=1)
+
+    def phi_rows(k, k1):
+        k, k1 = k[:, None], k1[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = (k * k + k1 * k1 - qj * qj) / (2.0 * k * k1)
+        phi = np.arccos(np.clip(np.nan_to_num(c, nan=1.0), -1.0, 1.0))
+        return np.sort(np.concatenate(
+            [np.zeros_like(k), phi, np.full_like(k, math.pi)], axis=1),
+            axis=1)
+
+    def weight(k, k1):
+        return k1 * red(k1)
+
+    def f(k, k1, phi):
+        s = np.sin(0.5 * phi)
+        return red(np.sqrt((k - k1) ** 2 + 4.0 * k * k1 * s * s))
+
+    res = _iterated(f, [(k1_rows, "plain", weight),
+                        (phi_rows, "plain", None)],
+                    cfg, outer=(ks,))
+    norm = 1.0 / (8.0 * math.pi ** 2)
+    return norm * res.value, norm * res.error_estimate

@@ -46,7 +46,8 @@ from eikamp.models import (
 )
 from eikamp.quadrature import (IntegralResult, QuadratureConfig,
                                _InheritedError, _iterated, _limits)
-from helpers import decompose_a3_domain, integrate_nested
+from helpers import (a2hat_full_plane_nodes, decompose_a3_domain,
+                     integrate_nested)
 
 CHI_TIGHT = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-16)
 
@@ -701,9 +702,11 @@ class TestA3Convolution:
             assert abs(v - ref) <= 1e-6 * abs(ref) + ref_err
 
     def test_gauss_table_points_within_budget(self, monkeypatch):
-        # the README Gaussian at the bench's three t: one interpolant and
-        # three rows take at most 400k model points (the G route took
-        # 774k inner points for A3 alone), each row at its closed form
+        # the README Gaussian at the bench's three t: one interpolant, its
+        # nodes over the half-plane, and three rows take at most 200k model
+        # points (about 171k; 219k with the nodes over the whole plane, and
+        # the G route took 774k inner points for A3 alone), each row at its
+        # closed form
         m = GaussianBorn(g=2.51, lam=1.0)
         points = counting_reduced(monkeypatch, m)
         cfg = QuadratureConfig()
@@ -712,21 +715,73 @@ class TestA3Convolution:
             kin = Kinematics(s=50.0, t=t)
             v, e, _ = _a3_with_error(m, kin, cfg, a2hat)
             assert abs(v - closed_a3(m, kin)) <= min(1e-9 * abs(v), e)
-        assert points[0] <= 400_000
+        assert points[0] <= 200_000
 
     def test_sign_changing_table_at_default_tolerance(self, monkeypatch):
         # a table whose amplitude crosses zero gives an A2 / s that crosses
         # it too; at t = -2 and default tolerance the G route took 797M
-        # points (115 s).  With the interpolant built it takes at most 15M
-        # and agrees with the bench reference within both errors
+        # points (115 s).  With the interpolant built over the half-plane
+        # it takes at most 3M (about 1.8M; 5.2M over the whole plane) and
+        # agrees with the bench reference within both errors
         m = sign_changing_tabulated()
         points = counting_reduced(monkeypatch, m)
         kin = Kinematics(s=50.0, t=-2.0)
         v, e, _ = _a3_with_error(m, kin, QuadratureConfig())
-        assert points[0] <= 15_000_000
+        assert points[0] <= 3_000_000
         (_a2, _e2), (ref, ref_err) = bench_references().tabulated_a2_a3(
             SIGN_CHANGING_ROWS, kin.s, kin.t)
         assert abs(v - ref) <= e + ref_err
+
+    @pytest.mark.parametrize("make", [
+        lambda: GaussianBorn(g=2.51, lam=1.0), real_tabulated,
+        imaginary_tabulated, general_tabulated, sign_changing_tabulated,
+    ], ids=["gaussian", "real_table", "pure_imaginary_table",
+            "general_table", "sign_changing_table"])
+    def test_half_plane_nodes_match_the_whole_plane(self, make):
+        # a node integrates a(p) a(k - p), symmetric under p -> k - p, over
+        # the half-plane p.k <= k^2 / 2 and doubles it; the whole plane is
+        # the second route.  At k = 0 (phi over [pi / 2, pi]), at each
+        # knot and twice it, mid-panel and at k_cap
+        m = make()
+        a2hat = _A2Hat(m, QuadratureConfig())
+        ks = np.unique(np.concatenate([
+            [0.0], a2hat.knots, 2.0 * a2hat.knots,
+            0.5 * (a2hat.edges[:-1] + a2hat.edges[1:]), [a2hat.k_cap]]))
+        a2hat._solve_nodes(ks)
+        half, half_err = (np.array(c) for c in
+                          zip(*map(a2hat._cache.get, ks.tolist())))
+        full, full_err = a2hat_full_plane_nodes(a2hat, ks)
+        assert np.all(np.abs(half - full) <= half_err + full_err)
+
+    @pytest.mark.parametrize("make, cfg, bound", [
+        (real_tabulated, QuadratureConfig(rel_tol=1e-3, abs_tol=1e-6),
+         8.755e-7),
+        (real_tabulated, QuadratureConfig(), 8.755e-10),
+        (sign_changing_tabulated, QuadratureConfig(), 4.876e-10),
+        (lambda: ExponentialPoleBorn(c=1.1, slope_b=0.7), QuadratureConfig(),
+         8.598e-10),
+    ], ids=["real_table_rel_1e-3", "real_table", "sign_changing_table",
+            "exponential_pole"])
+    def test_build_error_not_above_the_whole_plane(self, make, cfg, bound):
+        # each bound is the error of the build with its nodes over the
+        # whole plane, rounded up in the fourth digit: the half-plane at
+        # half the absolute tolerance must not report more
+        assert _A2Hat(make(), cfg).error <= bound
+
+    def test_build_peak_memory_is_bounded(self):
+        # each slice of a node round starts phi tasks for every k1 node;
+        # over the half-plane the bench table's build peaks at about
+        # 2.2 MB (3.4 MB over the whole plane)
+        m = real_tabulated()
+        cfg = QuadratureConfig(rel_tol=1e-3, abs_tol=1e-6)
+        _A2Hat(m, cfg)
+        tracemalloc.start()
+        try:
+            _A2Hat(m, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0e6
 
     def test_one_build_serves_every_row(self):
         # the interpolant depends on neither s nor t: a row with a given
