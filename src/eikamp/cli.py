@@ -271,18 +271,26 @@ def _gate_or_exit(model, spec, cfg):
         raise SystemExit(EXIT_FAIL) from None
 
 
+def _failed_row(t, exc):
+    return [float(t)] + [math.nan] * 11 + [f"failed: {exc}"]
+
+
 def _cmd_table(args):
     spec = _spec_from_args(args, "table")
     model = _load_model_or_exit(spec)
     cfg = spec.quad_config()
     _gate_or_exit(model, spec, cfg)
+    try:
+        # A2 / s depends on neither s nor t: one build serves every row
+        a2hat = _A2Hat(model, cfg)
+    except EikampError as exc:
+        _emit(spec, _TABLE_COLUMNS,
+              [_failed_row(t, exc) for t in spec.t_grid()], "table")
+        return EXIT_OK
     rows = []
-    a2hat = None
     for t in spec.t_grid():
         kin = Kinematics(spec.s, float(t))
         try:
-            # A2 / s depends on neither s nor t: one build serves every row
-            a2hat = a2hat or _A2Hat(model, cfg)
             terms = _gated_terms(model, kin, cfg, a2hat)
             amp = assemble_amplitude(terms)
             dsig = diff_cross_section(terms, kin)
@@ -291,8 +299,7 @@ def _cmd_table(args):
                          terms.a3.imag, amp.real, amp.imag, dsig,
                          terms.a2_error, terms.a3_error, "ok"])
         except EikampError as exc:
-            rows.append([float(t)] + [math.nan] * 11
-                        + [f"failed: {exc}"])
+            rows.append(_failed_row(t, exc))
     _emit(spec, _TABLE_COLUMNS, rows, "table")
     return EXIT_OK
 
@@ -302,12 +309,15 @@ def _cmd_compare(args):
     model = _load_model_or_exit(spec)
     cfg = spec.quad_config()
     profile = _gate_or_exit(model, spec, cfg)
+    try:
+        a2hat = _A2Hat(model, cfg)
+    except EikampError as exc:
+        print(f"eikamp compare: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     devs, rows = [], []
-    a2hat = None
     for t in spec.t_grid():
         kin = Kinematics(spec.s, float(t))
         try:
-            a2hat = a2hat or _A2Hat(model, cfg)
             terms = _gated_terms(model, kin, cfg, a2hat)
             approx = assemble_amplitude(terms)
             direct = direct_eikonal_amplitude(model, kin, quad_cfg=cfg)

@@ -9,7 +9,8 @@ where A1 is the Born amplitude itself, A2 is a 2D integral of two Born
 factors against an algebraic weight, and A3 is the 2D convolution of the
 Born amplitude with A2, whose kernel for radial functions is the closed
 form F3.  A2 / s depends on neither s nor t, so it is interpolated once
-per model and every (s, t) costs one more 2D integral.  None of the
+per model, and A3's row is A2's 2D integral with A2 / s in place of the
+second Born factor: one knot-edged solve serves both.  None of the
 integrals oscillate: the Bessel products of the naive impact-parameter
 representation have been integrated out in closed form, which is the
 entire point of the construction.  The paper's own A3, a 3D integral of
@@ -92,6 +93,12 @@ def _phase_split(model):
     return model.phase, lambda q: reduced(q).imag
 
 
+def _tail_cut(model):
+    """Where semi-infinite q ranges are cut: the model envelope is down
+    to _TAIL_DECAY of its value at 0."""
+    return model.q_cutoff(_TAIL_DECAY * float(model.envelope(0.0)))
+
+
 def eikonal_chi(model, s, b, cfg=None):
     """Eikonal phase chi(s, b) = (1/4 pi s) int_0^inf dq q J0(q b) A_B(s, -q^2).
 
@@ -114,8 +121,7 @@ def eikonal_chi(model, s, b, cfg=None):
         return complex(out) if np.ndim(b) == 0 else out
 
     cfg = cfg or QuadratureConfig()
-    env0 = float(model.envelope(0.0))
-    q_cut = model.q_cutoff(_TAIL_DECAY * env0)
+    q_cut = _tail_cut(model)
     phase, red = _phase_split(model)
     # tabulated interpolants are C1 at the nodes; panel edges there
     # restore full quadrature order
@@ -215,29 +221,50 @@ def a1_term(model, kin):
     return complex(model.value(kin.s, kin.q))
 
 
-def _a2_with_error(model, kin, cfg):
-    s, qt = kin.s, kin.q
-    env0 = float(model.envelope(0.0))
-    q_cut = model.q_cutoff(_TAIL_DECAY * env0)
-    # A_B(q-) may stay large, but A_B(q+) decays once cosh u is big:
-    # q+ >= qt (cosh u - 1) / 2 pins the u-range
-    u_max = math.acosh(1.0 + 2.0 * q_cut / qt + 2.0)
-    phase, red = _phase_split(model)
+def _uv_row(qt, red, h, knots, breaks, q_far, v_lo, cfg):
+    """The row solve of A2 and A3: the integral of (cosh^2 u - sin^2 v)
+    red(qp) h(qm), qp and qm = qt (cosh u +- sin v) / 2, over v in
+    [v_lo, pi/2] and u from 0 to where qt (cosh u - 1) / 2, below both,
+    reaches ``q_far``.  Where red is not smooth (``knots``) or h is not
+    (``breaks``) the v axis has an edge on the curve v = arcsin(2 q_j / qt
+    - cosh u) along qp or arcsin(cosh u - 2 k_j / qt) along qm, and the u
+    axis one where it leaves [-pi/2, pi/2]; over [0, pi/2] a curve meets
+    its mirror at v = 0, no edge of the whole-range integral.  Every edge
+    is plain.
+    """
+    ch_max = 1.0 + 2.0 * q_far / qt
+    # the curves are sin v = sign (cosh u - x)
+    x = 2.0 * np.concatenate([knots, breaks]) / qt
+    sign = np.concatenate([-np.ones(knots.size), np.ones(breaks.size)])
+    ch = np.concatenate([x - 1.0, x + 1.0])
+    u_edges = np.unique(np.concatenate([
+        [0.0], np.arccosh(ch[(ch > 1.0) & (ch < ch_max)]),
+        [math.acosh(ch_max)]]))
 
-    # substitutions x1 = cosh u, x2 = sin v absorb both 1/sqrt edge
-    # factors; the transformed weight is just (cosh^2 u - sin^2 v)
-    def integrand(u, v):
-        ch = np.cosh(u)
+    def v_rows(u):
+        c = np.cosh(u)[:, None]
+        v = np.arcsin(np.clip(sign * (c - x), math.sin(v_lo), 1.0))
+        lo, hi = np.full_like(c, v_lo), np.full_like(c, 0.5 * math.pi)
+        return np.sort(np.hstack([lo, v, hi]), axis=1)
+
+    def f(u, v):
+        c = np.cosh(u)
         sv = np.sin(v)
-        qp = 0.5 * qt * (ch + sv)
-        qm = 0.5 * qt * (ch - sv)
-        return (ch * ch - sv * sv) * red(qp) * red(qm)
+        qp = 0.5 * qt * (c + sv)
+        qm = 0.5 * qt * (c - sv)
+        return (c * c - sv * sv) * red(qp) * h(qm)
 
-    # the substituted integrand is smooth at every edge: plain panels
-    res = _iterated(integrand, [(_limits(0.0, u_max), "plain", None),
-                                (_limits(0.0, 0.5 * math.pi), "plain", None)],
-                    cfg)
-    pref = s * (-kin.t) / (16.0 * math.pi ** 2)
+    return _iterated(f, [(lambda: u_edges[None, :], "plain", None),
+                         (v_rows, "plain", None)], cfg)
+
+
+def _a2_with_error(model, kin, cfg):
+    phase, red = _phase_split(model)
+    grid = model.q_grid
+    knots = np.zeros(0) if grid is None else grid[grid > 0.0]
+    # the integrand is even in v (v -> -v swaps qp and qm): v over [0, pi/2]
+    res = _uv_row(kin.q, red, red, knots, knots, _tail_cut(model), 0.0, cfg)
+    pref = kin.s * (-kin.t) / (16.0 * math.pi ** 2)
     return pref * phase ** 2 * res.value, abs(pref) * res.error_estimate
 
 
@@ -249,11 +276,10 @@ def a2_term(model, kin, cfg=None):
              A_B(s, q(x1+x2)/2) A_B(s, q(x1-x2)/2),
 
     computed after x1 = cosh u, x2 = sin v, which removes both edge
-    singularities.  The u-range comes from the model envelope.
+    singularities, by A3's row solve (:func:`_uv_row`): a table's knots
+    are panel edges and u ends where qm passes the envelope's tail cut.
     """
-    cfg = cfg or QuadratureConfig()
-    value, _err = _a2_with_error(model, kin, cfg)
-    return complex(value)
+    return complex(_a2_with_error(model, kin, cfg or QuadratureConfig())[0])
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +359,7 @@ class _A2Hat:
 
     def __init__(self, model, cfg):
         self.model = model
-        env0 = float(model.envelope(0.0))
-        self.q_cut = model.q_cutoff(_TAIL_DECAY * env0)
+        self.q_cut = _tail_cut(model)
         _phase, red = _phase_split(model)
         # a table's knots, q = 0 among them (the cone of r at the origin)
         grid = model.q_grid
@@ -360,7 +385,8 @@ class _A2Hat:
         self.evaluations = norms.evaluations
         self._cache = {}
 
-        edges = [0.0, min(model.q_cutoff(env0 / math.e), self.k_cap)]
+        edges = [0.0, min(model.q_cutoff(float(model.envelope(0.0)) / math.e),
+                          self.k_cap)]
         while 2.0 * edges[-1] < 0.75 * self.k_cap:
             edges.append(2.0 * edges[-1])
         edges[-1] = self.k_cap
@@ -486,55 +512,26 @@ def _a3_with_error(model, kin, cfg, a2hat=None):
     of a with A2 (see :func:`a3_term`), given the model's interpolant of
     A2 / s (:class:`_A2Hat`, built here if not passed).
 
-    One plain 2D solve in A2's variables, run at half of ``cfg``'s
-    tolerances so that the interpolant's share fits beside it.  The v
-    axis has an edge on each knot curve of a(qp), v = arcsin(2 q_j / qt -
-    cosh u), and on each panel break of the interpolant along qm, v =
-    arcsin(cosh u - 2 k_j / qt), the last at k_cap; the u axis has one
-    where either curve leaves the v range.  The error is the solve's,
-    plus (s / 24 pi^2) times the interpolant's error bound times 2 pi
+    A2's row solve (:func:`_uv_row`) with the interpolant, its panel
+    breaks and k_cap in place of the second Born factor and v over
+    [-pi/2, pi/2], at half of ``cfg``'s tolerances so that the
+    interpolant's share fits beside it.  The error is the solve's, plus
+    (s / 24 pi^2) times the interpolant's error bound times 2 pi
     int k |a| dk.  That bound holds |Â2| to its maximum, so on a row
     whose parts cancel it can exceed rel_tol |A3|.  Returns the
     evaluations of the row's solve; those of the build are its own
     (``a2hat.evaluations``).
     """
-    if a2hat is None:
-        a2hat = _A2Hat(model, cfg)
-    s, qt = kin.s, kin.q
+    a2hat = a2hat or _A2Hat(model, cfg)
     phase, red = _phase_split(model)
     grid = model.q_grid
     knots = np.zeros(0) if grid is None else grid[grid > 0.0]
-    breaks = a2hat.edges[1:]
-    # beyond u_max a(qp) or the interpolant is zero, since qp and qm are
-    # at least qt (cosh u - 1) / 2
-    ch_max = 1.0 + 2.0 * min(a2hat.q_cut, a2hat.k_cap) / qt
-    ch = np.concatenate([2.0 * knots / qt, 2.0 * breaks / qt])
-    ch = np.concatenate([ch - 1.0, ch + 1.0])
-    u_edges = np.unique(np.concatenate([
-        [0.0], np.arccosh(ch[(ch > 1.0) & (ch < ch_max)]),
-        [math.acosh(ch_max)]]))
-    curves = np.concatenate([2.0 * knots / qt, -2.0 * breaks / qt])
-    sign = np.concatenate([-np.ones(knots.size), np.ones(breaks.size)])
-
-    def v_rows(u):
-        c = np.cosh(u)[:, None]
-        v = np.arcsin(np.clip(curves + sign * c, -1.0, 1.0))
-        half = np.full_like(c, 0.5 * math.pi)
-        return np.sort(np.concatenate([-half, v, half], axis=1), axis=1)
-
-    def f(u, v):
-        c = np.cosh(u)
-        sv = np.sin(v)
-        qp = 0.5 * qt * (c + sv)
-        qm = 0.5 * qt * (c - sv)
-        return (c * c - sv * sv) * red(qp) * a2hat(qm)
-
-    res = _iterated(f, [(lambda: u_edges[None, :], "plain", None),
-                        (v_rows, "plain", None)],
-                    replace(cfg, rel_tol=0.5 * cfg.rel_tol,
-                            abs_tol=0.5 * cfg.abs_tol))
-    pref = s * qt ** 2 / (48.0 * math.pi ** 2)
-    spread = s / (24.0 * math.pi ** 2) * a2hat.error * a2hat.l1
+    res = _uv_row(kin.q, red, a2hat, knots, a2hat.edges[1:],
+                  min(a2hat.q_cut, a2hat.k_cap), -0.5 * math.pi,
+                  replace(cfg, rel_tol=0.5 * cfg.rel_tol,
+                          abs_tol=0.5 * cfg.abs_tol))
+    pref = kin.s * kin.q ** 2 / (48.0 * math.pi ** 2)
+    spread = kin.s / (24.0 * math.pi ** 2) * a2hat.error * a2hat.l1
     return (pref * phase ** 3 * complex(res.value),
             pref * res.error_estimate + spread, res.evaluations)
 
@@ -546,20 +543,14 @@ def a3_term(model, kin, cfg=None):
 
     since A3 is the transform of chi^3 = chi chi^2.  For radial functions
     the kernel of this convolution is the paper's F3 = 1/(2 pi Delta), so
-    no oscillatory integral is evaluated.  In A2's own variables,
-
-        A3 = (s qt^2 / 48 pi^2) int_0^u_max du int_-pi/2^pi/2 dv
-             (cosh^2 u - sin^2 v) a(qp) Â2(qm),
-
-    qp = qt (cosh u + sin v) / 2, qm = qt (cosh u - sin v) / 2, with
-    Â2 = A2 / s interpolated once per model (:class:`_A2Hat`) and one
-    smooth 2D solve per (s, t) (:func:`_a3_with_error`).  The paper's
-    three-factor route over the elliptic kernel G stays as the
-    cross-check (:func:`_a3_g_route`).
+    no oscillatory integral is evaluated.  In A2's own variables it is
+    A2's integral with Â2 = A2 / s, interpolated once per model
+    (:class:`_A2Hat`), in place of the second Born factor, one 2D solve
+    per (s, t) (:func:`_a3_with_error`).  The paper's three-factor route
+    over the elliptic kernel G stays as the cross-check
+    (:func:`_a3_g_route`).
     """
-    cfg = cfg or QuadratureConfig()
-    value, _err, _n = _a3_with_error(model, kin, cfg)
-    return complex(value)
+    return complex(_a3_with_error(model, kin, cfg or QuadratureConfig())[0])
 
 
 # ---------------------------------------------------------------------------

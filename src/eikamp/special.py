@@ -36,7 +36,6 @@ from .exceptions import EikampError
 __all__ = ["bessel_j0", "bessel_i0e", "elliptic_k"]
 
 SQ2OPI = 7.9788456080286535587989e-1  # sqrt(2/pi)
-PIO4 = 7.85398163397448309616e-1      # pi/4
 
 # Rational coefficients, Cephes Math Library Release 2.1 (public constants).
 # Interval [0, 5]: J0(x) = (w - DR1)(w - DR2) RP(w)/RQ(w), w = x^2, with

@@ -44,6 +44,22 @@ points =
 m = 2.1
 kappa = 1.2
 """
+# a seven-node real table whose amplitude changes sign
+SIGN_CHANGING_INI = """\
+[model]
+kind = tabulated
+points =
+    0.0 1.0 0.0
+    0.5 0.7 0.0
+    1.0 0.25 0.0
+    1.5 -0.1 0.0
+    2.0 -0.15 0.0
+    2.5 -0.08 0.0
+    3.0 -0.03 0.0
+[envelope]
+m = 1.1
+kappa = 0.9
+"""
 # chi0 = 1.5: refused by the smallness gate unless overridden
 STRONG_INI = """\
 [model]
@@ -74,6 +90,28 @@ def table_model(tmp_path):
     path = tmp_path / "table.ini"
     path.write_text(TABLE_INI)
     return str(path)
+
+
+@pytest.fixture
+def sign_changing_model(tmp_path):
+    path = tmp_path / "sign_changing.ini"
+    path.write_text(SIGN_CHANGING_INI)
+    return str(path)
+
+
+def counting_builds(monkeypatch, fail=False):
+    """Route the CLI's builds of the A2 / s interpolant through a
+    counter; with ``fail`` each build raises NonConvergenceError."""
+    builds = []
+
+    def build(*args):
+        builds.append(args)
+        if fail:
+            raise NonConvergenceError("A2 interpolant did not converge")
+        return eikamp.eikonal._A2Hat(*args)
+
+    monkeypatch.setattr(eikamp.cli, "_A2Hat", build)
+    return builds
 
 
 @pytest.fixture
@@ -262,6 +300,34 @@ class TestTableCommand:
         assert code == 0
         assert out.count(",ok") == 2
 
+    @pytest.mark.parametrize("fail", [False, True], ids=["built", "failed"])
+    def test_builds_the_interpolant_once(self, gauss_model, capsys,
+                                         monkeypatch, fail):
+        # a failed build fails every row with its message and the table
+        # still exits 0
+        builds = counting_builds(monkeypatch, fail)
+        code, out, err = run_cli(
+            ["table", "--model", gauss_model, "--s", "50",
+             "--t-min", "-2", "--t-max", "-0.5", "--points", "4",
+             "--rel-tol", "1e-3", "--abs-tol", "1e-8"], capsys)
+        assert code == 0
+        assert len(builds) == 1
+        status = [r.split(",")[-1] for r in out.strip().splitlines()[2:]]
+        want = "failed: A2 interpolant did not converge" if fail else "ok"
+        assert status == [want] * 4
+
+    def test_sign_changing_table_at_default_tolerance(self,
+                                                      sign_changing_model,
+                                                      capsys):
+        # the table whose A2 / s crosses zero finishes every row at the
+        # default tolerance, A2 at t = -2 among them
+        code, out, err = run_cli(
+            ["table", "--model", sign_changing_model, "--s", "50",
+             "--t-min", "-2", "--t-max", "-0.5", "--points", "4"], capsys)
+        assert code == 0
+        status = [r.split(",")[-1] for r in out.strip().splitlines()[2:]]
+        assert status == ["ok"] * 4
+
     def test_log_spacing_grid(self, gauss_model, capsys):
         code, out, err = run_cli(
             ["table", "--model", gauss_model, "--s", "50",
@@ -299,6 +365,23 @@ class TestCompareCommand:
              "--rel-tol", "1e-3", "--abs-tol", "1e-6"], capsys)
         assert code == 1
         assert "eikamp compare: t=-1: b-integral did not converge" in err
+
+    @pytest.mark.parametrize("fail", [False, True], ids=["built", "failed"])
+    def test_builds_the_interpolant_once(self, gauss_model, capsys,
+                                         monkeypatch, fail):
+        # a failed build ends the command with its message and exit 1
+        builds = counting_builds(monkeypatch, fail)
+        code, out, err = run_cli(
+            ["compare", "--model", gauss_model, "--s", "50",
+             "--t-min", "-1", "--t-max", "-0.5", "--points", "2",
+             "--rel-tol", "1e-3", "--abs-tol", "1e-6"], capsys)
+        assert len(builds) == 1
+        if fail:
+            assert code == 1
+            assert "eikamp compare: A2 interpolant did not converge" in err
+        else:
+            assert code == 0
+            assert "compare: 2 points" in out
 
 
 class TestChiGateWiring:

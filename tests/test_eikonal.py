@@ -686,20 +686,31 @@ class TestA3Convolution:
         assert abs(v - vg) <= e + eg
         assert e <= cfg.rel_tol * abs(v)
 
-    def test_reported_error_covers_the_bench_reference(self):
+    def test_reported_error_covers_the_bench_reference(self, monkeypatch):
         # eleven rows of the bench table at default tolerance against the
-        # impact-parameter moments of chi, which share no code with eikamp
+        # impact-parameter moments of chi, which share no code with eikamp.
+        # A2 runs on A3's knot-edged row solve and takes at most 200k
+        # model points over the eleven rows (about 104k; 1.4M when it had
+        # a solve of its own without knot edges)
         refs = bench_references()
         m = real_tabulated()
         cfg = QuadratureConfig()
         a2hat = _A2Hat(m, cfg)
+        points = counting_reduced(monkeypatch, m)
+        a2_points = 0
         for t in np.linspace(-2.0, -0.25, 11):
             kin = Kinematics(s=50.0, t=float(t))
+            before = points[0]
+            v2, e2 = _a2_with_error(m, kin, cfg)
+            a2_points += points[0] - before
             v, e, _ = _a3_with_error(m, kin, cfg, a2hat)
-            (_a2, _e2), (ref, ref_err) = refs.tabulated_a2_a3(
+            (ref2, ref2_err), (ref, ref_err) = refs.tabulated_a2_a3(
                 REAL_ROWS, kin.s, kin.t)
+            assert e2 >= abs(v2 - ref2) - ref2_err
+            assert abs(v2 - ref2) <= 1e-6 * abs(ref2) + ref2_err
             assert e >= abs(v - ref) - ref_err
             assert abs(v - ref) <= 1e-6 * abs(ref) + ref_err
+        assert a2_points <= 200_000
 
     def test_gauss_table_points_within_budget(self, monkeypatch):
         # the README Gaussian at the bench's three t: one interpolant, its
@@ -722,15 +733,20 @@ class TestA3Convolution:
         # it too; at t = -2 and default tolerance the G route took 797M
         # points (115 s).  With the interpolant built over the half-plane
         # it takes at most 3M (about 1.8M; 5.2M over the whole plane) and
-        # agrees with the bench reference within both errors
+        # agrees with the bench reference within both errors.  A2 there
+        # converges on the row solve's knot edges; its own solve without
+        # them raised NonConvergenceError
         m = sign_changing_tabulated()
         points = counting_reduced(monkeypatch, m)
         kin = Kinematics(s=50.0, t=-2.0)
         v, e, _ = _a3_with_error(m, kin, QuadratureConfig())
         assert points[0] <= 3_000_000
-        (_a2, _e2), (ref, ref_err) = bench_references().tabulated_a2_a3(
+        v2, e2 = _a2_with_error(m, kin, QuadratureConfig())
+        (ref2, ref2_err), (ref, ref_err) = bench_references().tabulated_a2_a3(
             SIGN_CHANGING_ROWS, kin.s, kin.t)
         assert abs(v - ref) <= e + ref_err
+        assert abs(v2 - ref2) <= e2 + ref2_err
+        assert e2 <= 1e-6 * abs(v2)
 
     @pytest.mark.parametrize("make", [
         lambda: GaussianBorn(g=2.51, lam=1.0), real_tabulated,
