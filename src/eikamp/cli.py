@@ -215,6 +215,11 @@ def _fmt(x):
     return "%.17g" % x
 
 
+def _json_number(v):
+    """JSON has no NaN or infinity: a non-finite number is written null."""
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def _emit(spec, columns, rows, header_kind):
     """Serialize rows (lists matching columns) as CSV or JSON; numbers are
     written with full round-trip precision in both formats."""
@@ -232,9 +237,10 @@ def _emit(spec, columns, rows, header_kind):
             "generator": f"eikamp {__version__}",
             "kind": header_kind,
             "s": spec.s,
-            "rows": [dict(zip(columns, row)) for row in rows],
+            "rows": [{c: _json_number(v) for c, v in zip(columns, row)}
+                     for row in rows],
         }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     if spec.out is None:
         sys.stdout.write(text)
     else:

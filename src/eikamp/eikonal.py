@@ -5,15 +5,15 @@ three terms of the moderately-small-eikonal expansion,
 
     A(s, t) ~= [A1(s, t) - A3(s, t)] + i A2(s, t),
 
-where A1 is the Born amplitude itself, A2 is a 2D integral of two Born
-factors against an algebraic weight, and A3 is the 2D convolution of the
-Born amplitude with A2, whose kernel for radial functions is the closed
-form F3.  A2 / s depends on neither s nor t, so it is interpolated once
-per model, and A3's row is A2's 2D integral with A2 / s in place of the
-second Born factor: one knot-edged solve serves both.  None of the
-integrals oscillate: the Bessel products of the naive impact-parameter
-representation have been integrated out in closed form, which is the
-entire point of the construction.  The paper's own A3, a 3D integral of
+where A1 is the Born amplitude itself, A2 / s is the 2D convolution
+a * a of the Born amplitude a = A_B / s with itself, and A3 is the 2D
+convolution of a with A2, whose kernel for radial functions is the
+closed form F3.  A2 / s depends on neither s nor t, so it is interpolated
+once per model; A2's row, the interpolant's nodes and A3's row are one
+polar solve (:func:`_convolution`).  None of the integrals oscillate:
+the Bessel products of the naive impact-parameter representation have
+been integrated out in closed form, which is the entire point of the
+construction.  The paper's own A3, a 3D integral of
 three Born factors against the elliptic kernel G over the region where
 G has support, stays as the second route (:func:`_a3_g_route`).
 
@@ -221,51 +221,83 @@ def a1_term(model, kin):
     return complex(model.value(kin.s, kin.q))
 
 
-def _uv_row(qt, red, h, knots, breaks, q_far, v_lo, cfg):
-    """The row solve of A2 and A3: the integral of (cosh^2 u - sin^2 v)
-    red(qp) h(qm), qp and qm = qt (cosh u +- sin v) / 2, over v in
-    [v_lo, pi/2] and u from 0 to where qt (cosh u - 1) / 2, below both,
-    reaches ``q_far``.  Where red is not smooth (``knots``) or h is not
-    (``breaks``) the v axis has an edge on the curve v = arcsin(2 q_j / qt
-    - cosh u) along qp or arcsin(cosh u - 2 k_j / qt) along qm, and the u
-    axis one where it leaves [-pi/2, pi/2]; over [0, pi/2] a curve meets
-    its mirror at v = 0, no edge of the whole-range integral.  Every edge
-    is plain.
+def _knots(model, q_cut):
+    """A table's knots below ``q_cut``, q = 0 among them (the cone of r
+    at the origin); none for a closed family."""
+    grid = model.q_grid
+    knots = np.zeros(0) if grid is None else np.asarray(grid, float)
+    return knots[knots < q_cut]
+
+
+def _convolution(red, h, knots, breaks, q_far, ks, cfg, half):
+    """C(k) = (1/16 pi^2) int d^2p red(|p|) h(|k - p|), its error and
+    the solve's evaluations, at every k of ``ks`` in one solve of the
+    polar form
+
+        int_0^q_far dk1 k1 red(k1) int_phi0^pi dphi h(rho),
+
+    rho = |k - k1 e^{i phi}|, with one level-0 task per k and ``cfg`` on
+    that integral.  Beyond ``q_far`` the integrand is negligible; red is
+    C1 across its ``knots`` and h across its ``breaks``, where 0 stands
+    for a cone at the origin.
+
+    With ``half``, h is red and the integrand symmetric under p -> k - p,
+    so the solve covers only the half-plane p.k <= k^2 / 2 and doubles
+    it: phi0 = arccos(k / 2 k1) for k1 > k / 2 and 0 below (pi / 2 at
+    k = 0).  Without, phi0 = 0.  The k1 axis has edges at the knots and
+    where a circle rho = b_j touches phi = 0 or pi: |k - b_j| and k + b_j
+    over the whole plane, only b_j - k and, for b_j >= k / 2, k - b_j
+    within the half-plane, whose phi range starts to shrink at k / 2.
+    The phi axis has edges at phi0 and where rho = b_j crosses it.  Every
+    edge is plain but k / 2, where the inner integral has a square-root
+    point: the half-plane's k1 axis is square-root graded there and at
+    its ends.
     """
-    ch_max = 1.0 + 2.0 * q_far / qt
-    # the curves are sin v = sign (cosh u - x)
-    x = 2.0 * np.concatenate([knots, breaks]) / qt
-    sign = np.concatenate([-np.ones(knots.size), np.ones(breaks.size)])
-    ch = np.concatenate([x - 1.0, x + 1.0])
-    u_edges = np.unique(np.concatenate([
-        [0.0], np.arccosh(ch[(ch > 1.0) & (ch < ch_max)]),
-        [math.acosh(ch_max)]]))
+    b = breaks[None, :]
 
-    def v_rows(u):
-        c = np.cosh(u)[:, None]
-        v = np.arcsin(np.clip(sign * (c - x), math.sin(v_lo), 1.0))
-        lo, hi = np.full_like(c, v_lo), np.full_like(c, 0.5 * math.pi)
-        return np.sort(np.hstack([lo, v, hi]), axis=1)
+    def k1_rows(k):
+        k = k[:, None]
+        cuts = ([0.5 * k, np.minimum(k - b, 0.5 * k), b - k] if half
+                else [np.abs(k - b), k + b])
+        rows = np.concatenate([np.zeros_like(k),
+                               np.broadcast_to(knots, (k.size, knots.size)),
+                               *cuts,
+                               np.full_like(k, q_far)], axis=1)
+        rows = np.sort(np.clip(rows, 0.0, q_far), axis=1)
+        return (rows, rows != 0.5 * k) if half else rows
 
-    def f(u, v):
-        c = np.cosh(u)
-        sv = np.sin(v)
-        qp = 0.5 * qt * (c + sv)
-        qm = 0.5 * qt * (c - sv)
-        return (c * c - sv * sv) * red(qp) * h(qm)
+    def phi_rows(k, k1):
+        k, k1 = k[:, None], k1[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = (k * k + k1 * k1 - b * b) / (2.0 * k * k1)
+        lo = (np.arccos(np.minimum(0.5 * k / k1, 1.0)) if half
+              else np.zeros_like(k))
+        # fmax and fmin take c = 0 / 0 (k = 0, k1 = b_j) to -1
+        phi = np.arccos(np.fmin(np.fmax(c, -1.0), 1.0))
+        return np.sort(np.concatenate(
+            [lo, np.maximum(phi, lo), np.full_like(k, math.pi)], axis=1),
+            axis=1)
 
-    return _iterated(f, [(lambda: u_edges[None, :], "plain", None),
-                         (v_rows, "plain", None)], cfg)
+    def weight(k, k1):
+        return k1 * red(k1)
+
+    def f(k, k1, phi):
+        s = np.sin(0.5 * phi)
+        return h(np.sqrt((k - k1) ** 2 + 4.0 * k * k1 * s * s))
+
+    res = _iterated(f, [(k1_rows, "sqrt" if half else "plain", weight),
+                        (phi_rows, "plain", None)], cfg, outer=(ks,))
+    norm = (2.0 if half else 1.0) / (8.0 * math.pi ** 2)
+    return norm * res.value, norm * res.error_estimate, res.evaluations
 
 
 def _a2_with_error(model, kin, cfg):
     phase, red = _phase_split(model)
-    grid = model.q_grid
-    knots = np.zeros(0) if grid is None else grid[grid > 0.0]
-    # the integrand is even in v (v -> -v swaps qp and qm): v over [0, pi/2]
-    res = _uv_row(kin.q, red, red, knots, knots, _tail_cut(model), 0.0, cfg)
-    pref = kin.s * (-kin.t) / (16.0 * math.pi ** 2)
-    return pref * phase ** 2 * res.value, abs(pref) * res.error_estimate
+    q_cut = _tail_cut(model)
+    knots = _knots(model, q_cut)
+    c, err, _ = _convolution(red, red, knots, knots, q_cut,
+                             np.array([kin.q]), cfg, True)
+    return kin.s * phase ** 2 * c.item(), kin.s * err.item()
 
 
 def a2_term(model, kin, cfg=None):
@@ -275,9 +307,11 @@ def a2_term(model, kin, cfg=None):
              (x1^2 - x2^2)/sqrt((x1^2-1)(1-x2^2))
              A_B(s, q(x1+x2)/2) A_B(s, q(x1-x2)/2),
 
-    computed after x1 = cosh u, x2 = sin v, which removes both edge
-    singularities, by A3's row solve (:func:`_uv_row`): a table's knots
-    are panel edges and u ends where qm passes the envelope's tail cut.
+    that is s times the convolution (1/16 pi^2) int d^2p a(p) a(q - p),
+    s phase^2 Â2(q) (:class:`_A2Hat`).  It is solved at ``cfg`` in its
+    own row, the interpolant's node solve at k = q alone
+    (:func:`_convolution` over the half-plane), with a table's knots as
+    panel edges and no edge singularity.
     """
     return complex(_a2_with_error(model, kin, cfg or QuadratureConfig())[0])
 
@@ -339,12 +373,8 @@ class _A2Hat:
     e, at degree :data:`_A2HAT_DEGREE`; a panel whose estimate, its last
     two Chebyshev coefficients, misses the tolerance doubles its degree
     up to :data:`_A2HAT_MAX_DEGREE`, then splits in two.  Each round of
-    new nodes is one solve (:meth:`_solve_nodes`), to a tenth of the
-    tolerance, over the half-plane p.k <= k^2 / 2 of the convolution
-    a * a, doubled (norm 2 / 8 pi^2): its k1 axis is graded at k / 2,
-    it has no tangency edges beyond the half-plane (those at k + q_j
-    among them), and it runs at half the absolute tolerance of the whole
-    plane.
+    new nodes is one solve of the convolution a * a over the half-plane
+    (:meth:`_solve_nodes`), to a tenth of the tolerance.
 
     The tolerance, _A2HAT_SHARE rel_tol max |Â2|, is on the supremum norm,
     with max |Â2| <= (1/8 pi) int k |a|^2 dk (equal for a model of one
@@ -361,10 +391,7 @@ class _A2Hat:
         self.model = model
         self.q_cut = _tail_cut(model)
         _phase, red = _phase_split(model)
-        # a table's knots, q = 0 among them (the cone of r at the origin)
-        grid = model.q_grid
-        knots = np.zeros(0) if grid is None else np.asarray(grid, float)
-        self.knots = knots[knots < self.q_cut]
+        self.knots = _knots(model, self.q_cut)
         # int k |a|^p dk, p = 1 and 2, in one solve
         q_edges = np.unique(np.concatenate([[0.0], self.knots,
                                             [self.q_cut]]))
@@ -378,7 +405,7 @@ class _A2Hat:
                     / (8.0 * math.pi))
         self.k_cap = _a2_cap(model, 0.5 * self.tol)
         # a tenth of tol on Â2, that is on the half-plane integral times
-        # the norm 2 / 8 pi^2 of _solve_nodes
+        # the half-plane's norm 2 / 8 pi^2 (see _convolution)
         self._node_cfg = QuadratureConfig(
             rel_tol=0.1 * _A2HAT_SHARE * cfg.rel_tol,
             abs_tol=max(0.1 * self.tol * 4.0 * math.pi ** 2, 1e-300))
@@ -423,70 +450,18 @@ class _A2Hat:
                          model.a2_bound(self.k_cap))
 
     def _solve_nodes(self, ks):
-        """Â2 at every k not yet known, in one solve of the polar form
-
-            (2/8 pi^2) int_0^q_cut dk1 k1 r(k1) int_phi0^pi dphi r(rho),
-
-        rho = |k - k1 e^{i phi}|, r = a / phase, with one level-0 task
-        per k.  The integrand r(p) r(k - p) is symmetric under p -> k - p,
-        so the solve covers only the half-plane p.k <= k^2 / 2 and doubles
-        it: phi0 = arccos(k / 2 k1) for k1 > k / 2 and 0 below (pi / 2 at
-        k = 0).  On the half-plane's edge rho = k1, so the circle rho =
-        q_j meets it at the knot k1 = q_j.
-
-        The k1 axis has edges at the knots, at k / 2, and where the circle
-        rho = q_j touches phi = 0 or pi inside the half-plane: k - q_j for
-        q_j >= k / 2 and q_j - k (q_0 = 0 is r's cone at the origin).  The
-        tangencies at k + q_j, and at k - q_j for q_j < k / 2, lie beyond
-        the half-plane's edge, and the cone of r(rho) at p = k with them.
-        The phi axis has edges at phi0 and where rho = q_j crosses it above
-        phi0.  r is C1 across each of these, so they are plain panel
-        edges; the inner integral has a square-root point at k1 = k / 2,
-        where the phi range starts to shrink, so the k1 axis is
-        square-root graded there and at its ends only.  The solve runs at
-        half the absolute tolerance, so that twice its integral keeps the
-        budget of the whole plane."""
+        """Â2 at every k not yet known, in one :func:`_convolution` of r
+        with itself over the half-plane, at half the absolute tolerance
+        of the whole plane, so that twice its integral keeps the whole
+        plane's budget."""
         ks = np.array(sorted(set(ks.tolist()) - self._cache.keys()))
         if ks.size == 0:
             return
         _phase, red = _phase_split(self.model)
-        q = self.knots[None, :]
-        qj = q[q > 0.0][None, :]
-        q_cut = self.q_cut
-
-        def k1_rows(k):
-            k = k[:, None]
-            rows = np.concatenate([np.zeros_like(k),
-                                   np.broadcast_to(q, (k.size, q.size)),
-                                   0.5 * k, np.minimum(k - q, 0.5 * k), q - k,
-                                   np.full_like(k, q_cut)], axis=1)
-            rows = np.sort(np.clip(rows, 0.0, q_cut), axis=1)
-            return rows, rows != 0.5 * k
-
-        def phi_rows(k, k1):
-            k, k1 = k[:, None], k1[:, None]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                c = (k * k + k1 * k1 - qj * qj) / (2.0 * k * k1)
-            lo = np.arccos(np.minimum(0.5 * k / k1, 1.0))
-            phi = np.arccos(np.clip(np.nan_to_num(c, nan=1.0), -1.0, 1.0))
-            return np.sort(np.concatenate(
-                [lo, np.maximum(phi, lo), np.full_like(k, math.pi)], axis=1),
-                axis=1)
-
-        def weight(k, k1):
-            return k1 * red(k1)
-
-        def f(k, k1, phi):
-            s = np.sin(0.5 * phi)
-            return red(np.sqrt((k - k1) ** 2 + 4.0 * k * k1 * s * s))
-
-        res = _iterated(f, [(k1_rows, "sqrt", weight),
-                            (phi_rows, "plain", None)],
-                        self._node_cfg, outer=(ks,))
-        self.evaluations += res.evaluations
-        norm = 2.0 / (8.0 * math.pi ** 2)
-        self._cache.update(zip(ks.tolist(), zip(
-            (norm * res.value).tolist(), (norm * res.error_estimate).tolist())))
+        c, err, evals = _convolution(red, red, self.knots, self.knots,
+                                     self.q_cut, ks, self._node_cfg, True)
+        self.evaluations += evals
+        self._cache.update(zip(ks.tolist(), zip(c.tolist(), err.tolist())))
 
     def __call__(self, k):
         """The interpolant at an array of k >= 0; 0 beyond k_cap."""
@@ -512,28 +487,28 @@ def _a3_with_error(model, kin, cfg, a2hat=None):
     of a with A2 (see :func:`a3_term`), given the model's interpolant of
     A2 / s (:class:`_A2Hat`, built here if not passed).
 
-    A2's row solve (:func:`_uv_row`) with the interpolant, its panel
-    breaks and k_cap in place of the second Born factor and v over
-    [-pi/2, pi/2], at half of ``cfg``'s tolerances so that the
-    interpolant's share fits beside it.  The error is the solve's, plus
-    (s / 24 pi^2) times the interpolant's error bound times 2 pi
-    int k |a| dk.  That bound holds |Â2| to its maximum, so on a row
-    whose parts cancel it can exceed rel_tol |A3|.  Returns the
-    evaluations of the row's solve; those of the build are its own
-    (``a2hat.evaluations``).
+    One :func:`_convolution` of r with the interpolant over the whole
+    plane, whose breaks are its panel edges, 0 and k_cap among them, and
+    whose k1 axis ends at min(q_cut, q + k_cap), beyond which Â2 is 0; at
+    half of ``cfg``'s tolerances, so that the interpolant's share fits
+    beside it.  The error is the solve's, plus (s / 24 pi^2) times the
+    interpolant's error bound times 2 pi int k |a| dk.  That bound holds
+    |Â2| to its maximum, so on a row whose parts cancel it can exceed
+    rel_tol |A3|.  Returns the evaluations of the row's solve; those of
+    the build are its own (``a2hat.evaluations``).
     """
     a2hat = a2hat or _A2Hat(model, cfg)
     phase, red = _phase_split(model)
-    grid = model.q_grid
-    knots = np.zeros(0) if grid is None else grid[grid > 0.0]
-    res = _uv_row(kin.q, red, a2hat, knots, a2hat.edges[1:],
-                  min(a2hat.q_cut, a2hat.k_cap), -0.5 * math.pi,
-                  replace(cfg, rel_tol=0.5 * cfg.rel_tol,
-                          abs_tol=0.5 * cfg.abs_tol))
-    pref = kin.s * kin.q ** 2 / (48.0 * math.pi ** 2)
+    c, err, evals = _convolution(
+        red, a2hat, a2hat.knots, a2hat.edges,
+        min(a2hat.q_cut, kin.q + a2hat.k_cap), np.array([kin.q]),
+        replace(cfg, rel_tol=0.5 * cfg.rel_tol, abs_tol=0.5 * cfg.abs_tol),
+        False)
+    # (1/24 pi^2) int d^2k against (1/16 pi^2) in C
+    pref = 2.0 / 3.0 * kin.s
     spread = kin.s / (24.0 * math.pi ** 2) * a2hat.error * a2hat.l1
-    return (pref * phase ** 3 * complex(res.value),
-            pref * res.error_estimate + spread, res.evaluations)
+    return (pref * phase ** 3 * complex(c.item()),
+            pref * err.item() + spread, evals)
 
 
 def a3_term(model, kin, cfg=None):
@@ -543,12 +518,12 @@ def a3_term(model, kin, cfg=None):
 
     since A3 is the transform of chi^3 = chi chi^2.  For radial functions
     the kernel of this convolution is the paper's F3 = 1/(2 pi Delta), so
-    no oscillatory integral is evaluated.  In A2's own variables it is
-    A2's integral with Â2 = A2 / s, interpolated once per model
-    (:class:`_A2Hat`), in place of the second Born factor, one 2D solve
-    per (s, t) (:func:`_a3_with_error`).  The paper's three-factor route
-    over the elliptic kernel G stays as the cross-check
-    (:func:`_a3_g_route`).
+    no oscillatory integral is evaluated.  With Â2 = A2 / s interpolated
+    once per model (:class:`_A2Hat`), each (s, t) is one solve of the
+    polar form over the whole plane (:func:`_a3_with_error`), the same
+    routine as A2's row and the interpolant's nodes.  The paper's
+    three-factor route over the elliptic kernel G stays as the
+    cross-check (:func:`_a3_g_route`).
     """
     return complex(_a3_with_error(model, kin, cfg or QuadratureConfig())[0])
 

@@ -316,6 +316,25 @@ class TestTableCommand:
         want = "failed: A2 interpolant did not converge" if fail else "ok"
         assert status == [want] * 4
 
+    def test_json_writes_a_failed_row_as_null(self, gauss_model, capsys,
+                                              monkeypatch):
+        # JSON has no NaN: a failed row's numbers are null, and the text
+        # parses with every non-standard constant refused
+        counting_builds(monkeypatch, fail=True)
+        code, out, err = run_cli(
+            ["table", "--model", gauss_model, "--s", "50",
+             "--t-min", "-1", "--t-max", "-1", "--points", "1",
+             "--format", "json"], capsys)
+        assert code == 0
+
+        def refuse(name):
+            raise ValueError(f"not JSON: {name}")
+
+        (row,) = json.loads(out, parse_constant=refuse)["rows"]
+        assert row.pop("t") == -1.0
+        assert row.pop("status") == "failed: A2 interpolant did not converge"
+        assert set(row.values()) == {None}
+
     def test_sign_changing_table_at_default_tolerance(self,
                                                       sign_changing_model,
                                                       capsys):

@@ -649,6 +649,23 @@ class TestA3:
         assert e <= cfg.rel_tol * abs(v)
 
 
+# (model, A2/A3 tolerance) for the five kinds of Born input
+FIVE_KINDS = [
+    pytest.param(lambda: GaussianBorn(g=2.51, lam=1.0), QuadratureConfig(),
+                 id="gaussian"),
+    pytest.param(lambda: ExponentialPoleBorn(c=1.1, slope_b=0.7),
+                 QuadratureConfig(rel_tol=1e-4), id="exponential_pole"),
+    pytest.param(real_tabulated, QuadratureConfig(rel_tol=1e-3, abs_tol=1e-6),
+                 id="real_table"),
+    pytest.param(imaginary_tabulated,
+                 QuadratureConfig(rel_tol=1e-3, abs_tol=1e-6),
+                 id="pure_imaginary_table"),
+    pytest.param(general_tabulated,
+                 QuadratureConfig(rel_tol=1e-3, abs_tol=1e-6),
+                 id="general_table"),
+]
+
+
 class TestA3Convolution:
     """A3 as the convolution of a with A2: the interpolant of A2 / s is
     built once per model and each (s, t) is one 2D solve."""
@@ -689,9 +706,10 @@ class TestA3Convolution:
     def test_reported_error_covers_the_bench_reference(self, monkeypatch):
         # eleven rows of the bench table at default tolerance against the
         # impact-parameter moments of chi, which share no code with eikamp.
-        # A2 runs on A3's knot-edged row solve and takes at most 200k
-        # model points over the eleven rows (about 104k; 1.4M when it had
-        # a solve of its own without knot edges)
+        # A2's row, the polar solve of the interpolant's nodes at k = qt,
+        # takes at most 100k model points over the eleven rows (79,440;
+        # 103,950 on the (u, v) row it shared with A3, 1.4M on a solve of
+        # its own without knot edges)
         refs = bench_references()
         m = real_tabulated()
         cfg = QuadratureConfig()
@@ -710,14 +728,15 @@ class TestA3Convolution:
             assert abs(v2 - ref2) <= 1e-6 * abs(ref2) + ref2_err
             assert e >= abs(v - ref) - ref_err
             assert abs(v - ref) <= 1e-6 * abs(ref) + ref_err
-        assert a2_points <= 200_000
+        assert a2_points <= 100_000
 
     def test_gauss_table_points_within_budget(self, monkeypatch):
         # the README Gaussian at the bench's three t: one interpolant, its
-        # nodes over the half-plane, and three rows take at most 200k model
-        # points (about 171k; 219k with the nodes over the whole plane, and
-        # the G route took 774k inner points for A3 alone), each row at its
-        # closed form
+        # nodes over the half-plane, and three rows take at most 170k model
+        # points (162,645, of which the rows take 315: a row evaluates the
+        # model once per k1 node; 171,405 when they ran on the (u, v) row,
+        # 219k with the nodes over the whole plane, and the G route took
+        # 774k inner points for A3 alone), each row at its closed form
         m = GaussianBorn(g=2.51, lam=1.0)
         points = counting_reduced(monkeypatch, m)
         cfg = QuadratureConfig()
@@ -726,27 +745,36 @@ class TestA3Convolution:
             kin = Kinematics(s=50.0, t=t)
             v, e, _ = _a3_with_error(m, kin, cfg, a2hat)
             assert abs(v - closed_a3(m, kin)) <= min(1e-9 * abs(v), e)
-        assert points[0] <= 200_000
+        assert points[0] <= 170_000
 
     def test_sign_changing_table_at_default_tolerance(self, monkeypatch):
         # a table whose amplitude crosses zero gives an A2 / s that crosses
         # it too; at t = -2 and default tolerance the G route took 797M
-        # points (115 s).  With the interpolant built over the half-plane
-        # it takes at most 3M (about 1.8M; 5.2M over the whole plane) and
-        # agrees with the bench reference within both errors.  A2 there
-        # converges on the row solve's knot edges; its own solve without
-        # them raised NonConvergenceError
+        # points (115 s).  One interpolant built over the half-plane and
+        # three rows take at most 2M (1,801,380, the build 1,800,450 of
+        # them; 5.2M with the nodes over the whole plane) and agree with
+        # the bench reference within both errors at t = -2, -1 and -0.5,
+        # where a and A2 / s both change sign under A3's integral.  A2 at
+        # t = -2 converges on its polar row; its own (u, v) solve without
+        # knot edges raised NonConvergenceError
         m = sign_changing_tabulated()
         points = counting_reduced(monkeypatch, m)
-        kin = Kinematics(s=50.0, t=-2.0)
-        v, e, _ = _a3_with_error(m, kin, QuadratureConfig())
-        assert points[0] <= 3_000_000
-        v2, e2 = _a2_with_error(m, kin, QuadratureConfig())
-        (ref2, ref2_err), (ref, ref_err) = bench_references().tabulated_a2_a3(
-            SIGN_CHANGING_ROWS, kin.s, kin.t)
-        assert abs(v - ref) <= e + ref_err
-        assert abs(v2 - ref2) <= e2 + ref2_err
-        assert e2 <= 1e-6 * abs(v2)
+        cfg = QuadratureConfig()
+        a2hat = _A2Hat(m, cfg)
+        refs = bench_references()
+        a2_points = 0
+        for t in (-2.0, -1.0, -0.5):
+            kin = Kinematics(s=50.0, t=t)
+            v, e, _ = _a3_with_error(m, kin, cfg, a2hat)
+            before = points[0]
+            v2, e2 = _a2_with_error(m, kin, cfg)
+            a2_points += points[0] - before
+            (ref2, ref2_err), (ref, ref_err) = refs.tabulated_a2_a3(
+                SIGN_CHANGING_ROWS, kin.s, kin.t)
+            assert abs(v - ref) <= e + ref_err
+            assert abs(v2 - ref2) <= e2 + ref2_err
+            assert e2 <= 1e-6 * abs(v2)
+        assert points[0] - a2_points <= 2_000_000
 
     @pytest.mark.parametrize("make", [
         lambda: GaussianBorn(g=2.51, lam=1.0), real_tabulated,
@@ -799,6 +827,21 @@ class TestA3Convolution:
             tracemalloc.stop()
         assert peak <= 3.0e6
 
+    @pytest.mark.parametrize("make, cfg", FIVE_KINDS)
+    def test_a2_row_matches_the_interpolant_nodes(self, make, cfg):
+        # A2's row is the nodes' solve at k = qt alone, at the row's own
+        # tolerance: at every node k > 0 of a build (t = -k^2 must be
+        # negative) the two agree within their errors, which also pins
+        # A2 = s phase^2 Â2
+        m = make()
+        a2hat = _A2Hat(m, cfg)
+        phase = 1 if m.phase is None else m.phase
+        nodes = [(k, v, e) for k, (v, e) in a2hat._cache.items() if k > 0.0]
+        assert len(nodes) >= 10
+        for k, node, node_err in nodes:
+            v, e = _a2_with_error(m, Kinematics(s=50.0, t=-k * k), cfg)
+            assert abs(v / (50.0 * phase ** 2) - node) <= e / 50.0 + node_err
+
     def test_one_build_serves_every_row(self):
         # the interpolant depends on neither s nor t: a row with a given
         # build equals a row that builds its own
@@ -809,23 +852,6 @@ class TestA3Convolution:
             kin = Kinematics(s=s, t=t)
             assert (_a3_with_error(m, kin, cfg, a2hat)
                     == _a3_with_error(m, kin, cfg))
-
-
-# (model, A2/A3 tolerance) for the five kinds of Born input
-FIVE_KINDS = [
-    pytest.param(lambda: GaussianBorn(g=2.51, lam=1.0), QuadratureConfig(),
-                 id="gaussian"),
-    pytest.param(lambda: ExponentialPoleBorn(c=1.1, slope_b=0.7),
-                 QuadratureConfig(rel_tol=1e-4), id="exponential_pole"),
-    pytest.param(real_tabulated, QuadratureConfig(rel_tol=1e-3, abs_tol=1e-6),
-                 id="real_table"),
-    pytest.param(imaginary_tabulated,
-                 QuadratureConfig(rel_tol=1e-3, abs_tol=1e-6),
-                 id="pure_imaginary_table"),
-    pytest.param(general_tabulated,
-                 QuadratureConfig(rel_tol=1e-3, abs_tol=1e-6),
-                 id="general_table"),
-]
 
 
 def counting_reduced(monkeypatch, model):
