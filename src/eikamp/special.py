@@ -24,12 +24,18 @@ it keeps its digits as k -> 1.  The core ``_elliptic_k_core`` takes m1
 itself: the elliptic kernels of :mod:`eikamp.besselprod` form m1 from a
 closed factorisation that keeps its relative precision right up to a
 modulus-one point, where no k rounded to a float could.
+
+``scipy.special`` is imported on the first call of ``bessel_i0e`` or
+``_elliptic_k_core`` (:func:`_scipy_special`), which pays its load of
+about 0.3 s once.  ``import eikamp`` and the whole ``eikamp table`` path
+(J0, the chi gate and the A2 / A3 convolutions) never load it.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from scipy.special import ellipkm1, i0e
 
 from .exceptions import EikampError
 
@@ -96,6 +102,16 @@ _QQ = np.array([  # leading coefficient 1.0 implicit
 ])
 _DR1 = 5.78318596294678452118e0
 _DR2 = 3.04712623436620863991e1
+
+
+@functools.cache
+def _scipy_special():
+    """The ``scipy.special`` module, imported on the first call only: an
+    import statement inside each caller would pay about 1 us a call."""
+    import scipy.special
+
+    return scipy.special
+
 
 def _polevl(x, coef):
     ans = np.full_like(x, coef[0])
@@ -172,7 +188,7 @@ def bessel_i0e(x):
     Evaluated by ``scipy.special.i0e``.
     """
     arr, scalar = _as_array(x)
-    out = i0e(arr)
+    out = _scipy_special().i0e(arr)
     return float(out) if scalar else out
 
 
@@ -207,4 +223,4 @@ def elliptic_k(k):
 def _elliptic_k_core(m1):
     """K at the complementary parameter m1 = 1 - k^2 > 0 (scalar or array),
     without domain checks."""
-    return ellipkm1(m1)
+    return _scipy_special().ellipkm1(m1)

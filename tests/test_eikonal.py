@@ -35,7 +35,8 @@ from eikamp.eikonal import (
 from eikamp.besselprod import _delta4_sq_values, _f4_values
 from eikamp import eikonal as eikonal_module
 from eikamp import quadrature as quadrature_module
-from eikamp.eikonal import (_A2Hat, _a2_with_error, _a3_g_route,
+from eikamp import models as models_module
+from eikamp.eikonal import (_A2Hat, _a2_cap, _a2_with_error, _a3_g_route,
                              _a3_with_error, _x3_breakpoints)
 from eikamp.exceptions import ChiGateError, NonConvergenceError
 from eikamp.models import (
@@ -811,6 +812,22 @@ class TestA3Convolution:
         # whole plane, rounded up in the fourth digit: the half-plane at
         # half the absolute tolerance must not report more
         assert _A2Hat(make(), cfg).error <= bound
+
+    @pytest.mark.parametrize("make", [real_tabulated,
+                                      sign_changing_tabulated],
+                             ids=["real_table", "sign_changing_table"])
+    def test_k_cap_as_with_scipy_kv(self, make, monkeypatch):
+        # the envelope bound's z^2 K_2(z) is evaluated in-house; the cap
+        # it bisects for, to 1e-12 relative, is the one scipy's kv gives
+        from scipy.special import kv
+        m = make()
+        a2hat = _A2Hat(m, QuadratureConfig(rel_tol=1e-3, abs_tol=1e-6))
+        levels = [0.5 * a2hat.tol, *np.geomspace(1e-12, 1e-4, 9)]
+        caps = [_a2_cap(m, level) for level in levels]
+        monkeypatch.setattr(models_module, "_z2_k2", lambda z: (
+            2.0 if z < 1e-8 else z * z * float(kv(2, z))))
+        assert a2hat.k_cap == caps[0]
+        assert caps == [_a2_cap(m, level) for level in levels]
 
     def test_build_peak_memory_is_bounded(self):
         # each slice of a node round starts phi tasks for every k1 node;

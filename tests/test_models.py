@@ -20,6 +20,7 @@ from eikamp.models import (
     Kinematics,
     TabulatedBorn,
     _pchip,
+    _z2_k2,
     load_model,
 )
 
@@ -401,6 +402,27 @@ class TestEnvelopeContract:
         assert model.q_cutoff(1e9) == 0.0
 
 
+class TestZ2K2:
+    """z^2 K_2(z), the envelope's A2 bound, evaluated without scipy."""
+
+    def test_against_mpmath(self):
+        import mpmath
+        for z in np.concatenate([np.geomspace(1e-8, 60.0, 120),
+                                 np.linspace(0.5, 60.0, 60)]):
+            with mpmath.workdps(30):
+                want = float(mpmath.mpf(z) ** 2 * mpmath.besselk(2, z))
+            assert _z2_k2(float(z)) == pytest.approx(want, rel=1e-14, abs=0)
+
+    def test_limit_at_zero(self):
+        assert _z2_k2(0.0) == 2.0
+        assert _z2_k2(1e-6) == pytest.approx(2.0, rel=1e-12, abs=0)
+
+    def test_a2_bound_at_zero(self):
+        m = TabulatedBorn(TAB_Q, TAB_RE, TAB_IM, TAB_M, TAB_KAPPA)
+        assert m.a2_bound(0.0) == pytest.approx(
+            TAB_M ** 2 / (32.0 * math.pi * TAB_KAPPA ** 2), rel=1e-15)
+
+
 class TestLoadModel:
     def test_gaussian_roundtrip(self, tmp_path):
         p = tmp_path / "gauss.ini"
@@ -543,30 +565,38 @@ class TestReadmeModelFiles:
 
 
 _IMPORT_PROBE = """\
+import math
 import sys
 
+import eikamp
 from eikamp.besselprod import f3_eval, f4_eval, f5_eval, f6_eval
 from eikamp.cli import main
 
+assert "scipy.special" not in sys.modules
 *models, out = sys.argv[1:]
 for model in models:
     code = main(["table", "--model", model, "--s", "50", "--t-min", "-1",
                  "--t-max", "-1", "--points", "1", "--rel-tol", "1e-2",
                  "--out", out])
     assert code == 0, code
-f3_eval(3.0, 4.0, 5.0)
-f4_eval(1.0, 0.9, 1.1, 1.4)
-f5_eval(1.0, 1.2, 0.9, 1.1, 1.3)
-f6_eval(1.0, 1.2, 0.9, 1.1, 1.3, 0.8)
+assert "scipy.special" not in sys.modules
+values = [f3_eval(3.0, 4.0, 5.0), f4_eval(1.0, 0.9, 1.1, 1.4),
+          f5_eval(1.0, 1.2, 0.9, 1.1, 1.3).value,
+          f6_eval(1.0, 1.2, 0.9, 1.1, 1.3, 0.8).value]
+assert all(math.isfinite(v) and v > 0.0 for v in values), values
+assert "scipy.special" in sys.modules
 assert "scipy.interpolate" not in sys.modules
 """
 
 
 class TestImportGraph:
-    def test_no_path_loads_scipy_interpolate(self, tmp_path):
-        # a fresh interpreter: this module imports scipy.interpolate
-        # itself.  Every model kind runs one table row, the table's
-        # PCHIP and chi gate included
+    def test_table_loads_no_scipy_and_no_path_scipy_interpolate(
+            self, tmp_path):
+        # a fresh interpreter: this module imports scipy itself.  Every
+        # model kind runs one table row, the table's PCHIP, chi gate and
+        # A2 / s build included, without loading scipy.special; F4..F6
+        # load it on their first call of K.  No path loads
+        # scipy.interpolate, which pulls in most of scipy
         paths = []
         for name, text in zip(("gauss", "pole", "tab"),
                               readme_model_files()):
