@@ -34,14 +34,30 @@ float spacing from its anchor even where u^2 or u^4 underflows against
 it, so integrands are never evaluated exactly at endpoints or listed
 breakpoints.
 
-Error estimates follow QUADPACK: the scaled |K15 - G7| difference plus a
-machine-rounding floor proportional to the L1 norm of the integrand.  The
-floor is reported but never blocks convergence (subdividing cannot reduce
-it); the refinable part alone is tested against tolerance.  QUADPACK's
-scaling, (200 |K15 - G7| / resasc)^1.5, assumes an analytic integrand;
-on a quartic-graded segment, where a log point leaves u^3 log u and K15
-converges only algebraically, |K15 - G7| alone already overstates K15's
-error, so such a segment takes the smaller of the two.
+Each segment's own error estimate is the smaller of two formed from its
+15 samples.  QUADPACK's, resasc min(1, (200 |K15 - G7| / resasc)^1.5),
+assumes an analytic integrand and overstates the error of K15 about a
+million times at tight tolerances.  The other follows Berntsen and
+Espelid (ACM TOMS 17, 1991, 233-255): six null rules, the weights
+w_i p_j(x_i) of the polynomials p_14 .. p_9 orthonormal under the K15
+sum, each scaled to the norm of the K15 weights, give three pair
+magnitudes E1, E2, E3 from the highest degree down, whose decay ratio
+r = max(E1 / E2, E2 / E3) extrapolates E1 to 80 r^4 E1 where r <= 1/2
+shows asymptotic decay, and falls back to 10 r E1 up to r = 1 and to
+10 max(E) beyond.  On a quartic-graded segment, where a log point
+leaves u^3 log u and K15 converges only algebraically, |K15 - G7| alone
+already overstates K15's error, so such a segment takes the smaller of
+that too.
+
+A floor that subdividing cannot reduce is reported apart and never
+blocks convergence; the own error alone is tested against tolerance.
+It is 50 eps times the L1 norm of the integrand, plus, on a segment
+square-root graded toward a nonzero anchor a, the rounding of the node
+offsets: x = a +/- u^2 is rounded to the spacing of a, which an
+inverse-square-root singularity at a turns into a relative error of up
+to eps |a| / |x - a| in its samples.  The node nearest a carries nearly
+all of it, so the floor takes that node's share of the sum, capped at
+E1, since the null rules see such noise as they see the decay.
 
 Every integral runs on one routine, :func:`_iterated`, which takes
 per-level edges, grading and weight; the 1D ones (F5, F6, the eikonal
@@ -131,6 +147,36 @@ _W7[1::2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 
 _EPS = float(np.finfo(float).eps)
 
+
+def _null_rules():
+    """Six null rules on the 15 Kronrod nodes, rows from the highest
+    degree down, each scaled to the Euclidean norm of the K15 weights.
+
+    With p_0 .. p_14 orthonormal under the K15 sum sum_i w_i f(x_i) g(x_i)
+    (Gram-Schmidt on the Legendre polynomials, each step done twice), the
+    rule of p_j has the weights w_i p_j(x_i) and sums every polynomial of
+    degree below j to zero; the rows are p_14 .. p_9."""
+    p = np.empty((15, 15))
+    p[0], p[1] = 1.0, _X15
+    for n in range(1, 14):
+        p[n + 1] = ((2 * n + 1) * _X15 * p[n] - n * p[n - 1]) / (n + 1)
+    # row sums rather than matrix products: a first BLAS call at import
+    # would cost more than the rest of the module's import
+    for j in range(15):
+        for _ in range(2):
+            p[j] -= (((p[:j] * _W15) * p[j]).sum(axis=1)[:, None]
+                     * p[:j]).sum(axis=0)
+        p[j] /= math.sqrt((_W15 * p[j] * p[j]).sum())
+    null = p[:8:-1] * _W15
+    scale = np.sqrt((_W15 * _W15).sum() / (null * null).sum(axis=1))
+    return null * scale[:, None]
+
+
+_NULL = _null_rules()
+# K15 - G7 also sums every polynomial of degree below 14 to zero, so it
+# is the first null rule times this factor, up to sign
+_KG_PER_NULL = math.sqrt(((_W15 - _W7) ** 2).sum() / (_W15 * _W15).sum())
+
 # Segment map kinds; 0 is the identity
 _SQRT_LEFT = 1      # x = anchor + u^2
 _SQRT_RIGHT = 2     # x = anchor - u^2
@@ -174,9 +220,10 @@ class QuadratureConfig:
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """Value, honest error estimate, and integrand-evaluation count; per
-    task arrays of value and error for a solve of many level-0 tasks
-    (see :func:`_iterated`)."""
+    """Value, error estimate and integrand-evaluation count; per task
+    arrays of value and error for a solve of many level-0 tasks (see
+    :func:`_iterated`).  The error is the sum of every segment's own
+    error, the inner errors propagated into it and the rounding floor."""
 
     value: complex | float | np.ndarray
     error_estimate: float | np.ndarray
@@ -289,30 +336,51 @@ def _map_nodes(kind, anc, u):
     """Apply per-segment maps to node matrix u; returns (x, jacobian).
 
     One pass over every row, each segment's power and sign taken from its
-    kind; plain rows keep u and a unit jacobian, and a wave of plain rows
-    alone skips the pass.  A graded node keeps at least one float spacing
-    from its anchor, so the anchor itself is never evaluated."""
+    kind; plain rows keep u and a unit jacobian.  A wave of plain rows
+    alone skips the pass, and one without quartic or without plain rows
+    skips their broadcasts, which cost twice a flat operation.  A graded
+    node keeps at least one float spacing from its anchor, so the anchor
+    itself is never evaluated."""
     if not kind.any():
         return u, np.ones_like(u)
-    quartic = (kind >= _QUARTIC_LEFT)[:, None]
     a = anc[:, None]
     sq = u * u
-    x = a + _MAP_SIGN[kind, None] * np.maximum(np.where(quartic, sq * sq, sq),
-                                               np.spacing(np.abs(a)))
-    jac = np.where(quartic, 4.0 * sq, 2.0) * u
+    quartic = kind >= _QUARTIC_LEFT
+    if quartic.any():
+        quartic = quartic[:, None]
+        step = np.where(quartic, sq * sq, sq)
+        jac = np.where(quartic, 4.0 * sq, 2.0) * u
+    else:
+        step, jac = sq, 2.0 * u
+    x = a + _MAP_SIGN[kind, None] * np.maximum(step, np.spacing(np.abs(a)))
     plain = kind == 0
-    x[plain], jac[plain] = u[plain], 1.0
+    if plain.any():
+        x[plain], jac[plain] = u[plain], 1.0
     return x, jac
+
+
+def _null_error(e1, e2, e3):
+    """Berntsen and Espelid's error estimate of K15 on each segment from
+    the magnitudes E1, E2, E3 of its three null-rule pairs, highest degree
+    first: with r = max(E1 / E2, E2 / E3), 80 r^4 E1 where r <= 1/2 shows
+    the asymptotic decay, 10 r E1 up to r = 1 (the two meet at 1/2) and
+    10 max(E) beyond.  The caller silences the divisions' warnings."""
+    r = np.fmax(np.fmax(e1 / e2, e2 / e3), 0.0)
+    r2 = r * r
+    return np.where(r > 1.0, 10.0 * np.maximum(np.maximum(e1, e2), e3),
+                    e1 * np.minimum(10.0 * r, 80.0 * r2 * r2))
 
 
 def _eval_segments(f, tid, kind, anc, lo, hi):
     """GK15 on each segment.
 
-    Returns (value, refinable_err, floor_err, propagated_err): the last is
+    Returns (value, own_err, floor_err, propagated_err): the last is
     the integral of the inner errors an integrand returns as ``yerr``, or
-    None when it returns none.  ``refinable_err`` is QUADPACK's scaled
-    |K15 - G7|, capped at |K15 - G7| itself on quartic segments (see the
-    module docstring).
+    None when it returns none.  ``own_err``, the refinable part, is the
+    smaller of QUADPACK's scaled |K15 - G7| and :func:`_null_error`,
+    capped at |K15 - G7| itself on quartic segments; ``floor_err`` adds
+    the rounding of graded node offsets to 50 eps int |f| (see the module
+    docstring).
 
     The wave is evaluated in slices of at most :data:`_WAVE_SLICE`
     segments, one call of ``f`` each, so its nodes, the integrand's
@@ -337,27 +405,39 @@ def _eval_segments(f, tid, kind, anc, lo, hi):
             raise NonConvergenceError("integrand returned non-finite values")
 
         resk = h * np.einsum("ij,j->i", y, _W15)
-        resg = h * np.einsum("ij,j->i", y, _W7)
         resabs = h * np.einsum("ij,j->i", np.abs(y), _W15)
+        # one row per null rule, one column per segment
+        null = np.abs(np.einsum("ij,kj->ki", y, _NULL))
+        null *= h
+        err_raw = _KG_PER_NULL * null[0]
         with np.errstate(divide="ignore", invalid="ignore"):
             mean = np.where(h > 0.0, resk / np.where(h > 0.0, 2.0 * h, 1.0),
                             0.0)
-        resasc = h * np.einsum("ij,j->i", np.abs(y - mean[:, None]), _W15)
-        err_raw = np.abs(resk - resg)
-        with np.errstate(divide="ignore", invalid="ignore"):
+            resasc = h * np.einsum("ij,j->i", np.abs(y - mean[:, None]),
+                                   _W15)
             scaled = np.where(
                 resasc > 0.0,
                 resasc * np.minimum(1.0, (200.0 * err_raw / np.where(
                     resasc > 0.0, resasc, 1.0)) ** 1.5),
                 err_raw,
             )
-        scaled = np.where(kind[sl] >= _QUARTIC_LEFT,
-                          np.minimum(scaled, err_raw), scaled)
+            e1 = np.hypot(null[0], null[1])
+            own = np.minimum(scaled, _null_error(
+                e1, np.hypot(null[2], null[3]), np.hypot(null[4], null[5])))
+        k_sl, a_sl = kind[sl], anc[sl]
+        own = np.where(k_sl >= _QUARTIC_LEFT, np.minimum(own, err_raw), own)
         floor = 50.0 * _EPS * resabs
+        graded = np.flatnonzero(((k_sl == _SQRT_LEFT) | (k_sl == _SQRT_RIGHT))
+                                & (a_sl != 0.0))
+        if graded.size:
+            a = a_sl[graded]
+            floor[graded] += np.minimum(e1[graded], (
+                _EPS * _W15[0] * np.abs(a) * h[graded] * np.abs(y[graded, 0])
+                / np.abs(x[graded, 0] - a)))
         if yerr is not None:
             yerr = h * np.einsum("ij,j->i",
                                  np.asarray(yerr).reshape(x.shape) * jac, _W15)
-        parts.append((resk, scaled, floor, yerr))
+        parts.append((resk, own, floor, yerr))
     if len(parts) == 1:
         return parts[0]
     return tuple(None if col[0] is None else np.concatenate(col)
