@@ -71,8 +71,11 @@ propagated part apart from each panel's own Kronrod error: a panel is
 split only when its own error exceeds what the propagated part leaves of
 the budget, and a task whose propagated error alone reaches its target
 stops at once, since bisecting cannot reduce it.  The nest is then rerun
-with its inner levels 10x tighter, and if need be 100x, so only a parent
-whose value cancels pays for tighter children.
+with its inner levels 10x tighter, and if need be 100x, then 1000x, so
+only a parent whose value cancels pays for tighter children.  An inner
+integral on which K15 converges geometrically may already report far
+below its own target and keep that error at 10x and 100x: only a target
+below its estimate makes it bisect, after which its error collapses.
 
 A node of an outer level costs a whole inner integral, so a panel that is
 bisected spends its 15 nodes' inner integrals on a parent that is thrown
@@ -198,7 +201,7 @@ _WAVE_SLICE = 512
 
 # how much tighter than its parent each inner level runs, per attempt of a
 # nest (see _iterated)
-_RETRY_TIGHTENING = (1.0, 10.0, 100.0)
+_RETRY_TIGHTENING = (1.0, 10.0, 100.0, 1000.0)
 
 
 @dataclass(frozen=True)
@@ -336,26 +339,19 @@ def _map_nodes(kind, anc, u):
     """Apply per-segment maps to node matrix u; returns (x, jacobian).
 
     One pass over every row, each segment's power and sign taken from its
-    kind; plain rows keep u and a unit jacobian.  A wave of plain rows
-    alone skips the pass, and one without quartic or without plain rows
-    skips their broadcasts, which cost twice a flat operation.  A graded
-    node keeps at least one float spacing from its anchor, so the anchor
-    itself is never evaluated."""
+    kind; plain rows keep u and a unit jacobian, and a wave of plain rows
+    alone skips the pass.  A graded node keeps at least one float spacing
+    from its anchor, so the anchor itself is never evaluated."""
     if not kind.any():
         return u, np.ones_like(u)
+    quartic = (kind >= _QUARTIC_LEFT)[:, None]
     a = anc[:, None]
     sq = u * u
-    quartic = kind >= _QUARTIC_LEFT
-    if quartic.any():
-        quartic = quartic[:, None]
-        step = np.where(quartic, sq * sq, sq)
-        jac = np.where(quartic, 4.0 * sq, 2.0) * u
-    else:
-        step, jac = sq, 2.0 * u
-    x = a + _MAP_SIGN[kind, None] * np.maximum(step, np.spacing(np.abs(a)))
+    x = a + _MAP_SIGN[kind, None] * np.maximum(np.where(quartic, sq * sq, sq),
+                                               np.spacing(np.abs(a)))
+    jac = np.where(quartic, 4.0 * sq, 2.0) * u
     plain = kind == 0
-    if plain.any():
-        x[plain], jac[plain] = u[plain], 1.0
+    x[plain], jac[plain] = u[plain], 1.0
     return x, jac
 
 
@@ -610,11 +606,11 @@ def _iterated(f, levels, cfg, strict=True, outer=()):
     that task's span (at least 1), so every task's tolerance is its own
     and any wave may be sliced.  A level whose propagated error alone
     reaches its target stops the nest, which reruns with every inner
-    level 10x, then 100x tighter than its parent.  With ``strict`` an
-    inner task that does not converge raises NonConvergenceError;
-    without, its error propagates like any other.  The outermost level
-    always raises.  Returns an IntegralResult counting the innermost
-    evaluations of every attempt.
+    level 10x, then 100x, then 1000x tighter than its parent.  With
+    ``strict`` an inner task that does not converge raises
+    NonConvergenceError; without, its error propagates like any other.
+    The outermost level always raises.  Returns an IntegralResult
+    counting the innermost evaluations of every attempt.
     """
     innermost = len(levels) - 1
     inner_evals = 0

@@ -37,7 +37,8 @@ from eikamp import eikonal as eikonal_module
 from eikamp import quadrature as quadrature_module
 from eikamp import models as models_module
 from eikamp.eikonal import (_A2Hat, _a2_cap, _a2_with_error, _a3_g_route,
-                             _a3_with_error, _x3_breakpoints)
+                             _a3_with_error, _lobatto, _lobatto_weights,
+                             _node_error_bound, _x3_breakpoints)
 from eikamp.exceptions import ChiGateError, NonConvergenceError
 from eikamp.models import (
     ExponentialPoleBorn,
@@ -708,10 +709,11 @@ class TestA3Convolution:
         # eleven rows of the bench table at default tolerance against the
         # impact-parameter moments of chi, which share no code with eikamp.
         # A2's row, the polar solve of the interpolant's nodes at k = qt,
-        # takes at most 82k model points over the eleven rows (78,060;
-        # 79,440 under QUADPACK's error law alone, 103,950 on the (u, v)
-        # row it shared with A3, 1.4M on a solve of its own without knot
-        # edges)
+        # takes at most 69k model points over the eleven rows (65,325;
+        # 78,060 with the panel past the last knot graded toward q_cut
+        # alone, 79,440 under QUADPACK's error law alone, 103,950 on the
+        # (u, v) row it shared with A3, 1.4M on a solve of its own without
+        # knot edges)
         refs = bench_references()
         m = real_tabulated()
         cfg = QuadratureConfig()
@@ -730,7 +732,7 @@ class TestA3Convolution:
             assert abs(v2 - ref2) <= 1e-6 * abs(ref2) + ref2_err
             assert e >= abs(v - ref) - ref_err
             assert abs(v - ref) <= 1e-6 * abs(ref) + ref_err
-        assert a2_points <= 82_000
+        assert a2_points <= 69_000
 
     def test_gauss_table_points_within_budget(self, monkeypatch):
         # the README Gaussian at the bench's three t: one interpolant, its
@@ -754,9 +756,10 @@ class TestA3Convolution:
         # a table whose amplitude crosses zero gives an A2 / s that crosses
         # it too; at t = -2 and default tolerance the G route took 797M
         # points (115 s).  One interpolant built over the half-plane and
-        # three rows take at most 1.71M (1,624,740, the build 1,623,810 of
-        # them; 1,801,380 under QUADPACK's error law alone, 5.2M with the
-        # nodes over the whole plane) and agree with
+        # three rows take at most 1.6M (1,519,530, the build 1,518,600 of
+        # them; 1,624,740 with the panel past the last knot graded toward
+        # q_cut alone, 1,801,380 under QUADPACK's error law alone, 5.2M
+        # with the nodes over the whole plane) and agree with
         # the bench reference within both errors at t = -2, -1 and -0.5,
         # where a and A2 / s both change sign under A3's integral.  A2 at
         # t = -2 converges on its polar row; its own (u, v) solve without
@@ -778,7 +781,7 @@ class TestA3Convolution:
             assert abs(v - ref) <= e + ref_err
             assert abs(v2 - ref2) <= e2 + ref2_err
             assert e2 <= 1e-6 * abs(v2)
-        assert points[0] - a2_points <= 1_710_000
+        assert points[0] - a2_points <= 1_600_000
 
     @pytest.mark.parametrize("make", [
         lambda: GaussianBorn(g=2.51, lam=1.0), real_tabulated,
@@ -801,16 +804,34 @@ class TestA3Convolution:
         full, full_err = a2hat_full_plane_nodes(a2hat, ks)
         assert np.all(np.abs(half - full) <= half_err + full_err)
 
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_node_error_bound_covers_the_node_errors(self, n):
+        # node errors e_j move the interpolant by sum_j l_j delta_j,
+        # |delta_j| <= e_j: the bound covers that on a dense grid, within
+        # its 0.3% sampling, and never exceeds the Lebesgue constant times
+        # max(e), which it equals to 0.3% when every e_j is equal
+        x = _lobatto(1.5, 4.0, n)
+        w = _lobatto_weights(n)
+        k = np.linspace(1.5, 4.0, 20_001)
+        d = k[:, None] - x[None, :]
+        d[d == 0.0] = 1e-300
+        basis = (w / d) / (w / d).sum(axis=1)[:, None]
+        lebesgue = 2.0 / math.pi * math.log(n + 1) + 1.0
+        assert (np.abs(basis).sum(axis=1).max() * 0.997
+                <= _node_error_bound(x, np.ones(n + 1)) <= lebesgue)
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            e = rng.random(n + 1) ** 4
+            bound = _node_error_bound(x, e)
+            assert bound <= lebesgue * e.max()
+            delta = e * rng.choice([-1.0, 1.0], n + 1)
+            assert np.abs(basis @ delta).max() <= bound / 0.997
+
     @pytest.mark.parametrize("make, cfg, bound", [
         (real_tabulated, QuadratureConfig(rel_tol=1e-3, abs_tol=1e-6),
          8.755e-7),
         (real_tabulated, QuadratureConfig(), 8.755e-10),
-        pytest.param(
-            sign_changing_tabulated, QuadratureConfig(), 5.724e-10,
-            marks=pytest.mark.xfail(strict=True, reason=(
-                "the half-plane build reports 6.053e-10: on 29 of its 133 "
-                "nodes the k1 axis's segment past the last knot, graded "
-                "toward q_far, ends at 0.87 of the node's target"))),
+        (sign_changing_tabulated, QuadratureConfig(), 4.733e-10),
         (lambda: ExponentialPoleBorn(c=1.1, slope_b=0.7), QuadratureConfig(),
          8.598e-10),
     ], ids=["real_table_rel_1e-3", "real_table", "sign_changing_table",
@@ -822,6 +843,7 @@ class TestA3Convolution:
         # half the absolute tolerance must not report more.  Three of them
         # are the envelope bound at k_cap; the sign-changing table's
         # whole-plane build reported 4.876e-10 under QUADPACK's law alone
+        # and a Lebesgue constant times its largest node error
         assert _A2Hat(make(), cfg).error <= bound
 
     @pytest.mark.parametrize("make", [real_tabulated,

@@ -13,7 +13,7 @@ from eikamp import (DEFAULT_P_SEQUENCE, ExtrapolationDivergenceError,
                     IntegralResult, NonConvergenceError, QuadratureConfig,
                     integrate_damped_bessel_product)
 from eikamp import quadrature as quadrature_module
-from eikamp.quadrature import (_KG_PER_NULL, _MAP_SIGN, _NULL,
+from eikamp.quadrature import (_KG_PER_NULL, _NULL,
                                _QUARTIC_LEFT, _QUARTIC_RIGHT, _SQRT_LEFT,
                                _SQRT_RIGHT, _W7, _W15, _X15, _build_tasks,
                                _eval_segments, _InheritedError, _iterated,
@@ -316,34 +316,6 @@ class TestEngineBehavior:
             for got, want in zip(_map_nodes(kind, anc, u),
                                  per_kind(kind, anc, u)):
                 np.testing.assert_array_equal(got, want)
-
-    def test_map_nodes_matches_the_one_pass_formula(self):
-        # waves without quartic or without plain rows skip those passes
-        # and give every node and jacobian of the one-pass formula, bit
-        # for bit
-        def one_pass(kind, anc, u):
-            quartic = (kind >= _QUARTIC_LEFT)[:, None]
-            a = anc[:, None]
-            sq = u * u
-            x = a + _MAP_SIGN[kind, None] * np.maximum(
-                np.where(quartic, sq * sq, sq), np.spacing(np.abs(a)))
-            jac = np.where(quartic, 4.0 * sq, 2.0) * u
-            plain = kind == 0
-            x[plain], jac[plain] = u[plain], 1.0
-            return x, jac
-
-        rng = np.random.default_rng(31)
-        mixes = [[_SQRT_LEFT, _SQRT_RIGHT], [0, _SQRT_LEFT, _SQRT_RIGHT],
-                 [_QUARTIC_LEFT, _QUARTIC_RIGHT, _SQRT_LEFT],
-                 [0, _SQRT_LEFT, _SQRT_RIGHT, _QUARTIC_LEFT, _QUARTIC_RIGHT]]
-        for trial in range(200):
-            n = int(rng.integers(1, 300))
-            kind = rng.choice(np.array(mixes[trial % 4], dtype=np.int8), n)
-            anc = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 3.7, n)
-            u = 10.0 ** rng.uniform(-6.0, 0.5, (n, 15))
-            for got, want in zip(_map_nodes(kind, anc, u),
-                                 one_pass(kind, anc, u)):
-                assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("rel", [1e-6, 1e-10, 1e-12])
     def test_log_grading_is_honest(self, rel):
@@ -738,17 +710,24 @@ class TestIterated:
         assert abs(v[0] - (math.e - 1.0)) <= 1e-8 * (math.e - 1.0)
         assert e[0] <= 1e-8 * v[0]
 
-    def test_cancelling_outer_integral_reruns_tighter(self, monkeypatch):
-        # the inner y-integrals of log y are of order 1 but the outer
-        # x-integral cancels to 1e-2: at the same relative tolerance their
-        # errors alone exceed its target.  The guard stops the first
-        # attempt in its first wave, and the second, 10x tighter, too;
-        # the rerun with 100x tighter inner levels converges.  log y under
-        # the square-root map converges algebraically, so each tighter
-        # inner level reports a smaller error; an inner integrand on which
-        # K15 converges geometrically reports the same error at 1x, 10x
-        # and 100x (e^-30y cos 40y: the ladder then fails once the outer
-        # integral cancels below 4e-3 and is not needed above)
+    @pytest.mark.parametrize("inner, eps, runs", [
+        ("log", 0.01, ["inherited", "inherited", "converged"]),
+        ("damped_cosine", 0.03, ["converged"]),
+        ("damped_cosine", 3e-3, ["inherited"] * 3 + ["converged"]),
+    ], ids=["log_y", "damped_cosine_eps_3e-2", "damped_cosine_eps_3e-3"])
+    def test_cancelling_outer_integral_reruns_tighter(self, monkeypatch,
+                                                      inner, eps, runs):
+        # the inner y-integrals are of order 1 (log y) or 1e-2 (e^-30y
+        # cos 40y), and the outer x-integral cancels to eps times that: at
+        # the same relative tolerance their errors alone may exceed its
+        # target.  The guard stops such an attempt in its first wave, and
+        # the rerun with tighter inner levels converges with an honest
+        # error.  log y under the square-root map converges
+        # algebraically, so each tighter inner level reports a smaller
+        # error and 100x suffices.  On e^-30y cos 40y K15 converges
+        # geometrically: at eps 0.03 the first attempt converges, and at
+        # 3e-3 the inner levels report the same error at 1x, 10x and 100x,
+        # far below their own targets, until 1000x makes them bisect
         real = quadrature_module._solve_batched
         depth = [0]
         outer_runs = []
@@ -774,17 +753,22 @@ class TestIterated:
             return out
 
         monkeypatch.setattr(quadrature_module, "_solve_batched", spy)
-        eps = 0.01
+        if inner == "log":
+            def f(x, y):
+                return (np.sin(2.0 * math.pi * x) + eps) * np.log(y)
 
-        def f(x, y):
-            return (np.sin(2.0 * math.pi * x) + eps) * np.log(y)
+            truth = -eps
+        else:
+            def f(x, y):
+                return ((np.sin(2.0 * math.pi * x) + eps)
+                        * np.exp(-30.0 * y) * np.cos(40.0 * y))
 
-        truth = -eps
+            truth = eps * (30.0 - math.exp(-30.0) * (
+                30.0 * math.cos(40.0) - 40.0 * math.sin(40.0))) / 2500.0
         res = integrate_nested(f, [(0.0, 1.0), (0.0, 1.0)],
                                QuadratureConfig(rel_tol=1e-8, abs_tol=1e-300))
-        assert [kind for kind, _ in outer_runs] == ["inherited", "inherited",
-                                                    "converged"]
-        assert outer_runs[0][1] == outer_runs[1][1] == 1
+        assert [kind for kind, _ in outer_runs] == runs
+        assert all(waves == 1 for _, waves in outer_runs[:-1])
         assert abs(res.value - truth) <= res.error_estimate
         assert res.error_estimate <= 1e-8 * abs(truth)
 
