@@ -30,8 +30,9 @@ import numpy as np
 from . import __version__
 from .besselprod import (f3_eval, f4_classify, f4_eval, f5_eval, f6_eval,
                          delta3_sq, weber_integral)
-from .eikonal import (_A2Hat, _gated_terms, assemble_amplitude,
-                      build_profile, compute_terms, diff_cross_section)
+from .eikonal import (CHI_WARN_THRESHOLD, _A2Hat, _born_norms, _chi_bound,
+                      _gated_terms, assemble_amplitude, build_profile,
+                      compute_terms, diff_cross_section)
 from .exceptions import (BoundaryCaseError, ChiGateError, EikampError,
                          ExtrapolationDivergenceError, ModelFileError,
                          NonConvergenceError)
@@ -285,10 +286,14 @@ def _cmd_table(args):
     spec = _spec_from_args(args, "table")
     model = _load_model_or_exit(spec)
     cfg = spec.quad_config()
-    _gate_or_exit(model, spec, cfg)
     try:
+        # the build's norms bound max|chi|: below the warning threshold the
+        # gate can neither warn nor refuse, so its profile is not built
+        norms = _born_norms(model, cfg)
+        if _chi_bound(norms) >= CHI_WARN_THRESHOLD:
+            _gate_or_exit(model, spec, cfg)
         # A2 / s depends on neither s nor t: one build serves every row
-        a2hat = _A2Hat(model, cfg)
+        a2hat = _A2Hat(model, cfg, norms)
     except EikampError as exc:
         _emit(spec, _TABLE_COLUMNS,
               [_failed_row(t, exc) for t in spec.t_grid()], "table")

@@ -345,15 +345,36 @@ def _lobatto_weights(n):
 
 
 def _chebyshev_tail(values):
-    """|c_{n-1}| + |c_n|, the last two Chebyshev coefficients of the
-    interpolant through ``values`` at a panel's Lobatto points: the
-    estimate of its error."""
+    """The error estimate of the interpolant through ``values`` at a
+    panel's Lobatto points, read off its Chebyshev coefficients a_j.
+
+    With P_j = |a_{j-1}| + |a_j| and r the larger of P_n / P_{n-2} and
+    P_{n-2} / P_{n-4}, a geometric decay extrapolates past degree n:
+    twice the sum of the pairs P_n r + P_n r^2 + ..., which bounds the
+    error of an interpolant whose coefficients keep decaying at r
+    (Trefethen, Approximation Theory and Approximation Practice, Thm
+    8.2), times 4 for a decay that slows past n, 8 P_n r / (1 - r).  It
+    is taken only where the decay is clearly geometric: r < 1/16, a_n
+    below an eighth of a_{n-1}, so that the decay has not slowed at the
+    last step, and neither of the last two coefficients above a quarter
+    of the one two degrees before it, so that it has not stalled at the
+    noise of the node values.  An algebraic decay, a dip of one
+    coefficient or pair and a vanishing pair fail these; the estimate is
+    P_n itself wherever they fail."""
     n = len(values) - 1
     half = np.ones(n + 1)
     half[[0, -1]] = 0.5
-    cos = np.cos(np.pi * np.outer([n - 1, n], np.arange(n + 1)) / n)
-    c = np.abs((cos * (half * values)).sum(axis=1)) * (2.0 / n)
-    return float(c[0] + 0.5 * c[1])
+    j = np.arange(n + 1)
+    a = np.abs((np.cos(np.pi * np.outer(j, j) / n) * (half * values))
+               .sum(axis=1)) * (2.0 / n)
+    a[-1] *= 0.5
+    p = a[:-1] + a[1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a 0 / 0 is NaN, which fails every test below
+        r = np.max([p[-1] / p[-3], p[-3] / p[-5]])
+    geometric = (r < 1.0 / 16.0 and a[-1] < 0.125 * a[-2]
+                 and a[-1] < 0.25 * a[-3] and a[-2] < 0.25 * a[-4])
+    return float(8.0 * p[-1] * r / (1.0 - r) if geometric else p[-1])
 
 
 def _node_error_bound(x, err):
@@ -367,6 +388,32 @@ def _node_error_bound(x, err):
     c = w / (t.reshape(-1, 1) - x)
     return float(max(((np.abs(c) * err).sum(axis=1)
                       / np.abs(c.sum(axis=1))).max(), err.max()))
+
+
+def _born_norms(model, cfg):
+    """int_0^q_cut q |a(q)|^p dq for p = 1 and 2 in one solve at ``cfg``,
+    a table's knots as panel edges, with one value and error per p.  The
+    first bounds the eikonal phase (:func:`_chi_bound`) and the error
+    the interpolant of A2 / s spreads into a convolution; the second sets
+    the interpolant's tolerance (:class:`_A2Hat`)."""
+    _phase, red = _phase_split(model)
+    q_cut = _tail_cut(model)
+    q_edges = np.unique(np.concatenate([[0.0], _knots(model, q_cut),
+                                        [q_cut]]))
+    return _iterated(
+        lambda p, q: q * np.abs(red(q)) ** p,
+        [(lambda p: np.broadcast_to(q_edges, (p.size, q_edges.size)),
+          "plain", None)],
+        cfg, outer=(np.array([1.0, 2.0]),))
+
+
+def _chi_bound(norms):
+    """A bound on max_b |chi(s, b)| from the model's norms
+    (:func:`_born_norms`): |J0| <= 1, so |chi| is at most
+    (1/4 pi) int q |a| dq, here with its error; the two are equal, at
+    b = 0, for an amplitude of one sign.  The tail beyond q_cut, 1e-16 of
+    the envelope, is below the rounding of the sum."""
+    return float(norms.value[0] + norms.error_estimate[0]) / (4.0 * math.pi)
 
 
 def _a2_cap(model, level):
@@ -388,11 +435,14 @@ class _A2Hat:
     A piecewise Chebyshev-Lobatto interpolant on [0, k_cap], evaluated in
     barycentric form, and 0 beyond k_cap.  Panels start dyadic, [0, w],
     [w, 2w], [2w, 4w], ..., w the width over which the envelope falls by
-    e, at degree :data:`_A2HAT_DEGREE`; a panel whose estimate, its last
-    two Chebyshev coefficients, misses the tolerance doubles its degree
-    up to :data:`_A2HAT_MAX_DEGREE`, then splits in two.  Each round of
-    new nodes is one solve of the convolution a * a over the half-plane
-    (:meth:`_solve_nodes`), to a tenth of the tolerance.
+    e, at degree :data:`_A2HAT_DEGREE`; a panel whose estimate misses the
+    tolerance doubles its degree up to :data:`_A2HAT_MAX_DEGREE`, then
+    splits in two.  The estimate follows the decay of the panel's
+    Chebyshev coefficients, extrapolated past its degree where the decay
+    is clearly geometric and the last two coefficients elsewhere
+    (:func:`_chebyshev_tail`).  Each round of new nodes is one solve of
+    the convolution a * a over the half-plane (:meth:`_solve_nodes`), to a
+    tenth of the tolerance.
 
     The tolerance, _A2HAT_SHARE rel_tol max |Â2|, is on the supremum norm,
     with max |Â2| <= (1/8 pi) int k |a|^2 dk (equal for a model of one
@@ -402,22 +452,18 @@ class _A2Hat:
     k >= 0: the worst panel's estimate plus the most its nodes'
     quadrature errors move it (:func:`_node_error_bound`), or that bound
     at k_cap, whichever is larger.  ``l1`` is 2 pi int k |a(k)| dk, so
-    an error e of Â2 moves a convolution with a by at most e l1.
+    an error e of Â2 moves a convolution with a by at most e l1.  The
+    model's norms (:func:`_born_norms`), which give ``l1`` and the
+    tolerance, are solved here unless passed, as ``table`` passes those
+    its gate has read.
     """
 
-    def __init__(self, model, cfg):
+    def __init__(self, model, cfg, norms=None):
         self.model = model
         self.q_cut = _tail_cut(model)
-        _phase, red = _phase_split(model)
         self.knots = _knots(model, self.q_cut)
-        # int k |a|^p dk, p = 1 and 2, in one solve
-        q_edges = np.unique(np.concatenate([[0.0], self.knots,
-                                            [self.q_cut]]))
-        norms = _iterated(
-            lambda p, q: q * np.abs(red(q)) ** p,
-            [(lambda p: np.broadcast_to(q_edges, (p.size, q_edges.size)),
-              "plain", None)],
-            cfg, outer=(np.array([1.0, 2.0]),))
+        if norms is None:
+            norms = _born_norms(model, cfg)
         self.l1 = 2.0 * math.pi * float(norms.value[0])
         self.tol = (_A2HAT_SHARE * cfg.rel_tol * float(norms.value[1])
                     / (8.0 * math.pi))

@@ -57,7 +57,12 @@ offsets: x = a +/- u^2 is rounded to the spacing of a, which an
 inverse-square-root singularity at a turns into a relative error of up
 to eps |a| / |x - a| in its samples.  The node nearest a carries nearly
 all of it, so the floor takes that node's share of the sum, capped at
-E1, since the null rules see such noise as they see the decay.
+E1, since the null rules see such noise as they see the decay.  A node
+with u^2 below the spacing s of a sits at a +/- s, where such a
+singularity is sqrt(s) / u times smaller than at a +/- u^2; once every
+node of a segment sits there its samples fall on a line in u, which the
+null rules read as exact, so the floor adds that factor times each such
+node's share in full.
 
 Every integral runs on one routine, :func:`_iterated`, which takes
 per-level edges, grading and weight; the 1D ones (F5, F6, the eikonal
@@ -430,6 +435,15 @@ def _eval_segments(f, tid, kind, anc, lo, hi):
             floor[graded] += np.minimum(e1[graded], (
                 _EPS * _W15[0] * np.abs(a) * h[graded] * np.abs(y[graded, 0])
                 / np.abs(x[graded, 0] - a)))
+            # a node with u^2 below the spacing s of a sits at a +/- s,
+            # where an inverse-square-root singularity is sqrt(s) / u
+            # times smaller than at a +/- u^2; node 0 is the nearest to a
+            s = np.spacing(np.abs(a))
+            if (u[graded, 0] ** 2 < s).any():
+                ug, s = u[graded], s[:, None]
+                floor[graded] += h[graded] * np.einsum(
+                    "ij,j->i", np.where(ug * ug < s, np.sqrt(s) / ug, 0.0)
+                    * np.abs(y[graded]), _W15)
         if yerr is not None:
             yerr = h * np.einsum("ij,j->i",
                                  np.asarray(yerr).reshape(x.shape) * jac, _W15)

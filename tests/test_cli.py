@@ -7,6 +7,8 @@ exercised exactly as a shell user would hit it.
 
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ import eikamp.special
 from eikamp.besselprod import f5_eval
 from eikamp.cli import main
 from eikamp.eikonal import (assemble_amplitude, build_profile, compute_terms,
-                            diff_cross_section)
+                            diff_cross_section, eikonal_chi)
 from eikamp.exceptions import NonConvergenceError
 from eikamp.models import Kinematics, load_model
 from eikamp.quadrature import QuadratureConfig
@@ -112,6 +114,45 @@ def counting_builds(monkeypatch, fail=False):
 
     monkeypatch.setattr(eikamp.cli, "_A2Hat", build)
     return builds
+
+
+def counting_scans(monkeypatch):
+    """Route the gate's J0 scans, its eikonal_chi calls, through a
+    counter."""
+    scans = []
+
+    def counted(*args, **kwargs):
+        scans.append(args)
+        return eikonal_chi(*args, **kwargs)
+
+    monkeypatch.setattr(eikamp.eikonal, "eikonal_chi", counted)
+    return scans
+
+
+@pytest.fixture
+def warned_model(tmp_path):
+    # chi0 = 0.6: in the gate's warning window
+    path = tmp_path / "warned.ini"
+    path.write_text(STRONG_INI.replace("18.849555921538759",
+                                       "7.5398223686155035"))
+    return str(path)
+
+
+def scaled_sign_changing_model(tmp_path, factor):
+    """The sign-changing table with its amplitudes and envelope scaled
+    by ``factor``, as a model file."""
+    lines = []
+    for line in SIGN_CHANGING_INI.splitlines():
+        parts = line.split()
+        if len(parts) == 3 and line.startswith("    "):
+            q, real, imag = map(float, parts)
+            line = f"    {q} {factor * real} {imag}"
+        elif line.startswith("m = "):
+            line = f"m = {factor * float(line[4:])}"
+        lines.append(line)
+    path = tmp_path / f"sign_changing_x{factor}.ini"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
 
 
 @pytest.fixture
@@ -262,8 +303,13 @@ class TestTableCommand:
         assert run_cli(args + ["--out", str(b)], capsys)[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_gates_once_per_command(self, gauss_model, capsys, monkeypatch):
-        # the gate depends on s alone: one build_profile stands for all rows
+    @pytest.mark.parametrize("which, profiles", [("gauss_model", 0),
+                                                 ("warned_model", 1)])
+    def test_gates_once_per_command(self, which, profiles, request, capsys,
+                                    monkeypatch):
+        # the gate depends on s alone: one build_profile stands for all
+        # rows, and none where the build's norm bounds max|chi| below 0.5
+        # (chi0 = 0.2; 0.6 warns)
         calls = []
 
         def counted(*args, **kwargs):
@@ -272,13 +318,16 @@ class TestTableCommand:
 
         monkeypatch.setattr(eikamp.cli, "build_profile", counted)
         monkeypatch.setattr(eikamp.eikonal, "build_profile", counted)
-        code, out, err = run_cli(
-            ["table", "--model", gauss_model, "--s", "50",
-             "--t-min", "-2", "--t-max", "-0.25", "--points", "3",
-             "--rel-tol", "1e-3", "--abs-tol", "1e-8"], capsys)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, out, err = run_cli(
+                ["table", "--model", request.getfixturevalue(which),
+                 "--s", "50", "--t-min", "-2", "--t-max", "-0.25",
+                 "--points", "3", "--rel-tol", "1e-3", "--abs-tol", "1e-8"],
+                capsys)
         assert code == 0
         assert len(out.strip().splitlines()) == 2 + 3
-        assert len(calls) == 1
+        assert len(calls) == profiles
 
     @pytest.mark.parametrize("which", ["gauss_model", "table_model"])
     def test_table_calls_no_elliptic_kernel(self, which, request,
@@ -420,6 +469,50 @@ class TestChiGateWiring:
                  "--override-chi-gate"], capsys)
         assert code == 0
         assert out.strip().splitlines()[-1].endswith(",ok")
+
+    def test_table_gate_reads_the_build_norm(self, table_model, capsys,
+                                             monkeypatch):
+        # the bench table's norm bounds max|chi| by 0.0776, its peak at
+        # b = 0 for an amplitude of one sign: no J0 scan runs, and the
+        # rows are byte for byte those of a table gated by the scan
+        argv = ["table", "--model", table_model, "--s", "50",
+                "--t-min", "-1", "--t-max", "-1", "--points", "1",
+                "--rel-tol", "1e-3", "--abs-tol", "1e-6", "--format", "json"]
+        scans = counting_scans(monkeypatch)
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err, scans) == (0, "", [])
+        monkeypatch.setattr(eikamp.cli, "_chi_bound", lambda norms: math.inf)
+        assert run_cli(argv, capsys) == (0, out, "")
+        assert len(scans) == 1
+
+    @pytest.mark.parametrize("factor, warning", [
+        (10.0, None), (20.0, r"max\|chi\| = 0.513 in \[0.5, 1\)")])
+    def test_table_scans_where_the_norm_reaches_the_threshold(
+            self, tmp_path, capsys, monkeypatch, factor, warning):
+        # scaled 10x the sign-changing table's norm bounds max|chi| by
+        # 0.56 while the scan's peak is 0.26, and scaled 20x by 1.12 with
+        # a peak of 0.513: the scan runs, and the table warns, or does not,
+        # exactly as build_profile does on its own
+        path = scaled_sign_changing_model(tmp_path, factor)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            build_profile(load_model(path), 50.0,
+                          QuadratureConfig(rel_tol=1e-3, abs_tol=1e-6))
+        want = [str(w.message) for w in caught]
+        scans = counting_scans(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                ["table", "--model", path, "--s", "50", "--t-min", "-1",
+                 "--t-max", "-1", "--points", "1", "--rel-tol", "1e-3",
+                 "--abs-tol", "1e-6"], capsys)
+        assert code == 0 and out.strip().endswith(",ok")
+        assert len(scans) == 1
+        assert [str(w.message) for w in caught] == want
+        if warning is None:
+            assert want == []
+        else:
+            assert len(want) == 1 and re.search(warning, want[0])
 
 
 class TestUsageErrors:

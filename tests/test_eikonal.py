@@ -12,6 +12,7 @@ and the exponential-pole family maps onto the same shapes under
 lam^2 -> 1 / (2 B).
 """
 
+import functools
 import importlib.util
 import itertools
 import math
@@ -37,8 +38,9 @@ from eikamp import eikonal as eikonal_module
 from eikamp import quadrature as quadrature_module
 from eikamp import models as models_module
 from eikamp.eikonal import (_A2Hat, _a2_cap, _a2_with_error, _a3_g_route,
-                             _a3_with_error, _lobatto, _lobatto_weights,
-                             _node_error_bound, _x3_breakpoints)
+                             _a3_with_error, _chebyshev_tail, _lobatto,
+                             _lobatto_weights, _node_error_bound,
+                             _x3_breakpoints)
 from eikamp.exceptions import ChiGateError, NonConvergenceError
 from eikamp.models import (
     ExponentialPoleBorn,
@@ -736,8 +738,10 @@ class TestA3Convolution:
 
     def test_gauss_table_points_within_budget(self, monkeypatch):
         # the README Gaussian at the bench's three t: one interpolant, its
-        # nodes over the half-plane, and three rows take at most 126k model
-        # points (119,895; 162,645 under QUADPACK's error law alone, of
+        # nodes over the half-plane, and three rows take at most 86k model
+        # points (82,035, the build 81,750 of them at 33 nodes; 119,895 at
+        # 49 nodes while a panel stopped on its last two Chebyshev
+        # coefficients alone, 162,645 under QUADPACK's error law alone, of
         # which the rows took 315: a row evaluates the model once per k1
         # node; 171,405 when they ran on the (u, v) row, 219k with the
         # nodes over the whole plane, and the G route took 774k inner
@@ -750,7 +754,7 @@ class TestA3Convolution:
             kin = Kinematics(s=50.0, t=t)
             v, e, _ = _a3_with_error(m, kin, cfg, a2hat)
             assert abs(v - closed_a3(m, kin)) <= min(1e-9 * abs(v), e)
-        assert points[0] <= 126_000
+        assert points[0] <= 86_000
 
     def test_sign_changing_table_at_default_tolerance(self, monkeypatch):
         # a table whose amplitude crosses zero gives an A2 / s that crosses
@@ -833,17 +837,20 @@ class TestA3Convolution:
         (real_tabulated, QuadratureConfig(), 8.755e-10),
         (sign_changing_tabulated, QuadratureConfig(), 4.733e-10),
         (lambda: ExponentialPoleBorn(c=1.1, slope_b=0.7), QuadratureConfig(),
-         8.598e-10),
+         1.716e-9),
     ], ids=["real_table_rel_1e-3", "real_table", "sign_changing_table",
             "exponential_pole"])
     def test_build_error_not_above_the_whole_plane(self, make, cfg, bound):
         # each bound is the error of the build with its nodes over the
         # whole plane (helpers.a2hat_full_plane_nodes), under the same
-        # error estimate, rounded up in the fourth digit: the half-plane at
-        # half the absolute tolerance must not report more.  Three of them
-        # are the envelope bound at k_cap; the sign-changing table's
+        # error estimates, rounded up in the fourth digit: the half-plane
+        # at half the absolute tolerance must not report more.  Two of
+        # them are the envelope bound at k_cap; the sign-changing table's
         # whole-plane build reported 4.876e-10 under QUADPACK's law alone
-        # and a Lebesgue constant times its largest node error
+        # and a Lebesgue constant times its largest node error.  The
+        # exponential pole's two degree-8 panels extrapolate their
+        # coefficients' decay (eikonal._chebyshev_tail); with every panel
+        # at degree 16 its bound was the envelope's, 8.598e-10
         assert _A2Hat(make(), cfg).error <= bound
 
     @pytest.mark.parametrize("make", [real_tabulated,
@@ -902,6 +909,198 @@ class TestA3Convolution:
             kin = Kinematics(s=s, t=t)
             assert (_a3_with_error(m, kin, cfg, a2hat)
                     == _a3_with_error(m, kin, cfg))
+
+
+def lobatto_fit(x, f):
+    """The interpolant through f at the Lobatto points x as a Chebyshev
+    series on their panel, fitted by numpy apart from the build's own
+    barycentric form and coefficient sums."""
+    return np.polynomial.chebyshev.Chebyshev.fit(x, f, len(x) - 1,
+                                                  domain=[x[0], x[-1]])
+
+
+def last_pair(x, f):
+    """|a_{n-1}| + |a_n| of that interpolant, the estimate wherever the
+    coefficients' decay is not clearly geometric."""
+    c = lobatto_fit(x, f).coef
+    return abs(c[-2]) + abs(c[-1])
+
+
+def dyadic_panels(w, top=8.0):
+    """The panels a build lays over [0, top] from a width w, [0, w],
+    [w, 2w], [2w, 4w], ..., with their halves and quarters."""
+    edges = [0.0, w]
+    while edges[-1] < top:
+        edges.append(2.0 * edges[-1])
+    return [(lo + i * (hi - lo) / parts, lo + (i + 1) * (hi - lo) / parts)
+            for lo, hi in zip(edges, edges[1:]) for parts in (1, 2, 4)
+            for i in range(parts)]
+
+
+# candidate shapes of A2 / s: the Gaussian family's at three widths,
+# exponential tails, poles 0.3 and 1 off the real axis, and a kink of
+# |k - k0|^3 on an edge of every layout (k0 = 2) and inside panels
+ESTIMATE_BATTERY = {
+    "gaussian_0.5": lambda k: np.exp(-k * k),
+    "gaussian_1": lambda k: np.exp(-k * k / 4.0),
+    "gaussian_2": lambda k: np.exp(-k * k / 16.0),
+    "exp_0.5": lambda k: np.exp(-0.5 * k),
+    "exp_1": lambda k: np.exp(-k),
+    "exp_3": lambda k: np.exp(-3.0 * k),
+    "runge_0.3": lambda k: 1.0 / (1.0 + ((k - 1.5) / 0.3) ** 2),
+    "runge_1": lambda k: 1.0 / (1.0 + (k - 3.0) ** 2),
+    "cube_edge": lambda k: np.abs(k - 2.0) ** 3,
+    "cube_mid": lambda k: np.abs(k - 1.5) ** 3,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def table_panel_errors(rel_tol):
+    """The bench table's build at rel_tol and, per panel, its Lobatto
+    points, values, node errors and true error: the largest deviation from
+    a rel-1e-12 solve of the nodes' convolution at three points between
+    each pair of nodes."""
+    m = real_tabulated()
+    cfg = QuadratureConfig(rel_tol=rel_tol, abs_tol=1e-6 * rel_tol)
+    a2hat = _A2Hat(m, cfg)
+    _phase, red = eikonal_module._phase_split(m)
+    tight = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-300)
+    panels = []
+    for x, f, _w in a2hat.panels:
+        k = (x[:-1, None] + np.diff(x)[:, None] * np.array([0.25, 0.5, 0.75])
+             ).ravel()
+        c, _err, _ = eikonal_module._convolution(
+            red, red, a2hat.knots, a2hat.knots, a2hat.q_cut, k, tight, True)
+        err = np.array([a2hat._cache[xi][1] for xi in x])
+        panels.append((x, f, err, float(np.abs(a2hat(k) - c).max())))
+    return a2hat, panels
+
+
+class TestChebyshevEstimate:
+    """A panel of the interpolant of A2 / s stops on an estimate read off
+    its Chebyshev coefficients (eikonal._chebyshev_tail): their geometric
+    decay extrapolated past its degree, or the last pair where the decay
+    is not clearly geometric."""
+
+    @pytest.mark.parametrize("name", [
+        *(n for n in ESTIMATE_BATTERY if n != "cube_mid"),
+        pytest.param("cube_mid", marks=pytest.mark.xfail(
+            strict=True, reason="the last pair, the fallback, under-reports "
+            "an algebraic decay: |k - 1.5|^3 at degree 16 on [0, 2] reads "
+            "8.1e-5 against a true 3.4e-4"))])
+    def test_accepted_panels_cover_their_true_error(self, name):
+        # every panel of three dyadic layouts, at degrees 8 and 16, whose
+        # estimate a build at rel_tol 1e-3 or tighter accepts (at most 1e-4
+        # of the function's scale): its true error is at most the estimate
+        # plus the node errors' bound, for values rounded to 4 eps, or at
+        # rounding level, 1e-14 of the scale.  The smooth shapes take the
+        # geometric extrapolation on some of these panels
+        fn = ESTIMATE_BATTERY[name]
+        scale = np.abs(fn(np.linspace(0.0, 8.0, 8001))).max()
+        eps = np.finfo(float).eps
+        geometric = 0
+        for w in (0.5, 1.0, 2.0):
+            for lo, hi in dyadic_panels(w):
+                for n in (8, 16):
+                    x = _lobatto(lo, hi, n)
+                    f = fn(x)
+                    est = _chebyshev_tail(f)
+                    if est > 1e-4 * scale:
+                        continue
+                    k = np.linspace(lo, hi, 2001)
+                    true = np.abs(lobatto_fit(x, f)(k) - fn(k)).max()
+                    reported = est + _node_error_bound(x, 4.0 * eps
+                                                       * np.abs(f))
+                    assert true <= max(reported, 1e-14 * scale), (w, lo, n)
+                    geometric += bool(est < 0.6 * last_pair(x, f))
+        assert geometric > 0 or name.startswith("cube")
+
+    @pytest.mark.parametrize("k0", [1.2, 1.5, 3.0])
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_a_kink_inside_a_panel_falls_back(self, k0, n):
+        # |k - k0|^3 has coefficients that decay as j^-4: on every panel
+        # with k0 inside, the estimate is the last pair, never the
+        # extrapolation, which at most 8 / 15 of the pair would read
+        for w in (0.5, 1.0, 2.0):
+            for lo, hi in dyadic_panels(w):
+                if lo < k0 < hi:
+                    x = _lobatto(lo, hi, n)
+                    f = np.abs(x - k0) ** 3
+                    assert _chebyshev_tail(f) == pytest.approx(
+                        last_pair(x, f), rel=1e-9)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_noise_and_a_vanishing_pair_fall_back(self, n):
+        # coefficients that have stalled at the noise of the values from
+        # degree 4 on, and those of a function even about the panel's
+        # centre, whose odd ones vanish, are not read as a geometric decay
+        x = _lobatto(1.0, 3.0, n)
+        rng = np.random.default_rng(n)
+        for _ in range(200):
+            f = np.exp(-x) + 1e-3 * rng.standard_normal(n + 1)
+            assert _chebyshev_tail(f) == pytest.approx(last_pair(x, f),
+                                                       rel=1e-6)
+        f = np.exp(-(x - 2.0) ** 2)
+        assert _chebyshev_tail(f) == pytest.approx(last_pair(x, f), rel=1e-6)
+
+    @pytest.mark.parametrize("rel", [1e-3, 1e-4, 1e-6, 1e-8])
+    def test_gaussian_build_covers_its_true_error(self, rel):
+        # the bench Gaussian's build against its closed Â2: the reported
+        # error covers the sup over [0, 1.2 k_cap] and meets the
+        # tolerance, and each panel's estimate plus its node errors' bound
+        # covers the panel.  With the extrapolation at twice the pairs'
+        # tail alone, the build at rel 1e-3 stopped two degree-8 panels at
+        # 0.96 of the tolerance against a true 0.948
+        m = GaussianBorn(g=2.51, lam=1.0)
+        a2hat = _A2Hat(m, QuadratureConfig(rel_tol=rel))
+
+        def closed(k):
+            return (m.g * m.lam) ** 2 / (16.0 * math.pi) * np.exp(
+                -k * k / (4.0 * m.lam ** 2))
+
+        k = np.linspace(0.0, 1.2 * a2hat.k_cap, 20001)
+        assert np.abs(a2hat(k) - closed(k)).max() <= a2hat.error <= a2hat.tol
+        for (x, f, _w), lo, hi in zip(a2hat.panels, a2hat.edges,
+                                      a2hat.edges[1:]):
+            err = np.array([a2hat._cache[xi][1] for xi in x])
+            # the last panel's right end, k_cap, is 0 like the k beyond it
+            k = np.linspace(lo, hi, 2001)[:-1]
+            assert (np.abs(a2hat(k) - closed(k)).max()
+                    <= _chebyshev_tail(f) + _node_error_bound(x, err))
+
+    def test_bench_gaussian_stops_two_panels_at_degree_8(self):
+        # on the bench Gaussian at rel 1e-6 the coefficients of [0, w] and
+        # [w, 2w] fall about 70x and 50x every two degrees: their
+        # extrapolated tails read 0.90 and 0.65 of the tolerance, against
+        # true errors of 0.11 and 0.07, where the last pair read 8.1 and
+        # 4.1 and doubled both panels (49 nodes)
+        a2hat = _A2Hat(GaussianBorn(g=2.51, lam=1.0), QuadratureConfig())
+        assert [len(x) - 1 for x, _f, _w in a2hat.panels] == [8, 8, 16]
+        assert len(a2hat._cache) == 33
+
+    @pytest.mark.parametrize("rel", [1e-3, 1e-6], ids=["rel_1e-3",
+                                                       "default"])
+    def test_table_build_falls_back_and_covers_its_error(self, rel):
+        # the bench table's A2 / s has kinks where sums of its knots meet,
+        # so its coefficients decay algebraically: every panel stops on
+        # its last pair, and the build's error, at least the envelope
+        # bound at k_cap, covers a rel-1e-12 solve
+        a2hat, panels = table_panel_errors(rel)
+        for x, f, _err, _true in panels:
+            assert _chebyshev_tail(f) == pytest.approx(last_pair(x, f),
+                                                       rel=1e-9)
+        assert max(p[3] for p in panels) <= a2hat.error
+
+    @pytest.mark.parametrize("rel", [
+        pytest.param(1e-3, id="rel_1e-3"),
+        pytest.param(1e-6, id="default", marks=pytest.mark.xfail(
+            strict=True, reason="the last pair under-reports the algebraic "
+            "decay of the panel [1.67, 3.33]: 0.089 of the tolerance, plus "
+            "0.035 for its nodes, against a true 0.18"))])
+    def test_table_panels_cover_their_true_error(self, rel):
+        _a2hat, panels = table_panel_errors(rel)
+        for x, f, err, true in panels:
+            assert true <= _chebyshev_tail(f) + _node_error_bound(x, err)
 
 
 def counting_reduced(monkeypatch, model):

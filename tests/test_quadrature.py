@@ -626,6 +626,24 @@ class TestErrorEstimate:
         rounding = 50.0 * np.finfo(float).eps * truth
         assert err[1] + rounding < true <= err[1] + floor[1]
 
+    @pytest.mark.parametrize("a", [1.0, 9.0, 99.0, 999.0])
+    def test_inverse_sqrt_end_at_a_large_anchor_is_honest(self, a):
+        # int_a^{a+1} x / sqrt(a + 1 - x) dx = 2 (a + 1) - 2 / 3.  At rel
+        # 1e-10 the end at 1000 bisects until x = 1000 - u^2 rounds to
+        # the spacing of 1000 at every node of the segment next to it,
+        # whose samples then fall on a line in u: its null rules read 0
+        # while its true error is 3.4e-4.  The floor carries such nodes
+        # (1000 reported 1.1e-4 against a deviation of 3.2e-4 without)
+        b = a + 1.0
+
+        def f(_tid, x):
+            return x / np.sqrt(b - x)
+
+        value, err, _, ok = _solve_batched(f, [np.array([a, b])], 1e-10,
+                                           1e-300, grading="sqrt")
+        assert abs(value[0] - (2.0 * b - 2.0 / 3.0)) <= err[0]
+        assert ok[0] or a == 999.0
+
 class TestIterated:
     def test_unit_square(self):
         res = integrate_nested(lambda x, y: np.ones_like(x),
