@@ -109,7 +109,8 @@ def eikonal_chi(model, s, b, cfg=None):
     is one solve with one task per b, each task refined as it would be
     alone, so every chi is bit for bit that of a scalar call; a scalar b
     returns a complex.  The solve holds every task's panels at once, up
-    to 4,000 each, so a caller with many thousands of b passes them in
+    to 4,000 each, and every task's row of edges is as wide as that of
+    the largest b, so a caller with many thousands of b passes them in
     pieces.
     """
     bs = np.asarray(b, dtype=float)
@@ -125,21 +126,22 @@ def eikonal_chi(model, s, b, cfg=None):
     phase, red = _phase_split(model)
     # tabulated interpolants are C1 at the nodes; panel edges there
     # restore full quadrature order
-    grid = model.q_grid
-    knots = [] if grid is None else [float(qn) for qn in grid
-                                     if 0.0 < qn < q_cut]
+    knots = _knots(model, q_cut)
 
     def edges(b):
-        rows = []
-        for bi in b:
-            brk = []
-            if bi * q_cut > 2.0 * math.pi:
-                # panel edges near the J0 oscillation nodes
-                n = min(int(bi * q_cut / math.pi), 4000)
-                brk = (np.arange(1, n + 1) * (math.pi / bi)).tolist()
-            rows.append(np.unique(np.clip([0.0, *brk, *knots, q_cut],
-                                          0.0, q_cut)))
-        return rows
+        # panel edges near the J0 oscillation nodes, j pi / b up to q_cut
+        # for b q_cut > 2 pi, at most 4,000 of them; q_cut fills the
+        # slots a row does not use
+        scan = b * q_cut > 2.0 * math.pi
+        n = np.where(scan, np.minimum(np.floor(b * q_cut / math.pi), 4000.0),
+                     0.0)
+        j = np.arange(1, int(n.max(initial=0.0)) + 1)
+        brk = np.where(j <= n[:, None],
+                       j * (math.pi / np.where(scan, b, 1.0))[:, None], q_cut)
+        rows = np.concatenate([np.zeros((b.size, 1)), brk,
+                               np.broadcast_to(knots, (b.size, knots.size)),
+                               np.full((b.size, 1), q_cut)], axis=1)
+        return np.sort(np.clip(rows, 0.0, q_cut), axis=1)
 
     # the s in the prefactor cancels against A_B = s * a(q)
     def f(b, q):

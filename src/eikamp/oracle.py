@@ -105,14 +105,11 @@ class OracleConfig:
 
     b_max: impact-parameter cutoff, finite (auto: the model's
         ``chi_b_cutoff`` at |chi| = 1e-12, the gate's own b_cutoff).
-    p_damping: damping sequence for Bessel-product references (auto:
-        scaled to the parameters, see reference_besselproduct).
     series_terms: Gaussian series length (auto: stop when the last term
         falls below 1e-15 of the partial sum).
     """
 
     b_max: float | None = None
-    p_damping: tuple | None = None
     series_terms: int | None = None
 
     def __post_init__(self):
@@ -120,11 +117,6 @@ class OracleConfig:
             raise ValueError("b_max must be positive and finite")
         if self.series_terms is not None and self.series_terms < 1:
             raise ValueError("series_terms must be >= 1")
-        if self.p_damping is not None:
-            ps = np.asarray(self.p_damping, dtype=float)
-            if ps.size < 3 or np.any(ps <= 0) or np.any(np.diff(ps) >= 0):
-                raise ValueError(
-                    "p_damping must be >= 3 decreasing positive values")
 
 
 def direct_eikonal_amplitude(model, kin, cfg=None, *, quad_cfg=None):
@@ -297,14 +289,13 @@ def _auto_p_sequence(params):
     return p_max * np.array([1.0, 0.5, 0.25, 0.125, 0.0625])
 
 
-def reference_besselproduct(params, cfg=None, oracle_cfg=None):
+def reference_besselproduct(params, cfg=None):
     """Uniform oracle for F_n(a_1..a_n) = int x J0(a_1 x)...J0(a_n x) dx,
     n = 3..6, by damped extrapolation.
 
     Two refinements over the raw damped limit:
 
-    * the damping sequence is auto-scaled (see _auto_p_sequence) unless
-      oracle_cfg.p_damping overrides it;
+    * the damping sequence is auto-scaled (see _auto_p_sequence);
 
     * a four-parameter set sitting on the support boundary
       (max = sum of the rest, where the integral jumps) is evaluated
@@ -321,7 +312,6 @@ def reference_besselproduct(params, cfg=None, oracle_cfg=None):
     inflated by several orders of magnitude instead.
     """
     cfg = cfg or QuadratureConfig()
-    oracle_cfg = oracle_cfg or OracleConfig()
     a = tuple(float(v) for v in params)
     if not 3 <= len(a) <= 6:
         raise ValueError("reference_besselproduct takes 3 to 6 parameters")
@@ -345,6 +335,4 @@ def reference_besselproduct(params, cfg=None, oracle_cfg=None):
         return IntegralResult(value=value, error_estimate=err,
                               evaluations=evals)
 
-    p_seq = (np.asarray(oracle_cfg.p_damping, dtype=float)
-             if oracle_cfg.p_damping is not None else _auto_p_sequence(a))
-    return integrate_damped_bessel_product(a, cfg, p_seq)
+    return integrate_damped_bessel_product(a, cfg, _auto_p_sequence(a))

@@ -250,71 +250,55 @@ class IntegralResult:
 # batched engine
 # ---------------------------------------------------------------------------
 
-def _build_tasks(edges_list, grading, smooth=None):
-    """Turn per-task edges into flat segment arrays with maps.
+def _build_tasks(edges, grading, smooth=None):
+    """Turn task rows of edges into flat segment arrays with maps.
 
-    ``edges_list`` is a 2D array with one row of edges per task, or a
-    sequence of edge arrays of any lengths.  A task whose last edge does
-    not exceed its first is empty: it contributes 0 and is converged at
-    once.  Otherwise its edges must be sorted ascending; repeated edges
-    give zero-length panels, which are dropped.  ``grading`` is one of
-    :data:`_GRADINGS`: ``"plain"`` keeps each panel whole; ``"sqrt"`` and
-    ``"log"`` split it into two halves, one anchored at each of its
-    edges, with the square-root map at every edge (``"sqrt"``) or at the
-    task's first and last edges and the quartic map at its interior ones
-    (``"log"``).
+    ``edges`` is a 2D array with one row of edges per task.  Rows of
+    different lengths are padded to one width by repeating their last
+    edge: repeated edges give zero-length panels, which are dropped, so
+    a padded row builds the segments of the unpadded one.  A task whose
+    last edge does not exceed its first is empty: it contributes 0 and is
+    converged at once.  Otherwise its edges must be sorted ascending.
+    ``grading`` is one of :data:`_GRADINGS`: ``"plain"`` keeps each panel
+    whole; ``"sqrt"`` and ``"log"`` split it into two halves, one
+    anchored at each of its edges, with the square-root map at every edge
+    (``"sqrt"``) or at the task's first and last edges and the quartic
+    map at its interior ones (``"log"``).
 
-    ``smooth``, a bool mask of the shape of ``edges_list``, marks edges
-    where the integrand is smooth on either side (a C1 knot): a panel
-    edge there restores full order, and no map is anchored on it.  A
-    graded panel with one smooth edge is one segment graded toward the
-    other over its full width, and one with two is one plain segment.
-    Flags on a task's first and last edges, which may carry 1/sqrt, and
-    on edges of zero-length panels are ignored.
+    ``smooth``, a bool mask of the shape of ``edges``, marks edges where
+    the integrand is smooth on either side (a C1 knot): a panel edge
+    there restores full order, and no map is anchored on it.  A graded
+    panel with one smooth edge is one segment graded toward the other
+    over its full width, and one with two is one plain segment.  Flags on
+    a task's first and last edges, which may carry 1/sqrt, and on edges
+    of zero-length panels (the padding among them) are ignored.
     """
     if grading not in _GRADINGS:
         raise ValueError(f"grading must be one of {_GRADINGS}, got {grading!r}")
-    if isinstance(edges_list, np.ndarray) and edges_list.ndim == 2:
-        n_tasks, width = edges_list.shape
-        lens = np.full(n_tasks, width)
-        flat = edges_list.ravel().astype(float)
-        if smooth is not None:
-            smooth = np.array(smooth, dtype=bool).ravel()
-    else:
-        n_tasks = len(edges_list)
-        lens = np.fromiter(map(len, edges_list), dtype=int, count=n_tasks)
-        flat = (np.concatenate(edges_list).astype(float) if lens.sum()
-                else np.zeros(0))
-        if smooth is not None:
-            smooth = np.concatenate([*smooth, np.zeros(0, dtype=bool)])
-    first = np.cumsum(lens) - lens
-    live = np.zeros(n_tasks, dtype=bool)
-    filled = lens > 0
-    live[filled] = flat[first[filled] + lens[filled] - 1] > flat[first[filled]]
-    owner = np.repeat(np.arange(n_tasks), lens)
-    same = (owner[:-1] == owner[1:]) & live[owner[:-1]]
-    tid, lo, hi = owner[:-1][same], flat[:-1][same], flat[1:][same]
-    if np.any(hi < lo):
+    edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[:, :-1], edges[:, 1:]
+    live = edges[:, -1:] > edges[:, :1]
+    if np.any((hi < lo) & live):
         raise ValueError("task edges must be sorted ascending")
-    keep = hi > lo
-    tid, lo, hi = tid[keep], lo[keep], hi[keep]
+    keep = (hi > lo) & live
+    tid = np.nonzero(keep)[0]
+    lo, hi = lo[keep], hi[keep]
     if grading == "plain":
         return tid, np.zeros(tid.size, dtype=np.int8), np.zeros(tid.size), lo, hi
     left = np.full(tid.size, _SQRT_LEFT, dtype=np.int8)
     right = np.full(tid.size, _SQRT_RIGHT, dtype=np.int8)
     if grading == "log":
-        left[lo > flat[first[tid]]] = _QUARTIC_LEFT
-        right[hi < flat[first[tid] + lens[tid] - 1]] = _QUARTIC_RIGHT
+        left[lo > edges[tid, 0]] = _QUARTIC_LEFT
+        right[hi < edges[tid, -1]] = _QUARTIC_RIGHT
     w_left = w_right = 0.5 * (hi - lo)
     if smooth is not None:
-        # an edge counts as smooth only with both neighbours in its task
-        # and strictly apart from them: off its task's ends and off any
-        # zero-length panel
-        sm = np.zeros(flat.size, dtype=bool)
-        sm[1:-1] = (smooth[1:-1] & (owner[:-2] == owner[2:])
-                    & (flat[:-2] < flat[1:-1]) & (flat[1:-1] < flat[2:]))
-        panel = np.flatnonzero(same)[keep]
-        s_lo, s_hi = sm[panel], sm[panel + 1]
+        # an edge counts as smooth only strictly apart from both its
+        # neighbours: off its task's ends and off any zero-length panel
+        sm = np.zeros(edges.shape, dtype=bool)
+        sm[:, 1:-1] = (np.asarray(smooth, dtype=bool)[:, 1:-1]
+                       & (edges[:, :-2] < edges[:, 1:-1])
+                       & (edges[:, 1:-1] < edges[:, 2:]))
+        s_lo, s_hi = sm[:, :-1][keep], sm[:, 1:][keep]
         w_left = np.where(s_hi & ~s_lo, hi - lo, w_left)
         w_right = np.where(s_lo & ~s_hi, hi - lo, w_right)
     kind = np.empty(2 * tid.size, dtype=np.int8)
@@ -458,12 +442,12 @@ class _InheritedError(NonConvergenceError):
     """A task's propagated inner error alone reaches its target."""
 
 
-def _solve_batched(f, edges_list, rel_tol, abs_tol, grading="sqrt",
-                   smooth=None):
+def _solve_batched(f, edges, rel_tol, abs_tol, grading="sqrt", smooth=None):
     """Run the batched adaptive loop over independent 1D tasks.
 
     f(task_indices, x) -> y or (y, yerr); both flat arrays.  Returns
-    (values, error_estimates, evaluation_counts, converged_mask).
+    (values, error_estimates, evaluations, converged_mask), the third
+    one count over every task.  ``edges`` holds one row per task;
     ``abs_tol`` is one absolute tolerance for every task or an array of
     one per task; ``grading`` and the optional ``smooth`` mask map each
     task's panels, see :func:`_build_tasks`.  Each task may bisect at most
@@ -475,20 +459,19 @@ def _solve_batched(f, edges_list, rel_tol, abs_tol, grading="sqrt",
     propagated error alone reaches its target raises
     :class:`_InheritedError` at once.
     """
-    T = len(edges_list)
-    tid, kind, anc, lo, hi = _build_tasks(edges_list, grading, smooth)
+    T = len(edges)
+    tid, kind, anc, lo, hi = _build_tasks(edges, grading, smooth)
     abs_tol_arr = np.broadcast_to(np.asarray(abs_tol, dtype=float), (T,))
-    evals = np.zeros(T, dtype=int)
     splits = np.zeros(T, dtype=int)
     failed = np.zeros(T, dtype=bool)
 
     if tid.size == 0:
         z = np.zeros(T)
-        return z, z.copy(), evals, np.ones(T, dtype=bool)
+        return z, z.copy(), 0, np.ones(T, dtype=bool)
 
     val_seg, err_seg, floor_seg, prop_seg = _eval_segments(f, tid, kind, anc,
                                                            lo, hi)
-    np.add.at(evals, tid, 15)
+    evals = 15 * tid.size
     cdtype = val_seg.dtype
 
     def totals():
@@ -549,7 +532,7 @@ def _solve_batched(f, edges_list, rel_tol, abs_tol, grading="sqrt",
         c_hi = np.concatenate([s_mid, s_hi])
         c_val, c_err, c_floor, c_prop = _eval_segments(f, c_tid, c_kind, c_anc,
                                                        c_lo, c_hi)
-        np.add.at(evals, c_tid, 15)
+        evals += 15 * c_tid.size
 
         keep = ~split
         tid = np.concatenate([tid[keep], c_tid])
@@ -597,8 +580,8 @@ def _iterated(f, levels, cfg, strict=True, outer=()):
     * ``edges(x_0, ..., x_{k-1})`` returns sorted task rows, one per node
       of level k-1 (level 0 is called with the ``outer`` arrays), or
       ``(rows, smooth)`` with a bool mask of the rows' shape marking the
-      edges that need a panel but no graded map (C1 knots); the rows of
-      the innermost level may be ragged, a list of arrays;
+      edges that need a panel but no graded map (C1 knots); a row
+      shorter than the others is padded with its last edge;
     * ``grading`` maps the panels of the level, with the mask if any, see
       :func:`_build_tasks`;
     * ``weight(x_0, ..., x_k)`` is None or a factor formed once per node
@@ -660,7 +643,7 @@ def _iterated(f, levels, cfg, strict=True, outer=()):
         v, e, ev, ok = _solve_batched(g, rows, rel_tol, abs_tol,
                                       grading=grading, smooth=smooth)
         if depth == innermost:
-            inner_evals += int(ev.sum())
+            inner_evals += ev
         if not ok.all() and (strict or depth == 0):
             raise NonConvergenceError(
                 f"level-{depth} integrals of a {len(levels)}D nest did not "

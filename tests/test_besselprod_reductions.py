@@ -119,7 +119,8 @@ class TestF6DualRoute:
     def test_q_edge_rows_build_the_per_node_panels(self):
         # the chain route's q-tasks come as clipped, sorted rows; on the
         # five draws above they must build the same panels as one
-        # np.unique list of in-range kinks per outer node
+        # np.unique row of in-range kinks per outer node, padded with its
+        # last edge
         rng = np.random.default_rng(13)
         for _ in range(5):
             a, b, c, d, e, f = rng.uniform(0.6, 2.0, size=6)
@@ -135,9 +136,12 @@ class TestF6DualRoute:
             lists = [np.unique(np.array(
                 [lo, *[q for q in (t - g, t + g, g - t, h - t, t - h, h + t)
                        if lo < q < hi], hi])) for t in ts]
+            width = max(map(len, lists))
+            padded = np.array([np.pad(row, (0, width - row.size), mode="edge")
+                               for row in lists])
             for got, want in zip(_build_tasks(_chain_q_rows(c, d, e, f, ts),
                                               "sqrt"),
-                                 _build_tasks(lists, "sqrt")):
+                                 _build_tasks(padded, "sqrt")):
                 np.testing.assert_array_equal(got, want)
 
     def test_scaling_relation(self):

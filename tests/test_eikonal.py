@@ -787,6 +787,36 @@ class TestA3Convolution:
             assert e2 <= 1e-6 * abs(v2)
         assert points[0] - a2_points <= 1_600_000
 
+    def test_inherited_stop_reruns_the_row_tighter(self, monkeypatch):
+        # a 7-knot table that changes sign: at t = -1 and default
+        # tolerance the row's k1 task stops once on inherited error
+        # (1.373e-12 against a target of 5e-13) and its rerun with the
+        # inner level 10x tighter converges.  Without the rerun the row
+        # raises NonConvergenceError; with it, it lands within both errors
+        # of a solve at rel 1e-8 on an interpolant of its own
+        m = TabulatedBorn([0.0, 0.3, 0.84, 2.02, 2.32, 3.14, 3.48],
+                          [0.2475, 0.1686, -0.0371, -0.0311, 0.0192, 0.0419,
+                           0.0144], np.zeros(7), 0.25, 0.41)
+        kin = Kinematics(s=50.0, t=-1.0)
+        a2hat = _A2Hat(m, QuadratureConfig())
+        real = quadrature_module._solve_batched
+        stops = []
+
+        def spy(*args, **kwargs):
+            try:
+                return real(*args, **kwargs)
+            except _InheritedError as exc:
+                stops.append(exc)
+                raise
+
+        monkeypatch.setattr(quadrature_module, "_solve_batched", spy)
+        v, e, _ = _a3_with_error(m, kin, QuadratureConfig(), a2hat)
+        monkeypatch.undo()
+        assert stops
+        vt, et, _ = _a3_with_error(m, kin, QuadratureConfig(rel_tol=1e-8,
+                                                            abs_tol=1e-14))
+        assert abs(v - vt) <= e + et
+
     @pytest.mark.parametrize("make", [
         lambda: GaussianBorn(g=2.51, lam=1.0), real_tabulated,
         imaginary_tabulated, general_tabulated, sign_changing_tabulated,

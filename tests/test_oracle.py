@@ -246,9 +246,6 @@ class TestOracleConfig:
         dict(b_max=math.inf),
         dict(b_max=math.nan),
         dict(series_terms=0),
-        dict(p_damping=(0.1, 0.05)),
-        dict(p_damping=(0.1, 0.2, 0.3)),
-        dict(p_damping=(0.3, -0.1, 0.05)),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -257,7 +254,6 @@ class TestOracleConfig:
     def test_defaults_mean_automatic(self):
         cfg = OracleConfig()
         assert cfg.b_max is None
-        assert cfg.p_damping is None
         assert cfg.series_terms is None
 
 

@@ -135,20 +135,31 @@ class TestEngineBehavior:
         assert abs(res.value - truth) <= 1e-6 * abs(truth)
         assert res.evaluations <= 600
 
-    def test_task_rows_and_ragged_edges_build_the_same_panels(self):
-        # repeated edges in a row of the 2D form are zero-length panels
-        # and vanish, so padded rows and ragged lists agree
-        # and a task whose last edge does not exceed its first is empty
-        rows = _build_tasks(np.array([[0.0, 0.5, 0.5, 2.0], [1.0, 1.0, 1.0, 1.0],
-                                      [0.0, 0.0, 1.0, 3.0], [2.0, 2.0, 2.0, 1.0]]),
-                            "sqrt")
-        ragged = _build_tasks([[0.0, 0.5, 2.0], [1.0], [0.0, 1.0, 3.0],
-                               [2.0, 1.0]], "sqrt")
-        for got, want in zip(rows, ragged):
-            np.testing.assert_array_equal(got, want)
-        assert rows[0].tolist() == [0, 0, 0, 0, 2, 2, 2, 2]
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("grading", ["plain", "sqrt", "log"])
+    def test_padded_rows_build_the_segments_of_the_unpadded_ones(
+            self, grading, masked):
+        # a row padded with its last edge gains only zero-length panels,
+        # which vanish whatever the mask flags on the padding; a task
+        # whose last edge does not exceed its first is empty, not unsorted
+        rows = [[0.0, 0.5, 2.0], [1.0], [0.0, 1.0, 1.5, 3.0], [2.0, 1.0],
+                [0.0, 0.0, 1.0]]
+        flags = [[False, True, False], [True], [False, True, False, False],
+                 [False, True], [True, True, False]]
+        width = max(map(len, rows))
+        padded = np.array([np.pad(r, (0, width - len(r)), mode="edge")
+                           for r in rows])
+        mask = np.array([f + [True] * (width - len(f)) for f in flags])
+        got = _build_tasks(padded, grading, mask if masked else None)
+        for i, (row, flag) in enumerate(zip(rows, flags)):
+            want = _build_tasks([row], grading, [flag] if masked else None)
+            mine = got[0] == i
+            assert got[0][mine].tolist() == (want[0] + i).tolist()
+            for g, w in zip(got[1:], want[1:]):
+                assert g.dtype == w.dtype and g[mine].tobytes() == w.tobytes()
+        assert np.unique(got[0]).tolist() == [0, 2, 4]
         with pytest.raises(ValueError, match="sorted"):
-            _build_tasks([[0.0, 2.0, 1.0]], "sqrt")
+            _build_tasks([[0.0, 2.0, 1.0]], grading)
 
     def test_log_grading_maps_ends_by_sqrt_and_interior_edges_by_quartic(self):
         # a task's first and last edges may carry 1/sqrt singularities and
@@ -186,11 +197,6 @@ class TestEngineBehavior:
                          u_hi ** np.where(kind >= _QUARTIC_LEFT, 4, 2))
         np.testing.assert_allclose(reach, [0.5, 0.5, 2.0, 4.0, 2.0, 0.5, 0.5],
                                    rtol=1e-15)
-        # ragged rows take a ragged mask
-        ragged = _build_tasks([edges[0], [0.0, 2.0]], grading,
-                              [smooth[0], [False, False]])
-        assert ragged[0].tolist() == [0] * 7 + [1, 1]
-        np.testing.assert_array_equal(ragged[1][:7], kind)
 
     @pytest.mark.parametrize("edges, smooth", [
         ([0.0, 1.0, 2.0], [True, False, True]),        # first and last
@@ -258,7 +264,7 @@ class TestEngineBehavior:
                                          grading="log", smooth=smooth)
             assert ok[0]
             assert abs(v[0] - truth) <= max(e[0], 1e-14)
-            counts.append(n[0])
+            counts.append(n)
         assert counts[1] < counts[0]
 
     @pytest.mark.parametrize("grading", ["sqrt", "log"])
@@ -337,7 +343,7 @@ class TestEngineBehavior:
                                          grading=grading)
             assert ok[0]
             assert abs(v[0] - truth) <= e[0]
-            counts[grading] = n[0]
+            counts[grading] = n
         assert counts["log"] < counts["sqrt"]
 
     def test_quartic_segments_take_the_smaller_error(self):
@@ -694,7 +700,7 @@ class TestIterated:
         def nested(tid, x):
             return plain(tid, x), np.zeros_like(x)
 
-        edges = [np.array([0.0, 0.3, 1.0]), np.array([0.0, 2.0])]
+        edges = np.array([[0.0, 0.3, 1.0], [0.0, 2.0, 2.0]])
         for grading in ("plain", "log"):
             a = _solve_batched(plain, edges, 1e-9, 1e-300, grading=grading)
             b = _solve_batched(nested, edges, 1e-9, 1e-300, grading=grading)
