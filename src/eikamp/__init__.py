@@ -47,9 +47,6 @@ from .models import (  # noqa: E402
 from .eikonal import (  # noqa: E402
     AmplitudeTerms,
     EikonalProfile,
-    a1_term,
-    a2_term,
-    a3_term,
     assemble_amplitude,
     build_profile,
     compute_terms,
@@ -101,9 +98,6 @@ __all__ = [
     "AmplitudeTerms",
     "eikonal_chi",
     "build_profile",
-    "a1_term",
-    "a2_term",
-    "a3_term",
     "compute_terms",
     "assemble_amplitude",
     "diff_cross_section",

@@ -313,6 +313,18 @@ def _empty_result():
     return IntegralResult(value=0.0, error_estimate=0.0, evaluations=1)
 
 
+def _reduction(lo, hi, log_points, integrand, cfg):
+    """int_lo^hi integrand(t) dt, one log-graded panel between each pair
+    of consecutive edges among lo, hi and ``log_points`` clipped into
+    [lo, hi]; a value of 0 with zero error when the support is empty
+    (the vanishing rule)."""
+    if not hi > lo + 1e-14 * max(1.0, hi):
+        return _empty_result()
+    edges = np.sort(np.clip([lo, *log_points, hi], lo, hi))
+    return _iterated(integrand, [(lambda: edges[None], "log", None)],
+                     cfg or QuadratureConfig())
+
+
 def f5_eval(a, b, c, d, e, cfg=None):
     """F5(a,b,c,d,e) reduced to a single quadrature:
 
@@ -324,36 +336,27 @@ def f5_eval(a, b, c, d, e, cfg=None):
     when the supports do not overlap (the vanishing rule).
     """
     _check_positive("a b c d e", a, b, c, d, e)
-    cfg = cfg or QuadratureConfig()
-    lo = max(abs(a - b), _f4_support_lo(c, d, e))
-    hi = min(a + b, c + d + e)
-    if not hi > lo + 1e-14 * max(1.0, hi):
-        return _empty_result()
 
     def integrand(t):
         return t * _f3_values(a, b, t) * _f4_values(c, d, e, t)
 
-    edges = np.sort(np.clip([lo, *_f4_modulus_one_points(c, d, e), hi],
-                            lo, hi))
-    return _iterated(integrand, [(lambda: edges[None], "log", None)], cfg)
+    return _reduction(max(abs(a - b), _f4_support_lo(c, d, e)),
+                      min(a + b, c + d + e),
+                      _f4_modulus_one_points(c, d, e), integrand, cfg)
 
 
 def f6_eval(a, b, c, d, e, f, cfg=None):
     """F6(a..f) = int dt t F4(a,b,c,t) F4(d,e,f,t) over the support
     overlap, with breakpoints at both factors' modulus-1 crossings."""
     _check_positive("a b c d e f", a, b, c, d, e, f)
-    cfg = cfg or QuadratureConfig()
-    lo = max(_f4_support_lo(a, b, c), _f4_support_lo(d, e, f))
-    hi = min(a + b + c, d + e + f)
-    if not hi > lo + 1e-14 * max(1.0, hi):
-        return _empty_result()
 
     def integrand(t):
         return t * _f4_values(a, b, c, t) * _f4_values(d, e, f, t)
 
-    edges = np.sort(np.clip([lo, *_f4_modulus_one_points(a, b, c),
-                             *_f4_modulus_one_points(d, e, f), hi], lo, hi))
-    return _iterated(integrand, [(lambda: edges[None], "log", None)], cfg)
+    return _reduction(max(_f4_support_lo(a, b, c), _f4_support_lo(d, e, f)),
+                      min(a + b + c, d + e + f),
+                      _f4_modulus_one_points(a, b, c)
+                      + _f4_modulus_one_points(d, e, f), integrand, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,8 @@ import numpy as np
 from . import __version__
 from .besselprod import (f3_eval, f4_classify, f4_eval, f5_eval, f6_eval,
                          delta3_sq, weber_integral)
-from .eikonal import (CHI_WARN_THRESHOLD, _A2Hat, _born_norms, _chi_bound,
-                      _gated_terms, assemble_amplitude, build_profile,
-                      compute_terms, diff_cross_section)
+from .eikonal import (_A2Hat, _gated_build, _gated_terms, assemble_amplitude,
+                      build_profile, compute_terms, diff_cross_section)
 from .exceptions import (BoundaryCaseError, ChiGateError, EikampError,
                          ExtrapolationDivergenceError, ModelFileError,
                          NonConvergenceError)
@@ -269,15 +268,6 @@ def _load_model_or_exit(spec):
         raise SystemExit(EXIT_USAGE) from None
 
 
-def _gate_or_exit(model, spec, cfg):
-    try:
-        return build_profile(model, spec.s, cfg,
-                             override_chi_gate=spec.override_chi_gate)
-    except ChiGateError as exc:
-        print(f"eikamp {spec.command}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_FAIL) from None
-
-
 def _failed_row(t, exc):
     return [float(t)] + [math.nan] * 11 + [f"failed: {exc}"]
 
@@ -287,13 +277,11 @@ def _cmd_table(args):
     model = _load_model_or_exit(spec)
     cfg = spec.quad_config()
     try:
-        # the build's norms bound max|chi|: below the warning threshold the
-        # gate can neither warn nor refuse, so its profile is not built
-        norms = _born_norms(model, cfg)
-        if _chi_bound(norms) >= CHI_WARN_THRESHOLD:
-            _gate_or_exit(model, spec, cfg)
         # A2 / s depends on neither s nor t: one build serves every row
-        a2hat = _A2Hat(model, cfg, norms)
+        a2hat = _gated_build(model, spec.s, cfg, spec.override_chi_gate)
+    except ChiGateError as exc:
+        print(f"eikamp table: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except EikampError as exc:
         _emit(spec, _TABLE_COLUMNS,
               [_failed_row(t, exc) for t in spec.t_grid()], "table")
@@ -319,8 +307,10 @@ def _cmd_compare(args):
     spec = _spec_from_args(args, "compare")
     model = _load_model_or_exit(spec)
     cfg = spec.quad_config()
-    profile = _gate_or_exit(model, spec, cfg)
     try:
+        # the chi^4 allowance below needs the scanned peak, not a bound
+        profile = build_profile(model, spec.s, cfg,
+                                override_chi_gate=spec.override_chi_gate)
         a2hat = _A2Hat(model, cfg)
     except EikampError as exc:
         print(f"eikamp compare: {exc}", file=sys.stderr)

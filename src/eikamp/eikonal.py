@@ -50,9 +50,6 @@ __all__ = [
     "AmplitudeTerms",
     "eikonal_chi",
     "build_profile",
-    "a1_term",
-    "a2_term",
-    "a3_term",
     "assemble_amplitude",
     "diff_cross_section",
     "compute_terms",
@@ -215,14 +212,6 @@ def build_profile(model, s, cfg=None, *, override_chi_gate=False):
 # amplitude terms
 # ---------------------------------------------------------------------------
 
-def a1_term(model, kin):
-    """First term: the Born amplitude itself, A1(s,t) = A_B(s, sqrt(-t)).
-
-    Pure model evaluation; carries no quadrature error.
-    """
-    return complex(model.value(kin.s, kin.q))
-
-
 def _knots(model, q_cut):
     """A table's knots below ``q_cut``, q = 0 among them (the cone of r
     at the origin); none for a closed family."""
@@ -299,16 +288,7 @@ def _convolution(red, h, knots, breaks, q_far, ks, cfg, half):
 
 
 def _a2_with_error(model, kin, cfg):
-    phase, red = _phase_split(model)
-    q_cut = _tail_cut(model)
-    knots = _knots(model, q_cut)
-    c, err, _ = _convolution(red, red, knots, knots, q_cut,
-                             np.array([kin.q]), cfg, True)
-    return kin.s * phase ** 2 * c.item(), kin.s * err.item()
-
-
-def a2_term(model, kin, cfg=None):
-    """Second term: 2D integral of two Born factors,
+    """Second term and its error estimate: 2D integral of two Born factors,
 
         A2 = (1/16 pi^2)(-t/s) int_1^inf dx1 int_0^1 dx2
              (x1^2 - x2^2)/sqrt((x1^2-1)(1-x2^2))
@@ -320,7 +300,12 @@ def a2_term(model, kin, cfg=None):
     (:func:`_convolution` over the half-plane), with a table's knots as
     panel edges and no edge singularity.
     """
-    return complex(_a2_with_error(model, kin, cfg or QuadratureConfig())[0])
+    phase, red = _phase_split(model)
+    q_cut = _tail_cut(model)
+    knots = _knots(model, q_cut)
+    c, err, _ = _convolution(red, red, knots, knots, q_cut,
+                             np.array([kin.q]), cfg, True)
+    return kin.s * phase ** 2 * c.item(), kin.s * err.item()
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +441,8 @@ class _A2Hat:
     at k_cap, whichever is larger.  ``l1`` is 2 pi int k |a(k)| dk, so
     an error e of Â2 moves a convolution with a by at most e l1.  The
     model's norms (:func:`_born_norms`), which give ``l1`` and the
-    tolerance, are solved here unless passed, as ``table`` passes those
-    its gate has read.
+    tolerance, are solved here unless passed, as :func:`_gated_build`
+    passes those its gate has read.
     """
 
     def __init__(self, model, cfg, norms=None):
@@ -547,13 +532,22 @@ class _A2Hat:
         return out
 
 
-def _a3_with_error(model, kin, cfg, a2hat=None):
-    """A3, its error estimate and its evaluations, as the 2D convolution
-    of a with A2 (see :func:`a3_term`), given the model's interpolant of
-    A2 / s (:class:`_A2Hat`, built here if not passed).
+def _a3_with_error(model, kin, cfg, a2hat):
+    """Third term, its error estimate and its evaluations: the 2D
+    convolution of the Born amplitude with A2,
 
-    One :func:`_convolution` of r with the interpolant over the whole
-    plane, whose breaks are its panel edges, 0 and k_cap among them, and
+        A3(q) = (1/24 pi^2) int d^2k a(k) A2(s, -|q - k|^2),
+
+    since A3 is the transform of chi^3 = chi chi^2.  For radial functions
+    the kernel of this convolution is the paper's F3 = 1/(2 pi Delta), so
+    no oscillatory integral is evaluated.  A2 / s is the model's
+    interpolant ``a2hat`` (:class:`_A2Hat`), built once for every (s, t);
+    the paper's three-factor route over the elliptic kernel G stays as
+    the cross-check (:func:`_a3_g_route`).
+
+    Each (s, t) is one :func:`_convolution` of r with the interpolant over
+    the whole plane, the same routine as A2's row and the interpolant's
+    nodes, whose breaks are its panel edges, 0 and k_cap among them, and
     whose k1 axis ends at min(q_cut, q + k_cap), beyond which Â2 is 0; at
     half of ``cfg``'s tolerances, so that the interpolant's share fits
     beside it.  The error is the solve's, plus (s / 24 pi^2) times the
@@ -562,7 +556,6 @@ def _a3_with_error(model, kin, cfg, a2hat=None):
     rel_tol |A3|.  Returns the evaluations of the row's solve; those of
     the build are its own (``a2hat.evaluations``).
     """
-    a2hat = a2hat or _A2Hat(model, cfg)
     phase, red = _phase_split(model)
     c, err, evals = _convolution(
         red, a2hat, a2hat.knots, a2hat.edges,
@@ -574,23 +567,6 @@ def _a3_with_error(model, kin, cfg, a2hat=None):
     spread = kin.s / (24.0 * math.pi ** 2) * a2hat.error * a2hat.l1
     return (pref * phase ** 3 * complex(c.item()),
             pref * err.item() + spread, evals)
-
-
-def a3_term(model, kin, cfg=None):
-    """Third term: the 2D convolution of the Born amplitude with A2,
-
-        A3(q) = (1/24 pi^2) int d^2k a(k) A2(s, -|q - k|^2),
-
-    since A3 is the transform of chi^3 = chi chi^2.  For radial functions
-    the kernel of this convolution is the paper's F3 = 1/(2 pi Delta), so
-    no oscillatory integral is evaluated.  With Â2 = A2 / s interpolated
-    once per model (:class:`_A2Hat`), each (s, t) is one solve of the
-    polar form over the whole plane (:func:`_a3_with_error`), the same
-    routine as A2's row and the interpolant's nodes.  The paper's
-    three-factor route over the elliptic kernel G stays as the
-    cross-check (:func:`_a3_g_route`).
-    """
-    return complex(_a3_with_error(model, kin, cfg or QuadratureConfig())[0])
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +695,7 @@ def _a3_caps(model, qt, env0, floor):
 def _a3_g_route(model, kin, cfg):
     """A3, its error estimate and its inner evaluations by the paper's
     route, a 3D integral of three Born factors against the elliptic
-    kernel G, the cross-check of the convolution (:func:`a3_term`):
+    kernel G, the cross-check of the convolution (:func:`_a3_with_error`):
 
         A3 = (1/96 pi^2)(-t/s)^2
              int dx1 dx2 dx3 (xp xm x3) A_B(qt xp) A_B(qt xm) A_B(qt x3)
@@ -828,20 +804,33 @@ def diff_cross_section(terms, kin):
     return norm * float(val)
 
 
+def _gated_build(model, s, cfg, override_chi_gate):
+    """The model's interpolant of A2 / s at ``cfg`` (:class:`_A2Hat`),
+    built once the smallness gate at s has passed.  The build's norms
+    bound max|chi| (:func:`_chi_bound`): below the warning threshold the
+    gate can neither warn nor refuse, so :func:`build_profile` and its J0
+    scan run only where the bound reaches it."""
+    norms = _born_norms(model, cfg)
+    if _chi_bound(norms) >= CHI_WARN_THRESHOLD:
+        build_profile(model, s, cfg, override_chi_gate=override_chi_gate)
+    return _A2Hat(model, cfg, norms)
+
+
 def compute_terms(model, kin, cfg=None, *, override_chi_gate=False):
-    """Run the full pipeline at one (s, t): gate on max|chi|, then compute
+    """Run the full pipeline at one (s, t), the path of a ``table`` row:
+    gate on max|chi| and build A2 / s (:func:`_gated_build`), then compute
     A1 (exact), A2, and A3 with error estimates."""
     cfg = cfg or QuadratureConfig()
-    build_profile(model, kin.s, cfg, override_chi_gate=override_chi_gate)
-    return _gated_terms(model, kin, cfg)
+    return _gated_terms(model, kin, cfg,
+                        _gated_build(model, kin.s, cfg, override_chi_gate))
 
 
-def _gated_terms(model, kin, cfg, a2hat=None):
-    """A1, A2 and A3 at one (s, t) for a model already gated at s; the
-    gate depends on s alone, so one :func:`build_profile` serves every t,
-    and A2 / s depends on neither, so one :class:`_A2Hat` of the model at
-    ``cfg`` (built here if not passed) serves every (s, t)."""
-    a1 = a1_term(model, kin)
+def _gated_terms(model, kin, cfg, a2hat):
+    """A1, A2 and A3 at one (s, t) for a model already gated at s, given
+    its interpolant ``a2hat`` of A2 / s at ``cfg``; the gate depends on s
+    alone and A2 / s on neither s nor t, so one of each serves every row.
+    A1 is the Born amplitude itself, with no quadrature error."""
+    a1 = complex(model.value(kin.s, kin.q))
     a2, a2_err = _a2_with_error(model, kin, cfg)
     a3, a3_err, _ = _a3_with_error(model, kin, cfg, a2hat)
     return AmplitudeTerms(a1=a1, a2=complex(a2), a3=complex(a3),

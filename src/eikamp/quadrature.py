@@ -585,7 +585,9 @@ def _iterated(f, levels, cfg, strict=True, outer=()):
     * ``grading`` maps the panels of the level, with the mask if any, see
       :func:`_build_tasks`;
     * ``weight(x_0, ..., x_k)`` is None or a factor formed once per node
-      of the level and multiplied into every innermost value below it.
+      of the level and multiplied into every innermost value below it;
+      weights belong to outer levels, and the innermost level's is not
+      read (a factor there belongs in ``f``).
 
     ``outer`` holds level-0 outer variables, arrays of one length: level
     0 then has one task per element, ``f`` and every ``edges`` and
@@ -625,8 +627,8 @@ def _iterated(f, levels, cfg, strict=True, outer=()):
 
         def g(tids, x):
             pts = tuple(o[tids] for o in outer) + (x,)
-            s = None if weight is None else weight(*pts)
             if depth < innermost:
+                s = None if weight is None else weight(*pts)
                 if scale is not None:
                     s = scale[tids] if s is None else scale[tids] * s
                 return solve(depth + 1, pts, s, child_rel, child_abs[tids],
@@ -636,8 +638,6 @@ def _iterated(f, levels, cfg, strict=True, outer=()):
             # variables released
             y = f(*pts)
             del pts
-            if s is not None:
-                y = y * s
             return y if scale is None else y * scale[tids]
 
         v, e, ev, ok = _solve_batched(g, rows, rel_tol, abs_tol,

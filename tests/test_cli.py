@@ -17,11 +17,11 @@ import eikamp.besselprod
 import eikamp.cli
 import eikamp.eikonal
 import eikamp.special
-from eikamp.besselprod import f5_eval
+from eikamp.besselprod import f4_classify, f4_eval, f5_eval
 from eikamp.cli import main
 from eikamp.eikonal import (assemble_amplitude, build_profile, compute_terms,
                             diff_cross_section, eikonal_chi)
-from eikamp.exceptions import NonConvergenceError
+from eikamp.exceptions import ChiGateError, NonConvergenceError
 from eikamp.models import Kinematics, load_model
 from eikamp.quadrature import QuadratureConfig
 
@@ -102,17 +102,20 @@ def sign_changing_model(tmp_path):
 
 
 def counting_builds(monkeypatch, fail=False):
-    """Route the CLI's builds of the A2 / s interpolant through a
-    counter; with ``fail`` each build raises NonConvergenceError."""
+    """Route the CLI's builds of the A2 / s interpolant, its own and the
+    gated build's, through a counter; with ``fail`` each build raises
+    NonConvergenceError."""
     builds = []
+    original = eikamp.eikonal._A2Hat
 
     def build(*args):
         builds.append(args)
         if fail:
             raise NonConvergenceError("A2 interpolant did not converge")
-        return eikamp.eikonal._A2Hat(*args)
+        return original(*args)
 
     monkeypatch.setattr(eikamp.cli, "_A2Hat", build)
+    monkeypatch.setattr(eikamp.eikonal, "_A2Hat", build)
     return builds
 
 
@@ -169,6 +172,28 @@ class TestBesselprodCommand:
         value = float(out.splitlines()[0].split(" = ")[1])
         assert value == pytest.approx(1.0 / (12.0 * math.pi), rel=1e-12)
         assert "closed form" in out
+
+    def test_vanishing_triangle(self, capsys):
+        # 3 > 1 + 1: no triangle closes, and F3 is 0 in closed form
+        code, out, err = run_cli(["besselprod", "1", "1", "3"], capsys)
+        assert (code, err) == (0, "")
+        value, branch, error = out.splitlines()
+        assert value == "F3(1, 1, 3) = 0"
+        assert branch.startswith("branch: vanishing (no closing triangle); ")
+        assert error == "error estimate: 0 (closed form)"
+
+    def test_four_parameters_print_the_branch(self, capsys):
+        code, out, err = run_cli(["besselprod", "1", "0.9", "1.1", "1.4"],
+                                 capsys)
+        assert (code, err) == (0, "")
+        value, branch, error = out.splitlines()
+        rep = f4_classify(1.0, 0.9, 1.1, 1.4)
+        want = f4_eval(1.0, 0.9, 1.1, 1.4)
+        assert value == f"F4(1, 0.9, 1.1, 1.4) = {want:.12g}"
+        assert branch == (f"branch: {rep.branch.value}; "
+                          f"Delta4^2 = {rep.delta_sq:.12g}; "
+                          f"abcd = {rep.product_abcd:.12g}")
+        assert error == "error estimate: 0 (closed form)"
 
     def test_two_parameters_refused(self, capsys):
         code, out, err = run_cli(["besselprod", "1", "1"], capsys)
@@ -396,6 +421,29 @@ class TestTableCommand:
         status = [r.split(",")[-1] for r in out.strip().splitlines()[2:]]
         assert status == ["ok"] * 4
 
+    def test_a_row_fails_alone(self, gauss_model, capsys, monkeypatch):
+        # a row whose terms raise reads failed: with its message, and the
+        # other rows are byte for byte those of an unpatched table
+        argv = ["table", "--model", gauss_model, "--s", "50",
+                "--t-min", "-2", "--t-max", "-0.5", "--points", "3",
+                "--rel-tol", "1e-3", "--abs-tol", "1e-8"]
+        code, want, _ = run_cli(argv, capsys)
+        assert code == 0
+        real = eikamp.cli._gated_terms
+
+        def flaky(model, kin, *args):
+            if kin.t == -1.25:
+                raise NonConvergenceError("A3 row did not converge")
+            return real(model, kin, *args)
+
+        monkeypatch.setattr(eikamp.cli, "_gated_terms", flaky)
+        code, got, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        want, got = want.splitlines(), got.splitlines()
+        assert got[3] == ",".join(["-1.25"] + ["nan"] * 11
+                                  + ["failed: A3 row did not converge"])
+        assert got[:3] + got[4:] == want[:3] + want[4:]
+
     def test_log_spacing_grid(self, gauss_model, capsys):
         code, out, err = run_cli(
             ["table", "--model", gauss_model, "--s", "50",
@@ -433,6 +481,36 @@ class TestCompareCommand:
              "--rel-tol", "1e-3", "--abs-tol", "1e-6"], capsys)
         assert code == 1
         assert "eikamp compare: t=-1: b-integral did not converge" in err
+
+    def test_json_writes_its_rows(self, gauss_model, capsys):
+        code, out, err = run_cli(
+            ["compare", "--model", gauss_model, "--s", "50",
+             "--t-min", "-1", "--t-max", "-0.5", "--points", "2",
+             "--rel-tol", "1e-5", "--abs-tol", "1e-9", "--format", "json"],
+            capsys)
+        assert (code, err) == (0, "")
+        payload, end = json.JSONDecoder().raw_decode(out)
+        assert out[end:].lstrip().startswith("compare: 2 points")
+        assert (payload["kind"], payload["s"]) == ("compare", 50.0)
+        rows = payload["rows"]
+        assert [r["t"] for r in rows] == [-1.0, -0.5]
+        for r in rows:
+            approx = complex(r["re_assembled"], r["im_assembled"])
+            direct = complex(r["re_direct"], r["im_direct"])
+            assert r["rel_deviation"] == abs(approx - direct) / abs(direct)
+            assert r["rel_deviation"] < 1e-3
+
+    def test_far_oracle_fails(self, gauss_model, capsys, monkeypatch):
+        # a deviation beyond 10x the chi^4 allowance exits 1
+        monkeypatch.setattr("eikamp.cli.direct_eikonal_amplitude",
+                            lambda *_args, **_kwargs: 1e6 + 0j)
+        code, out, err = run_cli(
+            ["compare", "--model", gauss_model, "--s", "50",
+             "--t-min", "-1", "--t-max", "-1", "--points", "1",
+             "--rel-tol", "1e-3", "--abs-tol", "1e-6"], capsys)
+        assert code == 1
+        assert "compare: 1 points, max deviation 1.000e+00" in out
+        assert "compare: FAIL" in err
 
     @pytest.mark.parametrize("fail", [False, True], ids=["built", "failed"])
     def test_builds_the_interpolant_once(self, gauss_model, capsys,
@@ -481,7 +559,8 @@ class TestChiGateWiring:
         scans = counting_scans(monkeypatch)
         code, out, err = run_cli(argv, capsys)
         assert (code, err, scans) == (0, "", [])
-        monkeypatch.setattr(eikamp.cli, "_chi_bound", lambda norms: math.inf)
+        monkeypatch.setattr(eikamp.eikonal, "_chi_bound",
+                            lambda norms: math.inf)
         assert run_cli(argv, capsys) == (0, out, "")
         assert len(scans) == 1
 
@@ -513,6 +592,47 @@ class TestChiGateWiring:
             assert want == []
         else:
             assert len(want) == 1 and re.search(warning, want[0])
+
+
+    @pytest.mark.parametrize("which, profiles", [
+        ("table", 0), ("sign_changing_x20", 1), ("strong", 1)])
+    def test_compute_terms_gates_as_table_does(self, which, profiles,
+                                               table_model, strong_model,
+                                               tmp_path, monkeypatch):
+        # compute_terms is one table row: the bench table's norm bounds
+        # max|chi| below 0.5, so no profile is built; where the bound
+        # reaches it, one profile warns or refuses as build_profile alone
+        path = {"table": table_model, "strong": strong_model,
+                "sign_changing_x20": scaled_sign_changing_model(tmp_path,
+                                                                20.0)}[which]
+        model = load_model(path)
+        kin = Kinematics(50.0, -1.0)
+        cfg = QuadratureConfig(rel_tol=1e-3, abs_tol=1e-6)
+
+        def outcome(fn, *args):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    fn(*args)
+                    error = None
+                except ChiGateError as exc:
+                    error = str(exc)
+            return error, [str(w.message) for w in caught]
+
+        want = outcome(build_profile, model, kin.s, cfg)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build_profile(*args, **kwargs)
+
+        monkeypatch.setattr(eikamp.eikonal, "build_profile", counted)
+        got = outcome(compute_terms, model, kin, cfg)
+        assert len(calls) == profiles
+        if profiles:
+            assert got == want
+        else:
+            assert got == want == (None, [])
 
 
 class TestUsageErrors:

@@ -24,9 +24,6 @@ import pytest
 
 from eikamp.eikonal import (
     AmplitudeTerms,
-    a1_term,
-    a2_term,
-    a3_term,
     assemble_amplitude,
     build_profile,
     compute_terms,
@@ -57,6 +54,18 @@ CHI_TIGHT = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-16)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 REFERENCES = Path(__file__).resolve().parents[1] / "bench" / "references.py"
+
+
+def a2_row(m, kin, cfg=None):
+    """A2 at one (s, t), as a table row computes it."""
+    return complex(_a2_with_error(m, kin, cfg or QuadratureConfig())[0])
+
+
+def a3_row(m, kin, cfg=None):
+    """A3, its error and its evaluations at one (s, t), given a build of
+    A2 / s of its own."""
+    cfg = cfg or QuadratureConfig()
+    return _a3_with_error(m, kin, cfg, _A2Hat(m, cfg))
 
 
 def gaussian_with_chi0(chi0, lam=1.0):
@@ -330,7 +339,8 @@ class TestA1:
         m = gaussian_with_chi0(0.2)
         kin = Kinematics(s=50.0, t=-1.0)
         expect = 1j * m.g * kin.s * math.exp(kin.t / (2.0 * m.lam ** 2))
-        assert a1_term(m, kin) == pytest.approx(expect, rel=1e-14)
+        terms = compute_terms(m, kin, QuadratureConfig(rel_tol=1e-3))
+        assert terms.a1 == pytest.approx(expect, rel=1e-14)
 
 
 class TestA2:
@@ -338,8 +348,8 @@ class TestA2:
         kin = Kinematics(s=50.0, t=-1.0)
         for chi0 in (0.1, 0.3):
             m = gaussian_with_chi0(chi0)
-            assert a2_term(m, kin) == pytest.approx(closed_a2(m, kin),
-                                                    rel=1e-8)
+            assert a2_row(m, kin) == pytest.approx(closed_a2(m, kin),
+                                                   rel=1e-8)
 
     def test_exponential_pole_closed_form(self):
         # lam^2 -> 1/(2B): a2 = -2 pi B s chi0^2 exp(t B / 2)
@@ -347,13 +357,13 @@ class TestA2:
         kin = Kinematics(s=50.0, t=-1.0)
         expect = (-2.0 * math.pi * 0.7 * kin.s * m.chi0 ** 2
                   * math.exp(kin.t * 0.7 / 2.0))
-        assert a2_term(m, kin) == pytest.approx(expect, rel=1e-8)
+        assert a2_row(m, kin) == pytest.approx(expect, rel=1e-8)
 
     def test_forward_limit_finite(self):
         # the -t prefactor cancels against the widening integration range
         m = gaussian_with_chi0(0.2)
         kin = Kinematics(s=50.0, t=-1e-6)
-        assert a2_term(m, kin) == pytest.approx(closed_a2(m, kin), rel=1e-6)
+        assert a2_row(m, kin) == pytest.approx(closed_a2(m, kin), rel=1e-6)
 
     def test_full_angular_range_doubles_half_range(self):
         # the integrand is even in the angular variable, so the production
@@ -380,7 +390,7 @@ class TestA3:
     def test_gaussian_closed_form(self):
         m = gaussian_with_chi0(0.2)
         kin = Kinematics(s=50.0, t=-1.0)
-        assert a3_term(m, kin) == pytest.approx(closed_a3(m, kin), rel=1e-6)
+        assert a3_row(m, kin)[0] == pytest.approx(closed_a3(m, kin), rel=1e-6)
 
     def test_born_pair_formed_once_per_inner_task(self, monkeypatch):
         # a(qt xp) a(qt xm) is fixed along x3: the model sees one point per
@@ -538,7 +548,7 @@ class TestA3:
         kin = Kinematics(s=50.0, t=-1.0)
 
         def runs():
-            return [_a3_with_error(m, kin, cfg) for m, cfg in cases]
+            return [a3_row(m, kin, cfg) for m, cfg in cases]
 
         whole = runs()
         monkeypatch.setattr(quadrature_module, "_WAVE_SLICE", 16)
@@ -702,7 +712,7 @@ class TestA3Convolution:
         # the paper's route over the elliptic kernel is the second route
         m = make()
         kin = Kinematics(s=50.0, t=t)
-        v, e, _ = _a3_with_error(m, kin, cfg)
+        v, e, _ = a3_row(m, kin, cfg)
         vg, eg, _ = _a3_g_route(m, kin, cfg)
         assert abs(v - vg) <= e + eg
         assert e <= cfg.rel_tol * abs(v)
@@ -813,8 +823,8 @@ class TestA3Convolution:
         v, e, _ = _a3_with_error(m, kin, QuadratureConfig(), a2hat)
         monkeypatch.undo()
         assert stops
-        vt, et, _ = _a3_with_error(m, kin, QuadratureConfig(rel_tol=1e-8,
-                                                            abs_tol=1e-14))
+        vt, et, _ = a3_row(m, kin, QuadratureConfig(rel_tol=1e-8,
+                                                    abs_tol=1e-14))
         assert abs(v - vt) <= e + et
 
     @pytest.mark.parametrize("make", [
@@ -938,7 +948,7 @@ class TestA3Convolution:
         for s, t in ((50.0, -1.0), (200.0, -0.3)):
             kin = Kinematics(s=s, t=t)
             assert (_a3_with_error(m, kin, cfg, a2hat)
-                    == _a3_with_error(m, kin, cfg))
+                    == a3_row(m, kin, cfg))
 
 
 def lobatto_fit(x, f):
@@ -1162,7 +1172,7 @@ class TestOnePhaseRealPath:
             points = counting_reduced(monkeypatch, m)
             a2, a2_err = _a2_with_error(m, kin, cfg)
             n_a2 = points[0]
-            a3, a3_err, inner = _a3_with_error(m, kin, cfg)
+            a3, a3_err, inner = a3_row(m, kin, cfg)
             n_a3 = points[0] - n_a2
             chi = eikonal_chi(m, kin.s, 0.7, cfg)
             return ((complex(a2), a2_err, n_a2), (a3, a3_err, inner, n_a3),
@@ -1227,7 +1237,7 @@ class TestErrorCalibration:
             m = gaussian_with_chi0(chi0)
             kin = Kinematics(s=50.0, t=t)
             a2, a2_err = _a2_with_error(m, kin, cfg)
-            a3, a3_err, _ = _a3_with_error(m, kin, cfg)
+            a3, a3_err, _ = a3_row(m, kin, cfg)
             assert abs(a2 - closed_a2(m, kin)) <= a2_err
             assert abs(a3 - closed_a3(m, kin)) <= a3_err
             assert a2_err <= rel * abs(a2)
@@ -1461,7 +1471,7 @@ class TestAssemblyAndCrossSection:
         cfg = QuadratureConfig(rel_tol=1e-3, abs_tol=1e-6)
         for t in (-2.0, -1.0, -0.25):
             kin = Kinematics(s=50.0, t=t)
-            terms = eikonal_module._gated_terms(m, kin, cfg)
+            terms = eikonal_module._gated_terms(m, kin, cfg, _A2Hat(m, cfg))
             (x1, y1), (x2, y2), (x3, y3) = (
                 (a.real, a.imag) for a in (terms.a1, terms.a2, terms.a3))
             norm = 1.0 / (16.0 * math.pi * kin.s ** 2)
@@ -1504,8 +1514,9 @@ class TestAssemblyAndCrossSection:
 
     def test_terms_match_individual_calls(self, terms_03):
         model, kin, terms = terms_03
-        assert terms.a1 == a1_term(model, kin)
-        assert terms.a2 == pytest.approx(a2_term(model, kin), rel=1e-12)
+        assert terms.a1 == complex(model.value(kin.s, kin.q))
+        assert terms.a2 == a2_row(model, kin)
+        assert terms.a3 == a3_row(model, kin)[0]
         assert terms.a2_error > 0.0
         assert terms.a3_error > 0.0
 
