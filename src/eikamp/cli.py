@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .besselprod import (f3_eval, f4_classify, f4_eval, f5_eval, f6_eval,
                          delta3_sq, weber_integral)
-from .eikonal import (_A2Hat, _gated_build, _gated_terms, assemble_amplitude,
+from .eikonal import (_A2Hat, _gated_build, _table_terms, assemble_amplitude,
                       build_profile, compute_terms, diff_cross_section)
 from .exceptions import (BoundaryCaseError, ChiGateError, EikampError,
                          ExtrapolationDivergenceError, ModelFileError,
@@ -287,18 +287,17 @@ def _cmd_table(args):
               [_failed_row(t, exc) for t in spec.t_grid()], "table")
         return EXIT_OK
     rows = []
-    for t in spec.t_grid():
-        kin = Kinematics(spec.s, float(t))
-        try:
-            terms = _gated_terms(model, kin, cfg, a2hat)
-            amp = assemble_amplitude(terms)
-            dsig = diff_cross_section(terms, kin)
-            rows.append([float(t), terms.a1.real, terms.a1.imag,
-                         terms.a2.real, terms.a2.imag, terms.a3.real,
-                         terms.a3.imag, amp.real, amp.imag, dsig,
-                         terms.a2_error, terms.a3_error, "ok"])
-        except EikampError as exc:
-            rows.append(_failed_row(t, exc))
+    kins = [Kinematics(spec.s, float(t)) for t in spec.t_grid()]
+    for kin, terms in zip(kins, _table_terms(model, kins, cfg, a2hat)):
+        if isinstance(terms, EikampError):
+            rows.append(_failed_row(kin.t, terms))
+            continue
+        amp = assemble_amplitude(terms)
+        dsig = diff_cross_section(terms, kin)
+        rows.append([kin.t, terms.a1.real, terms.a1.imag,
+                     terms.a2.real, terms.a2.imag, terms.a3.real,
+                     terms.a3.imag, amp.real, amp.imag, dsig,
+                     terms.a2_error, terms.a3_error, "ok"])
     _emit(spec, _TABLE_COLUMNS, rows, "table")
     return EXIT_OK
 
@@ -316,18 +315,19 @@ def _cmd_compare(args):
         print(f"eikamp compare: {exc}", file=sys.stderr)
         return EXIT_FAIL
     devs, rows = [], []
-    for t in spec.t_grid():
-        kin = Kinematics(spec.s, float(t))
+    kins = [Kinematics(spec.s, float(t)) for t in spec.t_grid()]
+    for kin, terms in zip(kins, _table_terms(model, kins, cfg, a2hat)):
         try:
-            terms = _gated_terms(model, kin, cfg, a2hat)
+            if isinstance(terms, EikampError):
+                raise terms
             approx = assemble_amplitude(terms)
             direct = direct_eikonal_amplitude(model, kin, quad_cfg=cfg)
         except EikampError as exc:
-            print(f"eikamp compare: t={float(t):g}: {exc}", file=sys.stderr)
+            print(f"eikamp compare: t={kin.t:g}: {exc}", file=sys.stderr)
             return EXIT_FAIL
         dev = abs(approx - direct) / max(abs(direct), 1e-300)
         devs.append(dev)
-        rows.append([float(t), approx.real, approx.imag, direct.real,
+        rows.append([kin.t, approx.real, approx.imag, direct.real,
                      direct.imag, dev])
     if spec.out is not None or spec.fmt == "json":
         _emit(spec, _COMPARE_COLUMNS, rows, "compare")

@@ -9,8 +9,10 @@ where A1 is the Born amplitude itself, A2 / s is the 2D convolution
 a * a of the Born amplitude a = A_B / s with itself, and A3 is the 2D
 convolution of a with A2, whose kernel for radial functions is the
 closed form F3.  A2 / s depends on neither s nor t, so it is interpolated
-once per model; A2's row, the interpolant's nodes and A3's row are one
-polar solve (:func:`_convolution`).  None of the integrals oscillate:
+once per model.  A2's rows, the interpolant's nodes and A3's rows run on
+one polar routine (:func:`_convolution`), and each term of a table is
+one solve over all its rows, one task per row, refined as it would be
+alone (:func:`_table_terms`).  None of the integrals oscillate:
 the Bessel products of the naive impact-parameter representation have
 been integrated out in closed form, which is the entire point of the
 construction.  The paper's own A3, a 3D integral of
@@ -32,13 +34,14 @@ and refuses unconditionally above 2.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .besselprod import _f4_modulus_one_points, _g_values
-from .exceptions import ChiGateError, NonConvergenceError
+from .exceptions import ChiGateError, EikampError, NonConvergenceError
 from .quadrature import QuadratureConfig, _iterated, _limits
 from .special import bessel_j0
 
@@ -159,6 +162,16 @@ class EikonalProfile:
     b_cutoff: float
 
 
+def _caller_stacklevel():
+    """The ``stacklevel`` at which a warning issued by the function that
+    calls this one names the first frame outside the eikamp package."""
+    frame, level = sys._getframe(2), 2
+    while (frame.f_back is not None
+           and frame.f_globals.get("__name__", "").split(".")[0] == "eikamp"):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def _apply_chi_gate(max_abs_chi, override):
     if max_abs_chi >= CHI_HARD_THRESHOLD:
         raise ChiGateError(
@@ -173,11 +186,12 @@ def _apply_chi_gate(max_abs_chi, override):
                 "proceed anyway)")
         warnings.warn(
             f"max|chi| = {max_abs_chi:.3g} >= 1: proceeding under override; "
-            "the three-term truncation error is uncontrolled", stacklevel=3)
+            "the three-term truncation error is uncontrolled",
+            stacklevel=_caller_stacklevel())
     elif max_abs_chi >= CHI_WARN_THRESHOLD:
         warnings.warn(
             f"max|chi| = {max_abs_chi:.3g} in [0.5, 1): chi^4 truncation "
-            "terms may be visible", stacklevel=3)
+            "terms may be visible", stacklevel=_caller_stacklevel())
 
 
 def build_profile(model, s, cfg=None, *, override_chi_gate=False):
@@ -220,15 +234,16 @@ def _knots(model, q_cut):
     return knots[knots < q_cut]
 
 
-def _convolution(red, h, knots, breaks, q_far, ks, cfg, half):
+def _convolution(red, h, knots, breaks, q_far, reach, ks, cfg, half):
     """C(k) = (1/16 pi^2) int d^2p red(|p|) h(|k - p|), its error and
     the solve's evaluations, at every k of ``ks`` in one solve of the
     polar form
 
-        int_0^q_far dk1 k1 red(k1) int_phi0^pi dphi h(rho),
+        int_0^min(q_far, k + reach) dk1 k1 red(k1) int_phi0^pi dphi h(rho),
 
     rho = |k - k1 e^{i phi}|, with one level-0 task per k and ``cfg`` on
-    that integral.  Beyond ``q_far`` the integrand is negligible; red is
+    that integral.  Beyond ``q_far`` red is negligible and beyond
+    ``reach`` h is, so each task's k1 axis ends at its own cut; red is
     C1 across its ``knots`` and h across its ``breaks``, where 0 stands
     for a cone at the origin.
 
@@ -252,14 +267,14 @@ def _convolution(red, h, knots, breaks, q_far, ks, cfg, half):
     last = knots[-1] if knots.size else math.nan
 
     def k1_rows(k):
+        far = np.minimum(q_far, k + reach)[:, None]
         k = k[:, None]
         cuts = ([0.5 * k, np.minimum(k - b, 0.5 * k), b - k] if half
                 else [np.abs(k - b), k + b])
         rows = np.concatenate([np.zeros_like(k),
                                np.broadcast_to(knots, (k.size, knots.size)),
-                               *cuts,
-                               np.full_like(k, q_far)], axis=1)
-        rows = np.sort(np.clip(rows, 0.0, q_far), axis=1)
+                               *cuts, far], axis=1)
+        rows = np.sort(np.clip(rows, 0.0, far), axis=1)
         return (rows, (rows != 0.5 * k) & (rows != last)) if half else rows
 
     def phi_rows(k, k1):
@@ -287,25 +302,28 @@ def _convolution(red, h, knots, breaks, q_far, ks, cfg, half):
     return norm * res.value, norm * res.error_estimate, res.evaluations
 
 
-def _a2_with_error(model, kin, cfg):
-    """Second term and its error estimate: 2D integral of two Born factors,
+def _a2_with_error(model, kins, cfg):
+    """Second term and its error estimate at every (s, t) of ``kins``:
+    2D integral of two Born factors,
 
         A2 = (1/16 pi^2)(-t/s) int_1^inf dx1 int_0^1 dx2
              (x1^2 - x2^2)/sqrt((x1^2-1)(1-x2^2))
              A_B(s, q(x1+x2)/2) A_B(s, q(x1-x2)/2),
 
     that is s times the convolution (1/16 pi^2) int d^2p a(p) a(q - p),
-    s phase^2 Â2(q) (:class:`_A2Hat`).  It is solved at ``cfg`` in its
-    own row, the interpolant's node solve at k = q alone
+    s phase^2 Â2(q) (:class:`_A2Hat`).  Every row is one task of one
+    solve at ``cfg``, the interpolant's node solve at k = q
     (:func:`_convolution` over the half-plane), with a table's knots as
-    panel edges and no edge singularity.
+    panel edges and no edge singularity.  Returns a list of values and
+    one of errors, one entry per row.
     """
     phase, red = _phase_split(model)
     q_cut = _tail_cut(model)
     knots = _knots(model, q_cut)
-    c, err, _ = _convolution(red, red, knots, knots, q_cut,
-                             np.array([kin.q]), cfg, True)
-    return kin.s * phase ** 2 * c.item(), kin.s * err.item()
+    c, err, _ = _convolution(red, red, knots, knots, q_cut, q_cut,
+                             np.array([kin.q for kin in kins]), cfg, True)
+    return ([kin.s * phase ** 2 * v for kin, v in zip(kins, c.tolist())],
+            [kin.s * e for kin, e in zip(kins, err.tolist())])
 
 
 # ---------------------------------------------------------------------------
@@ -501,15 +519,16 @@ class _A2Hat:
 
     def _solve_nodes(self, ks):
         """Â2 at every k not yet known, in one :func:`_convolution` of r
-        with itself over the half-plane, at half the absolute tolerance
-        of the whole plane, so that twice its integral keeps the whole
-        plane's budget."""
+        with itself over the half-plane, each k refined as it would be
+        alone, at half the absolute tolerance of the whole plane, so that
+        twice its integral keeps the whole plane's budget."""
         ks = np.array(sorted(set(ks.tolist()) - self._cache.keys()))
         if ks.size == 0:
             return
         _phase, red = _phase_split(self.model)
         c, err, evals = _convolution(red, red, self.knots, self.knots,
-                                     self.q_cut, ks, self._node_cfg, True)
+                                     self.q_cut, self.q_cut, ks,
+                                     self._node_cfg, True)
         self.evaluations += evals
         self._cache.update(zip(ks.tolist(), zip(c.tolist(), err.tolist())))
 
@@ -532,9 +551,10 @@ class _A2Hat:
         return out
 
 
-def _a3_with_error(model, kin, cfg, a2hat):
-    """Third term, its error estimate and its evaluations: the 2D
-    convolution of the Born amplitude with A2,
+def _a3_with_error(model, kins, cfg, a2hat):
+    """Third term and its error estimate at every (s, t) of ``kins``, and
+    the evaluations of their solve: the 2D convolution of the Born
+    amplitude with A2,
 
         A3(q) = (1/24 pi^2) int d^2k a(k) A2(s, -|q - k|^2),
 
@@ -545,28 +565,32 @@ def _a3_with_error(model, kin, cfg, a2hat):
     the paper's three-factor route over the elliptic kernel G stays as
     the cross-check (:func:`_a3_g_route`).
 
-    Each (s, t) is one :func:`_convolution` of r with the interpolant over
-    the whole plane, the same routine as A2's row and the interpolant's
-    nodes, whose breaks are its panel edges, 0 and k_cap among them, and
-    whose k1 axis ends at min(q_cut, q + k_cap), beyond which Â2 is 0; at
-    half of ``cfg``'s tolerances, so that the interpolant's share fits
-    beside it.  The error is the solve's, plus (s / 24 pi^2) times the
-    interpolant's error bound times 2 pi int k |a| dk.  That bound holds
-    |Â2| to its maximum, so on a row whose parts cancel it can exceed
-    rel_tol |A3|.  Returns the evaluations of the row's solve; those of
-    the build are its own (``a2hat.evaluations``).
+    Every row is one task of one :func:`_convolution` of r with the
+    interpolant over the whole plane, the same routine as A2's rows and
+    the interpolant's nodes, whose breaks are its panel edges, 0 and
+    k_cap among them, and whose k1 axis ends at min(q_cut, q + k_cap),
+    beyond which Â2 is 0; at half of ``cfg``'s tolerances, so that the
+    interpolant's share fits beside it.  A row's error is the solve's,
+    plus (s / 24 pi^2) times the interpolant's error bound times
+    2 pi int k |a| dk.  That bound holds |Â2| to its maximum, so on a row
+    whose parts cancel it can exceed rel_tol |A3|.  Returns a list of
+    values, one of errors and the evaluations of the solve; those of the
+    build are its own (``a2hat.evaluations``).
     """
     phase, red = _phase_split(model)
     c, err, evals = _convolution(
-        red, a2hat, a2hat.knots, a2hat.edges,
-        min(a2hat.q_cut, kin.q + a2hat.k_cap), np.array([kin.q]),
+        red, a2hat, a2hat.knots, a2hat.edges, a2hat.q_cut, a2hat.k_cap,
+        np.array([kin.q for kin in kins]),
         replace(cfg, rel_tol=0.5 * cfg.rel_tol, abs_tol=0.5 * cfg.abs_tol),
         False)
-    # (1/24 pi^2) int d^2k against (1/16 pi^2) in C
-    pref = 2.0 / 3.0 * kin.s
-    spread = kin.s / (24.0 * math.pi ** 2) * a2hat.error * a2hat.l1
-    return (pref * phase ** 3 * complex(c.item()),
-            pref * err.item() + spread, evals)
+    values, errors = [], []
+    for kin, v, e in zip(kins, c.tolist(), err.tolist()):
+        # (1/24 pi^2) int d^2k against (1/16 pi^2) in C
+        pref = 2.0 / 3.0 * kin.s
+        spread = kin.s / (24.0 * math.pi ** 2) * a2hat.error * a2hat.l1
+        values.append(pref * phase ** 3 * complex(v))
+        errors.append(pref * e + spread)
+    return values, errors, evals
 
 
 # ---------------------------------------------------------------------------
@@ -817,21 +841,37 @@ def _gated_build(model, s, cfg, override_chi_gate):
 
 
 def compute_terms(model, kin, cfg=None, *, override_chi_gate=False):
-    """Run the full pipeline at one (s, t), the path of a ``table`` row:
-    gate on max|chi| and build A2 / s (:func:`_gated_build`), then compute
-    A1 (exact), A2, and A3 with error estimates."""
+    """Run the full pipeline at one (s, t), a one-row ``table``: gate on
+    max|chi| and build A2 / s (:func:`_gated_build`), then compute A1
+    (exact), A2, and A3 with error estimates (:func:`_table_terms`)."""
     cfg = cfg or QuadratureConfig()
-    return _gated_terms(model, kin, cfg,
-                        _gated_build(model, kin.s, cfg, override_chi_gate))
+    (terms,) = _table_terms(model, [kin], cfg,
+                            _gated_build(model, kin.s, cfg, override_chi_gate))
+    if isinstance(terms, EikampError):
+        raise terms
+    return terms
 
 
-def _gated_terms(model, kin, cfg, a2hat):
-    """A1, A2 and A3 at one (s, t) for a model already gated at s, given
-    its interpolant ``a2hat`` of A2 / s at ``cfg``; the gate depends on s
-    alone and A2 / s on neither s nor t, so one of each serves every row.
-    A1 is the Born amplitude itself, with no quadrature error."""
-    a1 = complex(model.value(kin.s, kin.q))
-    a2, a2_err = _a2_with_error(model, kin, cfg)
-    a3, a3_err, _ = _a3_with_error(model, kin, cfg, a2hat)
-    return AmplitudeTerms(a1=a1, a2=complex(a2), a3=complex(a3),
-                          a2_error=a2_err, a3_error=a3_err)
+def _table_terms(model, kins, cfg, a2hat):
+    """A1, A2 and A3 at every (s, t) of ``kins`` for a model already gated
+    at their s, given its interpolant ``a2hat`` of A2 / s at ``cfg``; the
+    gate depends on s alone and A2 / s on neither s nor t, so one of each
+    serves every row.  A2 of every row is one solve (:func:`_a2_with_error`)
+    and A3 another (:func:`_a3_with_error`); each row is a task refined as
+    it would be alone, so it has the bits of a one-row call.  A1 is the
+    Born amplitude itself, with no quadrature error.
+
+    Returns one AmplitudeTerms per row, or the EikampError of a row that
+    failed: if a solve raises one, each row is solved again on its own."""
+    try:
+        a2, a2_err = _a2_with_error(model, kins, cfg)
+        a3, a3_err, _ = _a3_with_error(model, kins, cfg, a2hat)
+    except EikampError as exc:
+        if len(kins) == 1:
+            return [exc]
+        return [row for kin in kins
+                for row in _table_terms(model, [kin], cfg, a2hat)]
+    return [AmplitudeTerms(a1=complex(model.value(kin.s, kin.q)),
+                           a2=complex(v2), a3=complex(v3),
+                           a2_error=e2, a3_error=e3)
+            for kin, v2, e2, v3, e3 in zip(kins, a2, a2_err, a3, a3_err)]

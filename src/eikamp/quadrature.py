@@ -77,10 +77,14 @@ split only when its own error exceeds what the propagated part leaves of
 the budget, and a task whose propagated error alone reaches its target
 stops at once, since bisecting cannot reduce it.  The nest is then rerun
 with its inner levels 10x tighter, and if need be 100x, then 1000x, so
-only a parent whose value cancels pays for tighter children.  An inner
-integral on which K15 converges geometrically may already report far
-below its own target and keep that error at 10x and 100x: only a target
-below its estimate makes it bisect, after which its error collapses.
+only a parent whose value cancels pays for tighter children.  The ladder
+reruns one level-0 task, not the whole nest: when a nest of several
+level-0 tasks (one per table row, node or b) stops, each of them is
+solved again as a nest of its own, with a ladder of its own, so a task
+that needs no rerun keeps the bits it has alone.  An inner integral on
+which K15 converges geometrically may already report far below its own
+target and keep that error at 10x and 100x: only a target below its
+estimate makes it bisect, after which its error collapses.
 
 A node of an outer level costs a whole inner integral, so a panel that is
 bisected spends its 15 nodes' inner integrals on a parent that is thrown
@@ -605,7 +609,10 @@ def _iterated(f, levels, cfg, strict=True, outer=()):
     that task's span (at least 1), so every task's tolerance is its own
     and any wave may be sliced.  A level whose propagated error alone
     reaches its target stops the nest, which reruns with every inner
-    level 10x, then 100x, then 1000x tighter than its parent.  With
+    level 10x, then 100x, then 1000x tighter than its parent; a nest of
+    several level-0 tasks instead solves each task again as a one-task
+    nest, with a ladder of its own, and counts the stopped attempt's
+    evaluations with theirs.  With
     ``strict`` an inner task that does not converge raises
     NonConvergenceError; without, its error propagates like any other.
     The outermost level always raises.  Returns an IntegralResult
@@ -655,6 +662,18 @@ def _iterated(f, levels, cfg, strict=True, outer=()):
         try:
             v, e = solve(0, outer, None, cfg.rel_tol, cfg.abs_tol, factor)
         except _InheritedError as exc:
+            if outer and np.size(outer[0]) > 1:
+                # each level-0 task climbs a ladder of its own, so a task
+                # that needs none keeps the bits it has alone
+                parts = [_iterated(f, levels, cfg, strict,
+                                   tuple(o[i:i + 1] for o in outer))
+                         for i in range(np.size(outer[0]))]
+                return IntegralResult(
+                    value=np.concatenate([p.value for p in parts]),
+                    error_estimate=np.concatenate(
+                        [p.error_estimate for p in parts]),
+                    evaluations=inner_evals + sum(p.evaluations
+                                                  for p in parts))
             last = exc
             continue
         if outer:

@@ -172,8 +172,8 @@ def test_05_gaussian_closed_forms_grid():
                    * math.exp(t / (4.0 * lam ** 2)))
             a3c = (-2j * math.pi * s * chi0 ** 3 / (9.0 * lam ** 2)
                    * math.exp(t / (6.0 * lam ** 2)))
-            a2 = _a2_with_error(m, kin, cfg)[0]
-            a3 = _a3_with_error(m, kin, cfg, a2hat)[0]
+            a2 = _a2_with_error(m, [kin], cfg)[0][0]
+            a3 = _a3_with_error(m, [kin], cfg, a2hat)[0][0]
             worst2 = max(worst2, abs(a2 - a2c) / abs(a2c))
             worst3 = max(worst3, abs(a3 - a3c) / abs(a3c))
     elapsed = time.monotonic() - t0

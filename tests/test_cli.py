@@ -16,6 +16,7 @@ import pytest
 import eikamp.besselprod
 import eikamp.cli
 import eikamp.eikonal
+import eikamp.quadrature
 import eikamp.special
 from eikamp.besselprod import f4_classify, f4_eval, f5_eval
 from eikamp.cli import main
@@ -23,7 +24,7 @@ from eikamp.eikonal import (assemble_amplitude, build_profile, compute_terms,
                             diff_cross_section, eikonal_chi)
 from eikamp.exceptions import ChiGateError, NonConvergenceError
 from eikamp.models import Kinematics, load_model
-from eikamp.quadrature import QuadratureConfig
+from eikamp.quadrature import QuadratureConfig, _InheritedError
 
 # chi0 = g lambda^2 / (4 pi) = 0.2: comfortably inside the gate
 GAUSS_INI = """\
@@ -62,6 +63,23 @@ points =
 m = 1.1
 kappa = 0.9
 """
+# a seven-knot real table whose amplitude changes sign, on which A3's row
+# at s = 50, t = -1 and default tolerance stops once on inherited error
+LADDER_INI = """\
+[model]
+kind = tabulated
+points =
+    0.0 0.2475 0.0
+    0.3 0.1686 0.0
+    0.84 -0.0371 0.0
+    2.02 -0.0311 0.0
+    2.32 0.0192 0.0
+    3.14 0.0419 0.0
+    3.48 0.0144 0.0
+[envelope]
+m = 0.25
+kappa = 0.41
+"""
 # chi0 = 1.5: refused by the smallness gate unless overridden
 STRONG_INI = """\
 [model]
@@ -98,6 +116,13 @@ def table_model(tmp_path):
 def sign_changing_model(tmp_path):
     path = tmp_path / "sign_changing.ini"
     path.write_text(SIGN_CHANGING_INI)
+    return str(path)
+
+
+@pytest.fixture
+def ladder_model(tmp_path):
+    path = tmp_path / "ladder.ini"
+    path.write_text(LADDER_INI)
     return str(path)
 
 
@@ -354,6 +379,17 @@ class TestTableCommand:
         assert len(out.strip().splitlines()) == 2 + 3
         assert len(calls) == profiles
 
+    def test_gate_warning_names_the_caller(self, warned_model, capsys):
+        # the warning points at the first frame outside eikamp: here
+        # run_cli's call of main
+        with pytest.warns(UserWarning, match="truncation") as caught:
+            code, _out, _err = run_cli(
+                ["table", "--model", warned_model, "--s", "50", "--t-min",
+                 "-1", "--t-max", "-1", "--points", "1", "--rel-tol", "1e-3",
+                 "--abs-tol", "1e-8"], capsys)
+        assert code == 0
+        assert [w.filename for w in caught] == [__file__]
+
     @pytest.mark.parametrize("which", ["gauss_model", "table_model"])
     def test_table_calls_no_elliptic_kernel(self, which, request,
                                             monkeypatch, capsys):
@@ -422,27 +458,75 @@ class TestTableCommand:
         assert status == ["ok"] * 4
 
     def test_a_row_fails_alone(self, gauss_model, capsys, monkeypatch):
-        # a row whose terms raise reads failed: with its message, and the
-        # other rows are byte for byte those of an unpatched table
+        # A3's solve of every row raises while the row at t = -1.25 is in
+        # it: that row reads failed: with its message, and the other rows,
+        # each then solved on its own, are byte for byte those of an
+        # unpatched table
         argv = ["table", "--model", gauss_model, "--s", "50",
                 "--t-min", "-2", "--t-max", "-0.5", "--points", "3",
                 "--rel-tol", "1e-3", "--abs-tol", "1e-8"]
         code, want, _ = run_cli(argv, capsys)
         assert code == 0
-        real = eikamp.cli._gated_terms
+        real = eikamp.eikonal._a3_with_error
+        solves = []
 
-        def flaky(model, kin, *args):
-            if kin.t == -1.25:
+        def flaky(model, kins, *args):
+            solves.append([kin.t for kin in kins])
+            if any(kin.t == -1.25 for kin in kins):
                 raise NonConvergenceError("A3 row did not converge")
-            return real(model, kin, *args)
+            return real(model, kins, *args)
 
-        monkeypatch.setattr(eikamp.cli, "_gated_terms", flaky)
+        monkeypatch.setattr(eikamp.eikonal, "_a3_with_error", flaky)
         code, got, err = run_cli(argv, capsys)
         assert (code, err) == (0, "")
+        assert solves == [[-2.0, -1.25, -0.5], [-2.0], [-1.25], [-0.5]]
         want, got = want.splitlines(), got.splitlines()
         assert got[3] == ",".join(["-1.25"] + ["nan"] * 11
                                   + ["failed: A3 row did not converge"])
         assert got[:3] + got[4:] == want[:3] + want[4:]
+
+    def test_every_row_has_the_bits_of_a_one_row_call(self, ladder_model,
+                                                      capsys, monkeypatch):
+        # A2 and A3 of a table are one solve each over all its rows, and
+        # each row is a task refined as it would be alone.  On this
+        # sign-changing 7-knot table the row at t = -1 stops once on
+        # inherited error and reruns with its inner level 10x tighter;
+        # the ladder climbs for that row alone, so every row, that one
+        # too, equals a one-row compute_terms bit for bit.  A ladder run
+        # by the whole batch moves re_a3 and a3_error on six rows
+        real = eikamp.quadrature._solve_batched
+        stops = []
+
+        def spy(*args, **kwargs):
+            try:
+                return real(*args, **kwargs)
+            except _InheritedError:
+                stops.append(True)
+                raise
+
+        monkeypatch.setattr(eikamp.quadrature, "_solve_batched", spy)
+        code, out, err = run_cli(
+            ["table", "--model", ladder_model, "--s", "50", "--t-min", "-2",
+             "--t-max", "-0.5", "--points", "7", "--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        assert stops
+        monkeypatch.undo()
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 7
+        model = load_model(ladder_model)
+        for row, t in zip(rows, np.linspace(-2.0, -0.5, 7)):
+            kin = Kinematics(50.0, float(t))
+            terms = compute_terms(model, kin)
+            amp = assemble_amplitude(terms)
+            # json.dumps writes each float by its repr: -0.0 is not 0.0
+            assert json.dumps(row) == json.dumps({
+                "t": kin.t, "re_a1": terms.a1.real, "im_a1": terms.a1.imag,
+                "re_a2": terms.a2.real, "im_a2": terms.a2.imag,
+                "re_a3": terms.a3.real, "im_a3": terms.a3.imag,
+                "re_a": amp.real, "im_a": amp.imag,
+                "dsigma_dt": diff_cross_section(terms, kin),
+                "a2_error": terms.a2_error, "a3_error": terms.a3_error,
+                "status": "ok"})
 
     def test_log_spacing_grid(self, gauss_model, capsys):
         code, out, err = run_cli(

@@ -56,16 +56,29 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 REFERENCES = Path(__file__).resolve().parents[1] / "bench" / "references.py"
 
 
+def a2_at(m, kin, cfg):
+    """A2 and its error at one (s, t), a one-row solve."""
+    (v,), (e,) = _a2_with_error(m, [kin], cfg)
+    return v, e
+
+
+def a3_at(m, kin, cfg, a2hat):
+    """A3, its error and its evaluations at one (s, t), a one-row solve
+    on the build ``a2hat``."""
+    (v,), (e,), evals = _a3_with_error(m, [kin], cfg, a2hat)
+    return v, e, evals
+
+
 def a2_row(m, kin, cfg=None):
     """A2 at one (s, t), as a table row computes it."""
-    return complex(_a2_with_error(m, kin, cfg or QuadratureConfig())[0])
+    return complex(a2_at(m, kin, cfg or QuadratureConfig())[0])
 
 
 def a3_row(m, kin, cfg=None):
     """A3, its error and its evaluations at one (s, t), given a build of
     A2 / s of its own."""
     cfg = cfg or QuadratureConfig()
-    return _a3_with_error(m, kin, cfg, _A2Hat(m, cfg))
+    return a3_at(m, kin, cfg, _A2Hat(m, cfg))
 
 
 def gaussian_with_chi0(chi0, lam=1.0):
@@ -293,6 +306,18 @@ class TestChiGate:
     def test_compute_terms_is_gated(self):
         with pytest.raises(ChiGateError):
             compute_terms(gaussian_with_chi0(1.2), Kinematics(s=50.0, t=-1.0))
+
+    @pytest.mark.parametrize("call", [
+        lambda m: build_profile(m, 50.0),
+        lambda m: compute_terms(m, Kinematics(s=50.0, t=-1.0),
+                                QuadratureConfig(rel_tol=1e-3, abs_tol=1e-8)),
+    ], ids=["build_profile", "compute_terms"])
+    def test_warning_names_the_caller(self, call):
+        # the gate's warning points at the first frame outside eikamp,
+        # however deep in the package it is issued
+        with pytest.warns(UserWarning, match="truncation") as caught:
+            call(gaussian_with_chi0(0.6))
+        assert [w.filename for w in caught] == [__file__]
 
     @pytest.mark.parametrize("model", [
         gaussian_with_chi0(0.3), ExponentialPoleBorn(c=1.1, slope_b=0.7),
@@ -735,9 +760,9 @@ class TestA3Convolution:
         for t in np.linspace(-2.0, -0.25, 11):
             kin = Kinematics(s=50.0, t=float(t))
             before = points[0]
-            v2, e2 = _a2_with_error(m, kin, cfg)
+            v2, e2 = a2_at(m, kin, cfg)
             a2_points += points[0] - before
-            v, e, _ = _a3_with_error(m, kin, cfg, a2hat)
+            v, e, _ = a3_at(m, kin, cfg, a2hat)
             (ref2, ref2_err), (ref, ref_err) = refs.tabulated_a2_a3(
                 REAL_ROWS, kin.s, kin.t)
             assert e2 >= abs(v2 - ref2) - ref2_err
@@ -762,7 +787,7 @@ class TestA3Convolution:
         a2hat = _A2Hat(m, cfg)
         for t in (-2.0, -1.125, -0.25):
             kin = Kinematics(s=50.0, t=t)
-            v, e, _ = _a3_with_error(m, kin, cfg, a2hat)
+            v, e, _ = a3_at(m, kin, cfg, a2hat)
             assert abs(v - closed_a3(m, kin)) <= min(1e-9 * abs(v), e)
         assert points[0] <= 86_000
 
@@ -786,9 +811,9 @@ class TestA3Convolution:
         a2_points = 0
         for t in (-2.0, -1.0, -0.5):
             kin = Kinematics(s=50.0, t=t)
-            v, e, _ = _a3_with_error(m, kin, cfg, a2hat)
+            v, e, _ = a3_at(m, kin, cfg, a2hat)
             before = points[0]
-            v2, e2 = _a2_with_error(m, kin, cfg)
+            v2, e2 = a2_at(m, kin, cfg)
             a2_points += points[0] - before
             (ref2, ref2_err), (ref, ref_err) = refs.tabulated_a2_a3(
                 SIGN_CHANGING_ROWS, kin.s, kin.t)
@@ -820,7 +845,7 @@ class TestA3Convolution:
                 raise
 
         monkeypatch.setattr(quadrature_module, "_solve_batched", spy)
-        v, e, _ = _a3_with_error(m, kin, QuadratureConfig(), a2hat)
+        v, e, _ = a3_at(m, kin, QuadratureConfig(), a2hat)
         monkeypatch.undo()
         assert stops
         vt, et, _ = a3_row(m, kin, QuadratureConfig(rel_tol=1e-8,
@@ -936,7 +961,7 @@ class TestA3Convolution:
         nodes = [(k, v, e) for k, (v, e) in a2hat._cache.items() if k > 0.0]
         assert len(nodes) >= 10
         for k, node, node_err in nodes:
-            v, e = _a2_with_error(m, Kinematics(s=50.0, t=-k * k), cfg)
+            v, e = a2_at(m, Kinematics(s=50.0, t=-k * k), cfg)
             assert abs(v / (50.0 * phase ** 2) - node) <= e / 50.0 + node_err
 
     def test_one_build_serves_every_row(self):
@@ -947,8 +972,7 @@ class TestA3Convolution:
         a2hat = _A2Hat(m, cfg)
         for s, t in ((50.0, -1.0), (200.0, -0.3)):
             kin = Kinematics(s=s, t=t)
-            assert (_a3_with_error(m, kin, cfg, a2hat)
-                    == a3_row(m, kin, cfg))
+            assert a3_at(m, kin, cfg, a2hat) == a3_row(m, kin, cfg)
 
 
 def lobatto_fit(x, f):
@@ -1010,7 +1034,8 @@ def table_panel_errors(rel_tol):
         k = (x[:-1, None] + np.diff(x)[:, None] * np.array([0.25, 0.5, 0.75])
              ).ravel()
         c, _err, _ = eikonal_module._convolution(
-            red, red, a2hat.knots, a2hat.knots, a2hat.q_cut, k, tight, True)
+            red, red, a2hat.knots, a2hat.knots, a2hat.q_cut, a2hat.q_cut,
+            k, tight, True)
         err = np.array([a2hat._cache[xi][1] for xi in x])
         panels.append((x, f, err, float(np.abs(a2hat(k) - c).max())))
     return a2hat, panels
@@ -1170,7 +1195,7 @@ class TestOnePhaseRealPath:
             if force_complex:
                 monkeypatch.setattr(m, "phase", None)
             points = counting_reduced(monkeypatch, m)
-            a2, a2_err = _a2_with_error(m, kin, cfg)
+            a2, a2_err = a2_at(m, kin, cfg)
             n_a2 = points[0]
             a3, a3_err, inner = a3_row(m, kin, cfg)
             n_a3 = points[0] - n_a2
@@ -1213,11 +1238,11 @@ class TestOnePhaseRealPath:
         monkeypatch.setattr(eikonal_module, "_iterated", spy)
         m = without_closed_chi(monkeypatch, make())
         kin = Kinematics(s=50.0, t=-1.0)
-        _a2_with_error(m, kin, cfg)
+        _a2_with_error(m, [kin], cfg)
         first = len(calls)
         a2hat = _A2Hat(m, cfg)
         norms = calls.pop(first)
-        _a3_with_error(m, kin, cfg, a2hat)
+        _a3_with_error(m, [kin], cfg, a2hat)
         eikonal_chi(m, kin.s, 0.7, cfg)
         want = np.complex128 if m.phase is None else np.float64
         assert norms == {np.dtype(np.float64)}
@@ -1236,7 +1261,7 @@ class TestErrorCalibration:
                                           (-0.25, -1.0, -4.0)):
             m = gaussian_with_chi0(chi0)
             kin = Kinematics(s=50.0, t=t)
-            a2, a2_err = _a2_with_error(m, kin, cfg)
+            a2, a2_err = a2_at(m, kin, cfg)
             a3, a3_err, _ = a3_row(m, kin, cfg)
             assert abs(a2 - closed_a2(m, kin)) <= a2_err
             assert abs(a3 - closed_a3(m, kin)) <= a3_err
@@ -1471,7 +1496,8 @@ class TestAssemblyAndCrossSection:
         cfg = QuadratureConfig(rel_tol=1e-3, abs_tol=1e-6)
         for t in (-2.0, -1.0, -0.25):
             kin = Kinematics(s=50.0, t=t)
-            terms = eikonal_module._gated_terms(m, kin, cfg, _A2Hat(m, cfg))
+            (terms,) = eikonal_module._table_terms(m, [kin], cfg,
+                                                   _A2Hat(m, cfg))
             (x1, y1), (x2, y2), (x3, y3) = (
                 (a.real, a.imag) for a in (terms.a1, terms.a2, terms.a3))
             norm = 1.0 / (16.0 * math.pi * kin.s ** 2)

@@ -854,6 +854,41 @@ class TestIterated:
             values.update(abs_tol.tolist())
         assert len(values) > 1
 
+    def test_inherited_stop_reruns_each_task_alone(self):
+        # a three-task nest whose attempt stops on inherited error solves
+        # each level-0 task again as a nest of its own, with a ladder of
+        # its own.  Task 1's inner level raises in the batch and once more
+        # in its own first attempt, so it alone reruns 10x tighter; tasks
+        # 0 and 2 return the values, errors and evaluations of their own
+        # one-task nests.  The batch raised before any innermost point
+        cfg = QuadratureConfig(rel_tol=1e-8, abs_tol=1e-300)
+
+        def solve(tasks, forced_task=1.0, times=0):
+            left = [times]
+
+            def inner_rows(task, x):
+                if left[0] and (task == forced_task).any():
+                    left[0] -= 1
+                    raise _InheritedError("forced")
+                return np.column_stack([np.zeros_like(x), np.ones_like(x)])
+
+            def f(task, x, y):
+                return (np.sin(2.0 * math.pi * x) + 2.0 + task) * np.log(y)
+
+            return _iterated(
+                f, [(_limits(0.0, 1.0), "plain", None),
+                    (inner_rows, "sqrt", None)],
+                cfg, outer=(np.asarray(tasks, dtype=float),))
+
+        batch = solve([0.0, 1.0, 2.0], times=2)
+        alone = [solve([0.0]), solve([1.0], times=1), solve([2.0])]
+        for k, res in enumerate(alone):
+            assert batch.value[k] == res.value[0]
+            assert batch.error_estimate[k] == res.error_estimate[0]
+        assert batch.evaluations == sum(res.evaluations for res in alone)
+        # task 1 climbed its ladder: 10x tighter costs more than 1x
+        assert alone[1].evaluations > solve([1.0]).evaluations
+
 
 class TestNestedQuadrature:
     # _iterated's per-level specs (edges, grading, weight) and its
