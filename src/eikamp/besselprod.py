@@ -244,7 +244,7 @@ def _f4_values(a, b, c, d):
     den = np.where(gap > 0.0, d2, a * b * c * d)
     out = np.zeros(d2.shape, dtype=float)
     live = d2 >= 0.0
-    if live.any():
+    if np.count_nonzero(live):
         den = den[live]
         with np.errstate(divide="ignore", invalid="ignore"):
             m1 = np.maximum(np.abs(gap[live]) / den, _M1_FLOOR)
@@ -320,7 +320,8 @@ def _reduction(lo, hi, log_points, integrand, cfg):
     (the vanishing rule)."""
     if not hi > lo + 1e-14 * max(1.0, hi):
         return _empty_result()
-    edges = np.sort(np.clip([lo, *log_points, hi], lo, hi))
+    edges = np.minimum(np.maximum(np.array([lo, *log_points, hi]), lo), hi)
+    edges.sort()
     return _iterated(integrand, [(lambda: edges[None], "log", None)],
                      cfg or QuadratureConfig())
 

@@ -64,6 +64,8 @@ CHI_HARD_THRESHOLD = 2.0
 
 # relative decay level at which semi-infinite integration ranges are cut
 _TAIL_DECAY = 1e-16
+# J0 panels of a chi solve's row at most: they cover b <= this pi / q_cut
+_CHI_PANELS = 4000
 # |chi| level defining the impact-parameter cutoff of a profile and the
 # oracle's automatic b_max
 _CHI_CUTOFF_LEVEL = 1e-12
@@ -111,7 +113,9 @@ def eikonal_chi(model, s, b, cfg=None):
     returns a complex.  The solve holds every task's panels at once, up
     to 4,000 each, and every task's row of edges is as wide as that of
     the largest b, so a caller with many thousands of b passes them in
-    pieces.
+    pieces.  Those 4,000 panels cover b <= 4000 pi / q_cut; a larger b
+    may still converge, and one that does not raises NonConvergenceError
+    naming the b, the panels it needed and the range covered.
     """
     bs = np.asarray(b, dtype=float)
     if not np.all((bs >= 0.0) & (bs < math.inf)):
@@ -133,8 +137,8 @@ def eikonal_chi(model, s, b, cfg=None):
         # for b q_cut > 2 pi, at most 4,000 of them; q_cut fills the
         # slots a row does not use
         scan = b * q_cut > 2.0 * math.pi
-        n = np.where(scan, np.minimum(np.floor(b * q_cut / math.pi), 4000.0),
-                     0.0)
+        n = np.where(scan, np.minimum(np.floor(b * q_cut / math.pi),
+                                      float(_CHI_PANELS)), 0.0)
         j = np.arange(1, int(n.max(initial=0.0)) + 1)
         brk = np.where(j <= n[:, None],
                        j * (math.pi / np.where(scan, b, 1.0))[:, None], q_cut)
@@ -148,7 +152,18 @@ def eikonal_chi(model, s, b, cfg=None):
         return (q / (4.0 * math.pi)) * bessel_j0(q * b) * red(q)
 
     # no edge is singular (q = 0, J0 half-periods, C1 knots): plain panels
-    res = _iterated(f, [(edges, "plain", None)], cfg, outer=(bs.ravel(),))
+    try:
+        res = _iterated(f, [(edges, "plain", None)], cfg,
+                        outer=(bs.ravel(),))
+    except NonConvergenceError as exc:
+        b_max = float(bs.max(initial=0.0))
+        need = math.floor(b_max * q_cut / math.pi)
+        if need <= _CHI_PANELS:
+            raise
+        raise NonConvergenceError(
+            f"chi at b = {b_max:g} did not converge: it needs {need} J0 "
+            f"panels up to q_cut = {q_cut:.4g}, and {_CHI_PANELS} cover "
+            f"b <= {_CHI_PANELS * math.pi / q_cut:.4g} ({exc})") from exc
     chi = np.asarray(phase * res.value, dtype=complex)
     return complex(chi[0]) if bs.ndim == 0 else chi.reshape(bs.shape)
 

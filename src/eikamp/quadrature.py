@@ -78,10 +78,12 @@ the budget, and a task whose propagated error alone reaches its target
 stops at once, since bisecting cannot reduce it.  The nest is then rerun
 with its inner levels 10x tighter, and if need be 100x, then 1000x, so
 only a parent whose value cancels pays for tighter children.  The ladder
-reruns one level-0 task, not the whole nest: when a nest of several
-level-0 tasks (one per table row, node or b) stops, each of them is
-solved again as a nest of its own, with a ladder of its own, so a task
-that needs no rerun keeps the bits it has alone.  An inner integral on
+reruns one level-0 task, not the whole nest: when a level-0 task of a
+nest of several (one per table row, node or b) stops, the others finish
+in the batch and it alone is solved again, as a nest of its own from the
+10x rung, and when a level below stops, each level-0 task is solved
+again with a ladder of its own, so a task that needs no rerun keeps the
+bits it has alone.  An inner integral on
 which K15 converges geometrically may already report far below its own
 target and keep that error at 10x and 100x: only a target below its
 estimate makes it bisect, after which its error collapses.
@@ -97,7 +99,12 @@ slice's temporaries (60 KB for a real node array) stay small enough for
 the allocator to reuse their pages rather than map and fault in fresh
 ones each wave.  Since no tolerance depends on the rest of a wave,
 slicing changes no value, error or count.  The Gauss-Kronrod sums are
-per-row reductions, so no BLAS thread pool starts.
+per-row reductions, so no BLAS thread pool starts.  A slice's fixed
+cost, a few dozen numpy calls, is about 41 us on a 2-core machine for a
+few plain segments and 68 us for graded ones, and a one-task solve of
+four log-graded panels that converges on its first wave about 96 us:
+each wave's sums take three reductions, a slice of plain segments maps
+no node, and a solve that converges reuses the totals of its last wave.
 
 The engine meets the tolerance it is given.  How a sum of separate nests
 shares one tolerance is the caller's decision: A3's G route gives each
@@ -188,6 +195,8 @@ _NULL = _null_rules()
 # K15 - G7 also sums every polynomial of degree below 14 to zero, so it
 # is the first null rule times this factor, up to sign
 _KG_PER_NULL = math.sqrt(((_W15 - _W7) ** 2).sum() / (_W15 * _W15).sum())
+# the K15 weights and the null rules, one row each, summed in one pass
+_GK_ROWS = np.concatenate([_W15[None], _NULL])
 
 # Segment map kinds; 0 is the identity
 _SQRT_LEFT = 1      # x = anchor + u^2
@@ -199,6 +208,12 @@ _MAP_SIGN = np.array([0.0, 1.0, -1.0, 0.0, 1.0, -1.0])
 
 # Panel gradings of finite tasks (see the module docstring)
 _GRADINGS = ("plain", "sqrt", "log")
+# the kinds of a graded panel's left and right halves
+_SQRT_PAIR = np.array([_SQRT_LEFT, _SQRT_RIGHT], dtype=np.int8)
+_QUARTIC_PAIR = np.array([_QUARTIC_LEFT, _QUARTIC_RIGHT], dtype=np.int8)
+_PAIR = np.arange(2)
+# kinds whose node offsets the floor adds, indexed by kind
+_SQRT_KIND = np.array([False, True, True, False, False, False])
 
 _MAX_TOTAL_SEGMENTS = 4_000_000
 # panel bisections per 1D task, at every level of a nest
@@ -276,56 +291,63 @@ def _build_tasks(edges, grading, smooth=None):
     over its full width, and one with two is one plain segment.  Flags on
     a task's first and last edges, which may carry 1/sqrt, and on edges
     of zero-length panels (the padding among them) are ignored.
+
+    A graded panel's two halves are built side by side, as one row of
+    (n, 2) arrays, and raveled into left, right order.
     """
     if grading not in _GRADINGS:
         raise ValueError(f"grading must be one of {_GRADINGS}, got {grading!r}")
     edges = np.asarray(edges, dtype=float)
     lo, hi = edges[:, :-1], edges[:, 1:]
     live = edges[:, -1:] > edges[:, :1]
-    if np.any((hi < lo) & live):
+    if np.count_nonzero((hi < lo) & live):
         raise ValueError("task edges must be sorted ascending")
-    keep = (hi > lo) & live
-    tid = np.nonzero(keep)[0]
-    lo, hi = lo[keep], hi[keep]
+    # each kept panel's flat index among the panels, its task, and the
+    # flat index of its left edge among the edges (one more per row)
+    panel = ((hi > lo) & live).ravel().nonzero()[0]
+    tid = panel // max(edges.shape[1] - 1, 1)
+    at = panel + tid
+    flat = edges.ravel()
     if grading == "plain":
-        return tid, np.zeros(tid.size, dtype=np.int8), np.zeros(tid.size), lo, hi
-    left = np.full(tid.size, _SQRT_LEFT, dtype=np.int8)
-    right = np.full(tid.size, _SQRT_RIGHT, dtype=np.int8)
+        return (tid, np.zeros(tid.size, dtype=np.int8), np.zeros(tid.size),
+                flat[at], flat[at + 1])
+    pair = at[:, None] + _PAIR
+    anc = flat[pair]
+    width = anc[:, 1] - anc[:, 0]
+    half = 0.5 * width
     if grading == "log":
-        left[lo > edges[tid, 0]] = _QUARTIC_LEFT
-        right[hi < edges[tid, -1]] = _QUARTIC_RIGHT
-    w_left = w_right = 0.5 * (hi - lo)
-    if smooth is not None:
+        # a panel edge strictly inside its task's range is interior
+        inner = ((edges > edges[:, :1]) & (edges < edges[:, -1:])).ravel()
+        kind = np.where(inner[pair], _QUARTIC_PAIR, _SQRT_PAIR)
+    else:
+        kind = _SQRT_PAIR[None].repeat(tid.size, axis=0)
+    if smooth is None:
+        u_hi = np.sqrt(half[:, None].repeat(2, axis=1))
+    else:
         # an edge counts as smooth only strictly apart from both its
         # neighbours: off its task's ends and off any zero-length panel
         sm = np.zeros(edges.shape, dtype=bool)
         sm[:, 1:-1] = (np.asarray(smooth, dtype=bool)[:, 1:-1]
                        & (edges[:, :-2] < edges[:, 1:-1])
                        & (edges[:, 1:-1] < edges[:, 2:]))
-        s_lo, s_hi = sm[:, :-1][keep], sm[:, 1:][keep]
-        w_left = np.where(s_hi & ~s_lo, hi - lo, w_left)
-        w_right = np.where(s_lo & ~s_hi, hi - lo, w_right)
-    kind = np.empty(2 * tid.size, dtype=np.int8)
-    kind[0::2], kind[1::2] = left, right
-    anc = np.empty(2 * tid.size)
-    anc[0::2], anc[1::2] = lo, hi
-    u_lo = np.zeros(2 * tid.size)
-    u_hi = np.empty(2 * tid.size)
-    u_hi[0::2], u_hi[1::2] = w_left, w_right
-    np.sqrt(u_hi, out=u_hi)
-    quartic = kind >= _QUARTIC_LEFT
-    u_hi[quartic] = np.sqrt(u_hi[quartic])
-    seg_tid = np.repeat(tid, 2)
+        s2 = sm.ravel()[pair]
+        # a half whose far edge is smooth spans the whole panel
+        u_hi = np.sqrt(np.where(s2[:, ::-1] & ~s2, width[:, None],
+                                half[:, None]))
+    if grading == "log":
+        u_hi = np.where(kind >= _QUARTIC_LEFT, np.sqrt(u_hi), u_hi)
     if smooth is None:
-        return seg_tid, kind, anc, u_lo, u_hi
+        return (tid.repeat(2), kind.ravel(), anc.ravel(),
+                np.zeros(2 * tid.size), u_hi.ravel())
     # a panel smooth at both edges keeps its left half as a plain segment
-    both = s_lo & s_hi
-    at = 2 * np.flatnonzero(both)
-    kind[at], anc[at], u_lo[at], u_hi[at] = 0, 0.0, lo[both], hi[both]
-    kept = np.empty(2 * tid.size, dtype=bool)
-    kept[0::2], kept[1::2] = ~s_lo | both, ~s_hi
-    kept = np.flatnonzero(kept)
-    return tuple(a.take(kept) for a in (seg_tid, kind, anc, u_lo, u_hi))
+    both = s2[:, 0] & s2[:, 1]
+    u_lo = np.zeros(anc.shape)
+    kind[both, 0], u_lo[both, 0], u_hi[both, 0] = 0, anc[both, 0], anc[both, 1]
+    anc[both, 0] = 0.0
+    kept = ~s2
+    kept[both, 0] = True
+    kept = kept.ravel().nonzero()[0]
+    return (tid[kept // 2], *(a.ravel()[kept] for a in (kind, anc, u_lo, u_hi)))
 
 
 def _map_nodes(kind, anc, u):
@@ -335,16 +357,23 @@ def _map_nodes(kind, anc, u):
     kind; plain rows keep u and a unit jacobian, and a wave of plain rows
     alone skips the pass.  A graded node keeps at least one float spacing
     from its anchor, so the anchor itself is never evaluated."""
-    if not kind.any():
+    if not np.count_nonzero(kind):
         return u, np.ones_like(u)
-    quartic = (kind >= _QUARTIC_LEFT)[:, None]
     a = anc[:, None]
     sq = u * u
-    x = a + _MAP_SIGN[kind, None] * np.maximum(np.where(quartic, sq * sq, sq),
-                                               np.spacing(np.abs(a)))
-    jac = np.where(quartic, 4.0 * sq, 2.0) * u
-    plain = kind == 0
-    x[plain], jac[plain] = u[plain], 1.0
+    quartic = kind >= _QUARTIC_LEFT
+    if np.count_nonzero(quartic):
+        quartic = quartic[:, None]
+        power, slope = np.where(quartic, sq * sq, sq), np.where(quartic,
+                                                                4.0 * sq, 2.0)
+    else:
+        power, slope = sq, 2.0
+    x = a + _MAP_SIGN[kind, None] * np.maximum(power, np.spacing(np.abs(a)))
+    jac = slope * u
+    if np.count_nonzero(kind) < kind.size:
+        plain = (kind == 0)[:, None]
+        np.copyto(x, u, where=plain)
+        np.copyto(jac, 1.0, where=plain)
     return x, jac
 
 
@@ -358,6 +387,17 @@ def _null_error(e1, e2, e3):
     r2 = r * r
     return np.where(r > 1.0, 10.0 * np.maximum(np.maximum(e1, e2), e3),
                     e1 * np.minimum(10.0 * r, 80.0 * r2 * r2))
+
+
+def _with_jacobian(y, jac, u):
+    """Samples y in the shape of the node matrix u times the jacobian of
+    their map; ``jac`` None stands for a unit one, by which a float64
+    sample is left as it is (a complex product could flip a zero's sign,
+    so other dtypes still take it)."""
+    y = np.asarray(y).reshape(u.shape)
+    if jac is not None:
+        return y * jac
+    return y if y.dtype == np.float64 else y * np.ones_like(u)
 
 
 def _eval_segments(f, tid, kind, anc, lo, hi):
@@ -376,65 +416,55 @@ def _eval_segments(f, tid, kind, anc, lo, hi):
     temporaries and, for a nested integrand, the inner solve they start
     stay bounded however wide the wave.  Each segment's sums are per-row
     reductions rather than matrix-vector products, so no BLAS thread pool
-    is started."""
+    is started: one over |y| against the K15 weights, one over y against
+    those weights and the six null rules together, and one over
+    |y - mean|.  A slice of plain segments alone maps no node."""
     parts = []
     for start in range(0, tid.size, _WAVE_SLICE):
         sl = slice(start, start + _WAVE_SLICE)
+        k_sl, a_sl = kind[sl], anc[sl]
         mid = 0.5 * (lo[sl] + hi[sl])
         h = 0.5 * (hi[sl] - lo[sl])
-        u = mid[:, None] + h[:, None] * _X15[None, :]
-        x, jac = _map_nodes(kind[sl], anc[sl], u)
+        u = mid[:, None] + h[:, None] * _X15
+        graded = np.count_nonzero(k_sl)
+        x, jac = _map_nodes(k_sl, a_sl, u) if graded else (u, None)
 
-        raw = f(np.repeat(tid[sl], 15), x.ravel())
+        raw = f(tid[sl].repeat(15), x.ravel())
         yerr = None
         if isinstance(raw, tuple):
             raw, yerr = raw
-        y = np.asarray(raw).reshape(x.shape) * jac
-        if not np.all(np.isfinite(y)):
+        y = _with_jacobian(raw, jac, u)
+        # the K15 weights are positive, so a sum of |y| is finite only
+        # where all its samples are
+        sum_abs = np.einsum("ij,j->i", np.abs(y), _W15)
+        if np.count_nonzero(np.isfinite(sum_abs)) < h.size:
             raise NonConvergenceError("integrand returned non-finite values")
 
-        resk = h * np.einsum("ij,j->i", y, _W15)
-        resabs = h * np.einsum("ij,j->i", np.abs(y), _W15)
+        sums = np.einsum("ij,kj->ki", y, _GK_ROWS)
+        resk = h * sums[0]
+        resabs = h * sum_abs
         # one row per null rule, one column per segment
-        null = np.abs(np.einsum("ij,kj->ki", y, _NULL))
+        null = np.abs(sums[1:])
         null *= h
         err_raw = _KG_PER_NULL * null[0]
+        pairs = np.hypot(null[0::2], null[1::2])
         with np.errstate(divide="ignore", invalid="ignore"):
-            mean = np.where(h > 0.0, resk / np.where(h > 0.0, 2.0 * h, 1.0),
-                            0.0)
+            mean = np.where(h > 0.0, resk / (2.0 * h), 0.0)
             resasc = h * np.einsum("ij,j->i", np.abs(y - mean[:, None]),
                                    _W15)
             scaled = np.where(
                 resasc > 0.0,
-                resasc * np.minimum(1.0, (200.0 * err_raw / np.where(
-                    resasc > 0.0, resasc, 1.0)) ** 1.5),
-                err_raw,
-            )
-            e1 = np.hypot(null[0], null[1])
-            own = np.minimum(scaled, _null_error(
-                e1, np.hypot(null[2], null[3]), np.hypot(null[4], null[5])))
-        k_sl, a_sl = kind[sl], anc[sl]
-        own = np.where(k_sl >= _QUARTIC_LEFT, np.minimum(own, err_raw), own)
-        floor = 50.0 * _EPS * resabs
-        graded = np.flatnonzero(((k_sl == _SQRT_LEFT) | (k_sl == _SQRT_RIGHT))
-                                & (a_sl != 0.0))
-        if graded.size:
-            a = a_sl[graded]
-            floor[graded] += np.minimum(e1[graded], (
-                _EPS * _W15[0] * np.abs(a) * h[graded] * np.abs(y[graded, 0])
-                / np.abs(x[graded, 0] - a)))
-            # a node with u^2 below the spacing s of a sits at a +/- s,
-            # where an inverse-square-root singularity is sqrt(s) / u
-            # times smaller than at a +/- u^2; node 0 is the nearest to a
-            s = np.spacing(np.abs(a))
-            if (u[graded, 0] ** 2 < s).any():
-                ug, s = u[graded], s[:, None]
-                floor[graded] += h[graded] * np.einsum(
-                    "ij,j->i", np.where(ug * ug < s, np.sqrt(s) / ug, 0.0)
-                    * np.abs(y[graded]), _W15)
+                resasc * np.minimum(1.0, (200.0 * err_raw / resasc) ** 1.5),
+                err_raw)
+            own = np.minimum(scaled, _null_error(*pairs))
+            floor = 50.0 * _EPS * resabs
+            if graded:
+                np.minimum(own, err_raw, out=own,
+                           where=k_sl >= _QUARTIC_LEFT)
+                _add_offset_floor(floor, k_sl, a_sl, h, u, x, y, pairs[0])
         if yerr is not None:
-            yerr = h * np.einsum("ij,j->i",
-                                 np.asarray(yerr).reshape(x.shape) * jac, _W15)
+            yerr = h * np.einsum("ij,j->i", _with_jacobian(yerr, jac, u),
+                                 _W15)
         parts.append((resk, own, floor, yerr))
     if len(parts) == 1:
         return parts[0]
@@ -442,11 +472,46 @@ def _eval_segments(f, tid, kind, anc, lo, hi):
                  for col in zip(*parts))
 
 
+def _add_offset_floor(floor, kind, anc, h, u, x, y, e1):
+    """Add to ``floor`` the rounding of the node offsets of every segment
+    square-root graded toward a nonzero anchor (see the module
+    docstring), in place.  The terms of the other rows, divisions by
+    zero among them, are formed and discarded; the caller silences their
+    warnings."""
+    graded = _SQRT_KIND[kind] & (anc != 0.0)
+    if not np.count_nonzero(graded):
+        return
+    abs_a = np.abs(anc)
+    near = (_EPS * _W15[0] * abs_a * h * np.abs(y[:, 0])
+            / np.abs(x[:, 0] - anc))
+    np.add(floor, np.minimum(e1, near), out=floor, where=graded)
+    # a node with u^2 below the spacing s of a sits at a +/- s, where an
+    # inverse-square-root singularity is sqrt(s) / u times smaller than
+    # at a +/- u^2; node 0 is the nearest to a
+    s = np.spacing(abs_a)
+    if np.count_nonzero(graded & (u[:, 0] * u[:, 0] < s)):
+        g = graded.nonzero()[0]
+        ug, s = u[g], s[g, None]
+        floor[g] += h[g] * np.einsum(
+            "ij,j->i", np.where(ug * ug < s, np.sqrt(s) / ug, 0.0)
+            * np.abs(y[g]), _W15)
+
+
 class _InheritedError(NonConvergenceError):
-    """A task's propagated inner error alone reaches its target."""
+    """A task's propagated inner error alone reaches its target.
+
+    Raised by a solve that let its other tasks finish, it carries the
+    mask of the tasks ``stopped`` and the ``totals`` (values, errors,
+    converged mask) of every task."""
+
+    def __init__(self, message, stopped=None, totals=None):
+        super().__init__(message)
+        self.stopped = stopped
+        self.totals = totals
 
 
-def _solve_batched(f, edges, rel_tol, abs_tol, grading="sqrt", smooth=None):
+def _solve_batched(f, edges, rel_tol, abs_tol, grading="sqrt", smooth=None,
+                   finish_others=False):
     """Run the batched adaptive loop over independent 1D tasks.
 
     f(task_indices, x) -> y or (y, yerr); both flat arrays.  Returns
@@ -461,99 +526,106 @@ def _solve_batched(f, edges, rel_tol, abs_tol, grading="sqrt", smooth=None):
     A ``yerr`` is integrated into each panel's propagated error, kept
     apart from its own error (see the module docstring); a task whose
     propagated error alone reaches its target raises
-    :class:`_InheritedError` at once.
+    :class:`_InheritedError` at once; with ``finish_others`` it is set
+    aside instead, and the error is raised once the other tasks have run
+    to their end, with every task's totals.
+
+    A bisected segment's halves go after the segments kept, so each
+    task's totals sum its segments in the order they were made.  A task's
+    bisections so far are its segments beyond its first ones, so they are
+    counted only in a wave that could take some task past its cap.
     """
     T = len(edges)
     tid, kind, anc, lo, hi = _build_tasks(edges, grading, smooth)
-    abs_tol_arr = np.broadcast_to(np.asarray(abs_tol, dtype=float), (T,))
-    splits = np.zeros(T, dtype=int)
-    failed = np.zeros(T, dtype=bool)
-
     if tid.size == 0:
         z = np.zeros(T)
         return z, z.copy(), 0, np.ones(T, dtype=bool)
-
-    val_seg, err_seg, floor_seg, prop_seg = _eval_segments(f, tid, kind, anc,
-                                                           lo, hi)
+    first = tid
+    val, err, floor, prop = _eval_segments(f, tid, kind, anc, lo, hi)
     evals = 15 * tid.size
-    cdtype = val_seg.dtype
+    failed = stopped = None
 
     def totals():
-        v = np.zeros(T, dtype=cdtype)
-        e = np.zeros(T)
-        fl = np.zeros(T)
-        np.add.at(v, tid, val_seg)
-        np.add.at(e, tid, err_seg)
-        np.add.at(fl, tid, floor_seg)
-        if prop_seg is None:
-            return v, e, fl, 0.0
-        p = np.zeros(T)
-        np.add.at(p, tid, prop_seg)
-        return v, e, fl, p
+        if val.dtype.kind == "c":
+            v = np.empty(T, dtype=val.dtype)
+            v.real = np.bincount(tid, val.real, T)
+            v.imag = np.bincount(tid, val.imag, T)
+        else:
+            v = np.bincount(tid, val, T)
+        p = 0.0 if prop is None else np.bincount(tid, prop, T)
+        return (v, np.bincount(tid, err, T), np.bincount(tid, floor, T), p)
 
     for _ in range(_MAX_WAVES):
         val_t, err_t, floor_t, prop_t = totals()
-        target = np.maximum(abs_tol_arr, rel_tol * np.abs(val_t))
+        target = np.maximum(abs_tol, rel_tol * np.abs(val_t))
         # what the propagated error leaves of the target for the own one
-        budget = target if prop_seg is None else target - prop_t
-        need = (err_t > budget) & ~failed
-        if not need.any():
+        budget = target if prop is None else target - prop_t
+        need = err_t > budget
+        if failed is not None:
+            need &= ~failed
+        if not np.count_nonzero(need):
             break
-        if prop_seg is not None:
+        if prop is not None:
             inherited = need & (budget <= 0.0)
-            if inherited.any():
-                k = int(np.argmax(inherited))
-                raise _InheritedError(
-                    f"{np.count_nonzero(inherited)} of {T} tasks stopped on "
-                    f"inherited error: {prop_t[k]:.3e} against target "
-                    f"{target[k]:.3e}")
+            if np.count_nonzero(inherited):
+                if stopped is None:
+                    k = int(np.argmax(inherited))
+                    message = (
+                        f"{np.count_nonzero(inherited)} of {T} tasks stopped "
+                        f"on inherited error: {prop_t[k]:.3e} against target "
+                        f"{target[k]:.3e}")
+                if not finish_others:
+                    raise _InheritedError(message)
+                stopped = inherited if stopped is None else stopped | inherited
+                failed = inherited if failed is None else failed | inherited
+                need &= ~inherited
+                if not np.count_nonzero(need):
+                    break
         nseg_t = np.bincount(tid, minlength=T)
-        thr = np.full(T, np.inf)
-        thr[need] = budget[need] / (2.0 * np.maximum(nseg_t[need], 1))
-        split = err_seg > thr[tid]
-        if not split.any():
-            failed |= need
+        thr = np.where(need, budget / (2.0 * np.maximum(nseg_t, 1)), np.inf)
+        split = err > thr[tid]
+        n_split = np.count_nonzero(split)
+        if not n_split:
             break
-        n_split_t = np.bincount(tid[split], minlength=T)
-        over = need & (splits + n_split_t > _MAX_SUBDIVISIONS)
-        if over.any():
-            failed |= over
-            split &= ~failed[tid]
-            if not split.any():
-                continue
-            n_split_t = np.bincount(tid[split], minlength=T)
-        splits += n_split_t
-        if tid.size + split.sum() > _MAX_TOTAL_SEGMENTS:
+        if tid.size - first.size + n_split > _MAX_SUBDIVISIONS:
+            over = need & (nseg_t - np.bincount(first, minlength=T)
+                           + np.bincount(tid[split], minlength=T)
+                           > _MAX_SUBDIVISIONS)
+            if np.count_nonzero(over):
+                failed = over if failed is None else failed | over
+                split &= ~failed[tid]
+                n_split = np.count_nonzero(split)
+                if not n_split:
+                    continue
+        if tid.size + n_split > _MAX_TOTAL_SEGMENTS:
             raise NonConvergenceError("segment budget exhausted (global cap)")
 
-        s_tid, s_kind, s_anc = tid[split], kind[split], anc[split]
-        s_lo, s_hi = lo[split], hi[split]
-        s_mid = 0.5 * (s_lo + s_hi)
-        c_tid = np.concatenate([s_tid, s_tid])
-        c_kind = np.concatenate([s_kind, s_kind])
-        c_anc = np.concatenate([s_anc, s_anc])
-        c_lo = np.concatenate([s_lo, s_mid])
-        c_hi = np.concatenate([s_mid, s_hi])
-        c_val, c_err, c_floor, c_prop = _eval_segments(f, c_tid, c_kind, c_anc,
-                                                       c_lo, c_hi)
-        evals += 15 * c_tid.size
+        keep = (~split).nonzero()[0]
+        at = split.nonzero()[0]
+        order = np.concatenate([keep, at, at])
+        tid, kind, anc, lo, hi = (a[order] for a in (tid, kind, anc, lo, hi))
+        # the left halves, then the right ones
+        new = slice(keep.size, None)
+        left, right = slice(keep.size, -at.size), slice(-at.size, None)
+        mid = 0.5 * (lo[left] + hi[left])
+        hi[left], lo[right] = mid, mid
+        c_val, c_err, c_floor, c_prop = _eval_segments(
+            f, tid[new], kind[new], anc[new], lo[new], hi[new])
+        evals += 15 * 2 * at.size
+        val = np.concatenate([val[keep], c_val])
+        err = np.concatenate([err[keep], c_err])
+        floor = np.concatenate([floor[keep], c_floor])
+        if prop is not None:
+            prop = np.concatenate([prop[keep], c_prop])
+    else:
+        val_t, err_t, floor_t, prop_t = totals()
+        target = np.maximum(abs_tol, rel_tol * np.abs(val_t))
 
-        keep = ~split
-        tid = np.concatenate([tid[keep], c_tid])
-        kind = np.concatenate([kind[keep], c_kind])
-        anc = np.concatenate([anc[keep], c_anc])
-        lo = np.concatenate([lo[keep], c_lo])
-        hi = np.concatenate([hi[keep], c_hi])
-        val_seg = np.concatenate([val_seg[keep], c_val])
-        err_seg = np.concatenate([err_seg[keep], c_err])
-        floor_seg = np.concatenate([floor_seg[keep], c_floor])
-        if prop_seg is not None:
-            prop_seg = np.concatenate([prop_seg[keep], c_prop])
-
-    val_t, err_t, floor_t, prop_t = totals()
-    err_t = err_t + prop_t
-    target = np.maximum(abs_tol_arr, rel_tol * np.abs(val_t))
+    if prop is not None:
+        err_t = err_t + prop_t
     ok = err_t <= target
+    if stopped is not None:
+        raise _InheritedError(message, stopped, (val_t, err_t + floor_t, ok))
     return val_t, err_t + floor_t, evals, ok
 
 
@@ -609,10 +681,13 @@ def _iterated(f, levels, cfg, strict=True, outer=()):
     that task's span (at least 1), so every task's tolerance is its own
     and any wave may be sliced.  A level whose propagated error alone
     reaches its target stops the nest, which reruns with every inner
-    level 10x, then 100x, then 1000x tighter than its parent; a nest of
-    several level-0 tasks instead solves each task again as a one-task
-    nest, with a ladder of its own, and counts the stopped attempt's
-    evaluations with theirs.  With
+    level 10x, then 100x, then 1000x tighter than its parent.  In a nest
+    of several level-0 tasks, a level-0 task that stops is set aside
+    while the others finish in the batch, and then climbs the ladder
+    alone from 10x; a stop below level 0 names no task, so each task is
+    solved again as a one-task nest with a ladder of its own.  Either
+    way every task keeps the bits it has alone, and the stopped
+    attempts' evaluations are counted with the rest.  With
     ``strict`` an inner task that does not converge raises
     NonConvergenceError; without, its error propagates like any other.
     The outermost level always raises.  Returns an IntegralResult
@@ -647,43 +722,59 @@ def _iterated(f, levels, cfg, strict=True, outer=()):
             del pts
             return y if scale is None else y * scale[tids]
 
+        # a level-0 task that stops lets the others finish (see ladder)
         v, e, ev, ok = _solve_batched(g, rows, rel_tol, abs_tol,
-                                      grading=grading, smooth=smooth)
+                                      grading=grading, smooth=smooth,
+                                      finish_others=depth == 0)
         if depth == innermost:
             inner_evals += ev
-        if not ok.all() and (strict or depth == 0):
-            raise NonConvergenceError(
-                f"level-{depth} integrals of a {len(levels)}D nest did not "
-                f"converge: {np.count_nonzero(~ok)} of {ok.size} tasks, "
-                f"error estimate up to {np.max(e[~ok]):.3e}")
+        if np.count_nonzero(ok) < ok.size and (strict or depth == 0):
+            raise _unconverged(depth, ok, e)
         return v, e
 
-    for factor in _RETRY_TIGHTENING:
-        try:
-            v, e = solve(0, outer, None, cfg.rel_tol, cfg.abs_tol, factor)
-        except _InheritedError as exc:
-            if outer and np.size(outer[0]) > 1:
-                # each level-0 task climbs a ladder of its own, so a task
-                # that needs none keeps the bits it has alone
-                parts = [_iterated(f, levels, cfg, strict,
-                                   tuple(o[i:i + 1] for o in outer))
-                         for i in range(np.size(outer[0]))]
-                return IntegralResult(
-                    value=np.concatenate([p.value for p in parts]),
-                    error_estimate=np.concatenate(
-                        [p.error_estimate for p in parts]),
-                    evaluations=inner_evals + sum(p.evaluations
-                                                  for p in parts))
-            last = exc
-            continue
-        if outer:
-            return IntegralResult(value=v, error_estimate=e,
-                                  evaluations=max(inner_evals, 1))
-        value = complex(v[0])
-        return IntegralResult(value=value if value.imag else value.real,
-                              error_estimate=float(e[0]),
+    def _unconverged(depth, ok, e):
+        return NonConvergenceError(
+            f"level-{depth} integrals of a {len(levels)}D nest did not "
+            f"converge: {np.count_nonzero(~ok)} of {ok.size} tasks, "
+            f"error estimate up to {np.max(e[~ok]):.3e}")
+
+    def ladder(outer, rungs, last=None):
+        """(values, errors) of the nest over ``outer``, each attempt's
+        inner levels tighter by the next of ``rungs``."""
+        for i, factor in enumerate(rungs):
+            try:
+                return solve(0, outer, None, cfg.rel_tol, cfg.abs_tol, factor)
+            except _InheritedError as exc:
+                last = exc
+                n = np.size(outer[0]) if outer else 1
+                if n == 1:
+                    continue
+                alone = [tuple(o[k:k + 1] for o in outer) for k in range(n)]
+                if exc.stopped is None:
+                    # a stop below level 0 names no task: each level-0
+                    # task climbs a ladder of its own, so a task that
+                    # needs none keeps the bits it has alone
+                    return tuple(np.concatenate(c) for c in zip(
+                        *(ladder(o, rungs) for o in alone)))
+                # the other tasks finished in the batch as they would
+                # alone; a stopped one goes on alone from the next rung,
+                # as its own ladder would
+                v, e, ok = exc.totals
+                if np.count_nonzero(ok | exc.stopped) < n:
+                    raise _unconverged(0, ok | exc.stopped, e) from exc
+                for k in exc.stopped.nonzero()[0]:
+                    (v[k],), (e[k],) = ladder(alone[k], rungs[i + 1:], exc)
+                return v, e
+        raise NonConvergenceError(
+            f"nested integral did not converge with inner levels "
+            f"{_RETRY_TIGHTENING[-1]:g}x tighter: {last}")
+
+    v, e = ladder(outer, _RETRY_TIGHTENING)
+    if outer:
+        return IntegralResult(value=v, error_estimate=e,
                               evaluations=max(inner_evals, 1))
-    raise NonConvergenceError(
-        f"nested integral did not converge with inner levels "
-        f"{_RETRY_TIGHTENING[-1]:g}x tighter: {last}")
+    value = complex(v[0])
+    return IntegralResult(value=value if value.imag else value.real,
+                          error_estimate=float(e[0]),
+                          evaluations=max(inner_evals, 1))
 

@@ -528,6 +528,42 @@ class TestTableCommand:
                 "a2_error": terms.a2_error, "a3_error": terms.a3_error,
                 "status": "ok"})
 
+    def test_a_level_0_stop_reruns_its_row_alone(self, ladder_model, capsys,
+                                                 monkeypatch):
+        # on the same table only A3's row at t = -1 stops, at its level 0:
+        # the other six rows finish in the batch, and that row alone is
+        # solved again, once, at the 10x rung, as its own ladder would
+        real = eikamp.quadrature._solve_batched
+        depth = [0]
+        top = []
+
+        def spy(f, edges, *args, **kwargs):
+            if not depth[0]:
+                top.append(np.array(edges, copy=True))
+            depth[0] += 1
+            try:
+                return real(f, edges, *args, **kwargs)
+            except _InheritedError as exc:
+                top[-1] = (top[-1], exc.stopped)
+                raise
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(eikamp.quadrature, "_solve_batched", spy)
+        code, out, err = run_cli(
+            ["table", "--model", ladder_model, "--s", "50", "--t-min", "-2",
+             "--t-max", "-0.5", "--points", "7", "--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        stops = [k for k, call in enumerate(top) if isinstance(call, tuple)]
+        assert len(stops) == 1
+        rows, stopped = top[stops[0]]
+        # t = -2, -1.75, ..., -0.5: the row of t = -1 is the fifth
+        assert rows.shape[0] == 7
+        assert stopped.nonzero()[0].tolist() == [4]
+        again = top[stops[0] + 1:]
+        assert len(again) == 1
+        np.testing.assert_array_equal(again[0], rows[4:5])
+
     def test_log_spacing_grid(self, gauss_model, capsys):
         code, out, err = run_cli(
             ["table", "--model", gauss_model, "--s", "50",

@@ -274,6 +274,20 @@ class TestEikonalChi:
             assert abs(v - vg) <= 1e-12
             assert n < ng
 
+    def test_b_beyond_the_panel_cover_still_converges(self):
+        # the bench table's q_cut is 30.70, so 4,000 J0 panels cover
+        # b <= 409; at b = 1000 the capped row still converges
+        chi = eikonal_chi(real_tabulated(), 50.0, 1000.0)
+        assert abs(chi) < 1e-10
+
+    def test_b_beyond_the_panel_cover_names_itself(self):
+        # at b = 3000 the capped row does not converge: the error names
+        # the b, the panels it needs and the range that 4,000 cover
+        with pytest.raises(NonConvergenceError,
+                           match=r"b = 3000 .* needs 29317 J0 panels .* "
+                                 r"4000 cover b <= 409\.3"):
+            eikonal_chi(real_tabulated(), 50.0, 3000.0)
+
 
 class TestChiGate:
     def test_quiet_below_half(self):

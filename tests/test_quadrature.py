@@ -544,6 +544,48 @@ SINGULAR = [
 BATTERY_RELS = (1e-3, 1e-6, 1e-8, 1e-10)
 
 
+@pytest.mark.parametrize("grading", ["plain", "sqrt", "log"])
+@pytest.mark.parametrize("masked", [False, True], ids=["bare", "smooth"])
+@pytest.mark.parametrize("kind", ["real", "complex", "yerr"])
+def test_each_task_of_a_batch_solves_as_it_would_alone(grading, masked,
+                                                       kind):
+    # a task's value, error and convergence depend on its own segments
+    # alone: a batch of seeded tasks gives each the bits of its own
+    # one-task solve, whatever the tasks beside it and however long they
+    # refine.  Even tasks are broad and odd ones narrow peaks
+    rng = np.random.default_rng(37)
+    n = 6
+    edges = np.sort(rng.uniform(0.0, 2.0, (n, 5)), axis=1)
+    edges[0, 3:] = edges[0, 2]      # a padded row
+    smooth = rng.random(edges.shape) < 0.5 if masked else None
+    centre = rng.uniform(0.2, 1.8, n)
+    width = np.where(np.arange(n) % 2, 0.01, 1.5)
+    phase = 1.0 + 0.5j if kind == "complex" else 1.0
+
+    def task(k):
+        def f(tid, x):
+            j = k[tid]
+            y = np.exp(-((x - centre[j]) / width[j]) ** 2) * phase + x
+            return (y, 1e-14 * np.abs(y)) if kind == "yerr" else y
+        return f
+
+    batch = _solve_batched(task(np.arange(n)), edges, 1e-9, 1e-300,
+                           grading=grading, smooth=smooth)
+    first_wave = []
+    for k in range(n):
+        alone = _solve_batched(
+            task(np.array([k])), edges[k:k + 1], 1e-9, 1e-300,
+            grading=grading, smooth=None if smooth is None else smooth[k:k + 1])
+        for got, want in zip((batch[0], batch[1], batch[3]),
+                             (alone[0], alone[1], alone[3])):
+            assert got[k:k + 1].tobytes() == want.tobytes()
+        first_wave.append(alone[2] == 15 * _build_tasks(
+            edges[k:k + 1], grading,
+            None if smooth is None else smooth[k:k + 1])[0].size)
+    # some task converged on its first wave and some bisected
+    assert any(first_wave) and not all(first_wave)
+
+
 def _battery_solve(f, edges, grading, smooth, rel):
     v, e, _, ok = _solve_batched(
         lambda _tid, x: f(x), [np.array(edges)], rel, 1e-300,
