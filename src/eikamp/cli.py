@@ -23,7 +23,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,14 +32,13 @@ from .besselprod import (f3_eval, f4_classify, f4_eval, f5_eval, f6_eval,
 from .eikonal import (_A2Hat, _gated_build, _table_terms, assemble_amplitude,
                       build_profile, compute_terms, diff_cross_section)
 from .exceptions import (BoundaryCaseError, ChiGateError, EikampError,
-                         ExtrapolationDivergenceError, ModelFileError,
-                         NonConvergenceError)
+                         ModelFileError, NonConvergenceError)
 from .models import GaussianBorn, Kinematics, load_model
 from .oracle import direct_eikonal_amplitude, gaussian_series_amplitude
 from .quadrature import QuadratureConfig
 from .special import bessel_j0, elliptic_k
 
-__all__ = ["RunSpec", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -53,55 +51,6 @@ _TABLE_COLUMNS = ["t", "re_a1", "im_a1", "re_a2", "im_a2", "re_a3", "im_a3",
                   "status"]
 _COMPARE_COLUMNS = ["t", "re_assembled", "im_assembled", "re_direct",
                     "im_direct", "rel_deviation"]
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """Validated description of a table/compare run."""
-
-    command: str
-    model_path: str
-    s: float
-    t_min: float
-    t_max: float
-    count: int
-    spacing: str
-    rel_tol: float
-    abs_tol: float
-    fmt: str
-    out: str | None
-    override_chi_gate: bool = False
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.s, self.t_min, self.t_max))):
-            raise ValueError("s, t_min and t_max must be finite")
-        if self.count < 1:
-            raise ValueError("points must be >= 1")
-        if not (self.t_max < 0.0):
-            raise ValueError("t-grid must be negative: t_max < 0")
-        if self.count == 1:
-            if self.t_min > self.t_max:
-                raise ValueError("t_min must be <= t_max")
-        elif not (self.t_min < self.t_max):
-            raise ValueError("t_min must be < t_max")
-        if self.spacing not in ("linear", "log"):
-            raise ValueError("spacing must be linear or log")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError("format must be csv or json")
-        if not (self.s > 0.0):
-            raise ValueError("s must be positive")
-        if not (0 < self.rel_tol < 1 and 0 < self.abs_tol < 1):
-            raise ValueError("tolerances must be in (0, 1)")
-
-    def t_grid(self):
-        if self.count == 1:
-            return np.array([self.t_min])
-        if self.spacing == "linear":
-            return np.linspace(self.t_min, self.t_max, self.count)
-        return -np.geomspace(-self.t_min, -self.t_max, self.count)
-
-    def quad_config(self):
-        return QuadratureConfig(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -151,24 +100,29 @@ def _build_parser():
 # besselprod
 # ---------------------------------------------------------------------------
 
+def _tolerance_problem(args):
+    """The usage error of tolerances outside (0, 1), or None."""
+    if not (0 < args.rel_tol < 1 and 0 < args.abs_tol < 1):
+        return "tolerances must be in (0, 1)"
+    return None
+
+
 def _cmd_besselprod(args):
     params = args.params
     n = len(params)
     if n < 2 or n > 6:
-        print("eikamp besselprod: expected 2 to 6 parameters", file=sys.stderr)
-        return EXIT_USAGE
-    if any(not (v > 0.0 and math.isfinite(v)) for v in params):
-        print("eikamp besselprod: parameters must be positive", file=sys.stderr)
-        return EXIT_USAGE
-    if n == 2:
-        print("eikamp besselprod: the two-factor integral is not a number: "
-              "int x J0(ax) J0(bx) dx = delta(a - b)/a, a delta distribution; "
-              "smear one scale (n >= 3) to get a finite value",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if not (0 < args.rel_tol < 1 and 0 < args.abs_tol < 1):
-        print("eikamp besselprod: tolerances must be in (0, 1)",
-              file=sys.stderr)
+        problem = "expected 2 to 6 parameters"
+    elif any(not (v > 0.0 and math.isfinite(v)) for v in params):
+        problem = "parameters must be positive"
+    elif n == 2:
+        problem = ("the two-factor integral is not a number: "
+                   "int x J0(ax) J0(bx) dx = delta(a - b)/a, a delta "
+                   "distribution; smear one scale (n >= 3) to get a finite "
+                   "value")
+    else:
+        problem = _tolerance_problem(args)
+    if problem is not None:
+        print(f"eikamp besselprod: {problem}", file=sys.stderr)
         return EXIT_USAGE
     cfg = QuadratureConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     try:
@@ -198,9 +152,6 @@ def _cmd_besselprod(args):
     except BoundaryCaseError as exc:
         print(f"eikamp besselprod: boundary case: {exc}", file=sys.stderr)
         return EXIT_BOUNDARY
-    except ExtrapolationDivergenceError as exc:
-        print(f"eikamp besselprod: divergent: {exc}", file=sys.stderr)
-        return EXIT_BOUNDARY
     except NonConvergenceError as exc:
         print(f"eikamp besselprod: {exc}", file=sys.stderr)
         return EXIT_FAIL
@@ -220,10 +171,10 @@ def _json_number(v):
     return None if isinstance(v, float) and not math.isfinite(v) else v
 
 
-def _emit(spec, columns, rows, header_kind):
+def _emit(args, columns, rows, header_kind):
     """Serialize rows (lists matching columns) as CSV or JSON; numbers are
     written with full round-trip precision in both formats."""
-    if spec.fmt == "csv":
+    if args.format == "csv":
         lines = [f"# eikamp-{header_kind} schema {_SCHEMA_VERSION} "
                  f"(eikamp {__version__})"]
         lines.append(",".join(columns))
@@ -236,58 +187,77 @@ def _emit(spec, columns, rows, header_kind):
             "schema_version": _SCHEMA_VERSION,
             "generator": f"eikamp {__version__}",
             "kind": header_kind,
-            "s": spec.s,
+            "s": args.s,
             "rows": [{c: _json_number(v) for c, v in zip(columns, row)}
                      for row in rows],
         }
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    if spec.out is None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(spec.out, "w", encoding="utf-8", newline="\n") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
 
 
-def _spec_from_args(args, command):
-    try:
-        return RunSpec(command=command, model_path=args.model, s=args.s,
-                       t_min=args.t_min, t_max=args.t_max, count=args.points,
-                       spacing=args.spacing, rel_tol=args.rel_tol,
-                       abs_tol=args.abs_tol, fmt=args.format, out=args.out,
-                       override_chi_gate=args.override_chi_gate)
-    except ValueError as exc:
-        print(f"eikamp {command}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE) from None
+def _run_problem(args):
+    """The first usage error of a ``table`` or ``compare`` run that
+    argparse cannot catch, or None."""
+    if not all(map(math.isfinite, (args.s, args.t_min, args.t_max))):
+        return "s, t_min and t_max must be finite"
+    if args.points < 1:
+        return "points must be >= 1"
+    if not (args.t_max < 0.0):
+        return "t-grid must be negative: t_max < 0"
+    if args.points == 1:
+        if args.t_min > args.t_max:
+            return "t_min must be <= t_max"
+    elif not (args.t_min < args.t_max):
+        return "t_min must be < t_max"
+    if not (args.s > 0.0):
+        return "s must be positive"
+    return _tolerance_problem(args)
 
 
-def _load_model_or_exit(spec):
-    try:
-        return load_model(spec.model_path)
-    except ModelFileError as exc:
-        print(f"eikamp {spec.command}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE) from None
+def _run_setup(args):
+    """The model, quadrature config and t-grid rows of a ``table`` or
+    ``compare`` run.  A usage error or an unreadable model file exits
+    with EXIT_USAGE."""
+    problem = _run_problem(args)
+    if problem is None:
+        try:
+            model = load_model(args.model)
+        except ModelFileError as exc:
+            problem = exc
+    if problem is not None:
+        print(f"eikamp {args.command}: {problem}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+    if args.points == 1:
+        ts = [args.t_min]
+    elif args.spacing == "linear":
+        ts = np.linspace(args.t_min, args.t_max, args.points)
+    else:
+        ts = -np.geomspace(-args.t_min, -args.t_max, args.points)
+    cfg = QuadratureConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
+    return model, cfg, [Kinematics(args.s, float(t)) for t in ts]
 
 
 def _failed_row(t, exc):
-    return [float(t)] + [math.nan] * 11 + [f"failed: {exc}"]
+    return [t] + [math.nan] * 11 + [f"failed: {exc}"]
 
 
 def _cmd_table(args):
-    spec = _spec_from_args(args, "table")
-    model = _load_model_or_exit(spec)
-    cfg = spec.quad_config()
+    model, cfg, kins = _run_setup(args)
     try:
         # A2 / s depends on neither s nor t: one build serves every row
-        a2hat = _gated_build(model, spec.s, cfg, spec.override_chi_gate)
+        a2hat = _gated_build(model, args.s, cfg, args.override_chi_gate)
     except ChiGateError as exc:
         print(f"eikamp table: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except EikampError as exc:
-        _emit(spec, _TABLE_COLUMNS,
-              [_failed_row(t, exc) for t in spec.t_grid()], "table")
+        _emit(args, _TABLE_COLUMNS,
+              [_failed_row(kin.t, exc) for kin in kins], "table")
         return EXIT_OK
     rows = []
-    kins = [Kinematics(spec.s, float(t)) for t in spec.t_grid()]
     for kin, terms in zip(kins, _table_terms(model, kins, cfg, a2hat)):
         if isinstance(terms, EikampError):
             rows.append(_failed_row(kin.t, terms))
@@ -298,24 +268,21 @@ def _cmd_table(args):
                      terms.a2.real, terms.a2.imag, terms.a3.real,
                      terms.a3.imag, amp.real, amp.imag, dsig,
                      terms.a2_error, terms.a3_error, "ok"])
-    _emit(spec, _TABLE_COLUMNS, rows, "table")
+    _emit(args, _TABLE_COLUMNS, rows, "table")
     return EXIT_OK
 
 
 def _cmd_compare(args):
-    spec = _spec_from_args(args, "compare")
-    model = _load_model_or_exit(spec)
-    cfg = spec.quad_config()
+    model, cfg, kins = _run_setup(args)
     try:
         # the chi^4 allowance below needs the scanned peak, not a bound
-        profile = build_profile(model, spec.s, cfg,
-                                override_chi_gate=spec.override_chi_gate)
+        profile = build_profile(model, args.s, cfg,
+                                override_chi_gate=args.override_chi_gate)
         a2hat = _A2Hat(model, cfg)
     except EikampError as exc:
         print(f"eikamp compare: {exc}", file=sys.stderr)
         return EXIT_FAIL
     devs, rows = [], []
-    kins = [Kinematics(spec.s, float(t)) for t in spec.t_grid()]
     for kin, terms in zip(kins, _table_terms(model, kins, cfg, a2hat)):
         try:
             if isinstance(terms, EikampError):
@@ -329,12 +296,12 @@ def _cmd_compare(args):
         devs.append(dev)
         rows.append([kin.t, approx.real, approx.imag, direct.real,
                      direct.imag, dev])
-    if spec.out is not None or spec.fmt == "json":
-        _emit(spec, _COMPARE_COLUMNS, rows, "compare")
+    if args.out is not None or args.format == "json":
+        _emit(args, _COMPARE_COLUMNS, rows, "compare")
     max_dev = max(devs)
     med_dev = float(np.median(devs))
     # chi^4 truncation allowance plus a quadrature-tolerance floor
-    bound = 3.0 * profile.max_abs_chi ** 4 + 50.0 * spec.rel_tol
+    bound = 3.0 * profile.max_abs_chi ** 4 + 50.0 * args.rel_tol
     print(f"compare: {len(devs)} points, max deviation {max_dev:.3e}, "
           f"median {med_dev:.3e}, allowance {bound:.3e}")
     if max_dev > 10.0 * bound:
@@ -388,15 +355,13 @@ def _cmd_selftest(_args):
     return EXIT_FAIL
 
 
+_COMMANDS = {"besselprod": _cmd_besselprod, "table": _cmd_table,
+             "compare": _cmd_compare, "selftest": _cmd_selftest}
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    if args.command == "besselprod":
-        return _cmd_besselprod(args)
-    if args.command == "table":
-        return _cmd_table(args)
-    if args.command == "compare":
-        return _cmd_compare(args)
-    return _cmd_selftest(args)
+    return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

@@ -101,6 +101,11 @@ def _tail_cut(model):
     return model.q_cutoff(_TAIL_DECAY * float(model.envelope(0.0)))
 
 
+def _decay_width(model):
+    """The width in q over which the model envelope falls by e."""
+    return model.q_cutoff(float(model.envelope(0.0)) / math.e)
+
+
 def eikonal_chi(model, s, b, cfg=None):
     """Eikonal phase chi(s, b) = (1/4 pi s) int_0^inf dq q J0(q b) A_B(s, -q^2).
 
@@ -212,26 +217,24 @@ def _apply_chi_gate(max_abs_chi, override):
 def build_profile(model, s, cfg=None, *, override_chi_gate=False):
     """Construct the eikonal profile at fixed s and run the smallness gate.
 
-    For closed-form families the peak is analytic.  Tabulated models get
-    their peak from a quadrature scan of 41 b over a few envelope decay
-    lengths, one :func:`eikonal_chi` solve for all of them.  The cutoff
-    is the model's own (``chi_b_cutoff``).
+    The peak is the largest |chi| over 41 b: b = 0 and a geometric grid
+    from 0.1 / w to 8 / w, w the width in q over which the model envelope
+    falls by e.  chi varies in b on the scale 1 / w: under an envelope
+    M exp(-kappa q), w = 1 / kappa and |chi(b)| <~ (M / 4 pi) kappa /
+    (kappa^2 + b^2)^(3/2).  A closed-form family reads its chi on the
+    grid; any other model scans it in one :func:`eikonal_chi` solve.
+    Extreme b would only drown that solve in J0 oscillation panels.  The
+    cutoff is the model's own (``chi_b_cutoff``).
     """
     cfg = cfg or QuadratureConfig()
     chi = model.chi_closed()
-    if chi is not None:
-        peak = float(model.chi0)
-    else:
+    if chi is None:
         def chi(b):
             return eikonal_chi(model, s, b, cfg)
 
-        # peak scan: |chi| decays on the scale of a few 1/kappa, so a
-        # short geometric grid brackets the maximum; extreme b would only
-        # drown the quadrature route in J0 oscillation panels
-        kappa = model.envelope_kappa
-        bs = np.concatenate([[0.0],
-                             np.geomspace(1e-2 / kappa, 12.0 / kappa, 40)])
-        peak = float(np.abs(chi(bs)).max())
+    w = _decay_width(model)
+    bs = np.concatenate([[0.0], np.geomspace(0.1 / w, 8.0 / w, 40)])
+    peak = float(np.abs(chi(bs)).max())
     b_cut = model.chi_b_cutoff(_CHI_CUTOFF_LEVEL)
     _apply_chi_gate(peak, override_chi_gate)
     return EikonalProfile(chi=chi, max_abs_chi=peak, b_cutoff=b_cut)
@@ -496,8 +499,7 @@ class _A2Hat:
         self.evaluations = norms.evaluations
         self._cache = {}
 
-        edges = [0.0, min(model.q_cutoff(float(model.envelope(0.0)) / math.e),
-                          self.k_cap)]
+        edges = [0.0, min(_decay_width(model), self.k_cap)]
         while 2.0 * edges[-1] < 0.75 * self.k_cap:
             edges.append(2.0 * edges[-1])
         edges[-1] = self.k_cap

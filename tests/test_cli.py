@@ -272,6 +272,17 @@ class TestBesselprodCommand:
         assert err.startswith("eikamp besselprod: ")
         assert "tolerances" in err
 
+    def test_non_convergence_exits_one(self, capsys, monkeypatch):
+        def fail(*args):
+            raise NonConvergenceError("F5 did not converge")
+
+        monkeypatch.setattr(eikamp.cli, "f5_eval", fail)
+        code, out, err = run_cli(["besselprod", "1", "1", "0.5", "0.5",
+                                  "0.5"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "eikamp besselprod: F5 did not converge\n"
+
 
 class TestTableCommand:
     def test_csv_structure_and_positivity(self, gauss_model, capsys):
@@ -818,6 +829,26 @@ class TestUsageErrors:
         assert code == 64
         assert "finite" in err
 
+    @pytest.mark.parametrize("command, flags, message", [
+        ("table", ["--s", "50", "--t-min", "-0.5", "--t-max", "-1",
+                   "--points", "1"], "t_min must be <= t_max"),
+        ("table", ["--s", "50", "--t-min", "-0.5", "--t-max", "-1",
+                   "--points", "3"], "t_min must be < t_max"),
+        ("table", ["--s=-5", "--t-min", "-1", "--t-max", "-0.5"],
+         "s must be positive"),
+        ("table", ["--s", "50", "--t-min", "-1", "--t-max", "-0.5",
+                   "--rel-tol", "2"], "tolerances must be in (0, 1)"),
+        ("compare", ["--s", "50", "--t-min", "-1", "--t-max", "-0.5",
+                     "--abs-tol", "0"], "tolerances must be in (0, 1)"),
+    ], ids=["reversed-point", "reversed-grid", "s", "rel-tol", "abs-tol"])
+    def test_run_flags_refused(self, gauss_model, command, flags, message,
+                               capsys):
+        code, out, err = run_cli([command, "--model", gauss_model] + flags,
+                                 capsys)
+        assert code == 64
+        assert out == ""
+        assert err == f"eikamp {command}: {message}\n"
+
     def test_zero_points(self, gauss_model, capsys):
         code, out, err = run_cli(
             ["table", "--model", gauss_model, "--s", "50",
@@ -849,3 +880,10 @@ class TestSelftest:
         lines = out.strip().splitlines()
         assert lines[-1].startswith("selftest: all")
         assert all(ln.startswith("PASS") for ln in lines[:-1])
+
+    def test_a_failed_check_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(eikamp.cli, "f3_eval", lambda *args: 0.0)
+        code, out, err = run_cli(["selftest"], capsys)
+        assert code == 1
+        assert "FAIL  F3(3,4,5)" in out
+        assert err == "selftest: 1 of 9 checks FAILED\n"

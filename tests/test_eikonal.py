@@ -133,6 +133,27 @@ def sign_changing_tabulated():
     return TabulatedBorn(*zip(*SIGN_CHANGING_ROWS), 1.1, 0.9)
 
 
+def nonuniform_tabulated():
+    """A 7-knot table on a non-uniform grid whose amplitude changes
+    sign."""
+    return TabulatedBorn([0.0, 0.3, 0.84, 2.02, 2.32, 3.14, 3.48],
+                         [0.2475, 0.1686, -0.0371, -0.0311, 0.0192, 0.0419,
+                          0.0144], np.zeros(7), 0.25, 0.41)
+
+
+def oscillating_tabulated(f, scale=1.0):
+    """``scale`` times a 13-knot table of r = 0.9 e^(-5q) cos(5 f q) on
+    q in [0, 1.2], under the envelope ``scale`` e^(-5q).  Its chi peaks
+    away from b = 0, at b = 12.45 for f = 2.2.  Where the last two knots
+    would fit a tail slower than the envelope, the last value is set to
+    fall at the rate 6 from the one before."""
+    q = np.linspace(0.0, 1.2, 13)
+    r = 0.9 * np.exp(-5.0 * q) * np.cos(5.0 * f * q)
+    if abs(r[-1]) > abs(r[-2]) * math.exp(-0.5):
+        r[-1] = r[-2] * math.exp(-0.6)
+    return TabulatedBorn(q, scale * r, np.zeros(13), scale, 5.0)
+
+
 def bench_references():
     """bench/references.py, which computes a table's A2 and A3 apart
     from eikamp, loaded read-only by path."""
@@ -144,10 +165,10 @@ def bench_references():
 
 
 def gate_bs(model):
-    """The b values of build_profile's peak scan."""
-    kappa = model.envelope_kappa
-    return np.concatenate([[0.0], np.geomspace(1e-2 / kappa, 12.0 / kappa,
-                                               40)])
+    """The b values of build_profile's peak scan: 0 and 40 from 0.1 / w
+    to 8 / w, w the width over which the envelope falls by e."""
+    w = model.q_cutoff(float(model.envelope(0.0)) / math.e)
+    return np.concatenate([[0.0], np.geomspace(0.1 / w, 8.0 / w, 40)])
 
 
 @pytest.fixture(scope="module")
@@ -371,6 +392,22 @@ class TestChiGate:
         chi0 = eikonal_chi(m, 50.0, 0.0, CHI_TIGHT)
         assert prof.max_abs_chi == pytest.approx(abs(chi0), rel=1e-6)
         assert prof.b_cutoff > 0.0
+
+    @pytest.mark.parametrize("f", [2.2, 4.0, 6.0])
+    def test_scan_finds_an_off_axis_peak(self, f):
+        # chi varies in b on the scale kappa = 5, and these tables peak at
+        # b = 12 to 33: the scan reads at least 0.9 of the largest |chi|
+        # of a linear scan out to b = 60
+        m = oscillating_tabulated(f)
+        peak = np.abs(eikonal_chi(m, 50.0, np.linspace(0.0, 60.0, 401)))
+        assert build_profile(m, 50.0).max_abs_chi >= 0.9 * peak.max()
+
+    def test_an_off_axis_peak_warns(self):
+        # scaled by 1040, the f = 2.2 table peaks at |chi| = 0.549 near
+        # b = 12.45, in the warning window, while |chi(0)| is 0.29
+        with pytest.warns(UserWarning, match="truncation"):
+            prof = build_profile(oscillating_tabulated(2.2, 1040.0), 50.0)
+        assert 0.5 <= prof.max_abs_chi <= 0.549
 
 
 class TestA1:
@@ -843,9 +880,7 @@ class TestA3Convolution:
         # inner level 10x tighter converges.  Without the rerun the row
         # raises NonConvergenceError; with it, it lands within both errors
         # of a solve at rel 1e-8 on an interpolant of its own
-        m = TabulatedBorn([0.0, 0.3, 0.84, 2.02, 2.32, 3.14, 3.48],
-                          [0.2475, 0.1686, -0.0371, -0.0311, 0.0192, 0.0419,
-                           0.0144], np.zeros(7), 0.25, 0.41)
+        m = nonuniform_tabulated()
         kin = Kinematics(s=50.0, t=-1.0)
         a2hat = _A2Hat(m, QuadratureConfig())
         real = quadrature_module._solve_batched
@@ -1180,6 +1215,22 @@ class TestChebyshevEstimate:
         _a2hat, panels = table_panel_errors(rel)
         for x, f, err, true in panels:
             assert true <= _chebyshev_tail(f) + _node_error_bound(x, err)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_table_build_covers_its_error_at_a_knot_sum(self):
+        # Â2 of a table is not smooth where two knots add: at k = 3.14 +
+        # 3.48 the build at rel 1e-3 is 3.298 of its tolerance from a
+        # rel-1e-12 solve of the convolution, and reports 1.043
+        m = nonuniform_tabulated()
+        a2hat = _A2Hat(m, QuadratureConfig(rel_tol=1e-3, abs_tol=1e-6))
+        _phase, red = eikonal_module._phase_split(m)
+        k = np.array([6.62])
+        tight = QuadratureConfig(rel_tol=1e-12,
+                                 abs_tol=1e-3 * a2hat.tol * 4.0 * math.pi ** 2)
+        c, _err, _ = eikonal_module._convolution(
+            red, red, a2hat.knots, a2hat.knots, a2hat.q_cut, a2hat.q_cut,
+            k, tight, True)
+        assert abs(a2hat(k)[0] - c[0]) <= a2hat.error
 
 
 def counting_reduced(monkeypatch, model):
